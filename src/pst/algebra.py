@@ -349,7 +349,12 @@ def enumerate_heyting(max_size: int, hard_cap: int = ENUM_HARD_CAP) -> Iterator[
     canonical key.
     """
     if max_size > hard_cap:
-        raise CapExceeded(f"enumeration capped at size {hard_cap}")
+        raise CapExceeded(
+            f"enumeration capped at size {hard_cap}",
+            cap="ENUM_HARD_CAP",
+            limit=hard_cap,
+            predicted=max_size,
+        )
     found: dict[bytes, FiniteHeytingAlgebra] = {}
     for k in range(0, max_size):
         for rows in _labelled_posets(k):
@@ -396,7 +401,12 @@ def check_refinable(h: FiniteHeytingAlgebra, hard_cap: int = REFINABLE_HARD_CAP)
     """
     n = h.size
     if n > hard_cap:
-        raise CapExceeded(f"refinability check capped at {hard_cap} elements")
+        raise CapExceeded(
+            f"refinability check capped at {hard_cap} elements",
+            cap="REFINABLE_HARD_CAP",
+            limit=hard_cap,
+            predicted=n,
+        )
     leq = h.lattice.leq
     certs = []
     for smask in range(1 << n):

@@ -34,6 +34,7 @@ from .valuation import (
     EvalContext,
     EvalError,
     SetModel,
+    Vector,
     closure_assignments,
     eval_instance,
     eval_sentence,
@@ -71,6 +72,13 @@ def _summary(model: SetModel) -> str:
 def _bicond(model: SetModel, a: int, b: int) -> int:
     alg = model.algebra
     return alg.meet_(alg.imp_(a, b), alg.imp_(b, a))
+
+
+def _scope_bicond(ctx: EvalContext, model: SetModel, lhs: Vector, rhs: Vector) -> int:
+    """Meet over the scope names z of lhs(z) <-> rhs(z), for two vectors."""
+    p = ctx.planes
+    both = p.meet(p.imp(lhs, rhs), p.imp(rhs, lhs))
+    return p.meet_over(both, ctx.domain(model.scope).mask)
 
 
 def _report(
@@ -120,14 +128,15 @@ def check_pairing(
         if u is not None and v is not None
         else list(itertools.product(model.scope, repeat=2))
     )
+    need = ctx.domain(model.scope).need
+    kernel = ctx.kernel
     for uu, vv in pairs:
         w = store.mk_name([(uu, alg.top), (vv, alg.top)])
         if len(witnesses) < 1:
             witnesses.append(("w", w))
-        for z in model.scope:
-            lhs = ctx.eval_mem(z, w)
-            rhs = alg.join_(ctx.eval_eq(z, uu), ctx.eval_eq(z, vv))
-            value = alg.meet_(value, _bicond(model, lhs, rhs))
+        lhs = kernel.memcol(w, need)  # z -> ||z in w||
+        rhs = ctx.planes.join(kernel.eqrow(uu, need), kernel.eqrow(vv, need))
+        value = alg.meet_(value, _scope_bicond(ctx, model, lhs, rhs))
     return _report(model, "pairing", value, value == alg.top, witnesses=witnesses)
 
 
@@ -145,6 +154,7 @@ def check_union(
     ctx = ctx or EvalContext(model)
     alg = model.algebra
     store = model.store
+    scope = ctx.domain(model.scope)
     value = alg.top
     witnesses = []
     for uu in _targets(model, u):
@@ -157,18 +167,15 @@ def check_union(
         w = store.mk_name(sorted(dom.items()))
         if len(witnesses) < 1:
             witnesses.append(("w", w))
-        for y in model.scope:
-            lhs = ctx.eval_mem(y, w)
-            rhs = eval_sentence(
-                Exists(
-                    "t",
-                    And(Mem(Var("t"), NameConst(uu)), Mem(NameConst(y), Var("t"))),
-                ),
-                model,
-                EMPTY_ASSIGNMENT,
-                ctx,
-            )
-            value = alg.meet_(value, _bicond(model, lhs, rhs))
+        lhs = ctx.kernel.memcol(w, scope.need)  # y -> ||y in w||
+        rhs = ctx.vector(
+            Exists("t", And(Mem(Var("t"), NameConst(uu)), Mem(Var("y"), Var("t")))),
+            {},
+            "y",
+            scope,
+            model,
+        )
+        value = alg.meet_(value, _scope_bicond(ctx, model, lhs, rhs))
     return _report(model, "union", value, value == alg.top, witnesses=witnesses)
 
 
@@ -248,47 +255,52 @@ def check_powerset(
 ) -> AxiomReport:
     """dom(w) enumerates every function dom(u) -> A with
     w(f) = ||forall y in f (y in u)||; the candidate a(z) = ||z in u|| ^
-    ||z in v|| realises the converse inequality."""
+    ||z in v||, itself one of those functions, realises the converse
+    inequality."""
     ctx = ctx or EvalContext(model)
     alg = model.algebra
     store = model.store
+    scope = ctx.domain(model.scope)
+    # v -> ||forall y in v (y in u)||, folded over dom(v) for every v at once
+    bounded = model.with_flags(bounded_opt=True)
     value = alg.top
     witnesses = []
-    notes = []
+    funcs_by_dom: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
     for uu in _targets(model, u):
-        dom_u = [c for c, _ in store.get(uu).entries]
+        dom_u = tuple(c for c, _ in store.get(uu).entries)
         n_funcs = alg.size ** len(dom_u)
         if n_funcs > cap:
-            raise CapExceeded(f"powerset would need {n_funcs} candidate functions")
-        w_entries = []
-        f_ids = set()
-        for vals in itertools.product(range(alg.size), repeat=len(dom_u)):
-            f = store.mk_name(list(zip(dom_u, vals)))
-            f_ids.add(f)
-            wf = alg.meet_all(
-                alg.imp_(fv, ctx.eval_mem(z, uu)) for z, fv in store.get(f).entries
+            raise CapExceeded(
+                f"powerset would need {n_funcs} candidate functions",
+                cap="POWERSET_CAP",
+                limit=cap,
+                predicted=n_funcs,
             )
-            w_entries.append((f, wf))
+        funcs = funcs_by_dom.get(dom_u)
+        if funcs is None:
+            funcs = [
+                (store.mk_name(list(zip(dom_u, vals))), vals)
+                for vals in itertools.product(range(alg.size), repeat=len(dom_u))
+            ]
+            funcs_by_dom[dom_u] = funcs
+        in_u = [ctx.eval_mem(z, uu) for z in dom_u]
+        w_entries = [
+            (f, alg.meet_all(alg.imp_(fv, m) for fv, m in zip(vals, in_u)))
+            for f, vals in funcs
+        ]
         w = store.mk_name(w_entries)
         if not witnesses:
             witnesses.append(("w", w))
-        for v in model.scope:
-            bq = alg.meet_all(
-                alg.imp_(vy, ctx.eval_mem(y, uu)) for y, vy in store.get(v).entries
-            )
-            lhs = ctx.eval_mem(v, w)
-            a = store.mk_name(
-                [
-                    (z, alg.meet_(ctx.eval_mem(z, uu), ctx.eval_mem(z, v)))
-                    for z in dom_u
-                ]
-            )
-            if a not in f_ids:
-                notes.append(f"candidate a for v=#{v} escaped dom(w)")
-            value = alg.meet_(value, _bicond(model, lhs, bq))
-    return _report(
-        model, "powerset", value, value == alg.top, witnesses=witnesses, notes=notes
-    )
+        lhs = ctx.kernel.memcol(w, scope.need)  # v -> ||v in w||
+        subset = ctx.vector(
+            Forall("y", Imp(Mem(Var("y"), Var("v")), Mem(Var("y"), NameConst(uu)))),
+            {},
+            "v",
+            scope,
+            bounded,
+        )
+        value = alg.meet_(value, _scope_bicond(ctx, model, lhs, subset))
+    return _report(model, "powerset", value, value == alg.top, witnesses=witnesses)
 
 
 # --- extensionality --------------------------------------------------------------
@@ -298,14 +310,23 @@ def check_extensionality(model: SetModel, ctx: EvalContext | None = None) -> Axi
     """forall z (z in x <-> z in y) stays below ||x = y|| for every pair."""
     ctx = ctx or EvalContext(model)
     alg = model.algebra
+    p = ctx.planes
+    scope = ctx.domain(model.scope)
+    # j_k <= ||forall z (z in x <-> z in y)|| iff the columns z -> ||z in x||
+    # and z -> ||z in y|| agree, over the scope, on every plane k' <= k
+    cols = {
+        x: [plane & scope.mask for plane in ctx.kernel.memcol(x, scope.need)]
+        for x in model.scope
+    }
+    agree: list[dict[int, int]] = [{} for _ in range(p.width)]
+    for y, col in cols.items():
+        for k, plane in enumerate(col):
+            agree[k][plane] = agree[k].get(plane, 0) | 1 << y
     value = alg.top
     for x in model.scope:
-        for y in model.scope:
-            same = alg.meet_all(
-                _bicond(model, ctx.eval_mem(z, x), ctx.eval_mem(z, y))
-                for z in model.scope
-            )
-            value = alg.meet_(value, alg.imp_(same, ctx.eval_eq(x, y)))
+        same = p.meet_below([agree[k][plane] for k, plane in enumerate(cols[x])])
+        bound = p.imp(same, ctx.kernel.eqrow(x, scope.need))
+        value = alg.meet_(value, p.meet_over(bound, scope.mask))
     return _report(model, "extensionality", value, value == alg.top)
 
 
@@ -450,10 +471,10 @@ def check_comprehension_refuted(model: SetModel, ctx: EvalContext | None = None)
     the finite surrogate for the class quantifier."""
     ctx = ctx or EvalContext(model)
     alg = model.algebra
-    y_scope = enumerate_universe(model.store, alg, model.rank_bound + 1)
+    y_scope = ctx.domain(enumerate_universe(model.store, alg, model.rank_bound + 1))
     value = alg.bottom
     for x in model.scope:
-        inner = alg.meet_all(ctx.eval_mem(y, x) for y in y_scope)
+        inner = ctx.planes.meet_over(ctx.kernel.memcol(x, y_scope.need), y_scope.mask)
         value = alg.join_(value, inner)
     notes = []
     if alg.top == alg.bottom:

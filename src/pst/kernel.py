@@ -1,0 +1,290 @@
+"""Bit-sliced lattice values and the ||u = v|| / ||u in v|| tables.
+
+Birkhoff's representation theorem: every element e of a finite
+distributive lattice is the down-set D(e) of the join-irreducibles j <= e.
+Meet is intersection, join is union, and j <= (a -> b) holds iff every
+join-irreducible j' <= j with j' <= a also has j' <= b.
+
+A *vector* assigns one element to every name id.  It is stored as one
+Python int per join-irreducible (a *plane*): bit i of plane k is set iff
+j_k <= value(i).  Meets and joins of vectors are then plane-wise ``&`` and
+``|``, and a meet or join over a set of names is one mask test per plane.
+Bits outside the names a caller asks about carry no meaning; planes may be
+negative (Python's infinite two's complement), so ``~`` needs no mask.  A
+value that is the same for every name is kept as a plain element index.
+
+``EqMemKernel`` fills the equality and membership tables row by row, on
+first read.  With ENTRY_k[z] the mask of the names v with j_k <= v(z):
+
+* MEMROW_k(x) = OR { ENTRY_k[z] : z a child name, j_k <= ||x = z|| }, the
+  vector v -> ||x in v||;
+* EQROW_k(u) = AND { MEMROW_k'(x) : (x, a) in u, j_k' <= j_k, j_k' <= a }
+  & ~OR { ENTRY_k'[y] : j_k' <= j_k, y a child name, j_k' not <= ||y in u|| },
+  the vector v -> ||u = v||.
+
+A row needs only the rows of the children of its name, so the recursion
+follows the (well-founded) child relation.  The name store is append-only:
+a row is exact for every id below its coverage (the store size when it was
+computed, or less where it reused an older child row that a reader's need
+allowed), and is recomputed only when a reader needs a later id.  A scalar
+||u in v|| is read from the column of v, which needs only the rows of v's
+children, so reading a fresh witness name recomputes no older row.
+"""
+
+from __future__ import annotations
+
+import sys
+from typing import Iterable, Union
+
+from .algebra import FiniteHeytingAlgebra
+from .names import NameStore
+
+Vector = Union[int, tuple]  # an element (the same for every name) or planes
+
+
+class Planes:
+    """The Birkhoff representation of one finite Heyting algebra, and the
+    lattice operations on vectors."""
+
+    def __init__(self, alg: FiniteHeytingAlgebra):
+        n = alg.size
+        leq = alg.lattice.leq
+        irr = [
+            e
+            for e in range(n)
+            if e != alg.bottom
+            and alg.join_all(x for x in range(n) if x != e and leq[x][e]) != e
+        ]
+        self.alg = alg
+        self.top = alg.top
+        self.bottom = alg.bottom
+        self.width = len(irr)
+        down = [sum(1 << k for k, j in enumerate(irr) if leq[j][e]) for e in range(n)]
+        self._elem = {d: e for e, d in enumerate(down)}
+        # bits[e]: the plane indices k with j_k <= e
+        self.bits = tuple(tuple(k for k in range(self.width) if d >> k & 1) for d in down)
+        self.const = tuple(tuple(-1 if d >> k & 1 else 0 for k in range(self.width)) for d in down)
+        self.below = tuple(
+            tuple(k2 for k2, j2 in enumerate(irr) if leq[j2][j]) for j in irr
+        )
+
+    def _planes(self, a: Vector) -> tuple:
+        return self.const[a] if a.__class__ is int else a
+
+    def meet(self, a: Vector, b: Vector) -> Vector:
+        if a.__class__ is int:
+            if b.__class__ is int:
+                return self.alg.meet_(a, b)
+            if a == self.top or a == self.bottom:
+                return b if a == self.top else a
+        elif b.__class__ is int and (b == self.top or b == self.bottom):
+            return a if b == self.top else b
+        return tuple(x & y for x, y in zip(self._planes(a), self._planes(b)))
+
+    def join(self, a: Vector, b: Vector) -> Vector:
+        if a.__class__ is int:
+            if b.__class__ is int:
+                return self.alg.join_(a, b)
+            if a == self.top or a == self.bottom:
+                return b if a == self.bottom else a
+        elif b.__class__ is int and (b == self.top or b == self.bottom):
+            return a if b == self.bottom else b
+        return tuple(x | y for x, y in zip(self._planes(a), self._planes(b)))
+
+    def imp(self, a: Vector, b: Vector) -> Vector:
+        if a.__class__ is int and b.__class__ is int:
+            return self.alg.imp_(a, b)
+        return self.meet_below([~x | y for x, y in zip(self._planes(a), self._planes(b))])
+
+    def meet_below(self, masks: list[int]) -> tuple:
+        """The vector whose plane k is the AND of masks[k'] over j_k' <= j_k:
+        down-closed at every id, whatever the masks."""
+        out = []
+        for below in self.below:
+            acc = -1
+            for k in below:
+                acc &= masks[k]
+            out.append(acc)
+        return tuple(out)
+
+    def neg(self, a: Vector) -> Vector:
+        """Pseudo-complement a -> 0."""
+        return self.imp(a, self.bottom)
+
+    def decode(self, a: Vector, i: int) -> int:
+        """The element at name id i."""
+        if a.__class__ is int:
+            return a
+        d = 0
+        for k, plane in enumerate(a):
+            if plane >> i & 1:
+                d |= 1 << k
+        return self._elem[d]
+
+    def meet_over(self, a: Vector, mask: int) -> int:
+        """Meet of the values at the ids in mask (top when mask is empty)."""
+        if a.__class__ is int:
+            return a if mask else self.top
+        d = 0
+        for k, plane in enumerate(a):
+            if plane & mask == mask:
+                d |= 1 << k
+        return self._elem[d]
+
+    def join_over(self, a: Vector, mask: int) -> int:
+        """Join of the values at the ids in mask (bottom when mask is empty)."""
+        if a.__class__ is int:
+            return a if mask else self.bottom
+        d = 0
+        for k, plane in enumerate(a):
+            if plane & mask:
+                d |= 1 << k
+        return self._elem[d]
+
+    def exceeds(self, a: Vector, b: Vector) -> int:
+        """Mask of the ids i with a(i) not <= b(i)."""
+        out = 0
+        for x, y in zip(self._planes(a), self._planes(b)):
+            out |= x & ~y
+        return out
+
+    def from_values(self, pairs: Iterable[tuple[int, int]]) -> tuple:
+        """The vector holding element e at id i for each (i, e) pair and
+        bottom elsewhere."""
+        out = [0] * self.width
+        for i, e in pairs:
+            bit = 1 << i
+            for k in self.bits[e]:
+                out[k] |= bit
+        return tuple(out)
+
+
+_ALWAYS = sys.maxsize  # coverage of a row that no later name can change
+
+
+class EqMemKernel:
+    """Lazily filled rows of ||u = v|| and ||u in v|| over one name store."""
+
+    def __init__(self, planes: Planes, store: NameStore):
+        self.planes = planes
+        self.store = store
+        self._entry: list[dict[int, int]] = [{} for _ in range(planes.width)]
+        self._seen = 0  # names whose entries are in _entry
+        self._child_bound = 0  # one more than the largest child name id
+        # name id -> (planes, coverage): exact for every id below coverage
+        self._eqrow: dict[int, tuple[tuple, int]] = {}
+        self._memrow: dict[int, tuple[tuple, int]] = {}
+        self._memcol: dict[int, tuple[tuple, int]] = {}
+
+    def _sync(self) -> int:
+        """Add the entries of names created since the last call."""
+        n = len(self.store)
+        bits = self.planes.bits
+        entry = self._entry
+        for v in range(self._seen, n):
+            bit = 1 << v
+            for z, a in self.store.get(v).entries:
+                if bits[a] and z >= self._child_bound:
+                    self._child_bound = z + 1
+                for k in bits[a]:
+                    col = entry[k]
+                    col[z] = col.get(z, 0) | bit
+        self._seen = n
+        return n
+
+    def entry(self, z: int) -> tuple:
+        """The vector v -> v(z) (bottom where z is not a child of v)."""
+        self._sync()
+        return tuple(col.get(z, 0) for col in self._entry)
+
+    def eqrow(self, u: int, need: int) -> tuple:
+        """The vector v -> ||u = v||, exact at least for the ids below need."""
+        hit = self._eqrow.get(u)
+        if hit is not None and hit[1] >= need:
+            return hit[0]
+        n = self._sync()
+        width = self.planes.width
+        bits = self.planes.bits
+        inner = [-1] * width  # names v with j_k <= ||x in v|| for every x in u at weight >= j_k
+        inside = [0] * width  # child names y with j_k <= ||y in u||
+        cover = n
+        for x, a in self.store.get(u).entries:
+            ks = bits[a]
+            if not ks:
+                continue
+            mrow = self.memrow(x, need)  # an older row that covers need serves
+            cover = min(cover, self._memrow[x][1])
+            erow = self.eqrow(x, self._child_bound)
+            for k in ks:
+                inner[k] &= mrow[k]
+                inside[k] |= erow[k]
+        outside = []  # names v with a child y, j_k <= v(y), j_k not <= ||y in u||
+        for k in range(width):
+            m = inside[k]
+            acc = 0
+            for y, containers in self._entry[k].items():
+                if not m >> y & 1:
+                    acc |= containers
+            outside.append(acc)
+        row = []
+        for below in self.planes.below:
+            keep, drop = -1, 0
+            for k in below:
+                keep &= inner[k]
+                drop |= outside[k]
+            row.append(keep & ~drop)
+        out = tuple(row)
+        self._eqrow[u] = (out, cover)
+        return out
+
+    def memrow(self, x: int, need: int) -> tuple:
+        """The vector v -> ||x in v||, exact at least for the ids below need."""
+        hit = self._memrow.get(x)
+        if hit is not None and hit[1] >= need:
+            return hit[0]
+        n = self._sync()
+        erow = self.eqrow(x, self._child_bound)
+        row = []
+        for k, col in enumerate(self._entry):
+            m = erow[k]
+            acc = 0
+            for z, containers in col.items():
+                if m >> z & 1:
+                    acc |= containers
+            row.append(acc)
+        out = tuple(row)
+        self._memrow[x] = (out, n)
+        return out
+
+    def memcol(self, w: int, need: int) -> tuple:
+        """The vector y -> ||y in w||, exact at least for the ids below need."""
+        hit = self._memcol.get(w)
+        if hit is not None and hit[1] >= need:
+            return hit[0]
+        bits = self.planes.bits
+        col = [0] * self.planes.width
+        cover = _ALWAYS
+        for c, a in self.store.get(w).entries:
+            ks = bits[a]
+            if not ks:
+                continue
+            erow = self.eqrow(c, need)
+            cover = min(cover, self._eqrow[c][1])
+            for k in ks:
+                col[k] |= erow[k]
+        out = tuple(col)
+        self._memcol[w] = (out, cover)
+        return out
+
+    def eq(self, u: int, v: int) -> int:
+        """||u = v||, read from the row of the later name, which always
+        covers the earlier one."""
+        if u > v:
+            u, v = v, u
+        return self.planes.decode(self.eqrow(v, v + 1), u)
+
+    def mem(self, u: int, v: int) -> int:
+        """||u in v||, read from the column of v: built from v's entries
+        alone, so a witness name made after every row is cheap to read."""
+        self.store.get(u)  # rejects an unknown u; memcol rejects an unknown v
+        return self.planes.decode(self.memcol(v, u + 1), u)

@@ -136,7 +136,12 @@ def enumerate_universe(
     policy is required.
     """
     if rank_bound > RANK_HARD_CAP:
-        raise CapExceeded(f"rank bound capped at {RANK_HARD_CAP}")
+        raise CapExceeded(
+            f"rank bound capped at {RANK_HARD_CAP}",
+            cap="RANK_HARD_CAP",
+            limit=RANK_HARD_CAP,
+            predicted=rank_bound,
+        )
     if rank_bound <= 0:
         return []
     m = algebra.size
@@ -150,7 +155,10 @@ def enumerate_universe(
             if predicted > policy.cap:
                 raise CapExceeded(
                     f"full enumeration would build {predicted} names; "
-                    "use Sampled or DomainsRestricted"
+                    "use Sampled or DomainsRestricted",
+                    cap="Full.cap",
+                    limit=policy.cap,
+                    predicted=predicted,
                 )
             fresh = _full_level(store, base, m)
         elif isinstance(policy, DomainsRestricted):

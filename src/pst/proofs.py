@@ -505,7 +505,12 @@ def _audit_propositional(
             for asg in enumerate_assignments(inst, model, ctx):
                 count += 1
                 if count > budget:
-                    raise CapExceeded("audit evaluation budget exhausted")
+                    raise CapExceeded(
+                        "audit evaluation budget exhausted",
+                        cap="eval_cap",
+                        limit=budget,
+                        predicted=count,
+                    )
                 val = eval_sentence(inst, model, asg, ctx)
                 if val != alg.top:
                     failures.append(
@@ -571,7 +576,12 @@ def _audit_quantified(
                         theta = ThetaStructure(fs, domain, ptab, ftab, ntab)
                         count += 1
                         if count > budget:
-                            raise CapExceeded("audit evaluation budget exhausted")
+                            raise CapExceeded(
+                                "audit evaluation budget exhausted",
+                                cap="eval_cap",
+                                limit=budget,
+                                predicted=count,
+                            )
                         vs = sorted(free_vars(inst))
                         for combo in itertools.product(domain, repeat=len(vs)):
                             val = eval_qn4(inst, theta, dict(zip(vs, combo)))

@@ -25,7 +25,7 @@ from .algebra import FiniteHeytingAlgebra, enumerate_heyting
 from .errors import PstError
 from .fidel import FidelError, FStructure, saturate, validate_comega, validate_n4
 from .names import NameStore
-from .syntax import Formula, Neg, Pred, formula_to_text
+from .syntax import And, Formula, Neg, Pred, formula_to_text
 from .valuation import (
     EvalContext,
     SetModel,
@@ -130,21 +130,37 @@ def _dispatch(goal: SearchGoal, algebras: Sequence[FiniteHeytingAlgebra] | None)
         algebras = list(enumerate_heyting(goal.budget.max_algebra))
     if goal.kind == "non_explosion":
         return _search_non_explosion(goal, algebras)
+    if goal.kind in ("separate_n4_n3", "refute_formula"):
+        return _search_refute(goal, _refuted(goal), algebras)
+    return _search_sequent(goal, algebras)
+
+
+def _refuted(goal: SearchGoal) -> Formula:
+    """The formula a refute_formula or separate_n4_n3 search refutes."""
     if goal.kind == "separate_n4_n3":
         from .proofs import SCHEMAS, _instantiate
 
-        n14 = _instantiate(
+        return _instantiate(
             SCHEMAS["N14"].template,
             {"alpha": Pred("p", ()), "beta": Pred("q", ())},
         )
-        return _search_refute(goal, n14, algebras)
-    if goal.kind == "refute_formula":
-        if goal.formula is None:
-            raise SearchError("refute_formula needs a formula")
-        return _search_refute(goal, goal.formula, algebras)
+    if goal.formula is None:
+        raise SearchError("refute_formula needs a formula")
+    return goal.formula
+
+
+def _sequent(goal: SearchGoal) -> tuple[Formula, list[tuple[Formula, tuple[int, ...]]]]:
+    """The joint sentence premise_n & (... & (premise_1 & conclusion)) whose
+    assignments a sequent search enumerates, and the premises and then the
+    conclusion with their positions in it."""
     if goal.formula is None:
         raise SearchError("refute_sequent needs a conclusion formula")
-    return _search_sequent(goal, algebras)
+    joint = goal.formula
+    parts = [(goal.formula, ())]
+    for g in goal.premises:
+        joint = And(g, joint)
+        parts = [(f, (1,) + path) for f, path in parts] + [(g, (0,))]
+    return joint, parts[1:] + parts[:1]
 
 
 def _search_partitioned(goal: SearchGoal, jobs: int) -> Finding | Exhausted:
@@ -257,13 +273,7 @@ def _search_refute(goal: SearchGoal, phi: Formula, algebras) -> Finding | Exhaus
 def _search_sequent(goal: SearchGoal, algebras) -> Finding | Exhausted:
     """Premises all top, conclusion below top, under one joint assignment."""
     census = {"evaluations": 0}
-    phi = goal.formula
-    assert phi is not None
-    joint = phi
-    for g in goal.premises:
-        from .syntax import And
-
-        joint = And(g, joint)
+    joint, parts = _sequent(goal)
     atoms = sorted(_atoms_of(joint))
     for alg in algebras:
         for fs in _families(alg, goal.budget.families, goal.logic):
@@ -273,10 +283,8 @@ def _search_sequent(goal: SearchGoal, algebras) -> Finding | Exhausted:
                 ctx = EvalContext(model)
                 for asg in enumerate_assignments(joint, model, ctx, goal.budget.max_assignments):
                     census["evaluations"] += 1
-                    prem_vals = [
-                        eval_sentence(g, model, asg, ctx) for g in goal.premises
-                    ]
-                    concl = eval_sentence(phi, model, asg, ctx)
+                    vals = [eval_sentence(f, model, asg, ctx, path) for f, path in parts]
+                    prem_vals, concl = vals[:-1], vals[-1]
                     if all(v == alg.top for v in prem_vals) and concl != alg.top:
                         return Finding(
                             goal="refute_sequent",
@@ -289,7 +297,7 @@ def _search_sequent(goal: SearchGoal, algebras) -> Finding | Exhausted:
                                     (formula_to_text(g), v)
                                     for g, v in zip(goal.premises, prem_vals)
                                 ),
-                                (formula_to_text(phi), concl),
+                                (formula_to_text(goal.formula), concl),
                             ),
                             description=(
                                 "premises all top, conclusion "
@@ -312,29 +320,34 @@ def _exhausted(kind: str, census: dict, goal: SearchGoal, phi: Formula | None = 
 
 
 def _recertify(finding: Finding, goal: SearchGoal) -> None:
-    """Re-evaluate the certificate values in a fresh context; findings that
-    fail re-certification are a bug, not a result."""
-    fs = finding.structure
-    table = dict(finding.atom_values)
-    model = _prop_model(fs, table, goal.logic)
+    """Re-evaluate every certificate value in a fresh context, under the
+    exact assignment the finding names (a sequent's premises and conclusion
+    under that one assignment); findings that fail re-certification are a
+    bug, not a result."""
+    model = _prop_model(finding.structure, dict(finding.atom_values), goal.logic)
     ctx = EvalContext(model)
-    for text, claimed in finding.values:
-        if text in table:
-            if table[text] != claimed:
-                raise SearchError(f"certificate value for {text} does not re-verify")
-            continue
-        from .syntax import parse_formula
-
-        phi = parse_formula(text)
-        ok = False
-        for asg in enumerate_assignments(phi, model, ctx, goal.budget.max_assignments):
-            if (
-                asg.fingerprint() == finding.assignment_fingerprint
-                or eval_sentence(phi, model, asg, ctx) == claimed
-            ):
-                ok = True
-                break
-        if not ok:
+    if goal.kind == "refute_sequent":
+        sentence, parts = _sequent(goal)
+    elif goal.kind == "non_explosion":
+        p, q = Pred("p", ()), Pred("q", ())
+        sentence = Neg(p)
+        parts = [(p, ()), (sentence, ()), (q, ())]
+    else:
+        sentence = _refuted(goal)
+        parts = [(sentence, ())]
+    named = [
+        a
+        for a in enumerate_assignments(sentence, model, ctx, goal.budget.max_assignments)
+        if a.fingerprint() == finding.assignment_fingerprint
+    ]
+    if not named:
+        raise SearchError(
+            f"certificate assignment {finding.assignment_fingerprint} does not re-verify"
+        )
+    if [text for text, _ in finding.values] != [formula_to_text(f) for f, _ in parts]:
+        raise SearchError("certificate values name other formulas than the goal")
+    for (text, claimed), (phi, path) in zip(finding.values, parts):
+        if eval_sentence(phi, model, named[0], ctx, path) != claimed:
             raise SearchError(f"certificate value for {text} does not re-verify")
 
 

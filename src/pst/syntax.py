@@ -148,6 +148,13 @@ class NotFreeFor(SyntaxIssue):
         self.var = var
 
 
+class FormulaTooDeep(SyntaxIssue):
+    def __init__(self, position: int, limit: int):
+        super().__init__(f"at {position}: formula nests deeper than {limit} levels")
+        self.position = position
+        self.limit = limit
+
+
 class NegOverQuantifier(SyntaxIssue):
     def __init__(self, sub: Formula):
         super().__init__(
@@ -423,6 +430,15 @@ _TOKEN_RE = re.compile(
 
 _KEYWORDS = {"forall", "exists", "in", "eq", "bot"}
 
+# Deepest nesting a formula may have, counted both in the parser (operators,
+# quantifiers, parentheses, function arguments) and in the parsed tree, where
+# a chain of n & or | is n levels deep. Under Python's default recursion
+# limit of 1000 the parser overflows at about 164 nested parentheses (six
+# frames a level) and the evaluators at about 327 nested quantifiers (three
+# frames a level; connectives take one or two), so 100 leaves a margin of
+# some 400 frames for callers.
+MAX_FORMULA_DEPTH = 100
+
 
 @dataclass(frozen=True)
 class _Tok:
@@ -464,6 +480,12 @@ class _Parser:
         self.toks = _tokenize(text)
         self.sig = sig
         self.i = 0
+        self.depth = 0
+
+    def _enter(self) -> None:
+        self.depth += 1
+        if self.depth > MAX_FORMULA_DEPTH:
+            raise FormulaTooDeep(self.peek().pos, MAX_FORMULA_DEPTH)
 
     def peek(self) -> _Tok:
         return self.toks[self.i]
@@ -485,7 +507,9 @@ class _Parser:
         left = self.imp()
         if self.peek().kind == "iff":
             self.next()
+            self._enter()
             right = self.formula()
+            self.depth -= 1
             return iff(left, right)
         return left
 
@@ -493,7 +517,10 @@ class _Parser:
         left = self.disj()
         if self.peek().kind == "arrow":
             self.next()
-            return Imp(left, self.imp())
+            self._enter()
+            right = self.imp()
+            self.depth -= 1
+            return Imp(left, right)
         return left
 
     def disj(self) -> Formula:
@@ -511,17 +538,21 @@ class _Parser:
         return out
 
     def unary(self) -> Formula:
+        self._enter()
         t = self.peek()
         if t.kind == "~":
             self.next()
-            return Neg(self.unary())
-        if t.kind in ("forall", "exists"):
+            out: Formula = Neg(self.unary())
+        elif t.kind in ("forall", "exists"):
             self.next()
             var = self.expect("ident").text
             self.expect(".")
             body = self.formula()
-            return Forall(var, body) if t.kind == "forall" else Exists(var, body)
-        return self.atom()
+            out = Forall(var, body) if t.kind == "forall" else Exists(var, body)
+        else:
+            out = self.atom()
+        self.depth -= 1
+        return out
 
     def atom(self) -> Formula:
         t = self.peek()
@@ -567,6 +598,7 @@ class _Parser:
             self.next()
             if self.peek().kind == "(":
                 self.next()
+                self._enter()
                 args: list[Term] = []
                 if self.peek().kind != ")":
                     args.append(self.term())
@@ -574,6 +606,7 @@ class _Parser:
                         self.next()
                         args.append(self.term())
                 self.expect(")")
+                self.depth -= 1
                 if t.text in self.sig.functions:
                     want = self.sig.functions[t.text]
                     if want != len(args):
@@ -594,7 +627,36 @@ def parse_formula(text: str, signature: Signature | None = None) -> Formula:
     t = p.peek()
     if t.kind != "eof":
         raise FormulaSyntaxError(t.pos, "end of input", t.text)
+    if _tree_depth(out) > MAX_FORMULA_DEPTH:  # long chains of & and | parse iteratively
+        raise FormulaTooDeep(0, MAX_FORMULA_DEPTH)
     return out
+
+
+def _tree_depth(phi: Formula) -> int:
+    """Height of phi, each shared subformula measured once (iff shares both
+    sides), stopping as soon as a height passes the cap."""
+    height: dict[int, int] = {}
+    stack = [phi]
+    while stack:
+        node = stack[-1]
+        if id(node) in height:
+            stack.pop()
+            continue
+        subs = [
+            sub
+            for sub in (getattr(node, "left", None), getattr(node, "right", None), getattr(node, "body", None))
+            if sub is not None and not isinstance(sub, (Var, NameConst, FuncApp))
+        ]
+        todo = [sub for sub in subs if id(sub) not in height]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        h = 1 + max((height[id(sub)] for sub in subs), default=0)
+        if h > MAX_FORMULA_DEPTH:
+            return h
+        height[id(node)] = h
+    return height[id(phi)]
 
 
 def parse_term(text: str, signature: Signature | None = None) -> Term:

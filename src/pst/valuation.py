@@ -20,11 +20,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .algebra import FiniteHeytingAlgebra, check_refinable
 from .errors import CapExceeded, PstError
 from .fidel import FStructure, find_algebra_embedding
+from .kernel import EqMemKernel, Planes, Vector
 from .names import NameStore, enumerate_universe
 from .syntax import (
     And,
@@ -222,63 +223,224 @@ _ATOMIC = (Bot, Mem, Eq, Pred)
 # --- the evaluation context ------------------------------------------------------
 
 
-class EvalContext:
-    """Owns the memo tables for the mutual membership/equality recursion.
+class _Domain:
+    """The name ids a vector is read at: their mask, and one more than the
+    largest (the row coverage a read needs)."""
 
-    The memoised values are negation-free, hence assignment-independent and
-    safe to share across assignment enumeration.
+    __slots__ = ("ids", "mask", "need", "children")
+
+    def __init__(self, ids: Sequence[int]):
+        self.ids = tuple(ids)
+        self.children: list[int] | None = None
+        self.mask = 0
+        for i in self.ids:
+            self.mask |= 1 << i
+        self.need = max(self.ids) + 1 if self.ids else 0
+
+
+class EvalContext:
+    """Evaluation state for one model: the bit-sliced equality/membership
+    kernel (built on first use) and the atom values read so far.
+
+    Every value held here is negation-free, hence assignment-independent
+    and safe to share across assignment enumeration.
     """
 
-    def __init__(self, model: SetModel, use_memo: bool = True):
+    def __init__(self, model: SetModel):
         self.model = model
         self.alg = model.algebra
-        self.use_memo = use_memo
-        self._eq: dict[tuple[int, int], int] = {}
-        self._mem: dict[tuple[int, int], int] = {}
+        self._kernel: EqMemKernel | None = None
+        self._atoms: dict[AtomKey, int] = {}
+        # id(node) -> (node, value); the node is held so its id stays unique
+        self._free: dict[int, tuple[Formula, frozenset[str]]] = {}
+        self._negfree: dict[int, tuple[Formula, bool]] = {}
+        self._domains: dict[int, tuple[object, _Domain]] = {}
 
-    # ||u ~ v|| -- symmetric by construction, memoised on the sorted pair
+    @property
+    def kernel(self) -> EqMemKernel:
+        if self._kernel is None:
+            self._kernel = EqMemKernel(Planes(self.alg), self.model.store)
+        return self._kernel
+
+    @property
+    def planes(self) -> Planes:
+        return self.kernel.planes
+
+    # ||u ~ v|| -- symmetric by construction
     def eval_eq(self, u: int, v: int) -> int:
-        key = (u, v) if u <= v else (v, u)
-        if self.use_memo and key in self._eq:
-            return self._eq[key]
-        alg = self.alg
-        store = self.model.store
-        total = alg.top
-        for x, a in store.get(u).entries:
-            total = alg.meet_(total, alg.imp_(a, self.eval_mem(x, v)))
-        for y, b in store.get(v).entries:
-            total = alg.meet_(total, alg.imp_(b, self.eval_mem(y, u)))
-        if self.use_memo:
-            self._eq[key] = total
-        return total
+        return self.atom_value(("eq", u, v) if u <= v else ("eq", v, u))
 
     # ||u in v||
     def eval_mem(self, u: int, v: int) -> int:
-        key = (u, v)
-        if self.use_memo and key in self._mem:
-            return self._mem[key]
-        alg = self.alg
-        store = self.model.store
-        total = alg.bottom
-        for x, a in store.get(v).entries:
-            total = alg.join_(total, alg.meet_(a, self.eval_eq(x, u)))
-        if self.use_memo:
-            self._mem[key] = total
-        return total
+        return self.atom_value(("mem", u, v))
 
     def atom_value(self, key: AtomKey) -> int:
+        value = self._atoms.get(key)
+        if value is None:
+            value = self._read_atom(key)
+            self._atoms[key] = value
+        return value
+
+    def _read_atom(self, key: AtomKey) -> int:
         if key[0] == "bot":
             return self.alg.bottom
         if key[0] == "eq":
-            return self.eval_eq(key[1], key[2])
+            return self.kernel.eq(key[1], key[2])
         if key[0] == "mem":
-            return self.eval_mem(key[1], key[2])
+            return self.kernel.mem(key[1], key[2])
         if key[0] == "pred":
             sym = key[1]
             if sym not in self.model.prop_values:
                 raise EvalError(f"no value for propositional atom {sym!r}")
             return self.model.prop_values[sym]
         raise EvalError(f"bad atom key {key!r}")
+
+    # --- vector folds ---------------------------------------------------------
+
+    def choice_free(self, node: Formula, mode: str) -> bool:
+        """No negation choice anywhere in node under this mode."""
+        if mode in ("boolean", "heyting"):
+            return True
+        hit = self._negfree.get(id(node))
+        if hit is None or hit[0] is not node:
+            hit = (node, is_negation_free(node))
+            self._negfree[id(node)] = hit
+        return hit[1]
+
+    def _free_vars(self, node: Formula) -> frozenset[str]:
+        hit = self._free.get(id(node))
+        if hit is None or hit[0] is not node:
+            hit = (node, free_vars(node))
+            self._free[id(node)] = hit
+        return hit[1]
+
+    def domain(self, ids: Sequence[int]) -> _Domain:
+        """The domain of a sequence of ids, cached while the sequence lives."""
+        hit = self._domains.get(id(ids))
+        if hit is None or hit[0] is not ids:
+            hit = (ids, _Domain(ids))
+            self._domains[id(ids)] = hit
+        return hit[1]
+
+    def fold(self, node: Forall | Exists, env: Mapping[str, int], model: SetModel) -> int:
+        """A choice-free quantifier as one vector over its variable."""
+        forall = isinstance(node, Forall)
+        var = node.var
+        if var in env:
+            env = {k: v for k, v in env.items() if k != var}
+        bounded = _bounded_parts(node) if model.bounded_opt else None
+        if bounded is None:
+            dom = self.domain(model.scope)
+            vec = self.vector(node.body, env, var, dom, model)
+            p = self.planes
+            return p.meet_over(vec, dom.mask) if forall else p.join_over(vec, dom.mask)
+        bound_term, body = bounded
+        entries = model.store.get(_resolve(bound_term, env)).entries
+        dom = _Domain([child for child, _ in entries])
+        vec = self.vector(body, env, var, dom, model)
+        p = self.planes
+        weights = p.from_values(entries)
+        if forall:
+            return p.meet_over(p.imp(weights, vec), dom.mask)
+        return p.join_over(p.meet(weights, vec), dom.mask)
+
+    def vector(
+        self,
+        node: Formula,
+        env: Mapping[str, int],
+        var: str,
+        dom: _Domain,
+        model: SetModel,
+    ) -> Vector:
+        """The values of a choice-free node for every name bound to var,
+        exact at the ids of dom; an element when node does not mention var."""
+        if var not in self._free_vars(node):
+            if isinstance(node, _ATOMIC):
+                return self._read_atom(_atom_key(node, env))
+            return _eval(node, dict(env), (), (), model, EMPTY_ASSIGNMENT, self)
+        cls = node.__class__
+        p = self.planes
+        if cls is Eq or cls is Mem:
+            return self._vector_atom(node, env, var, dom)
+        if cls is And:
+            return p.meet(
+                self.vector(node.left, env, var, dom, model),
+                self.vector(node.right, env, var, dom, model),
+            )
+        if cls is Or:
+            return p.join(
+                self.vector(node.left, env, var, dom, model),
+                self.vector(node.right, env, var, dom, model),
+            )
+        if cls is Imp:
+            return p.imp(
+                self.vector(node.left, env, var, dom, model),
+                self.vector(node.right, env, var, dom, model),
+            )
+        if cls is Neg:  # reached in boolean/heyting mode only
+            return p.neg(self.vector(node.body, env, var, dom, model))
+        if cls is Forall or cls is Exists:
+            return self._vector_quantifier(node, env, var, dom, model)
+        raise EvalError(f"cannot evaluate {node!r}")
+
+    def _vector_atom(self, node: Eq | Mem, env: Mapping[str, int], var: str, dom: _Domain) -> Vector:
+        left = node.left.__class__ is Var and node.left.name == var
+        right = node.right.__class__ is Var and node.right.name == var
+        kernel = self.kernel
+        if left and right:
+            read = kernel.eq if node.__class__ is Eq else kernel.mem
+            return self.planes.from_values((i, read(i, i)) for i in dom.ids)
+        other = _resolve(node.right if left else node.left, env)
+        if node.__class__ is Eq:
+            return kernel.eqrow(other, dom.need)
+        if left:
+            return kernel.memcol(other, dom.need)
+        return kernel.memrow(other, dom.need)
+
+    def _vector_quantifier(
+        self,
+        node: Forall | Exists,
+        env: Mapping[str, int],
+        var: str,
+        dom: _Domain,
+        model: SetModel,
+    ) -> Vector:
+        """Inner quantifiers loop over their range and combine vectors."""
+        p = self.planes
+        forall = node.__class__ is Forall
+        acc: Vector = model.algebra.top if forall else model.algebra.bottom
+        env2 = dict(env)
+        bounded = _bounded_parts(node) if model.bounded_opt else None
+        if bounded is None:
+            for nid in model.scope:
+                env2[node.var] = nid
+                sub = self.vector(node.body, env2, var, dom, model)
+                acc = p.meet(acc, sub) if forall else p.join(acc, sub)
+            return acc
+        bound_term, body = bounded
+        if bound_term.__class__ is Var and bound_term.name == var:
+            # the range is dom(x) for each x: weigh every child name z by
+            # the entry vector x -> x(z)
+            for z in self._children(dom):
+                env2[node.var] = z
+                sub = self.vector(body, env2, var, dom, model)
+                weight = self.kernel.entry(z)
+                if forall:
+                    acc = p.meet(acc, p.imp(weight, sub))
+                else:
+                    acc = p.join(acc, p.meet(weight, sub))
+            return acc
+        for child, a in model.store.get(_resolve(bound_term, env)).entries:
+            env2[node.var] = child
+            sub = self.vector(body, env2, var, dom, model)
+            acc = p.meet(acc, p.imp(a, sub)) if forall else p.join(acc, p.meet(a, sub))
+        return acc
+
+    def _children(self, dom: _Domain) -> list[int]:
+        if dom.children is None:
+            store = self.model.store
+            dom.children = sorted({c for nid in dom.ids for c, _ in store.get(nid).entries})
+        return dom.children
 
 
 # --- sentence evaluation ----------------------------------------------------------
@@ -289,10 +451,14 @@ def eval_sentence(
     model: SetModel,
     assignment: Assignment = EMPTY_ASSIGNMENT,
     ctx: EvalContext | None = None,
+    path: tuple[int, ...] = (),
 ) -> int:
-    """Truth value of a closed formula under a concrete assignment."""
+    """Truth value of a closed formula under a concrete assignment.
+
+    ``path`` is the position of phi inside the sentence the assignment was
+    enumerated for; comega occurrence choices are keyed by position."""
     ctx = ctx or EvalContext(model)
-    return _eval(phi, {}, (), (), model, assignment, ctx)
+    return _eval(phi, {}, (), path, model, assignment, ctx)
 
 
 def eval_instance(
@@ -358,6 +524,8 @@ def _eval(
     if isinstance(node, Neg):
         return _eval_neg(node, env, trail, path, model, asg, ctx)
     if isinstance(node, (Forall, Exists)):
+        if ctx.choice_free(node.body, model.mode):
+            return ctx.fold(node, env, model)
         bounded = _bounded_parts(node) if model.bounded_opt else None
         if bounded is not None:
             bound_term, body = bounded
@@ -491,22 +659,32 @@ def enumerate_assignments(
     """All admissible negation assignments for a closed formula, in a
     deterministic order.  The same ground atom receives one value across
     the whole formula; comega compound occurrences are enumerated
-    per-occurrence with the double-negation bound enforced."""
-    ctx = ctx or EvalContext(model)
-    if model.mode in ("boolean", "heyting"):
+    per-occurrence with the double-negation bound enforced.
+
+    Ground atoms are valued as they are found, and the cap trips as soon
+    as the product of their choice counts passes it."""
+    if model.mode in ("boolean", "heyting") or is_negation_free(phi):
         return [EMPTY_ASSIGNMENT]
-    atom_keys: list[AtomKey] = []
-    _collect_atom_keys(phi, {}, model, atom_keys)
-    atom_keys = sorted(set(atom_keys))
-    option_lists = []
-    for key in atom_keys:
-        base = ctx.atom_value(key)
-        option_lists.append([(key, c) for c in model.neg_options(base)])
+    ctx = ctx or EvalContext(model)
+    options: dict[AtomKey, tuple[int, ...]] = {}
     total = 1
-    for opts in option_lists:
-        total *= len(opts)
+
+    def visit(key: AtomKey) -> None:
+        nonlocal total
+        if key in options:
+            return
+        options[key] = model.neg_options(ctx.atom_value(key))
+        total *= len(options[key])
         if total > cap:
-            raise CapExceeded(f"more than {cap} atom assignments")
+            raise CapExceeded(
+                f"more than {cap} atom assignments",
+                cap="ASSIGNMENT_CAP",
+                limit=cap,
+                predicted=total,
+            )
+
+    _collect_atom_keys(phi, {}, model, visit)
+    option_lists = [[(key, c) for c in options[key]] for key in sorted(options)]
     out: list[Assignment] = []
     for combo in itertools.product(*option_lists):
         atoms = tuple(combo)
@@ -517,7 +695,12 @@ def enumerate_assignments(
         for occs in _occ_space(phi, {}, (), (), model, base_asg, ctx, cap):
             out.append(Assignment(atoms=atoms, occs=tuple(sorted(occs.items()))))
             if len(out) > cap:
-                raise CapExceeded(f"more than {cap} assignments")
+                raise CapExceeded(
+                    f"more than {cap} assignments",
+                    cap="ASSIGNMENT_CAP",
+                    limit=cap,
+                    predicted=len(out),
+                )
     return out
 
 
@@ -525,41 +708,43 @@ def _collect_atom_keys(
     node: Formula,
     env: dict[str, int],
     model: SetModel,
-    out: list[AtomKey],
+    visit: Callable[[AtomKey], None],
 ) -> None:
+    """Call visit on the key of every negated ground atom that carries a
+    choice, instance by instance."""
     if isinstance(node, _ATOMIC):
         return
     if isinstance(node, (And, Or, Imp)):
-        _collect_atom_keys(node.left, env, model, out)
-        _collect_atom_keys(node.right, env, model, out)
+        _collect_atom_keys(node.left, env, model, visit)
+        _collect_atom_keys(node.right, env, model, visit)
         return
     if isinstance(node, (Forall, Exists)):
         for nid in model.scope:
             env2 = dict(env)
             env2[node.var] = nid
-            _collect_atom_keys(node.body, env2, model, out)
+            _collect_atom_keys(node.body, env2, model, visit)
         return
     if isinstance(node, Neg):
         body = node.body
         if isinstance(body, _ATOMIC):
-            out.append(_atom_key(body, env))
+            visit(_atom_key(body, env))
             return
         if model.mode == "n4":
             if isinstance(body, And) or isinstance(body, Or):
-                _collect_atom_keys(Neg(body.left), env, model, out)
-                _collect_atom_keys(Neg(body.right), env, model, out)
+                _collect_atom_keys(Neg(body.left), env, model, visit)
+                _collect_atom_keys(Neg(body.right), env, model, visit)
                 return
             if isinstance(body, Imp):
-                _collect_atom_keys(body.left, env, model, out)
-                _collect_atom_keys(Neg(body.right), env, model, out)
+                _collect_atom_keys(body.left, env, model, visit)
+                _collect_atom_keys(Neg(body.right), env, model, visit)
                 return
             if isinstance(body, Neg):
-                _collect_atom_keys(body.body, env, model, out)
+                _collect_atom_keys(body.body, env, model, visit)
                 return
             raise NegOverQuantifier(body)
         # comega: the occurrence itself is enumerated later; atoms inside
         # the body still need functional choices when negated deeper.
-        _collect_atom_keys(body, env, model, out)
+        _collect_atom_keys(body, env, model, visit)
         return
     raise EvalError(f"cannot analyse {node!r}")
 
@@ -588,7 +773,7 @@ def _occ_space(
                 merged.update(dr)
                 out.append(merged)
                 if len(out) > cap:
-                    raise CapExceeded(f"more than {cap} occurrence choices")
+                    raise _occ_cap(cap)
         return out
     if isinstance(node, (Forall, Exists)):
         spaces: list[dict[OccKey, int]] = [{}]
@@ -603,7 +788,7 @@ def _occ_space(
                     merged.update(d)
                     merged_out.append(merged)
                     if len(merged_out) > cap:
-                        raise CapExceeded(f"more than {cap} occurrence choices")
+                        raise _occ_cap(cap)
             spaces = merged_out
         return spaces
     if isinstance(node, Neg):
@@ -625,9 +810,15 @@ def _occ_space(
                 merged[key] = c
                 out.append(merged)
                 if len(out) > cap:
-                    raise CapExceeded(f"more than {cap} occurrence choices")
+                    raise _occ_cap(cap)
         return out
     raise EvalError(f"cannot analyse {node!r}")
+
+
+def _occ_cap(cap: int) -> CapExceeded:
+    return CapExceeded(
+        f"more than {cap} occurrence choices", cap="ASSIGNMENT_CAP", limit=cap, predicted=cap + 1
+    )
 
 
 # --- verdicts -----------------------------------------------------------------------
@@ -731,6 +922,8 @@ def check_leibniz(
                 f"free variable {var!r}"
             )
     names = [nid for nid in model.scope if model.store.get(nid).rank <= rank]
+    if all(ctx.choice_free(phi, model.mode) for _, phi in formula_family):
+        return _leibniz_vectors(model, formula_family, names, rank, quantification, ctx)
     lo = alg.top
     first_violation: tuple[str, ...] = ()
     valid = True
@@ -776,6 +969,52 @@ def check_leibniz(
         value_lo=lo,
         value_hi=lo,
         valid=valid,
+        notes=("rank-relative",),
+        detail=first_violation,
+    )
+
+
+def _leibniz_vectors(
+    model: SetModel,
+    formula_family: Sequence[tuple[str, Formula]],
+    names: Sequence[int],
+    rank: int,
+    quantification: str,
+    ctx: EvalContext,
+) -> Verdict:
+    """check_leibniz without negation choices: each phi is evaluated once,
+    as a vector over its variable, and each u compares the row ||u = v||
+    with phi(u) -> phi(v) for every v at once."""
+    alg = model.algebra
+    p = ctx.planes
+    dom = _Domain(names)
+    values = [ctx.vector(phi, {}, var, dom, model) for var, phi in formula_family]
+    lo = alg.top
+    first_violation: tuple[str, ...] = ()
+    for u in names:
+        row = ctx.kernel.eqrow(u, dom.need)
+        failing = []
+        for vec in values:
+            implied = p.imp(p.decode(vec, u), vec)
+            lo = alg.meet_(lo, p.meet_over(p.imp(row, implied), dom.mask))
+            failing.append(p.exceeds(row, implied) & dom.mask)
+        if not first_violation and any(failing):
+            v, (var, phi) = next(
+                (v, member)
+                for v in names
+                for member, bad in zip(formula_family, failing)
+                if bad >> v & 1
+            )
+            fp = EMPTY_ASSIGNMENT.fingerprint() if quantification == "all_assignments" else "all-fail"
+            first_violation = (f"u=#{u}", f"v=#{v}", f"phi={formula_to_text(phi)}", f"assignment={fp}")
+    return Verdict(
+        subject="leibniz",
+        mode=model.mode,
+        quantification=quantification,
+        rank_bound=rank,
+        value_lo=lo,
+        value_hi=lo,
+        valid=not first_violation,
         notes=("rank-relative",),
         detail=first_violation,
     )

@@ -344,6 +344,58 @@ def test_usage_errors_exit_two(files, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "formula",
+    [
+        "~" * 500 + "(#0 eq #0)",
+        "(" * 900 + "#0 eq #0" + ")" * 900,
+        " & ".join(["#0 eq #0"] * 2000),
+        " -> ".join(["#0 eq #0"] * 2000),
+        " <-> ".join(["#0 eq #0"] * 2000),
+        " <-> ".join(["#0 eq #0"] * 60),  # within the parser's count, each <-> two tree levels
+    ],
+    ids=[
+        "deep-negation",
+        "deep-parentheses",
+        "long-conjunction",
+        "long-implication",
+        "long-biconditional",
+        "shared-biconditional",
+    ],
+)
+def test_deep_formula_is_a_typed_error(files, capsys, formula):
+    code, out, err = run(
+        capsys, "eval", "--model", files["chain3.alg"], "--rank", "1", "--formula", formula
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "nests deeper" in err and "Traceback" not in err
+
+
+def test_assignment_cap_trips_before_valuing_every_atom(tmp_path, capsys):
+    # B4 at rank 3 has 3125 names, hence about 4.9 million ground eq atoms;
+    # four choices for ~a at a = top exceed the 50000 cap after eight atoms
+    from pst.algebra import boolean_algebra
+    from pst.fidel import format_fstructure_text, saturate
+
+    path = tmp_path / "b4.fst"
+    path.write_text(format_fstructure_text("b4", saturate(boolean_algebra(2), "comega")))
+    code, out, err = run(
+        capsys,
+        "--format",
+        "machine",
+        "eval",
+        "--model",
+        str(path),
+        "--rank",
+        "3",
+        "--formula",
+        "forall x . forall y . (x eq y | ~(x eq y))",
+    )
+    assert code == 2 and out == ""
+    assert "more than 50000" in err
+
+
 def test_unknown_flag_rejected(files, capsys):
     code, _, _ = run(capsys, "algebra", "check", files["chain3.alg"], "--bogus")
     assert code == 2

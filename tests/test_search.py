@@ -1,9 +1,12 @@
+import dataclasses
+
 import pytest
 
 from pst.algebra import chain
 from pst.fidel import FStructure, saturate
 from pst.search import (
     Budget,
+    _recertify,
     Exhausted,
     Finding,
     SearchError,
@@ -156,3 +159,41 @@ def test_congruence_probe_functional_family_exhausted():
 def test_congruence_probe_budget_enumeration():
     out = congruence_probe(Budget(max_algebra=2))
     assert isinstance(out, Finding)
+
+
+def _corrupt(finding, index, value):
+    values = list(finding.values)
+    values[index] = (values[index][0], value)
+    return dataclasses.replace(finding, values=tuple(values))
+
+
+def test_recertify_compares_every_value_under_the_named_assignment():
+    goal = SearchGoal("non_explosion", budget=Budget(max_algebra=3))
+    out = search(goal)
+    _recertify(out, goal)
+    top = out.structure.algebra.top
+    # ~p is claimed under the finding's own assignment; another assignment
+    # reaching the corrupted value does not vouch for it
+    for index, value in ((1, 0), (2, top), (0, 0)):
+        with pytest.raises(SearchError):
+            _recertify(_corrupt(out, index, value), goal)
+    with pytest.raises(SearchError):
+        _recertify(dataclasses.replace(out, assignment_fingerprint="0" * 12), goal)
+
+
+def test_sequent_premises_and_conclusion_share_one_assignment():
+    # comega chooses ~(p & q) per occurrence; premises and conclusion are
+    # evaluated at their positions in the joint sentence, and recertified so
+    goal = SearchGoal(
+        "refute_sequent",
+        formula=parse_formula("~(p & q) & p"),
+        premises=(parse_formula("~(p & q)"), parse_formula("p")),
+        logic="comega",
+        budget=Budget(max_algebra=3),
+    )
+    out = search(goal)
+    assert isinstance(out, Finding)
+    top = out.structure.algebra.top
+    assert [v for _, v in out.values[:2]] == [top, top] and out.values[2][1] != top
+    with pytest.raises(SearchError):
+        _recertify(_corrupt(out, 2, top), goal)

@@ -10,7 +10,9 @@ from pst.syntax import (
     Eq,
     Exists,
     Forall,
+    MAX_FORMULA_DEPTH,
     FormulaSyntaxError,
+    FormulaTooDeep,
     FuncApp,
     Imp,
     Mem,
@@ -138,6 +140,26 @@ def test_restricted_and_negation_free():
     assert not is_restricted(parse_formula("forall z . z in x"))
     assert is_negation_free(parse_formula("p -> q | p"))
     assert not is_negation_free(parse_formula("p -> ~q"))
+
+
+def test_nesting_depth_is_capped():
+    inner = MAX_FORMULA_DEPTH - 1
+    assert parse_formula("~" * inner + "p") is not None
+    assert parse_formula("(" * inner + "p" + ")" * inner) == p
+    assert parse_formula(" -> ".join(["p"] * MAX_FORMULA_DEPTH)) is not None
+    assert parse_formula(" <-> ".join(["p"] * (MAX_FORMULA_DEPTH // 2))) is not None
+    for text in (
+        "~" * MAX_FORMULA_DEPTH + "p",
+        "(" * (MAX_FORMULA_DEPTH + 1) + "p" + ")" * (MAX_FORMULA_DEPTH + 1),
+        " | ".join(["p"] * (MAX_FORMULA_DEPTH + 1)),
+        " -> ".join(["p"] * 2000),
+        " <-> ".join(["p"] * 2000),
+        " <-> ".join(["p"] * (MAX_FORMULA_DEPTH // 2 + 1)),
+        "forall x . " * MAX_FORMULA_DEPTH + "p",
+        "P(" + "f(" * MAX_FORMULA_DEPTH + "x" + ")" * (MAX_FORMULA_DEPTH + 1),
+    ):
+        with pytest.raises(FormulaTooDeep):
+            parse_formula(text)
 
 
 # --- property tests -------------------------------------------------------------------

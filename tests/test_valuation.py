@@ -1,4 +1,10 @@
+import itertools
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference import Reference
 
 from pst.algebra import chain
 from pst.errors import CapExceeded
@@ -17,7 +23,11 @@ from pst.syntax import (
     NegOverQuantifier,
     Or,
     Pred,
+    MAX_FORMULA_DEPTH,
     Var,
+    formula_to_text,
+    parse_formula,
+    universal_closure,
 )
 from pst.valuation import (
     EMPTY_ASSIGNMENT,
@@ -75,13 +85,107 @@ def test_single_join_step_example(heyting3_model):
     assert ctx.eval_mem(e, ua) == 1
 
 
-def test_memoization_transparency(heyting3_model):
-    ctx_m = EvalContext(heyting3_model, use_memo=True)
-    ctx_n = EvalContext(heyting3_model, use_memo=False)
-    for u in heyting3_model.scope:
-        for v in heyting3_model.scope:
-            assert ctx_m.eval_eq(u, v) == ctx_n.eval_eq(u, v)
-            assert ctx_m.eval_mem(u, v) == ctx_n.eval_mem(u, v)
+def _agree_on_pairs(model, pairs):
+    ctx, ref = EvalContext(model), Reference(model)
+    for u, v in pairs:
+        assert ctx.eval_eq(u, v) == ref.eq(u, v), (u, v)
+        assert ctx.eval_mem(u, v) == ref.mem(u, v), (u, v)
+    return ctx, ref
+
+
+def test_memoization_transparency(algebras_to_5, chain3, bool4):
+    """The bit-sliced kernel against the plain recursion (tests/reference.py)."""
+    for alg in algebras_to_5:
+        for rank in (1, 2):
+            model = make_model(alg, NameStore(), rank)
+            _agree_on_pairs(model, itertools.product(model.scope, repeat=2))
+    model = make_model(chain3, NameStore(), 3)
+    ctx, ref = _agree_on_pairs(model, itertools.product(model.scope, repeat=2))
+    # names made after the rows were filled (witnesses) are read exactly too
+    rng = random.Random(3)
+    store = model.store
+    for _ in range(60):
+        entries = {rng.randrange(len(store)): rng.randrange(3) for _ in range(rng.randrange(4))}
+        store.mk_name(entries.items())
+        for _ in range(10):
+            u, v = rng.randrange(len(store)), rng.randrange(len(store))
+            assert ctx.eval_eq(u, v) == ref.eq(u, v), (u, v)
+            assert ctx.eval_mem(u, v) == ref.mem(u, v), (u, v)
+    model = make_model(bool4, NameStore(), 3)
+    rng = random.Random(5)
+    _agree_on_pairs(model, [(rng.choice(model.scope), rng.choice(model.scope)) for _ in range(1500)])
+
+
+def _choice_free_formulas(with_negation, names):
+    leaf = st.sampled_from(["x", "y", "z"]).map(Var) | st.sampled_from(names).map(NameConst)
+    atoms = st.builds(Eq, leaf, leaf) | st.builds(Mem, leaf, leaf) | st.just(Bot())
+
+    def grow(sub):
+        var = st.sampled_from(["x", "y", "z"])
+        out = (
+            st.builds(And, sub, sub)
+            | st.builds(Or, sub, sub)
+            | st.builds(Imp, sub, sub)
+            | st.builds(Forall, var, sub)
+            | st.builds(Exists, var, sub)
+            | st.builds(lambda v, t, b: Forall(v, Imp(Mem(Var(v), t), b)), var, leaf, sub)
+            | st.builds(lambda v, t, b: Exists(v, And(Mem(Var(v), t), b)), var, leaf, sub)
+        )
+        return out | st.builds(Neg, sub) if with_negation else out
+
+    return st.recursive(atoms, grow, max_leaves=5).map(universal_closure)
+
+
+def _fold_models():
+    from pst.algebra import boolean_algebra
+
+    out = []
+    for structure, rank in (
+        (chain(2), 2),
+        (chain(3), 2),
+        (saturate(chain(3), "comega"), 2),
+        (saturate(boolean_algebra(2), "n4"), 2),
+    ):
+        model = make_model(structure, NameStore(), rank)
+        out.append(model)
+        out.append(model.with_flags(bounded_opt=True))
+    return out
+
+
+_FOLD_MODELS = _fold_models()
+
+
+@pytest.mark.parametrize("model", _FOLD_MODELS, ids=lambda m: f"{m.mode}-{m.bounded_opt}")
+def test_vector_fold_matches_scalar_reference(model):
+    """Quantifiers folded as vectors against instance-by-instance evaluation."""
+    names = list(model.scope[:2]) + list(model.scope[-2:])
+    negation = model.mode in ("boolean", "heyting")
+
+    @given(_choice_free_formulas(negation, names))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def check(phi):
+        assert eval_sentence(phi, model) == Reference(model).eval(phi), formula_to_text(phi)
+
+    check()
+
+
+def test_leibniz_vector_path_matches_reference(heyting3_model, comega3_model):
+    for model in (heyting3_model, comega3_model):
+        ref = Reference(model)
+        alg = model.algebra
+        w = model.scope[-1]
+        for phi in (
+            Mem(x, NameConst(w)),
+            Exists("y", Mem(Var("y"), x)),
+            Forall("y", Imp(Mem(Var("y"), x), Mem(Var("y"), NameConst(w)))),
+        ):
+            lo = alg.top
+            for u in model.scope:
+                for v in model.scope:
+                    val = alg.imp_(ref.eval(phi, {"x": u}), ref.eval(phi, {"x": v}))
+                    lo = alg.meet_(lo, alg.imp_(ref.eq(u, v), val))
+            verdict = check_leibniz(model, [("x", phi)], 2)
+            assert (verdict.value_lo, verdict.valid, verdict.detail) == (lo, lo == alg.top, ())
 
 
 # --- sentence evaluation ---------------------------------------------------------------
@@ -102,6 +206,13 @@ def test_heyting_negation_is_pseudocomplement(heyting3_model):
     alg = heyting3_model.algebra
     got = eval_sentence(Neg(Mem(NameConst(e), NameConst(ua))), heyting3_model, EMPTY_ASSIGNMENT, ctx)
     assert got == alg.imp_(1, alg.bottom) == 0
+
+
+def test_deepest_parsable_formula_evaluates(heyting3_model, n43_model):
+    text = "forall x . " + "~" * (MAX_FORMULA_DEPTH - 2) + "x eq x"
+    phi = parse_formula(text)
+    assert check_valid(phi, heyting3_model).valid  # an even number of ~
+    assert check_valid(phi, n43_model).valid  # n4 cancels ~~
 
 
 def test_open_formula_rejected(bool_model):
@@ -226,8 +337,10 @@ def test_assignment_cap(comega3_model):
     atom = Eq(NameConst(e), NameConst(e))
     compound = And(atom, atom)
     phi = And(Neg(compound), And(Neg(compound), Neg(compound)))
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded) as exc:
         enumerate_assignments(phi, comega3_model, cap=10)
+    assert (exc.value.cap, exc.value.limit) == ("ASSIGNMENT_CAP", 10)
+    assert exc.value.predicted > 10 and "more than 10" in str(exc.value)
 
 
 # --- validity ---------------------------------------------------------------------------
