@@ -24,13 +24,11 @@ from .syntax import (
     Mem,
     NameConst,
     Var,
-    formula_to_text,
     free_vars,
     substitute,
 )
 from .valuation import (
     ASSIGNMENT_CAP,
-    EMPTY_ASSIGNMENT,
     EvalContext,
     EvalError,
     SetModel,
@@ -38,7 +36,7 @@ from .valuation import (
     closure_assignments,
     eval_instance,
     eval_sentence,
-    hf_meta_eval,
+    hat_transfer,
 )
 
 POWERSET_CAP = 4096
@@ -506,32 +504,14 @@ def check_infinity_reflection(
     ctx = ctx or EvalContext(model)
     alg = model.algebra
     store = model.store
-    hf_sets = all_hf_sets(max_hf_rank)
-    hats = {s: hat_embed(s, store, alg) for s in hf_sets}
+    hats = {s: hat_embed(s, store, alg) for s in all_hf_sets(max_hf_rank)}
+    x, y, w = Var("x"), Var("y"), Var("w")
     templates = [
-        ("x", "y", Mem(Var("x"), Var("y"))),
-        ("x", "y", Forall("w", Imp(Mem(Var("w"), Var("x")), Mem(Var("w"), Var("y"))))),
-        ("x", "y", Exists("w", And(Mem(Var("w"), Var("x")), Mem(Var("w"), Var("y"))))),
+        Mem(x, y),
+        Forall("w", Imp(Mem(w, x), Mem(w, y))),
+        Exists("w", And(Mem(w, x), Mem(w, y))),
     ]
-    small = [s for s in hf_sets if s.rank() <= 2]
-    eval_model = model.with_flags(bounded_opt=True)
-    mismatches = []
-    n = 0
-    for vx, vy, template in templates:
-        for sx in small:
-            for sy in small:
-                n += 1
-                meta = hf_meta_eval(template, {vx: sx, vy: sy})
-                inst = substitute(
-                    substitute(template, vx, NameConst(hats[sx])),
-                    vy,
-                    NameConst(hats[sy]),
-                )
-                val = eval_sentence(inst, eval_model, EMPTY_ASSIGNMENT, ctx)
-                if meta != (val == alg.top):
-                    mismatches.append(
-                        f"{formula_to_text(template)} on {sx},{sy}: meta={meta} value={val}"
-                    )
+    n, mismatches = hat_transfer(model, templates, hats, ctx)
     value = alg.top if not mismatches else alg.bottom
     return _report(
         model,

@@ -292,9 +292,8 @@ def _cmd_counter_search(args) -> int:
         premises=tuple(parse_formula(p) for p in args.premise),
         logic=args.logic,
         budget=budget,
-        seed=args.seed,
     )
-    out = search_mod.search(goal, jobs=args.jobs)
+    out = search_mod.search(goal)
     if isinstance(out, search_mod.Finding):
         lines = [f"finding over algebra of size {out.algebra_size}:"]
         lines += [f"  {line}" for line in out.description]
@@ -333,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument("--format", choices=("human", "machine"), default="human")
     top.add_argument("--seed", type=int, default=0, help="seed for any randomised step")
-    top.add_argument("--jobs", type=int, default=1, help="worker count for search/enumeration")
+    top.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; searches run sequentially")
     sub = top.add_subparsers(dest="command", required=True)
     common = _global_flags()
 

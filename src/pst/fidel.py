@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .algebra import (
     AlgebraFormatError,
@@ -193,30 +193,25 @@ def is_leibniz_comega(f: FStructure) -> bool:
     return alg.bottom in f.negs[alg.top]
 
 
-def find_algebra_embedding(a: FiniteHeytingAlgebra, b: FiniteHeytingAlgebra) -> tuple[int, ...] | None:
-    """First injective map a -> b preserving meet, join, imp, 0 and 1."""
-    if a.size > b.size:
-        return None
+def algebra_embeddings(a: FiniteHeytingAlgebra, b: FiniteHeytingAlgebra) -> Iterator[tuple[int, ...]]:
+    """Every injective map a -> b preserving meet, join, imp, 0 and 1, as
+    element image tuples in permutation order."""
     for img in itertools.permutations(range(b.size), a.size):
         if img[a.top] != b.top or img[a.bottom] != b.bottom:
             continue
-        ok = True
-        for x in range(a.size):
-            for y in range(a.size):
-                if img[a.meet_(x, y)] != b.meet_(img[x], img[y]):
-                    ok = False
-                    break
-                if img[a.join_(x, y)] != b.join_(img[x], img[y]):
-                    ok = False
-                    break
-                if img[a.imp_(x, y)] != b.imp_(img[x], img[y]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return img
-    return None
+        if all(
+            img[a.meet_(x, y)] == b.meet_(img[x], img[y])
+            and img[a.join_(x, y)] == b.join_(img[x], img[y])
+            and img[a.imp_(x, y)] == b.imp_(img[x], img[y])
+            for x in range(a.size)
+            for y in range(a.size)
+        ):
+            yield img
+
+
+def find_algebra_embedding(a: FiniteHeytingAlgebra, b: FiniteHeytingAlgebra) -> tuple[int, ...] | None:
+    """First injective map a -> b preserving meet, join, imp, 0 and 1."""
+    return next(algebra_embeddings(a, b), None)
 
 
 def is_substructure(f: FStructure, g: FStructure) -> tuple[int, ...] | None:
@@ -226,32 +221,14 @@ def is_substructure(f: FStructure, g: FStructure) -> tuple[int, ...] | None:
     """
     if f.kind != g.kind:
         return None
-    a, b = f.algebra, g.algebra
-    if a.size > b.size:
-        return None
-    for img in itertools.permutations(range(b.size), a.size):
-        if img[a.top] != b.top or img[a.bottom] != b.bottom:
-            continue
-        ok = True
-        for x in range(a.size):
-            for y in range(a.size):
-                if (
-                    img[a.meet_(x, y)] != b.meet_(img[x], img[y])
-                    or img[a.join_(x, y)] != b.join_(img[x], img[y])
-                    or img[a.imp_(x, y)] != b.imp_(img[x], img[y])
-                ):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        if all(
-            all(img[xp] in g.negs[img[x]] for xp in f.negs[x])
-            for x in range(a.size)
-        ):
-            return img
-    return None
+    return next(
+        (
+            img
+            for img in algebra_embeddings(f.algebra, g.algebra)
+            if all(img[xp] in g.negs[img[x]] for x in range(f.algebra.size) for xp in f.negs[x])
+        ),
+        None,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from typing import Callable, Iterable, Sequence
 
 from .algebra import FiniteHeytingAlgebra
 from .errors import CapExceeded, PstError
+from .syntax import MAX_FORMULA_DEPTH
 
 RANK_HARD_CAP = 4
 ENUM_DEFAULT_CAP = 200_000
@@ -231,21 +232,24 @@ class HFSyntaxError(UniverseError):
 
 
 def parse_hf(text: str) -> HFSet:
-    """Parse a braces term like ``{{},{{}}}``."""
+    """Parse a braces term like ``{{},{{}}}``, nested at most
+    ``MAX_FORMULA_DEPTH`` levels deep (parsing and embedding recurse per level)."""
     stripped = "".join(text.split())
     pos = 0
 
-    def parse() -> HFSet:
+    def parse(depth: int) -> HFSet:
         nonlocal pos
         if pos >= len(stripped) or stripped[pos] != "{":
             raise HFSyntaxError(f"expected '{{' at {pos}")
+        if depth > MAX_FORMULA_DEPTH:
+            raise HFSyntaxError(f"at {pos}: set nests deeper than {MAX_FORMULA_DEPTH} levels")
         pos += 1
         elems = []
         if pos < len(stripped) and stripped[pos] == "}":
             pos += 1
             return HFSet(frozenset())
         while True:
-            elems.append(parse())
+            elems.append(parse(depth + 1))
             if pos >= len(stripped):
                 raise HFSyntaxError("unexpected end of input")
             if stripped[pos] == ",":
@@ -256,7 +260,7 @@ def parse_hf(text: str) -> HFSet:
                 return HFSet(frozenset(elems))
             raise HFSyntaxError(f"expected ',' or '}}' at {pos}")
 
-    out = parse()
+    out = parse(1)
     if pos != len(stripped):
         raise HFSyntaxError(f"trailing input at {pos}")
     return out

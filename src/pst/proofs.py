@@ -36,7 +36,9 @@ from .syntax import (
     free_for,
     free_vars,
     iff,
+    prop_atoms,
     substitute,
+    subformulas,
 )
 from .valuation import (
     EvalContext,
@@ -376,7 +378,7 @@ class AuditReport:
 def _propositional_instances(sid: str) -> Iterator[Formula]:
     tpl = SCHEMAS[sid].template
     assert tpl is not None
-    metas = sorted(_meta_names(tpl))
+    metas = sorted({node.name for node in subformulas(tpl) if isinstance(node, Meta)})
     p, q, r = Pred("p", ()), Pred("q", ()), Pred("r", ())
     if len(metas) <= 1:
         pool: list[tuple[Formula, ...]] = [(p,), (Neg(p),), (And(p, q),), (Imp(p, q),)]
@@ -387,16 +389,6 @@ def _propositional_instances(sid: str) -> Iterator[Formula]:
     for combo in pool:
         binds = dict(zip(metas, combo))
         yield _instantiate(tpl, binds)
-
-
-def _meta_names(tpl: Formula) -> set[str]:
-    if isinstance(tpl, Meta):
-        return {tpl.name}
-    if isinstance(tpl, (And, Or, Imp)):
-        return _meta_names(tpl.left) | _meta_names(tpl.right)
-    if isinstance(tpl, Neg):
-        return _meta_names(tpl.body)
-    return set()
 
 
 def _instantiate(tpl: Formula, binds: Mapping[str, Formula]) -> Formula:
@@ -425,16 +417,6 @@ _QUANT_INSTANCES: dict[str, tuple[Formula, ...]] = {
         ),
     ),
 }
-
-
-def _prop_atoms(phi: Formula) -> set[str]:
-    if isinstance(phi, Pred) and not phi.args:
-        return {phi.sym}
-    if isinstance(phi, (And, Or, Imp)):
-        return _prop_atoms(phi.left) | _prop_atoms(phi.right)
-    if isinstance(phi, Neg):
-        return _prop_atoms(phi.body)
-    return set()
 
 
 def audit_soundness(
@@ -493,7 +475,7 @@ def _audit_propositional(
     logic: str = "n4",
 ) -> int:
     count = 0
-    atoms = sorted(_prop_atoms(inst))
+    atoms = sorted(prop_atoms(inst))
     for alg in algebras:
         fs = saturate(alg, logic)
         store = NameStore()
@@ -527,24 +509,6 @@ def _audit_propositional(
     return count
 
 
-def _collect_pred_arities(phi: Formula, preds: dict[str, int], funcs: dict[str, int]) -> None:
-    if isinstance(phi, Pred):
-        preds[phi.sym] = len(phi.args)
-        for a in phi.args:
-            _collect_term_funcs(a, funcs)
-        return
-    if isinstance(phi, (And, Or, Imp)):
-        _collect_pred_arities(phi.left, preds, funcs)
-        _collect_pred_arities(phi.right, preds, funcs)
-        return
-    if isinstance(phi, Neg):
-        _collect_pred_arities(phi.body, preds, funcs)
-        return
-    if isinstance(phi, (Forall, Exists)):
-        _collect_pred_arities(phi.body, preds, funcs)
-        return
-
-
 def _collect_term_funcs(t: Term, funcs: dict[str, int]) -> None:
     if isinstance(t, FuncApp):
         funcs[t.sym] = len(t.args)
@@ -563,7 +527,11 @@ def _audit_quantified(
     count = 0
     preds: dict[str, int] = {}
     funcs: dict[str, int] = {}
-    _collect_pred_arities(inst, preds, funcs)
+    for node in subformulas(inst):
+        if isinstance(node, Pred):
+            preds[node.sym] = len(node.args)
+            for a in node.args:
+                _collect_term_funcs(a, funcs)
     for alg in algebras:
         fs = saturate(alg, "n4")
         for dsize in range(1, max_domain + 1):

@@ -9,15 +9,14 @@ negation choices).
 Search order is deterministic: algebras ascending by size, candidate
 negation families lexicographically, atom values and choices
 lexicographically; the first find is therefore the smallest in that
-order.  Every finding is re-certified in a fresh evaluation context, and
-every exhausted search is repeated in a seed-shuffled order as a
-discipline check.
+order.  Every finding is re-certified in a fresh evaluation context.
+Searches run sequentially; exhaustion is reported from the one ordered
+pass, since evaluation is deterministic.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
@@ -25,7 +24,7 @@ from .algebra import FiniteHeytingAlgebra, enumerate_heyting
 from .errors import PstError
 from .fidel import FidelError, FStructure, saturate, validate_comega, validate_n4
 from .names import NameStore
-from .syntax import And, Formula, Neg, Pred, formula_to_text
+from .syntax import And, Formula, Neg, Pred, formula_to_text, prop_atoms
 from .valuation import (
     EvalContext,
     SetModel,
@@ -56,7 +55,6 @@ class SearchGoal:
     premises: tuple[Formula, ...] = ()
     logic: str = "n4"
     budget: Budget = field(default_factory=Budget)
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -109,30 +107,22 @@ def _prop_model(fs: FStructure, values: Mapping[str, int], logic: str) -> SetMod
 
 
 def search(goal: SearchGoal, jobs: int = 1) -> Finding | Exhausted:
-    """Run the requested goal within budget; deterministic given the seed.
+    """Run the requested goal within budget; deterministic.
 
-    With jobs > 1 the algebra-size partitions run on worker threads and
-    results merge smallest-size-first, so the outcome matches a sequential
-    run bit for bit.
+    ``jobs`` is accepted for compatibility; the search runs sequentially.
     """
     if goal.kind not in GOALS:
         raise SearchError(f"unknown goal {goal.kind!r}")
-    if jobs > 1:
-        return _search_partitioned(goal, jobs)
-    out = _dispatch(goal, None)
+    algebras = list(enumerate_heyting(goal.budget.max_algebra))
+    if goal.kind == "non_explosion":
+        out = _search_non_explosion(goal, algebras)
+    elif goal.kind == "refute_sequent":
+        out = _search_sequent(goal, algebras)
+    else:
+        out = _search_refute(goal, _refuted(goal), algebras)
     if isinstance(out, Finding):
         _recertify(out, goal)
     return out
-
-
-def _dispatch(goal: SearchGoal, algebras: Sequence[FiniteHeytingAlgebra] | None) -> Finding | Exhausted:
-    if algebras is None:
-        algebras = list(enumerate_heyting(goal.budget.max_algebra))
-    if goal.kind == "non_explosion":
-        return _search_non_explosion(goal, algebras)
-    if goal.kind in ("separate_n4_n3", "refute_formula"):
-        return _search_refute(goal, _refuted(goal), algebras)
-    return _search_sequent(goal, algebras)
 
 
 def _refuted(goal: SearchGoal) -> Formula:
@@ -161,38 +151,6 @@ def _sequent(goal: SearchGoal) -> tuple[Formula, list[tuple[Formula, tuple[int, 
         joint = And(g, joint)
         parts = [(f, (1,) + path) for f, path in parts] + [(g, (0,))]
     return joint, parts[1:] + parts[:1]
-
-
-def _search_partitioned(goal: SearchGoal, jobs: int) -> Finding | Exhausted:
-    from concurrent.futures import ThreadPoolExecutor
-
-    algebras = list(enumerate_heyting(goal.budget.max_algebra))
-    by_size: dict[int, list[FiniteHeytingAlgebra]] = {}
-    for alg in algebras:
-        by_size.setdefault(alg.size, []).append(alg)
-    sizes = sorted(by_size)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_dispatch, goal, by_size[s]) for s in sizes]
-        merged: dict[str, int] = {}
-        for fut in futures:  # ascending size: first finding is smallest
-            out = fut.result()
-            if isinstance(out, Finding):
-                _recertify(out, goal)
-                return out
-            for key, n in out.census:
-                merged[key] = merged.get(key, 0) + n
-    return Exhausted(goal.kind, tuple(sorted(merged.items())))
-
-
-def _atoms_of(phi: Formula) -> set[str]:
-    if isinstance(phi, Pred) and not phi.args:
-        return {phi.sym}
-    out: set[str] = set()
-    for name in ("left", "right", "body"):
-        sub = getattr(phi, name, None)
-        if sub is not None and not isinstance(sub, str):
-            out |= _atoms_of(sub)
-    return out
 
 
 def _search_non_explosion(goal: SearchGoal, algebras) -> Finding | Exhausted:
@@ -231,50 +189,39 @@ def _search_non_explosion(goal: SearchGoal, algebras) -> Finding | Exhausted:
                                 "the contradictory pair {p, ~p} holds without q following",
                             ),
                         )
-    return _exhausted("non_explosion", census, goal)
+    return Exhausted("non_explosion", tuple(sorted(census.items())))
 
 
-def _candidate_space(
-    phi: Formula, goal: SearchGoal, algebras
-) -> Iterator[tuple[FStructure, dict[str, int], object, int]]:
-    """All (structure, atom values, assignment, value) evaluations."""
-    atoms = sorted(_atoms_of(phi))
+def _search_refute(goal: SearchGoal, phi: Formula, algebras) -> Finding | Exhausted:
+    census = {"evaluations": 0}
+    atoms = sorted(prop_atoms(phi))
     for alg in algebras:
         for fs in _families(alg, goal.budget.families, goal.logic):
             for values in itertools.product(range(alg.size), repeat=len(atoms)):
                 table = dict(zip(atoms, values))
                 model = _prop_model(fs, table, goal.logic)
                 ctx = EvalContext(model)
-                asgs = enumerate_assignments(phi, model, ctx, goal.budget.max_assignments)
-                for asg in asgs:
+                for asg in enumerate_assignments(phi, model, ctx, goal.budget.max_assignments):
+                    census["evaluations"] += 1
                     val = eval_sentence(phi, model, asg, ctx)
-                    yield fs, table, asg, val
-
-
-def _search_refute(goal: SearchGoal, phi: Formula, algebras) -> Finding | Exhausted:
-    census = {"evaluations": 0}
-    for fs, table, asg, val in _candidate_space(phi, goal, algebras):
-        census["evaluations"] += 1
-        if val != fs.algebra.top:
-            return Finding(
-                goal=goal.kind,
-                algebra_size=fs.algebra.size,
-                structure=fs,
-                atom_values=tuple(sorted(table.items())),
-                assignment_fingerprint=asg.fingerprint(),
-                values=((formula_to_text(phi), val),),
-                description=(
-                    f"||{formula_to_text(phi)}|| = {val} < top = {fs.algebra.top}",
-                ),
-            )
-    return _exhausted(goal.kind, census, goal, phi, algebras)
+                    if val != alg.top:
+                        return Finding(
+                            goal=goal.kind,
+                            algebra_size=alg.size,
+                            structure=fs,
+                            atom_values=tuple(sorted(table.items())),
+                            assignment_fingerprint=asg.fingerprint(),
+                            values=((formula_to_text(phi), val),),
+                            description=(f"||{formula_to_text(phi)}|| = {val} < top = {alg.top}",),
+                        )
+    return Exhausted(goal.kind, tuple(sorted(census.items())))
 
 
 def _search_sequent(goal: SearchGoal, algebras) -> Finding | Exhausted:
     """Premises all top, conclusion below top, under one joint assignment."""
     census = {"evaluations": 0}
     joint, parts = _sequent(goal)
-    atoms = sorted(_atoms_of(joint))
+    atoms = sorted(prop_atoms(joint))
     for alg in algebras:
         for fs in _families(alg, goal.budget.families, goal.logic):
             for values in itertools.product(range(alg.size), repeat=len(atoms)):
@@ -304,19 +251,7 @@ def _search_sequent(goal: SearchGoal, algebras) -> Finding | Exhausted:
                                 f"{concl} < top;",
                             ),
                         )
-    return _exhausted("refute_sequent", census, goal)
-
-
-def _exhausted(kind: str, census: dict, goal: SearchGoal, phi: Formula | None = None, algebras=None) -> Exhausted:
-    """Report exhaustion, after re-walking the space in a seeded shuffle to
-    confirm order independence."""
-    if phi is not None and algebras is not None:
-        shuffled = list(_candidate_space(phi, goal, algebras))
-        random.Random(goal.seed).shuffle(shuffled)
-        for fs, _table, _asg, val in shuffled:
-            if kind != "refute_sequent" and val != fs.algebra.top:
-                raise SearchError("order-randomised pass disagreed with exhaustion")
-    return Exhausted(kind, tuple(sorted(census.items())))
+    return Exhausted("refute_sequent", tuple(sorted(census.items())))
 
 
 def _recertify(finding: Finding, goal: SearchGoal) -> None:

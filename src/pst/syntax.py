@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Iterator, Union
 
 from .errors import PstError
 
@@ -265,6 +265,24 @@ def substitute(phi: Formula, x: str, t: Term) -> Formula:
     return walk(phi)
 
 
+def subformulas(phi: Formula) -> Iterator[Formula]:
+    """phi and each of its subformulas, in pre-order, left before right."""
+    stack = [phi]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, BINOPS):
+            stack.append(node.right)
+            stack.append(node.left)
+        elif isinstance(node, (Neg, Forall, Exists)):
+            stack.append(node.body)
+
+
+def prop_atoms(phi: Formula) -> set[str]:
+    """The symbols of the propositional (0-ary) atoms in phi."""
+    return {node.sym for node in subformulas(phi) if isinstance(node, Pred) and not node.args}
+
+
 def universal_closure(phi: Formula) -> Formula:
     """Forall over the free variables in lexicographic order."""
     out = phi
@@ -317,35 +335,37 @@ def is_negation_free(phi: Formula) -> bool:
 
 
 def is_restricted(phi: Formula) -> bool:
-    """True iff every quantifier is bounded: forall x . x in t -> ... or
-    exists x . x in t & ... with x not occurring in the bound t."""
+    """True iff every quantifier is bounded (see ``bounded_parts``)."""
     if isinstance(phi, (Bot, Mem, Eq, Pred, Meta)):
         return True
     if isinstance(phi, BINOPS):
         return is_restricted(phi.left) and is_restricted(phi.right)
     if isinstance(phi, Neg):
         return is_restricted(phi.body)
-    if isinstance(phi, Forall):
-        b = phi.body
-        if (
-            isinstance(b, Imp)
-            and isinstance(b.left, Mem)
-            and b.left.left == Var(phi.var)
-            and phi.var not in term_vars(b.left.right)
-        ):
-            return is_restricted(b.right)
-        return False
-    if isinstance(phi, Exists):
-        b = phi.body
-        if (
-            isinstance(b, And)
-            and isinstance(b.left, Mem)
-            and b.left.left == Var(phi.var)
-            and phi.var not in term_vars(b.left.right)
-        ):
-            return is_restricted(b.right)
-        return False
+    if isinstance(phi, (Forall, Exists)):
+        parts = bounded_parts(phi)
+        return parts is not None and is_restricted(parts[1])
     raise TypeError(f"not a formula: {phi!r}")
+
+
+def bounded_parts(phi: Formula) -> tuple[Term, Formula] | None:
+    """The bound t and the body of forall x . x in t -> body or of
+    exists x . x in t & body, with x not occurring in t; None otherwise."""
+    if isinstance(phi, Forall):
+        guarded = Imp
+    elif isinstance(phi, Exists):
+        guarded = And
+    else:
+        return None
+    b = phi.body
+    if (
+        isinstance(b, guarded)
+        and isinstance(b.left, Mem)
+        and b.left.left == Var(phi.var)
+        and phi.var not in term_vars(b.left.right)
+    ):
+        return b.left.right, b.right
+    return None
 
 
 def bounded_forall(var: str, bound: Term, body: Formula) -> Formula:

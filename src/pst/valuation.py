@@ -26,7 +26,7 @@ from .algebra import FiniteHeytingAlgebra, check_refinable
 from .errors import CapExceeded, PstError
 from .fidel import FStructure, find_algebra_embedding
 from .kernel import EqMemKernel, Planes, Vector
-from .names import NameStore, enumerate_universe
+from .names import HFSet, NameStore, all_hf_sets, enumerate_universe, hat_embed
 from .syntax import (
     And,
     Bot,
@@ -39,15 +39,16 @@ from .syntax import (
     Mem,
     NameConst,
     Neg,
-    NegOverQuantifier,
     Or,
     Pred,
     Term,
     Var,
+    bounded_parts,
     formula_to_text,
     free_vars,
     is_negation_free,
     is_restricted,
+    nnf_n4,
     substitute,
 )
 
@@ -254,6 +255,7 @@ class EvalContext:
         # id(node) -> (node, value); the node is held so its id stays unique
         self._free: dict[int, tuple[Formula, frozenset[str]]] = {}
         self._negfree: dict[int, tuple[Formula, bool]] = {}
+        self._nnf: dict[int, tuple[Formula, Formula]] = {}
         self._domains: dict[int, tuple[object, _Domain]] = {}
 
     @property
@@ -314,6 +316,14 @@ class EvalContext:
             self._free[id(node)] = hit
         return hit[1]
 
+    def nnf(self, node: Neg) -> Formula:
+        """n4 only: a negation pushed to the atoms by ``nnf_n4``."""
+        hit = self._nnf.get(id(node))
+        if hit is None or hit[0] is not node:
+            hit = (node, nnf_n4(node))
+            self._nnf[id(node)] = hit
+        return hit[1]
+
     def domain(self, ids: Sequence[int]) -> _Domain:
         """The domain of a sequence of ids, cached while the sequence lives."""
         hit = self._domains.get(id(ids))
@@ -328,7 +338,7 @@ class EvalContext:
         var = node.var
         if var in env:
             env = {k: v for k, v in env.items() if k != var}
-        bounded = _bounded_parts(node) if model.bounded_opt else None
+        bounded = bounded_parts(node) if model.bounded_opt else None
         if bounded is None:
             dom = self.domain(model.scope)
             vec = self.vector(node.body, env, var, dom, model)
@@ -410,7 +420,7 @@ class EvalContext:
         forall = node.__class__ is Forall
         acc: Vector = model.algebra.top if forall else model.algebra.bottom
         env2 = dict(env)
-        bounded = _bounded_parts(node) if model.bounded_opt else None
+        bounded = bounded_parts(node) if model.bounded_opt else None
         if bounded is None:
             for nid in model.scope:
                 env2[node.var] = nid
@@ -526,7 +536,7 @@ def _eval(
     if isinstance(node, (Forall, Exists)):
         if ctx.choice_free(node.body, model.mode):
             return ctx.fold(node, env, model)
-        bounded = _bounded_parts(node) if model.bounded_opt else None
+        bounded = bounded_parts(node) if model.bounded_opt else None
         if bounded is not None:
             bound_term, body = bounded
             u = _resolve(bound_term, env)
@@ -549,35 +559,6 @@ def _eval(
     raise EvalError(f"cannot evaluate {node!r}")
 
 
-def _bounded_parts(node: Formula) -> tuple[Term, Formula] | None:
-    """Match forall x . x in t -> body  /  exists x . x in t & body."""
-    if isinstance(node, Forall) and isinstance(node.body, Imp):
-        guard = node.body.left
-        if (
-            isinstance(guard, Mem)
-            and guard.left == Var(node.var)
-            and not _mentions_var(guard.right, node.var)
-        ):
-            return guard.right, node.body.right
-    if isinstance(node, Exists) and isinstance(node.body, And):
-        guard = node.body.left
-        if (
-            isinstance(guard, Mem)
-            and guard.left == Var(node.var)
-            and not _mentions_var(guard.right, node.var)
-        ):
-            return guard.right, node.body.right
-    return None
-
-
-def _mentions_var(t: Term, var: str) -> bool:
-    if isinstance(t, Var):
-        return t.name == var
-    if isinstance(t, FuncApp):
-        return any(_mentions_var(a, var) for a in t.args)
-    return False
-
-
 def _eval_neg(
     node: Neg,
     env: dict[str, int],
@@ -593,35 +574,25 @@ def _eval_neg(
         return alg.imp_(
             _eval(body, env, trail, path + (0,), model, asg, ctx), alg.bottom
         )
-    if model.mode == "n4":
-        if isinstance(body, And):
-            return alg.join_(
-                _eval_neg(Neg(body.left), env, trail, path, model, asg, ctx),
-                _eval_neg(Neg(body.right), env, trail, path, model, asg, ctx),
-            )
-        if isinstance(body, Or):
-            return alg.meet_(
-                _eval_neg(Neg(body.left), env, trail, path, model, asg, ctx),
-                _eval_neg(Neg(body.right), env, trail, path, model, asg, ctx),
-            )
-        if isinstance(body, Imp):
-            return alg.meet_(
-                _eval(body.left, env, trail, path, model, asg, ctx),
-                _eval_neg(Neg(body.right), env, trail, path, model, asg, ctx),
-            )
-        if isinstance(body, Neg):
-            return _eval(body.body, env, trail, path, model, asg, ctx)
-        if isinstance(body, (Forall, Exists)):
-            raise NegOverQuantifier(body)
-        key = _atom_key(body, env)
-        choice = asg.atom(key)
-        if choice is None:
-            raise UncoveredNegation(f"atom {key}")
-        base = ctx.atom_value(key)
-        if choice not in model.neg_options(base):
-            raise InvalidAssignment(f"choice {choice} not in N_{base} for {key}")
-        return choice
-    # comega: every negation occurrence is a choice
+    if model.mode == "n4" and not isinstance(body, _ATOMIC):
+        return _eval(ctx.nnf(node), env, trail, path, model, asg, ctx)
+    return _neg_choice(node, env, trail, path, model, asg, ctx)[0]
+
+
+def _neg_choice(
+    node: Neg,
+    env: dict[str, int],
+    trail: tuple[int, ...],
+    path: tuple[int, ...],
+    model: SetModel,
+    asg: Assignment,
+    ctx: EvalContext,
+) -> tuple[int, int]:
+    """The chosen value of a negation and the value of its body, the choice
+    checked against N_body and, under a double negation, against the
+    double-negation bound.  Atoms take their functional choice; comega
+    compound bodies take the choice of this occurrence."""
+    body = node.body
     if isinstance(body, _ATOMIC):
         key = _atom_key(body, env)
         choice = asg.atom(key)
@@ -630,21 +601,22 @@ def _eval_neg(
         base = ctx.atom_value(key)
         if choice not in model.neg_options(base):
             raise InvalidAssignment(f"choice {choice} not in N_{base} for {key}")
-        return choice
-    occ_key = ("occ", path, trail)
-    choice = asg.occ(occ_key)
+        return choice, base
+    choice = asg.occ(("occ", path, trail))
     if choice is None:
         raise UncoveredNegation(f"occurrence at path {path}, bindings {trail}")
-    base = _eval(body, env, trail, path + (0,), model, asg, ctx)
+    double = isinstance(body, Neg)
+    if double:  # the inner step also yields the value the bound needs
+        base, inner = _neg_choice(body, env, trail, path + (0,), model, asg, ctx)
+    else:
+        base = _eval(body, env, trail, path + (0,), model, asg, ctx)
     if choice not in model.neg_options(base):
         raise InvalidAssignment(f"choice {choice} not in N_{base} at {path}")
-    if isinstance(body, Neg):
-        inner = _eval(body.body, env, trail, path + (0, 0), model, asg, ctx)
-        if not model.algebra.le(choice, inner):
-            raise InvalidAssignment(
-                f"double negation value {choice} exceeds {inner} at {path}"
-            )
-    return choice
+    if double and not model.algebra.le(choice, inner):
+        raise InvalidAssignment(
+            f"double negation value {choice} exceeds {inner} at {path}"
+        )
+    return choice, base
 
 
 # --- assignment enumeration --------------------------------------------------------
@@ -683,7 +655,7 @@ def enumerate_assignments(
                 predicted=total,
             )
 
-    _collect_atom_keys(phi, {}, model, visit)
+    _collect_atom_keys(phi, {}, model, ctx, visit)
     option_lists = [[(key, c) for c in options[key]] for key in sorted(options)]
     out: list[Assignment] = []
     for combo in itertools.product(*option_lists):
@@ -708,6 +680,7 @@ def _collect_atom_keys(
     node: Formula,
     env: dict[str, int],
     model: SetModel,
+    ctx: EvalContext,
     visit: Callable[[AtomKey], None],
 ) -> None:
     """Call visit on the key of every negated ground atom that carries a
@@ -715,36 +688,25 @@ def _collect_atom_keys(
     if isinstance(node, _ATOMIC):
         return
     if isinstance(node, (And, Or, Imp)):
-        _collect_atom_keys(node.left, env, model, visit)
-        _collect_atom_keys(node.right, env, model, visit)
+        _collect_atom_keys(node.left, env, model, ctx, visit)
+        _collect_atom_keys(node.right, env, model, ctx, visit)
         return
     if isinstance(node, (Forall, Exists)):
         for nid in model.scope:
             env2 = dict(env)
             env2[node.var] = nid
-            _collect_atom_keys(node.body, env2, model, visit)
+            _collect_atom_keys(node.body, env2, model, ctx, visit)
         return
     if isinstance(node, Neg):
         body = node.body
         if isinstance(body, _ATOMIC):
             visit(_atom_key(body, env))
-            return
-        if model.mode == "n4":
-            if isinstance(body, And) or isinstance(body, Or):
-                _collect_atom_keys(Neg(body.left), env, model, visit)
-                _collect_atom_keys(Neg(body.right), env, model, visit)
-                return
-            if isinstance(body, Imp):
-                _collect_atom_keys(body.left, env, model, visit)
-                _collect_atom_keys(Neg(body.right), env, model, visit)
-                return
-            if isinstance(body, Neg):
-                _collect_atom_keys(body.body, env, model, visit)
-                return
-            raise NegOverQuantifier(body)
-        # comega: the occurrence itself is enumerated later; atoms inside
-        # the body still need functional choices when negated deeper.
-        _collect_atom_keys(body, env, model, visit)
+        elif model.mode == "n4":
+            _collect_atom_keys(ctx.nnf(node), env, model, ctx, visit)
+        else:
+            # comega: the occurrence itself is enumerated later; atoms inside
+            # the body still need functional choices when negated deeper.
+            _collect_atom_keys(body, env, model, ctx, visit)
         return
     raise EvalError(f"cannot analyse {node!r}")
 
@@ -800,11 +762,11 @@ def _occ_space(
         out = []
         for d in inner:
             asg = Assignment(atoms=base_asg.atoms, occs=tuple(sorted(d.items())))
-            base = _eval(body, env, trail, path + (0,), model, asg, ctx)
-            options = model.neg_options(base)
             if isinstance(body, Neg):
-                limit = _eval(body.body, env, trail, path + (0, 0), model, asg, ctx)
-                options = tuple(c for c in options if model.algebra.le(c, limit))
+                base, limit = _neg_choice(body, env, trail, path + (0,), model, asg, ctx)
+                options = tuple(c for c in model.neg_options(base) if model.algebra.le(c, limit))
+            else:
+                options = model.neg_options(_eval(body, env, trail, path + (0,), model, asg, ctx))
             for c in options:
                 merged = dict(d)
                 merged[key] = c
@@ -1056,10 +1018,10 @@ def eval_qn4(
     theta: ThetaStructure,
     valuation: Mapping[str, object] | None = None,
 ) -> int:
-    """Truth value over a theta structure; negation is pushed through
-    compounds structurally and read from the negated-atom table at atoms."""
-    v = dict(valuation or {})
-    return _eval_theta(phi, theta, v, negated=False)
+    """Truth value over a theta structure; negation over a compound is
+    pushed to the atoms by ``nnf_n4`` and read from the negated-atom table
+    at atoms."""
+    return _eval_theta(phi, theta, dict(valuation or {}))
 
 
 def _theta_term(t: Term, theta: ThetaStructure, v: Mapping[str, object]) -> object:
@@ -1076,51 +1038,39 @@ def _theta_term(t: Term, theta: ThetaStructure, v: Mapping[str, object]) -> obje
     raise EvalError("name constants have no theta interpretation")
 
 
-def _eval_theta(phi: Formula, theta: ThetaStructure, v: dict, negated: bool) -> int:
+def _eval_theta(phi: Formula, theta: ThetaStructure, v: dict) -> int:
     alg = theta.algebra
-    if isinstance(phi, Bot):
+    negated = isinstance(phi, Neg)
+    atom = phi.body if negated else phi
+    if isinstance(atom, Bot):
         if negated:
             raise UncoveredNegation("~bot has no clause")
         return alg.bottom
-    if isinstance(phi, Pred):
-        args = tuple(_theta_term(a, theta, v) for a in phi.args)
+    if isinstance(atom, Pred):
+        args = tuple(_theta_term(a, theta, v) for a in atom.args)
         table = theta.neg_preds if negated else theta.preds
         try:
-            return table[phi.sym][args]
+            return table[atom.sym][args]
         except KeyError as exc:
             if negated:
-                raise UncoveredNegation(f"~{phi.sym}{args}") from exc
-            raise EvalError(f"no table for {phi.sym}{args}") from exc
-    if isinstance(phi, (Mem, Eq)):
+                raise UncoveredNegation(f"~{atom.sym}{args}") from exc
+            raise EvalError(f"no table for {atom.sym}{args}") from exc
+    if isinstance(atom, (Mem, Eq)):
         raise EvalError("set atoms have no theta interpretation")
+    if negated:  # over a compound: push it to the atoms
+        return _eval_theta(nnf_n4(phi), theta, v)
     if isinstance(phi, And):
-        l = _eval_theta(phi.left, theta, v, negated)
-        r = _eval_theta(phi.right, theta, v, negated)
-        return alg.join_(l, r) if negated else alg.meet_(l, r)
+        return alg.meet_(_eval_theta(phi.left, theta, v), _eval_theta(phi.right, theta, v))
     if isinstance(phi, Or):
-        l = _eval_theta(phi.left, theta, v, negated)
-        r = _eval_theta(phi.right, theta, v, negated)
-        return alg.meet_(l, r) if negated else alg.join_(l, r)
+        return alg.join_(_eval_theta(phi.left, theta, v), _eval_theta(phi.right, theta, v))
     if isinstance(phi, Imp):
-        if negated:
-            return alg.meet_(
-                _eval_theta(phi.left, theta, v, False),
-                _eval_theta(phi.right, theta, v, True),
-            )
-        return alg.imp_(
-            _eval_theta(phi.left, theta, v, False),
-            _eval_theta(phi.right, theta, v, False),
-        )
-    if isinstance(phi, Neg):
-        return _eval_theta(phi.body, theta, v, not negated)
+        return alg.imp_(_eval_theta(phi.left, theta, v), _eval_theta(phi.right, theta, v))
     if isinstance(phi, (Forall, Exists)):
-        if negated:
-            raise NegOverQuantifier(phi)
         vals = []
         for a in theta.domain:
             v2 = dict(v)
             v2[phi.var] = a
-            vals.append(_eval_theta(phi.body, theta, v2, False))
+            vals.append(_eval_theta(phi.body, theta, v2))
         return alg.meet_all(vals) if isinstance(phi, Forall) else alg.join_all(vals)
     raise EvalError(f"cannot evaluate {phi!r}")
 
@@ -1242,7 +1192,7 @@ def hf_meta_eval(phi: Formula, env: Mapping[str, object]) -> bool:
         if isinstance(node, Imp):
             return (not walk(node.left, e)) or walk(node.right, e)
         if isinstance(node, Forall):
-            parts = _bounded_parts(node)
+            parts = bounded_parts(node)
             if parts is None:
                 raise NotRestricted(formula_to_text(node))
             bound, body = parts
@@ -1250,7 +1200,7 @@ def hf_meta_eval(phi: Formula, env: Mapping[str, object]) -> bool:
                 walk(body, {**e, node.var: m}) for m in _hf_of(bound, e).elems
             )
         if isinstance(node, Exists):
-            parts = _bounded_parts(node)
+            parts = bounded_parts(node)
             if parts is None:
                 raise NotRestricted(formula_to_text(node))
             bound, body = parts
@@ -1269,6 +1219,36 @@ def hf_meta_eval(phi: Formula, env: Mapping[str, object]) -> bool:
     return walk(phi, dict(env))
 
 
+def hat_transfer(
+    model: SetModel,
+    templates: Sequence[Formula],
+    hats: Mapping[HFSet, int],
+    ctx: EvalContext,
+) -> tuple[int, list[str]]:
+    """Evaluate each template, a restricted negation-free formula in x and
+    y, at the hat images of every pair of HF sets of rank <= 2 among the
+    keys of hats, and compare top with its truth of the sets themselves.
+
+    Returns the number of instances and one line per mismatch."""
+    alg = model.algebra
+    small = [s for s in hats if s.rank() <= 2]
+    eval_model = model.with_flags(bounded_opt=True)
+    mismatches = []
+    for template in templates:
+        for sx in small:
+            for sy in small:
+                meta = hf_meta_eval(template, {"x": sx, "y": sy})
+                inst = substitute(
+                    substitute(template, "x", NameConst(hats[sx])), "y", NameConst(hats[sy])
+                )
+                val = eval_sentence(inst, eval_model, EMPTY_ASSIGNMENT, ctx)
+                if meta != (val == alg.top):
+                    mismatches.append(
+                        f"{formula_to_text(template)} on {sx},{sy}: meta={meta} value={val}"
+                    )
+    return len(templates) * len(small) ** 2, mismatches
+
+
 def check_hat_lemma(
     model: SetModel,
     max_hf_rank: int = 3,
@@ -1283,8 +1263,6 @@ def check_hat_lemma(
     (iv) restricted negation-free instances hold of HF sets iff their hat
          images get value top.
     """
-    from .names import all_hf_sets, hat_embed
-
     if model.mode not in ("boolean", "heyting"):
         raise EvalError("hat lemma checks run in boolean or heyting mode")
     ctx = ctx or EvalContext(model)
@@ -1313,29 +1291,15 @@ def check_hat_lemma(
             if eq_meta != eq_model:
                 failures.append(f"(ii-eq) {u} = {v}: meta={eq_meta} model={eq_model}")
 
-    small = [s for s in hf_sets if s.rank() <= 2]
-    transfer = [
-        ("x", "y", Mem(Var("x"), Var("y"))),
-        ("x", "y", Eq(Var("x"), Var("y"))),
-        ("x", "y", Forall("w", Imp(Mem(Var("w"), Var("x")), Mem(Var("w"), Var("y"))))),
-        ("x", "y", Exists("w", And(Mem(Var("w"), Var("x")), Eq(Var("w"), Var("y"))))),
+    x, y, w = Var("x"), Var("y"), Var("w")
+    templates = [
+        Mem(x, y),
+        Eq(x, y),
+        Forall("w", Imp(Mem(w, x), Mem(w, y))),
+        Exists("w", And(Mem(w, x), Eq(w, y))),
     ]
-    eval_model = model.with_flags(bounded_opt=True)
-    for vx, vy, template in transfer:
-        for sx in small:
-            for sy in small:
-                meta = hf_meta_eval(template, {vx: sx, vy: sy})
-                inst = substitute(
-                    substitute(template, vx, NameConst(hats[sx])),
-                    vy,
-                    NameConst(hats[sy]),
-                )
-                val = eval_sentence(inst, eval_model, EMPTY_ASSIGNMENT, ctx)
-                if meta != (val == alg.top):
-                    failures.append(
-                        f"(iv) {formula_to_text(template)} on {sx},{sy}: "
-                        f"meta={meta} value={val}"
-                    )
+    _, mismatches = hat_transfer(model, templates, hats, ctx)
+    failures += [f"(iv) {line}" for line in mismatches]
 
     return Verdict(
         subject="hat-lemma",

@@ -13,8 +13,8 @@ bound.
 
 from __future__ import annotations
 
-from pst.syntax import And, Bot, Eq, Forall, Imp, Mem, NameConst, Neg, Or, Pred
-from pst.valuation import SetModel, _bounded_parts
+from pst.syntax import And, Bot, Eq, Forall, Imp, Mem, NameConst, Neg, Or, Pred, bounded_parts
+from pst.valuation import SetModel
 
 
 class Reference:
@@ -73,7 +73,7 @@ class Reference:
             if isinstance(node, Neg):
                 return alg.neg_(walk(node.body))
             forall = isinstance(node, Forall)
-            bounded = _bounded_parts(node) if model.bounded_opt else None
+            bounded = bounded_parts(node) if model.bounded_opt else None
             if bounded is not None:
                 bound, body = bounded
                 pairs = model.store.get(term(bound)).entries

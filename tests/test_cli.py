@@ -372,6 +372,21 @@ def test_deep_formula_is_a_typed_error(files, capsys, formula):
     assert "nests deeper" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("depth", [101, 600])
+def test_deep_hf_set_is_a_typed_error(files, capsys, depth):
+    nested = "{" * depth + "}" * depth
+    code, out, err = run(capsys, "universe", "hat", "--model", files["chain3.alg"], "--set", nested)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "nests deeper" in err and "Traceback" not in err
+
+
+def test_hf_set_at_the_depth_cap_embeds(files, capsys):
+    nested = "{" * 100 + "}" * 100
+    code, out, _ = run(capsys, "universe", "hat", "--model", files["chain3.alg"], "--set", nested)
+    assert code == 0 and "RESULT hat=99 rank=100" in out
+
+
 def test_assignment_cap_trips_before_valuing_every_atom(tmp_path, capsys):
     # B4 at rank 3 has 3125 names, hence about 4.9 million ground eq atoms;
     # four choices for ~a at a = top exceed the 50000 cap after eight atoms

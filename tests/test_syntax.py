@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +36,7 @@ from pst.syntax import (
     nnf_n4,
     parse_derivation_text,
     parse_formula,
+    subformulas,
     substitute,
     universal_closure,
 )
@@ -172,27 +175,25 @@ def terms(vars_only=False):
     return st.one_of(base, st.integers(0, 5).map(NameConst))
 
 
-@st.composite
-def formulas(draw, depth=3):
+@functools.lru_cache(maxsize=None)
+def formulas(depth=3):
+    """Formulas at most depth connectives deep; each depth's strategy is
+    built once, not on every draw."""
     if depth == 0:
-        return draw(
-            st.one_of(
-                st.sampled_from([p, q, Bot()]),
-                st.builds(Mem, terms(), terms()),
-                st.builds(Eq, terms(), terms()),
-            )
+        return st.one_of(
+            st.sampled_from([p, q, Bot()]),
+            st.builds(Mem, terms(), terms()),
+            st.builds(Eq, terms(), terms()),
         )
-    sub = formulas(depth=depth - 1)
-    return draw(
-        st.one_of(
-            formulas(depth=0),
-            st.builds(And, sub, sub),
-            st.builds(Or, sub, sub),
-            st.builds(Imp, sub, sub),
-            st.builds(Neg, sub),
-            st.builds(Forall, st.sampled_from(["x", "y"]), sub),
-            st.builds(Exists, st.sampled_from(["x", "y"]), sub),
-        )
+    sub = formulas(depth - 1)
+    return st.one_of(
+        formulas(0),
+        st.builds(And, sub, sub),
+        st.builds(Or, sub, sub),
+        st.builds(Imp, sub, sub),
+        st.builds(Neg, sub),
+        st.builds(Forall, st.sampled_from(["x", "y"]), sub),
+        st.builds(Exists, st.sampled_from(["x", "y"]), sub),
     )
 
 
@@ -209,8 +210,16 @@ def test_substitute_identity(phi):
         assert substitute(phi, name, Var(name)) == phi
 
 
+@given(formulas())
+@settings(max_examples=100, deadline=None)
+def test_subformulas_pre_order(phi):
+    assert list(subformulas(phi)) == [
+        sub for sub in _walk(phi) if not isinstance(sub, (Var, NameConst, FuncApp))
+    ]
+
+
 def quantifier_free():
-    return formulas(depth=2).filter(
+    return formulas(2).filter(
         lambda f: not any(
             isinstance(sub, (Forall, Exists)) for sub in _walk(f)
         )

@@ -26,6 +26,7 @@ from pst.syntax import (
     MAX_FORMULA_DEPTH,
     Var,
     formula_to_text,
+    nnf_n4,
     parse_formula,
     universal_closure,
 )
@@ -271,6 +272,49 @@ def test_comega_double_negation_bounded(comega3_model):
     assert len(asgs) == 5  # frozen: inner 0 -> 1 option; 1 -> 1; 2 -> 3
 
 
+def test_comega_nested_negation_reuses_inner_values(monkeypatch):
+    """forall x . ~^30 (x eq x) at rank 1: each double negation reads its
+    bound from the inner negation's own step, so evaluation stays linear in
+    the nesting (evaluating the doubly negated body again made it grow like
+    the Fibonacci numbers: 4.6 million calls at 18 levels)."""
+    import pst.valuation as val_mod
+
+    model = make_model(saturate(chain(3), "comega"), NameStore(), 1)
+    phi = parse_formula("forall x . " + "~" * 30 + "(x eq x)")
+    calls = 0
+    plain_eval = val_mod._eval
+
+    def counting_eval(*args):
+        nonlocal calls
+        calls += 1
+        return plain_eval(*args)
+
+    monkeypatch.setattr(val_mod, "_eval", counting_eval)
+    verdict = check_valid(phi, model)
+    assert (verdict.value_lo, verdict.valid, verdict.n_assignments) == (0, False, 271)
+    assert calls < 5_000
+
+
+def test_comega_nested_choices_are_validated(comega3_model):
+    e = comega3_model.store.empty_name()
+    key = ("eq", e, e)  # value top, N_top = {0, 1, 2}
+    phi = Neg(Neg(Neg(Eq(NameConst(e), NameConst(e)))))
+
+    def asg(atom, middle, outer):
+        return Assignment(atoms=((key, atom),), occs=((("occ", (), ()), outer), (("occ", (0,), ()), middle)))
+
+    # ~a = 0, ~~a = 2 in N_0 and <= top, ~~~a = 0 in N_2 and <= ||~a|| = 0
+    assert asg(0, 2, 0) in enumerate_assignments(phi, comega3_model)
+    assert eval_sentence(phi, comega3_model, asg(0, 2, 0)) == 0
+    for bad, message in (
+        (asg(99, 2, 0), "not in N_2 for"),  # the atom's choice
+        (asg(0, 1, 0), "not in N_0 at"),  # the middle occurrence's choice
+        (asg(0, 2, 1), "exceeds 0"),  # the outer double-negation bound
+    ):
+        with pytest.raises(InvalidAssignment, match=message):
+            eval_sentence(phi, comega3_model, bad)
+
+
 def test_comega_per_occurrence_choices_are_independent(comega3_model):
     e = comega3_model.store.empty_name()
     atom = Eq(NameConst(e), NameConst(e))
@@ -304,6 +348,42 @@ def test_n4_pushes_and_atom_choices(n43_model):
     phi = Neg(Imp(atom, e_in_e))
     (asg,) = enumerate_assignments(phi, n43_model)
     assert eval_sentence(phi, n43_model, asg) == alg.meet_(alg.top, alg.top)
+
+
+def _negation_formulas(leaves):
+    atoms = st.builds(Eq, leaves, leaves) | st.builds(Mem, leaves, leaves)
+
+    def grow(sub):
+        return st.builds(And, sub, sub) | st.builds(Or, sub, sub) | st.builds(Imp, sub, sub) | st.builds(Neg, sub)
+
+    return st.recursive(atoms, grow, max_leaves=3)
+
+
+@pytest.mark.parametrize("size", [3, 4])
+def test_n4_negation_clauses_under_every_assignment(size):
+    """Over the saturated n4 chain, negation of a compound obeys the n4
+    clauses under every enumerated assignment, and pushing negation to the
+    atoms first (nnf_n4) leaves the verdict as it was."""
+    model = make_model(saturate(chain(size), "n4"), NameStore(), 1)
+    alg = model.algebra
+    names = st.sampled_from(model.scope[:2]).map(NameConst)
+
+    @given(_negation_formulas(names), _negation_formulas(names), _negation_formulas(names | st.just(x)))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def check(a, b, body):
+        clauses = And(And(Neg(And(a, b)), Neg(Or(a, b))), And(Neg(Imp(a, b)), Neg(Neg(a))))
+        for asg in enumerate_assignments(clauses, model):
+            def val(phi):
+                return eval_sentence(phi, model, asg)
+
+            assert val(Neg(And(a, b))) == alg.join_(val(Neg(a)), val(Neg(b)))
+            assert val(Neg(Or(a, b))) == alg.meet_(val(Neg(a)), val(Neg(b)))
+            assert val(Neg(Imp(a, b))) == alg.meet_(val(a), val(Neg(b)))
+            assert val(Neg(Neg(a))) == val(a)
+        phi = Forall("x", body)
+        assert check_valid(phi, model).result_line() == check_valid(nnf_n4(phi), model).result_line()
+
+    check()
 
 
 def test_n4_rejects_negated_quantifier(n43_model):
