@@ -32,11 +32,12 @@ from .valuation import (
     EvalContext,
     EvalError,
     SetModel,
+    Sweep,
     Vector,
     closure_assignments,
     eval_instance,
-    eval_sentence,
     hat_transfer,
+    sweep_assignments,
 )
 
 POWERSET_CAP = 4096
@@ -215,29 +216,26 @@ def check_separation(
                 rhs = alg.meet_(ctx.eval_mem(z, uu), phi_z)
                 val = alg.meet_(val, _bicond(model, lhs, rhs))
         values.append(val)
-    return _quantified_report(model, "separation", values, quantification, witnesses)
+    sweep = Sweep.of(values, assignments, ctx.planes)
+    return _quantified_report(model, "separation", sweep, quantification, witnesses)
 
 
 def _quantified_report(
     model: SetModel,
     axiom: str,
-    values: Sequence[int],
+    sweep: Sweep,
     quantification: str,
     witnesses: Sequence[tuple[str, int]] = (),
     notes: Sequence[str] = (),
 ) -> AxiomReport:
-    alg = model.algebra
-    oks = [v == alg.top for v in values]
-    valid = all(oks) if quantification == "all_assignments" else any(oks)
-    agg = alg.meet_all(values) if quantification == "all_assignments" else alg.join_all(values)
     return _report(
         model,
         axiom,
-        agg,
-        valid,
+        sweep.lo if quantification == "all_assignments" else sweep.hi,
+        sweep.valid(quantification),
         quantification=quantification,
         witnesses=witnesses,
-        n_assignments=len(values),
+        n_assignments=sweep.size,
         notes=notes,
     )
 
@@ -414,7 +412,7 @@ def check_collection(
     return _quantified_report(
         model,
         "collection",
-        values,
+        Sweep.of(values, assignments, ctx.planes),
         quantification,
         witnesses=[("v", v_name)],
         notes=("scope-wide constant-top witness stands in for the class level",),
@@ -453,11 +451,8 @@ def check_induction(
         ),
         Forall(fresh_x, phi),
     )
-    from .valuation import enumerate_assignments
-
-    assignments = enumerate_assignments(schema, model, ctx, cap)
-    values = [eval_sentence(schema, model, asg, ctx) for asg in assignments]
-    return _quantified_report(model, "induction", values, quantification)
+    sweep = sweep_assignments(schema, model, ctx, cap)
+    return _quantified_report(model, "induction", sweep, quantification)
 
 
 # --- comprehension refutation --------------------------------------------------------

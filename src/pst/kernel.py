@@ -151,11 +151,15 @@ class Planes:
     def from_values(self, pairs: Iterable[tuple[int, int]]) -> tuple:
         """The vector holding element e at id i for each (i, e) pair and
         bottom elsewhere."""
+        return self.from_masks((1 << i, e) for i, e in pairs)
+
+    def from_masks(self, pairs: Iterable[tuple[int, int]]) -> tuple:
+        """The vector holding element e at the ids in mask for each
+        (mask, e) pair, the masks disjoint, and bottom elsewhere."""
         out = [0] * self.width
-        for i, e in pairs:
-            bit = 1 << i
+        for mask, e in pairs:
             for k in self.bits[e]:
-                out[k] |= bit
+                out[k] |= mask
         return tuple(out)
 
 

@@ -532,6 +532,7 @@ def _audit_quantified(
             preds[node.sym] = len(node.args)
             for a in node.args:
                 _collect_term_funcs(a, funcs)
+    vs = sorted(free_vars(inst))
     for alg in algebras:
         fs = saturate(alg, "n4")
         for dsize in range(1, max_domain + 1):
@@ -550,7 +551,6 @@ def _audit_quantified(
                                 limit=budget,
                                 predicted=count,
                             )
-                        vs = sorted(free_vars(inst))
                         for combo in itertools.product(domain, repeat=len(vs)):
                             val = eval_qn4(inst, theta, dict(zip(vs, combo)))
                             if val != alg.top:

@@ -117,6 +117,23 @@ def iff(left: Formula, right: Formula) -> Formula:
     return And(Imp(left, right), Imp(right, left))
 
 
+def iff_sides(phi: Formula) -> tuple[Formula, Formula] | None:
+    """(l, r) when phi is ``iff(l, r)``: both sides shared between l -> r and
+    r -> l.  A walk that visits each side once stays linear in a chain of
+    n biconditionals, where visiting both positions costs 2 ** n."""
+    if phi.__class__ is not And:
+        return None
+    left, right = phi.left, phi.right
+    if (
+        left.__class__ is Imp
+        and right.__class__ is Imp
+        and left.left is right.right
+        and left.right is right.left
+    ):
+        return left.left, left.right
+    return None
+
+
 class SyntaxIssue(PstError):
     pass
 
@@ -189,7 +206,8 @@ def free_vars(phi: Formula) -> frozenset[str]:
             out |= term_vars(a)
         return out
     if isinstance(phi, BINOPS):
-        return free_vars(phi.left) | free_vars(phi.right)
+        left, right = iff_sides(phi) or (phi.left, phi.right)
+        return free_vars(left) | free_vars(right)
     if isinstance(phi, Neg):
         return free_vars(phi.body)
     if isinstance(phi, (Forall, Exists)):
@@ -328,9 +346,22 @@ def is_negation_free(phi: Formula) -> bool:
     if isinstance(phi, Neg):
         return False
     if isinstance(phi, BINOPS):
-        return is_negation_free(phi.left) and is_negation_free(phi.right)
+        left, right = iff_sides(phi) or (phi.left, phi.right)
+        return is_negation_free(left) and is_negation_free(right)
     if isinstance(phi, (Forall, Exists)):
         return is_negation_free(phi.body)
+    return True
+
+
+def negates_atoms_only(phi: Formula) -> bool:
+    """Every negation in phi has an atom or bot as its body."""
+    if isinstance(phi, Neg):
+        return isinstance(phi.body, (Bot, Mem, Eq, Pred))
+    if isinstance(phi, BINOPS):
+        left, right = iff_sides(phi) or (phi.left, phi.right)
+        return negates_atoms_only(left) and negates_atoms_only(right)
+    if isinstance(phi, (Forall, Exists)):
+        return negates_atoms_only(phi.body)
     return True
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -46,8 +47,10 @@ from .syntax import (
     bounded_parts,
     formula_to_text,
     free_vars,
+    iff_sides,
     is_negation_free,
     is_restricted,
+    negates_atoms_only,
     nnf_n4,
     substitute,
 )
@@ -191,14 +194,51 @@ class Assignment:
 EMPTY_ASSIGNMENT = Assignment()
 
 
+class AssignmentIndex:
+    """Every negation assignment of a sentence whose choices all sit at
+    ground atoms, numbered as ``enumerate_assignments`` lists them: a
+    mixed-radix index over the sorted atom keys, the first key most
+    significant, as in ``itertools.product``.
+
+    Evaluated under the index, every value is a vector over it
+    (``kernel.Planes``): a negated atom reads as the vector of its choices,
+    and the connectives and quantifiers combine vectors plane-wise."""
+
+    def __init__(self, options: Mapping[AtomKey, tuple[int, ...]], planes: Planes):
+        self.keys = sorted(options)
+        self.options = [options[key] for key in self.keys]
+        self.size = math.prod(len(opts) for opts in self.options)
+        self.ops = (planes.meet, planes.join, planes.imp)
+        self._choices: dict[AtomKey, Vector] = {}
+        stride = 1  # the last key varies fastest
+        for key, opts in zip(reversed(self.keys), reversed(self.options)):
+            period = stride * len(opts)
+            # digit d of this key: runs of stride positions, one every period
+            repunit = ((1 << self.size) - 1) // ((1 << period) - 1)
+            run = (1 << stride) - 1
+            self._choices[key] = opts[0] if len(opts) == 1 else planes.from_masks(
+                ((run << d * stride) * repunit, choice) for d, choice in enumerate(opts)
+            )
+            stride = period
+
+    def atom(self, key: AtomKey) -> Vector | None:
+        return self._choices.get(key)
+
+    def decode(self, i: int) -> Assignment:
+        atoms = []
+        for key, opts in zip(reversed(self.keys), reversed(self.options)):
+            i, d = divmod(i, len(opts))
+            atoms.append((key, opts[d]))
+        return Assignment(atoms=tuple(reversed(atoms)))
+
+
 def _atom_key(node: Formula, env: Mapping[str, int]) -> AtomKey:
     if isinstance(node, Bot):
         return ("bot",)
     if isinstance(node, Eq):
         a = _resolve(node.left, env)
         b = _resolve(node.right, env)
-        lo, hi = min(a, b), max(a, b)  # equality is symmetric by construction
-        return ("eq", lo, hi)
+        return ("eq", a, b) if a <= b else ("eq", b, a)  # symmetric by construction
     if isinstance(node, Mem):
         return ("mem", _resolve(node.left, env), _resolve(node.right, env))
     if isinstance(node, Pred):
@@ -209,12 +249,13 @@ def _atom_key(node: Formula, env: Mapping[str, int]) -> AtomKey:
 
 
 def _resolve(t: Term, env: Mapping[str, int]) -> int:
-    if isinstance(t, NameConst):
+    if t.__class__ is Var:
+        try:
+            return env[t.name]
+        except KeyError:
+            raise EvalError(f"free variable {t.name!r} in a closed evaluation") from None
+    if t.__class__ is NameConst:
         return t.ref
-    if isinstance(t, Var):
-        if t.name not in env:
-            raise EvalError(f"free variable {t.name!r} in a closed evaluation")
-        return env[t.name]
     raise EvalError("function terms have no set-model interpretation")
 
 
@@ -239,6 +280,14 @@ class _Domain:
         self.need = max(self.ids) + 1 if self.ids else 0
 
 
+def _memo(cache: dict, fn: Callable, key: object):
+    """fn(key), cached by the identity of key while it lives."""
+    hit = cache.get(id(key))
+    if hit is None or hit[0] is not key:
+        hit = cache[id(key)] = (key, fn(key))
+    return hit[1]
+
+
 class EvalContext:
     """Evaluation state for one model: the bit-sliced equality/membership
     kernel (built on first use) and the atom values read so far.
@@ -252,11 +301,13 @@ class EvalContext:
         self.alg = model.algebra
         self._kernel: EqMemKernel | None = None
         self._atoms: dict[AtomKey, int] = {}
-        # id(node) -> (node, value); the node is held so its id stays unique
+        self.element_ops = (self.alg.meet_, self.alg.join_, self.alg.imp_)
+        # id(key) -> (key, value); the key is held so its id stays unique
         self._free: dict[int, tuple[Formula, frozenset[str]]] = {}
         self._negfree: dict[int, tuple[Formula, bool]] = {}
+        self._atoms_only: dict[int, tuple[Formula, bool]] = {}
         self._nnf: dict[int, tuple[Formula, Formula]] = {}
-        self._domains: dict[int, tuple[object, _Domain]] = {}
+        self._domains: dict[int, tuple[Sequence[int], _Domain]] = {}
 
     @property
     def kernel(self) -> EqMemKernel:
@@ -301,36 +352,23 @@ class EvalContext:
 
     def choice_free(self, node: Formula, mode: str) -> bool:
         """No negation choice anywhere in node under this mode."""
-        if mode in ("boolean", "heyting"):
-            return True
-        hit = self._negfree.get(id(node))
-        if hit is None or hit[0] is not node:
-            hit = (node, is_negation_free(node))
-            self._negfree[id(node)] = hit
-        return hit[1]
+        return mode in ("boolean", "heyting") or _memo(self._negfree, is_negation_free, node)
+
+    def compound_free(self, node: Formula) -> bool:
+        """No negation over a compound body in node: in comega mode, no
+        occurrence choice."""
+        return _memo(self._atoms_only, negates_atoms_only, node)
 
     def _free_vars(self, node: Formula) -> frozenset[str]:
-        hit = self._free.get(id(node))
-        if hit is None or hit[0] is not node:
-            hit = (node, free_vars(node))
-            self._free[id(node)] = hit
-        return hit[1]
+        return _memo(self._free, free_vars, node)
 
     def nnf(self, node: Neg) -> Formula:
         """n4 only: a negation pushed to the atoms by ``nnf_n4``."""
-        hit = self._nnf.get(id(node))
-        if hit is None or hit[0] is not node:
-            hit = (node, nnf_n4(node))
-            self._nnf[id(node)] = hit
-        return hit[1]
+        return _memo(self._nnf, nnf_n4, node)
 
     def domain(self, ids: Sequence[int]) -> _Domain:
         """The domain of a sequence of ids, cached while the sequence lives."""
-        hit = self._domains.get(id(ids))
-        if hit is None or hit[0] is not ids:
-            hit = (ids, _Domain(ids))
-            self._domains[id(ids)] = hit
-        return hit[1]
+        return _memo(self._domains, _Domain, ids)
 
     def fold(self, node: Forall | Exists, env: Mapping[str, int], model: SetModel) -> int:
         """A choice-free quantifier as one vector over its variable."""
@@ -373,6 +411,11 @@ class EvalContext:
         if cls is Eq or cls is Mem:
             return self._vector_atom(node, env, var, dom)
         if cls is And:
+            sides = iff_sides(node)
+            if sides is not None:
+                a = self.vector(sides[0], env, var, dom, model)
+                b = self.vector(sides[1], env, var, dom, model)
+                return p.meet(p.imp(a, b), p.imp(b, a))
             return p.meet(
                 self.vector(node.left, env, var, dom, model),
                 self.vector(node.right, env, var, dom, model),
@@ -510,52 +553,60 @@ def _eval(
     trail: tuple[int, ...],
     path: tuple[int, ...],
     model: SetModel,
-    asg: Assignment,
+    asg: Assignment | AssignmentIndex,
     ctx: EvalContext,
-) -> int:
+) -> Vector:
+    """The value of node under a concrete assignment (an element), or under
+    an ``AssignmentIndex`` (a vector over the index)."""
     alg = model.algebra
     if isinstance(node, _ATOMIC):
         return ctx.atom_value(_atom_key(node, env))
+    if isinstance(node, Neg):
+        return _eval_neg(node, env, trail, path, model, asg, ctx)
+    meet, join, imp = asg.ops if asg.__class__ is AssignmentIndex else ctx.element_ops
     if isinstance(node, And):
-        return alg.meet_(
+        sides = iff_sides(node)
+        # a comega negated compound in a side is chosen per position, so
+        # its two positions stay two evaluations
+        if sides is not None and (model.mode != "comega" or ctx.compound_free(node)):
+            a = _eval(sides[0], env, trail, path + (0, 0), model, asg, ctx)
+            b = _eval(sides[1], env, trail, path + (0, 1), model, asg, ctx)
+            return meet(imp(a, b), imp(b, a))
+        return meet(
             _eval(node.left, env, trail, path + (0,), model, asg, ctx),
             _eval(node.right, env, trail, path + (1,), model, asg, ctx),
         )
     if isinstance(node, Or):
-        return alg.join_(
+        return join(
             _eval(node.left, env, trail, path + (0,), model, asg, ctx),
             _eval(node.right, env, trail, path + (1,), model, asg, ctx),
         )
     if isinstance(node, Imp):
-        return alg.imp_(
+        return imp(
             _eval(node.left, env, trail, path + (0,), model, asg, ctx),
             _eval(node.right, env, trail, path + (1,), model, asg, ctx),
         )
-    if isinstance(node, Neg):
-        return _eval_neg(node, env, trail, path, model, asg, ctx)
     if isinstance(node, (Forall, Exists)):
         if ctx.choice_free(node.body, model.mode):
             return ctx.fold(node, env, model)
+        forall = isinstance(node, Forall)
+        acc = alg.top if forall else alg.bottom
         bounded = bounded_parts(node) if model.bounded_opt else None
         if bounded is not None:
             bound_term, body = bounded
             u = _resolve(bound_term, env)
-            vals = []
             for child, a in model.store.get(u).entries:
                 env2 = dict(env)
                 env2[node.var] = child
                 sub = _eval(body, env2, trail + (child,), path + (0, 1), model, asg, ctx)
-                if isinstance(node, Forall):
-                    vals.append(alg.imp_(a, sub))
-                else:
-                    vals.append(alg.meet_(a, sub))
-            return alg.meet_all(vals) if isinstance(node, Forall) else alg.join_all(vals)
-        vals = []
+                acc = meet(acc, imp(a, sub)) if forall else join(acc, meet(a, sub))
+            return acc
+        combine = meet if forall else join
         for nid in model.scope:
             env2 = dict(env)
             env2[node.var] = nid
-            vals.append(_eval(node.body, env2, trail + (nid,), path + (0,), model, asg, ctx))
-        return alg.meet_all(vals) if isinstance(node, Forall) else alg.join_all(vals)
+            acc = combine(acc, _eval(node.body, env2, trail + (nid,), path + (0,), model, asg, ctx))
+        return acc
     raise EvalError(f"cannot evaluate {node!r}")
 
 
@@ -565,9 +616,9 @@ def _eval_neg(
     trail: tuple[int, ...],
     path: tuple[int, ...],
     model: SetModel,
-    asg: Assignment,
+    asg: Assignment | AssignmentIndex,
     ctx: EvalContext,
-) -> int:
+) -> Vector:
     alg = model.algebra
     body = node.body
     if model.mode in ("boolean", "heyting"):
@@ -585,13 +636,14 @@ def _neg_choice(
     trail: tuple[int, ...],
     path: tuple[int, ...],
     model: SetModel,
-    asg: Assignment,
+    asg: Assignment | AssignmentIndex,
     ctx: EvalContext,
-) -> tuple[int, int]:
+) -> tuple[Vector, int]:
     """The chosen value of a negation and the value of its body, the choice
     checked against N_body and, under a double negation, against the
-    double-negation bound.  Atoms take their functional choice; comega
-    compound bodies take the choice of this occurrence."""
+    double-negation bound.  Atoms take their functional choice (from an
+    index, the vector of its admissible choices); comega compound bodies
+    take the choice of this occurrence."""
     body = node.body
     if isinstance(body, _ATOMIC):
         key = _atom_key(body, env)
@@ -599,7 +651,7 @@ def _neg_choice(
         if choice is None:
             raise UncoveredNegation(f"atom {key}")
         base = ctx.atom_value(key)
-        if choice not in model.neg_options(base):
+        if asg.__class__ is Assignment and choice not in model.neg_options(base):
             raise InvalidAssignment(f"choice {choice} not in N_{base} for {key}")
         return choice, base
     choice = asg.occ(("occ", path, trail))
@@ -631,14 +683,41 @@ def enumerate_assignments(
     """All admissible negation assignments for a closed formula, in a
     deterministic order.  The same ground atom receives one value across
     the whole formula; comega compound occurrences are enumerated
-    per-occurrence with the double-negation bound enforced.
-
-    Ground atoms are valued as they are found, and the cap trips as soon
-    as the product of their choice counts passes it."""
-    if model.mode in ("boolean", "heyting") or is_negation_free(phi):
-        return [EMPTY_ASSIGNMENT]
+    per-occurrence with the double-negation bound enforced."""
     ctx = ctx or EvalContext(model)
+    if ctx.choice_free(phi, model.mode):
+        return [EMPTY_ASSIGNMENT]
+    options = _atom_options(phi, model, ctx, cap)
+    option_lists = [[(key, c) for c in options[key]] for key in sorted(options)]
+    if model.mode == "n4" or ctx.compound_free(phi):
+        return [Assignment(atoms=combo) for combo in itertools.product(*option_lists)]
+    out: list[Assignment] = []
+    for atoms in itertools.product(*option_lists):
+        base_asg = Assignment(atoms=atoms)
+        for occs in _occ_space(phi, {}, (), (), model, base_asg, ctx, cap):
+            out.append(Assignment(atoms=atoms, occs=tuple(sorted(occs.items()))))
+            if len(out) > cap:
+                raise CapExceeded(
+                    f"more than {cap} assignments",
+                    cap="ASSIGNMENT_CAP",
+                    limit=cap,
+                    predicted=len(out),
+                )
+    return out
+
+
+def _atom_options(
+    phi: Formula,
+    model: SetModel,
+    ctx: EvalContext,
+    cap: int,
+) -> dict[AtomKey, tuple[int, ...]]:
+    """The admissible choices at every negated ground atom of phi.  Atoms
+    are valued as they are found, and the cap trips as soon as the product
+    of their choice counts passes it."""
     options: dict[AtomKey, tuple[int, ...]] = {}
+    if ctx.choice_free(phi, model.mode):
+        return options
     total = 1
 
     def visit(key: AtomKey) -> None:
@@ -656,24 +735,7 @@ def enumerate_assignments(
             )
 
     _collect_atom_keys(phi, {}, model, ctx, visit)
-    option_lists = [[(key, c) for c in options[key]] for key in sorted(options)]
-    out: list[Assignment] = []
-    for combo in itertools.product(*option_lists):
-        atoms = tuple(combo)
-        if model.mode == "n4":
-            out.append(Assignment(atoms=atoms))
-            continue
-        base_asg = Assignment(atoms=atoms)
-        for occs in _occ_space(phi, {}, (), (), model, base_asg, ctx, cap):
-            out.append(Assignment(atoms=atoms, occs=tuple(sorted(occs.items()))))
-            if len(out) > cap:
-                raise CapExceeded(
-                    f"more than {cap} assignments",
-                    cap="ASSIGNMENT_CAP",
-                    limit=cap,
-                    predicted=len(out),
-                )
-    return out
+    return options
 
 
 def _collect_atom_keys(
@@ -688,6 +750,8 @@ def _collect_atom_keys(
     if isinstance(node, _ATOMIC):
         return
     if isinstance(node, (And, Or, Imp)):
+        if iff_sides(node) is not None:
+            node = node.left  # a -> b holds both sides of a <-> b
         _collect_atom_keys(node.left, env, model, ctx, visit)
         _collect_atom_keys(node.right, env, model, ctx, visit)
         return
@@ -723,40 +787,22 @@ def _occ_space(
 ) -> list[dict[OccKey, int]]:
     """comega only: all per-occurrence choice dictionaries for compound
     negations inside node, given fixed atom choices."""
-    if isinstance(node, _ATOMIC):
+    if ctx.compound_free(node):
         return [{}]
     if isinstance(node, (And, Or, Imp)):
         lefts = _occ_space(node.left, env, trail, path + (0,), model, base_asg, ctx, cap)
         rights = _occ_space(node.right, env, trail, path + (1,), model, base_asg, ctx, cap)
-        out = []
-        for dl in lefts:
-            for dr in rights:
-                merged = dict(dl)
-                merged.update(dr)
-                out.append(merged)
-                if len(out) > cap:
-                    raise _occ_cap(cap)
-        return out
+        return _occ_product(lefts, rights, cap)
     if isinstance(node, (Forall, Exists)):
         spaces: list[dict[OccKey, int]] = [{}]
         for nid in model.scope:
             env2 = dict(env)
             env2[node.var] = nid
             subs = _occ_space(node.body, env2, trail + (nid,), path + (0,), model, base_asg, ctx, cap)
-            merged_out = []
-            for acc in spaces:
-                for d in subs:
-                    merged = dict(acc)
-                    merged.update(d)
-                    merged_out.append(merged)
-                    if len(merged_out) > cap:
-                        raise _occ_cap(cap)
-            spaces = merged_out
+            spaces = _occ_product(spaces, subs, cap)
         return spaces
     if isinstance(node, Neg):
         body = node.body
-        if isinstance(body, _ATOMIC):
-            return [{}]
         inner = _occ_space(body, env, trail, path + (0,), model, base_asg, ctx, cap)
         key = ("occ", path, trail)
         out = []
@@ -775,6 +821,17 @@ def _occ_space(
                     raise _occ_cap(cap)
         return out
     raise EvalError(f"cannot analyse {node!r}")
+
+
+def _occ_product(lefts: list[dict], rights: list[dict], cap: int) -> list[dict[OccKey, int]]:
+    """Each left choice dictionary joined with each right one."""
+    out = []
+    for dl in lefts:
+        for dr in rights:
+            out.append({**dl, **dr})
+            if len(out) > cap:
+                raise _occ_cap(cap)
+    return out
 
 
 def _occ_cap(cap: int) -> CapExceeded:
@@ -819,6 +876,58 @@ class Verdict:
 QUANTIFICATIONS = ("all_assignments", "some_assignment")
 
 
+class Sweep:
+    """A sentence's value under every negation assignment: one vector over
+    the assignments' positions in ``enumerate_assignments`` order."""
+
+    def __init__(self, value: Vector, size: int, decode: Callable[[int], Assignment], planes: Planes):
+        self.value = value
+        self.size = size
+        self.decode = decode
+        self.mask = (1 << size) - 1
+        self.lo = planes.meet_over(value, self.mask)
+        self.hi = planes.join_over(value, self.mask)
+        self.failing = planes.exceeds(planes.top, value) & self.mask  # value not top
+        self.holding = self.mask & ~self.failing
+
+    @classmethod
+    def of(cls, values: Sequence[int], assignments: Sequence[Assignment], planes: Planes) -> "Sweep":
+        """The sweep of values listed one per assignment."""
+        return cls(planes.from_values(enumerate(values)), len(values), assignments.__getitem__, planes)
+
+    def valid(self, quantification: str) -> bool:
+        if quantification == "all_assignments":
+            return not self.failing
+        return bool(self.holding)
+
+    def first(self, positions: int) -> Assignment | None:
+        """The assignment at the lowest position in the mask positions."""
+        return self.decode((positions & -positions).bit_length() - 1) if positions else None
+
+
+def sweep_assignments(
+    phi: Formula,
+    model: SetModel,
+    ctx: EvalContext,
+    cap: int = ASSIGNMENT_CAP,
+) -> Sweep:
+    """The value of a closed formula under every negation assignment.
+
+    When every choice sits at a ground atom (outside comega mode always,
+    in comega mode when no negation has a compound body), phi is evaluated
+    once, under the ``AssignmentIndex``.  A comega negated compound has
+    options that depend on its body's value, so its assignments do not form
+    a product; those sentences are enumerated and evaluated one assignment
+    at a time."""
+    planes = ctx.planes
+    if model.mode == "comega" and not ctx.compound_free(phi):
+        assignments = enumerate_assignments(phi, model, ctx, cap)
+        values = [eval_sentence(phi, model, asg, ctx) for asg in assignments]
+        return Sweep.of(values, assignments, planes)
+    index = AssignmentIndex(_atom_options(phi, model, ctx, cap), planes)
+    return Sweep(_eval(phi, {}, (), (), model, index, ctx), index.size, index.decode, planes)
+
+
 def check_valid(
     phi: Formula,
     model: SetModel,
@@ -831,30 +940,18 @@ def check_valid(
     if quantification not in QUANTIFICATIONS:
         raise EvalError(f"unknown quantification {quantification!r}")
     ctx = ctx or EvalContext(model)
-    assignments = enumerate_assignments(phi, model, ctx, cap)
-    alg = model.algebra
-    lo, hi = alg.top, alg.bottom
-    witness = falsifier = None
-    for asg in assignments:
-        v = eval_sentence(phi, model, asg, ctx)
-        lo = alg.meet_(lo, v)
-        hi = alg.join_(hi, v)
-        if v == alg.top and witness is None:
-            witness = asg
-        if v != alg.top and falsifier is None:
-            falsifier = asg
-    valid = (falsifier is None) if quantification == "all_assignments" else (witness is not None)
+    sweep = sweep_assignments(phi, model, ctx, cap)
     return Verdict(
         subject=formula_to_text(phi),
         mode=model.mode,
         quantification=quantification,
         rank_bound=model.rank_bound,
-        value_lo=lo,
-        value_hi=hi,
-        valid=valid,
-        n_assignments=len(assignments),
-        witness=witness,
-        falsifier=falsifier,
+        value_lo=sweep.lo,
+        value_hi=sweep.hi,
+        valid=sweep.valid(quantification),
+        n_assignments=sweep.size,
+        witness=sweep.first(sweep.holding),
+        falsifier=sweep.first(sweep.failing),
         notes=("rank-relative",),
     )
 
@@ -886,9 +983,9 @@ def check_leibniz(
     names = [nid for nid in model.scope if model.store.get(nid).rank <= rank]
     if all(ctx.choice_free(phi, model.mode) for _, phi in formula_family):
         return _leibniz_vectors(model, formula_family, names, rank, quantification, ctx)
+    p = ctx.planes
     lo = alg.top
     first_violation: tuple[str, ...] = ()
-    valid = True
     for u in names:
         for v in names:
             eq_uv = ctx.eval_eq(u, v)
@@ -897,32 +994,22 @@ def check_leibniz(
                     substitute(phi, var, NameConst(u)),
                     substitute(phi, var, NameConst(v)),
                 )
-                assignments = enumerate_assignments(test, model, ctx, cap)
-                ok_some = False
-                for asg in assignments:
-                    val = eval_sentence(test, model, asg, ctx)
-                    holds = alg.le(eq_uv, val)
-                    lo = alg.meet_(lo, alg.imp_(eq_uv, val))
-                    if holds:
-                        ok_some = True
-                    elif quantification == "all_assignments":
-                        if valid:
-                            first_violation = (
-                                f"u=#{u}",
-                                f"v=#{v}",
-                                f"phi={formula_to_text(phi)}",
-                                f"assignment={asg.fingerprint()}",
-                            )
-                        valid = False
-                if quantification == "some_assignment" and not ok_some:
-                    if valid:
-                        first_violation = (
-                            f"u=#{u}",
-                            f"v=#{v}",
-                            f"phi={formula_to_text(phi)}",
-                            "assignment=all-fail",
-                        )
-                    valid = False
+                sweep = sweep_assignments(test, model, ctx, cap)
+                lo = alg.meet_(lo, p.meet_over(p.imp(eq_uv, sweep.value), sweep.mask))
+                failing = p.exceeds(eq_uv, sweep.value) & sweep.mask
+                if quantification == "all_assignments" and failing:
+                    fp = sweep.first(failing).fingerprint()
+                elif quantification == "some_assignment" and failing == sweep.mask:
+                    fp = "all-fail"
+                else:
+                    continue
+                if not first_violation:
+                    first_violation = (
+                        f"u=#{u}",
+                        f"v=#{v}",
+                        f"phi={formula_to_text(phi)}",
+                        f"assignment={fp}",
+                    )
     return Verdict(
         subject="leibniz",
         mode=model.mode,
@@ -930,7 +1017,7 @@ def check_leibniz(
         rank_bound=rank,
         value_lo=lo,
         value_hi=lo,
-        valid=valid,
+        valid=not first_violation,
         notes=("rank-relative",),
         detail=first_violation,
     )

@@ -36,6 +36,8 @@ N 2: 0 1 2
 end
 """
 
+SAT3_N4 = SAT3.replace("sat3 kind=comega", "sat3n4 kind=n4")
+
 GOOD_DRV = """
 derivation id_arrow system=n4
 1: p -> ((p -> p) -> p) [axiom N1]
@@ -58,6 +60,7 @@ def files(tmp_path):
         ("chain3.alg", CHAIN3),
         ("bool2.alg", BOOL2),
         ("sat3.fst", SAT3),
+        ("sat3n4.fst", SAT3_N4),
         ("good.drv", GOOD_DRV),
         ("bad.drv", BAD_DRV),
     ]:
@@ -197,6 +200,27 @@ def test_eval_result_line_stable(files, capsys):
     code1, out1, _ = run(capsys, *args)
     code2, out2, _ = run(capsys, *args)
     assert out1 == out2 and code1 == code2
+
+
+@pytest.mark.parametrize(
+    "model, formula, printed, mode",
+    [
+        ("sat3n4.fst", "forall x . (x in #2 | ~(x eq x))", "forall x . x in #2 | ~(x eq x)", "n4"),
+        ("sat3.fst", "exists x . (x eq x & ~(x eq x))", "exists x . x eq x & ~(x eq x)", "comega"),
+    ],
+)
+def test_eval_human_output_pinned(files, capsys, model, formula, printed, mode):
+    """The human format is the one place where n_assignments and the value
+    range reach a user; the four atoms ~(x eq x) have three choices each."""
+    code, out, err = run(capsys, "eval", "--model", files[model], "--rank", "2", "--formula", formula)
+    assert (code, err) == (1, "")
+    assert out == (
+        f"formula: {printed}\n"
+        f"mode {mode}, scope 4 names (rank <= 2)\n"
+        "assignments: 81; value range [0, 2]\n"
+        "valid (all_assignments): no\n"
+        f"RESULT mode={mode} rank=2 quant=all_assignments value=0 valid=no assignment=aec366f2551e\n"
+    )
 
 
 def test_leibniz_command(files, capsys):

@@ -1,13 +1,15 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import Reference
+from reference import Reference, enumerated_induction, enumerated_leibniz, enumerated_verdicts
 
-from pst.algebra import chain
-from pst.errors import CapExceeded
+from pst.algebra import chain, enumerate_heyting
+from pst.axioms import check_induction
+from pst.errors import CapExceeded, PstError
 from pst.fidel import saturate
 from pst.names import NameStore
 from pst.syntax import (
@@ -26,12 +28,16 @@ from pst.syntax import (
     MAX_FORMULA_DEPTH,
     Var,
     formula_to_text,
+    iff,
     nnf_n4,
     parse_formula,
+    substitute,
     universal_closure,
 )
 from pst.valuation import (
+    ASSIGNMENT_CAP,
     EMPTY_ASSIGNMENT,
+    QUANTIFICATIONS,
     Assignment,
     EvalContext,
     EvalError,
@@ -49,6 +55,7 @@ from pst.valuation import (
     eval_qn4,
     eval_sentence,
     make_model,
+    sweep_assignments,
     theta_true,
 )
 
@@ -451,6 +458,226 @@ def test_result_line_format(bool_model):
     line = verdict.result_line()
     assert line.startswith("RESULT mode=boolean rank=2 quant=all_assignments ")
     assert "valid=yes" in line and "assignment=none" in line
+
+
+# --- the assignment index ----------------------------------------------------------------
+
+# the sentences of the benchmark's witness-negation workload, and one more
+_WITNESS_SENTENCES = [
+    parse_formula(text)
+    for text in (
+        "forall x . forall y . (x eq y | ~(x eq y))",
+        "forall x . (x eq x | ~(x eq x))",
+        "exists x . (x eq x & ~(x eq x))",
+        "forall x . forall y . (~~(x in y) -> x in y)",
+        "forall x . (~~(x eq x) -> x eq x)",
+        "forall x . forall y . (~(x in y & y in x) <-> (~(x in y) | ~(y in x)))",
+        # not symmetric in its atoms, so a misnumbered index shows
+        "forall x . forall y . (~(x in y) -> ~(x eq y))",
+    )
+]
+
+
+def _saturated_models():
+    return [
+        make_model(saturate(alg, kind), NameStore(), rank)
+        for alg in enumerate_heyting(5)
+        for kind in ("comega", "n4")
+        for rank in (1, 2)
+    ]
+
+
+def _same_outcome(oracle, program):
+    """program() returns what oracle() returns, or raises what it raises:
+    the same error and message, and for a cap trip the same fields."""
+    try:
+        want = oracle()
+    except PstError as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))) as got:
+            program()
+        if isinstance(exc, CapExceeded):
+            assert (got.value.cap, got.value.limit, got.value.predicted) == (exc.cap, exc.limit, exc.predicted)
+        return
+    assert program() == want
+
+
+def _agrees_with_enumeration(phi, model, cap=ASSIGNMENT_CAP):
+    """check_valid under both quantifications against the loop over every
+    assignment: equal verdicts, so equal RESULT lines, n_assignments, value
+    range, witness and falsifier."""
+    _same_outcome(
+        lambda: enumerated_verdicts(phi, model, cap),
+        lambda: {quant: check_valid(phi, model, quant, cap=cap) for quant in QUANTIFICATIONS},
+    )
+
+
+def test_assignment_index_matches_enumeration_on_witness_sentences():
+    """Every saturated comega/n4 structure of size <= 5 at ranks 1 and 2.
+    Past the cap both sides must trip it alike.  The cap is lower where a
+    comega negated compound sends both sides down the same enumerator,
+    which looks up each occurrence choice by a scan: 400 assignments of the
+    De Morgan sentence on a 5-element algebra take a second."""
+    for model in _saturated_models():
+        for phi in _WITNESS_SENTENCES:
+            indexed = model.mode == "n4" or EvalContext(model).compound_free(phi)
+            _agrees_with_enumeration(phi, model, cap=1100 if indexed else 100)
+
+
+def _choice_formulas(leaves):
+    atoms = st.builds(Eq, leaves, leaves) | st.builds(Mem, leaves, leaves) | st.just(Bot())
+
+    def grow(sub):
+        var = st.sampled_from(["x", "y"])
+        return (
+            st.builds(And, sub, sub)
+            | st.builds(Or, sub, sub)
+            | st.builds(Imp, sub, sub)
+            | st.builds(iff, sub, sub)
+            | st.builds(Neg, sub)
+            | st.builds(Forall, var, sub)
+            | st.builds(Exists, var, sub)
+        )
+
+    return st.recursive(atoms, grow, max_leaves=4).map(universal_closure)
+
+
+@pytest.mark.parametrize("kind", ["comega", "n4"])
+def test_assignment_index_matches_enumeration_on_generated_formulas(kind):
+    models = [m for m in _saturated_models() if m.structure.kind == kind]
+    leaves = st.sampled_from(["x", "y"]).map(Var) | st.sampled_from([0, 1]).map(NameConst)
+
+    @given(_choice_formulas(leaves), st.sampled_from(models))
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    def check(phi, model):
+        _agrees_with_enumeration(phi, model)
+
+    check()
+
+
+def test_leibniz_and_induction_match_enumeration():
+    family = [
+        ("x", parse_formula(text))
+        for text in ("~(x eq x)", "~~(x in x)", "~(x in #0) | x eq x")
+    ]
+    cap = 300  # the oracle evaluates the induction schema per assignment: 1.6 s at 1100
+
+    def leibniz(model, var, phi, quant):
+        verdict = check_leibniz(model, [(var, phi)], model.rank_bound, quant, cap=cap)
+        assert verdict.valid == (not verdict.detail)
+        return verdict.value_lo, verdict.detail
+
+    def induction(model, phi, var, quant):
+        report = check_induction(model, phi, var, quant, cap=cap)
+        return report.value, report.valid, report.n_assignments
+
+    for model in _saturated_models():
+        for quant in QUANTIFICATIONS:
+            for var, phi in family:
+                _same_outcome(
+                    lambda: enumerated_leibniz(model, var, phi, model.rank_bound, quant, cap),
+                    lambda: leibniz(model, var, phi, quant),
+                )
+                _same_outcome(
+                    lambda: enumerated_induction(model, phi, var, quant, cap),
+                    lambda: induction(model, phi, var, quant),
+                )
+
+
+def test_assignment_index_numbers_as_itertools_product(comega3_model):
+    """Position i of the index decodes to the i-th enumerated assignment,
+    and each negated atom reads its choice at every position."""
+    store = comega3_model.store
+    e = store.empty_name()
+    ua = store.mk_name([(e, 1)])
+    a, b = (Eq(NameConst(u), NameConst(u)) for u in (e, ua))  # top: N_top = {0, 1, 2}
+    c = Mem(NameConst(e), NameConst(ua))  # 1: N_1 = {2}
+    phi = And(Or(a, Neg(b)), Imp(Neg(a), And(Neg(b), Neg(c))))  # ~a -> ~b: not symmetric
+    ctx = EvalContext(comega3_model)
+    sweep = sweep_assignments(phi, comega3_model, ctx)
+    assignments = enumerate_assignments(phi, comega3_model)
+    assert sweep.size == len(assignments) == 3 * 3
+    for i, asg in enumerate(assignments):
+        assert sweep.decode(i) == asg
+        assert ctx.planes.decode(sweep.value, i) == eval_sentence(phi, comega3_model, asg)
+
+
+def test_iff_sides_are_evaluated_once(monkeypatch):
+    """A 50-term <-> chain, which syntax.iff builds with both sides shared:
+    every walk visits each shared side once, so the work is polynomial in
+    the terms (visiting both positions doubled it per term), and a walk
+    that doubles fails at the call limit instead of running for ever."""
+    import pst.syntax as syntax_mod
+    import pst.valuation as val_mod
+
+    calls = 0
+
+    def count():
+        nonlocal calls
+        calls += 1
+        assert calls < 20_000, "the walk doubles per <->"
+
+    for mod, name in (
+        (val_mod, "_eval"),
+        (val_mod, "_collect_atom_keys"),
+        (syntax_mod, "free_vars"),
+        (syntax_mod, "is_negation_free"),
+        (syntax_mod, "negates_atoms_only"),
+    ):
+        plain = getattr(mod, name)
+
+        def counting(*args, plain=plain):
+            count()
+            return plain(*args)
+
+        monkeypatch.setattr(mod, name, counting)
+    plain_vector = EvalContext.vector
+
+    def counting_vector(self, *args):
+        count()
+        return plain_vector(self, *args)
+
+    monkeypatch.setattr(EvalContext, "vector", counting_vector)
+
+    def chain_of(term, n):
+        out = term
+        for _ in range(n - 1):
+            out = iff(term, out)
+        return Forall("x", out)
+
+    for structure, term, lo in (
+        (chain(3), Eq(x, x), 2),
+        (saturate(chain(3), "n4"), Neg(Eq(x, x)), 2),  # an even chain of one choice
+        (saturate(chain(3), "comega"), Or(Eq(x, x), Neg(Eq(x, x))), 2),
+    ):
+        model = make_model(structure, NameStore(), 2)
+        calls = 0
+        assert sweep_assignments(chain_of(term, 50), model, EvalContext(model)).lo == lo
+    monkeypatch.undo()
+    # a comega negated compound keeps one choice per position: t <-> t has
+    # four occurrences of t, two of which a shared side would never read
+    model = make_model(saturate(chain(3), "comega"), NameStore(), 1)
+    phi = chain_of(Neg(And(Eq(x, x), Eq(x, x))), 2)
+    unshared = substitute(phi, "unused", Var("unused"))  # rebuilds every node
+    assert check_valid(phi, model).n_assignments == 3 ** 4
+    _agrees_with_enumeration(phi, model)
+    assert enumerated_verdicts(phi, model) == enumerated_verdicts(unshared, model)
+
+
+@pytest.mark.parametrize("mode", ["heyting", "comega", "n4"])
+def test_short_iff_chains_match_the_unshared_reference(mode):
+    """Chains of up to 8 terms give the RESULT line of the same chain built
+    without sharing, evaluated by the reference or assignment by
+    assignment."""
+    structure = chain(3) if mode == "heyting" else saturate(chain(3), mode)
+    model = make_model(structure, NameStore(), 2, mode=mode)
+    for text in ("x eq x", "~(x eq #1)", "x in #1 | ~(x in #1)"):
+        for n in range(1, 9):
+            phi = parse_formula("forall x . (" + " <-> ".join([f"({text})"] * n) + ")")
+            unshared = substitute(phi, "unused", Var("unused"))  # rebuilds every node
+            want = enumerated_verdicts(unshared, model)["all_assignments"]
+            if mode == "heyting":
+                assert want.value_lo == Reference(model).eval(unshared)
+            assert check_valid(phi, model).result_line() == want.result_line(), (text, n)
 
 
 # --- bounded quantifier optimisation ---------------------------------------------------
