@@ -189,12 +189,14 @@ def _cmd_eval(args) -> int:
     phi = parse_formula(args.formula)
     quant = "all_assignments" if args.quant == "all" else "some_assignment"
     verdict = val_mod.check_valid(phi, model, quant)
-    lines = [
-        f"formula: {formula_to_text(phi)}",
-        f"mode {verdict.mode}, scope {len(model.scope)} names (rank <= {model.rank_bound})",
-        f"assignments: {verdict.n_assignments}; value range [{verdict.value_lo}, {verdict.value_hi}]",
-        f"valid ({quant}): {'yes' if verdict.valid else 'no'}",
-    ]
+    lines = []
+    if args.format == "human":
+        lines = [
+            f"formula: {formula_to_text(phi)}",
+            f"mode {verdict.mode}, scope {len(model.scope)} names (rank <= {model.rank_bound})",
+            f"assignments: {verdict.n_assignments}; value range [{verdict.value_lo}, {verdict.value_hi}]",
+            f"valid ({quant}): {'yes' if verdict.valid else 'no'}",
+        ]
     _emit(args, lines, verdict.result_line())
     return 0 if verdict.valid else 1
 
@@ -281,11 +283,7 @@ def _cmd_prove_audit(args) -> int:
 
 
 def _cmd_counter_search(args) -> int:
-    budget = search_mod.Budget(
-        max_algebra=args.max_algebra,
-        max_domain=args.max_domain,
-        families=args.families,
-    )
+    budget = search_mod.Budget(max_algebra=args.max_algebra, families=args.families)
     goal = search_mod.SearchGoal(
         kind=args.goal,
         formula=parse_formula(args.formula) if args.formula else None,
@@ -426,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = c_sub.add_parser("search", help="run a search goal", parents=[common])
     p.add_argument("--goal", choices=search_mod.GOALS + ("congruence",), required=True)
     p.add_argument("--max-algebra", type=int, default=3)
-    p.add_argument("--max-domain", type=int, default=2)
     p.add_argument("--formula", default=None)
     p.add_argument("--premise", action="append", default=[])
     p.add_argument("--logic", choices=("n4", "comega"), default="n4")
@@ -457,7 +454,7 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "goal", None) == "congruence":
             return _cmd_counter_congruence(args)
         return args.func(args)
-    except (PstError, SyntaxIssue, CliError, OSError) as exc:
+    except (PstError, SyntaxIssue, CliError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

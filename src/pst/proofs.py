@@ -27,6 +27,7 @@ from .syntax import (
     Imp,
     Mem,
     Meta,
+    NameConst,
     Neg,
     Or,
     Pred,
@@ -36,18 +37,12 @@ from .syntax import (
     free_for,
     free_vars,
     iff,
-    prop_atoms,
+    map_terms,
     substitute,
     subformulas,
 )
-from .valuation import (
-    EvalContext,
-    ThetaStructure,
-    enumerate_assignments,
-    eval_qn4,
-    eval_sentence,
-    make_model,
-)
+from .search import _table_walk
+from .valuation import AssignmentIndex, EvalContext, eval_sentence, make_model
 
 
 class ProofError(PstError):
@@ -466,6 +461,13 @@ def audit_soundness(
     )
 
 
+def _check_budget(count: int, budget: int) -> None:
+    if count > budget:
+        raise CapExceeded(
+            "audit evaluation budget exhausted", cap="eval_cap", limit=budget, predicted=count
+        )
+
+
 def _audit_propositional(
     sid: str,
     inst: Formula,
@@ -475,37 +477,21 @@ def _audit_propositional(
     logic: str = "n4",
 ) -> int:
     count = 0
-    atoms = sorted(prop_atoms(inst))
-    for alg in algebras:
-        fs = saturate(alg, logic)
-        store = NameStore()
-        for values in itertools.product(range(alg.size), repeat=len(atoms)):
-            model = make_model(
-                fs, store, 0, scope=(), prop_values=dict(zip(atoms, values))
+    structures = (saturate(alg, logic) for alg in algebras)
+    for fs, table, asg, (val,) in _table_walk(inst, [(inst, ())], structures):
+        count += 1
+        _check_budget(count, budget)
+        if val != fs.algebra.top:
+            failures.append(
+                AuditFailure(
+                    schema=sid,
+                    instance=formula_to_text(inst),
+                    algebra_size=fs.algebra.size,
+                    domain_size=0,
+                    tables=f"atoms={table} negs={asg.fingerprint()}",
+                    value=val,
+                )
             )
-            ctx = EvalContext(model)
-            for asg in enumerate_assignments(inst, model, ctx):
-                count += 1
-                if count > budget:
-                    raise CapExceeded(
-                        "audit evaluation budget exhausted",
-                        cap="eval_cap",
-                        limit=budget,
-                        predicted=count,
-                    )
-                val = eval_sentence(inst, model, asg, ctx)
-                if val != alg.top:
-                    failures.append(
-                        AuditFailure(
-                            schema=sid,
-                            instance=formula_to_text(inst),
-                            algebra_size=alg.size,
-                            domain_size=0,
-                            tables=f"atoms={dict(zip(atoms, values))} "
-                            f"negs={asg.fingerprint()}",
-                            value=val,
-                        )
-                    )
     return count
 
 
@@ -516,6 +502,16 @@ def _collect_term_funcs(t: Term, funcs: dict[str, int]) -> None:
             _collect_term_funcs(a, funcs)
 
 
+def _ground(t: Term, ftab: Mapping[str, Mapping[tuple, int]]) -> Term:
+    """A closed function term as the domain element its table gives it."""
+    if isinstance(t, FuncApp):
+        args = tuple(_ground(a, ftab) for a in t.args)
+        if all(isinstance(a, NameConst) for a in args):
+            return NameConst(ftab[t.sym][tuple(a.ref for a in args)])
+        return FuncApp(t.sym, args)
+    return t
+
+
 def _audit_quantified(
     sid: str,
     inst: Formula,
@@ -524,6 +520,13 @@ def _audit_quantified(
     failures: list[AuditFailure],
     budget: int,
 ) -> int:
+    """Evaluate a closed instance over every domain of at most max_domain
+    elements, every predicate table and every function table, under every
+    admissible table of negated-predicate values.  The domain is the
+    quantifier scope, each predicate cell a table atom whose negation
+    choices are one digit of an ``AssignmentIndex``: one vector evaluation
+    covers every negation table, in ``itertools.product`` order over the
+    sorted cells."""
     count = 0
     preds: dict[str, int] = {}
     funcs: dict[str, int] = {}
@@ -532,38 +535,41 @@ def _audit_quantified(
             preds[node.sym] = len(node.args)
             for a in node.args:
                 _collect_term_funcs(a, funcs)
-    vs = sorted(free_vars(inst))
     for alg in algebras:
         fs = saturate(alg, "n4")
         for dsize in range(1, max_domain + 1):
             domain = tuple(range(dsize))
-            pred_tables = _all_tables(preds, domain, range(alg.size))
             func_tables = _all_tables(funcs, domain, domain)
-            for ptab in pred_tables:
+            for ptab in _all_tables(preds, domain, range(alg.size)):
+                cells: dict[str | tuple, int] = {}
+                options: dict[tuple, tuple[int, ...]] = {}
+                for sym, table in ptab.items():
+                    for args, value in table.items():
+                        cells[(sym, args) if args else sym] = value
+                        options[("pred", sym, args) if args else ("pred", sym)] = fs.negs[value]
+                model = make_model(fs, NameStore(), 0, scope=domain, prop_values=cells)
+                ctx = EvalContext(model)
+                p = ctx.planes
+                index = AssignmentIndex(options, p)
                 for ftab in func_tables:
-                    for ntab in _neg_tables(ptab, fs):
-                        theta = ThetaStructure(fs, domain, ptab, ftab, ntab)
-                        count += 1
-                        if count > budget:
-                            raise CapExceeded(
-                                "audit evaluation budget exhausted",
-                                cap="eval_cap",
-                                limit=budget,
-                                predicted=count,
+                    count += index.size
+                    _check_budget(count, budget)
+                    grounded = map_terms(inst, lambda t: _ground(t, ftab))
+                    value = eval_sentence(grounded, model, index, ctx)
+                    failing = p.exceeds(p.top, value) & ((1 << index.size) - 1)
+                    while failing:
+                        low = failing & -failing
+                        failing ^= low
+                        failures.append(
+                            AuditFailure(
+                                schema=sid,
+                                instance=formula_to_text(inst),
+                                algebra_size=alg.size,
+                                domain_size=dsize,
+                                tables=repr(ptab),
+                                value=p.decode(value, low.bit_length() - 1),
                             )
-                        for combo in itertools.product(domain, repeat=len(vs)):
-                            val = eval_qn4(inst, theta, dict(zip(vs, combo)))
-                            if val != alg.top:
-                                failures.append(
-                                    AuditFailure(
-                                        schema=sid,
-                                        instance=formula_to_text(inst),
-                                        algebra_size=alg.size,
-                                        domain_size=dsize,
-                                        tables=repr(ptab),
-                                        value=val,
-                                    )
-                                )
+                        )
     return count
 
 
@@ -580,18 +586,3 @@ def _all_tables(symbols: Mapping[str, int], domain, codomain) -> list[dict]:
                 new_out.append(table)
         out = new_out
     return out
-
-
-def _neg_tables(ptab: Mapping[str, Mapping[tuple, int]], fs) -> Iterator[dict]:
-    """Every admissible negated-atom table over the predicate tables."""
-    cells = [
-        (sym, args, base)
-        for sym, table in sorted(ptab.items())
-        for args, base in sorted(table.items())
-    ]
-    option_lists = [fs.negs[base] for _, _, base in cells]
-    for combo in itertools.product(*option_lists):
-        out: dict[str, dict] = {sym: {} for sym, _, _ in cells}
-        for (sym, args, _), val in zip(cells, combo):
-            out[sym][args] = val
-        yield out

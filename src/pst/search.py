@@ -10,15 +10,15 @@ Search order is deterministic: algebras ascending by size, candidate
 negation families lexicographically, atom values and choices
 lexicographically; the first find is therefore the smallest in that
 order.  Every finding is re-certified in a fresh evaluation context.
-Searches run sequentially; exhaustion is reported from the one ordered
-pass, since evaluation is deterministic.
+Exhaustion is reported from the one ordered pass, since evaluation is
+deterministic.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .algebra import FiniteHeytingAlgebra, enumerate_heyting
 from .errors import PstError
@@ -26,6 +26,8 @@ from .fidel import FidelError, FStructure, saturate, validate_comega, validate_n
 from .names import NameStore
 from .syntax import And, Formula, Neg, Pred, formula_to_text, prop_atoms
 from .valuation import (
+    ASSIGNMENT_CAP,
+    Assignment,
     EvalContext,
     SetModel,
     enumerate_assignments,
@@ -43,7 +45,6 @@ class SearchError(PstError):
 @dataclass(frozen=True)
 class Budget:
     max_algebra: int = 3
-    max_domain: int = 2
     max_assignments: int = 20_000
     families: str = "saturated"  # or "all"
 
@@ -96,58 +97,69 @@ def _families(alg: FiniteHeytingAlgebra, which: str, kind: str) -> Iterator[FStr
             continue
 
 
-def _prop_model(fs: FStructure, values: Mapping[str, int], logic: str) -> SetModel:
-    return make_model(
-        FStructure(fs.algebra, fs.negs, logic),
-        NameStore(),
-        0,
-        scope=(),
-        prop_values=dict(values),
-    )
+def _prop_model(fs: FStructure, values: Mapping[str, int]) -> SetModel:
+    return make_model(fs, NameStore(), 0, scope=(), prop_values=values)
 
 
-def search(goal: SearchGoal, jobs: int = 1) -> Finding | Exhausted:
-    """Run the requested goal within budget; deterministic.
+def _table_walk(
+    joint: Formula,
+    parts: Sequence[tuple[Formula, tuple[int, ...]]],
+    structures: Iterable[FStructure],
+    cap: int = ASSIGNMENT_CAP,
+) -> Iterator[tuple[FStructure, dict[str, int], Assignment, list[int]]]:
+    """(structure, atom table, assignment, part values) for every structure
+    given, every table of values of the propositional atoms of joint
+    (lexicographically over the sorted atoms) and every negation assignment
+    of joint, in enumeration order.  Each part is evaluated at its position
+    in joint, so one assignment serves all of them."""
+    atoms = sorted(prop_atoms(joint))
+    for fs in structures:
+        for values in itertools.product(range(fs.algebra.size), repeat=len(atoms)):
+            table = dict(zip(atoms, values))
+            model = _prop_model(fs, table)
+            ctx = EvalContext(model)
+            for asg in enumerate_assignments(joint, model, ctx, cap):
+                yield fs, table, asg, [eval_sentence(f, model, asg, ctx, path) for f, path in parts]
 
-    ``jobs`` is accepted for compatibility; the search runs sequentially.
-    """
+
+def search(goal: SearchGoal) -> Finding | Exhausted:
+    """Run the requested goal within budget; deterministic."""
     if goal.kind not in GOALS:
         raise SearchError(f"unknown goal {goal.kind!r}")
     algebras = list(enumerate_heyting(goal.budget.max_algebra))
     if goal.kind == "non_explosion":
         out = _search_non_explosion(goal, algebras)
-    elif goal.kind == "refute_sequent":
-        out = _search_sequent(goal, algebras)
     else:
-        out = _search_refute(goal, _refuted(goal), algebras)
+        out = _search_sequent(goal, algebras)
     if isinstance(out, Finding):
         _recertify(out, goal)
     return out
 
 
-def _refuted(goal: SearchGoal) -> Formula:
-    """The formula a refute_formula or separate_n4_n3 search refutes."""
+def _sequent(goal: SearchGoal) -> tuple[Formula, list[tuple[Formula, tuple[int, ...]]]]:
+    """The joint sentence premise_n & (... & (premise_1 & conclusion)) whose
+    assignments a search enumerates, and the premises and then the
+    conclusion with their positions in it.  A refute_formula or
+    separate_n4_n3 goal is a sequent without premises."""
+    premises: tuple[Formula, ...] = ()
     if goal.kind == "separate_n4_n3":
         from .proofs import SCHEMAS, _instantiate
 
-        return _instantiate(
+        conclusion = _instantiate(
             SCHEMAS["N14"].template,
             {"alpha": Pred("p", ()), "beta": Pred("q", ())},
         )
-    if goal.formula is None:
+    elif goal.formula is None:
+        if goal.kind == "refute_sequent":
+            raise SearchError("refute_sequent needs a conclusion formula")
         raise SearchError("refute_formula needs a formula")
-    return goal.formula
-
-
-def _sequent(goal: SearchGoal) -> tuple[Formula, list[tuple[Formula, tuple[int, ...]]]]:
-    """The joint sentence premise_n & (... & (premise_1 & conclusion)) whose
-    assignments a sequent search enumerates, and the premises and then the
-    conclusion with their positions in it."""
-    if goal.formula is None:
-        raise SearchError("refute_sequent needs a conclusion formula")
-    joint = goal.formula
-    parts = [(goal.formula, ())]
-    for g in goal.premises:
+    else:
+        conclusion = goal.formula
+        if goal.kind == "refute_sequent":
+            premises = goal.premises
+    joint = conclusion
+    parts = [(conclusion, ())]
+    for g in premises:
         joint = And(g, joint)
         parts = [(f, (1,) + path) for f, path in parts] + [(g, (0,))]
     return joint, parts[1:] + parts[:1]
@@ -165,7 +177,7 @@ def _search_non_explosion(goal: SearchGoal, algebras) -> Finding | Exhausted:
                 for neg_p in fs.negs[top]:
                     census["candidates"] += 1
                     if neg_p == top and q_val != top:
-                        model = _prop_model(fs, {"p": top, "q": q_val}, goal.logic)
+                        model = _prop_model(fs, {"p": top, "q": q_val})
                         ctx = EvalContext(model)
                         asgs = [
                             a
@@ -192,66 +204,33 @@ def _search_non_explosion(goal: SearchGoal, algebras) -> Finding | Exhausted:
     return Exhausted("non_explosion", tuple(sorted(census.items())))
 
 
-def _search_refute(goal: SearchGoal, phi: Formula, algebras) -> Finding | Exhausted:
-    census = {"evaluations": 0}
-    atoms = sorted(prop_atoms(phi))
-    for alg in algebras:
-        for fs in _families(alg, goal.budget.families, goal.logic):
-            for values in itertools.product(range(alg.size), repeat=len(atoms)):
-                table = dict(zip(atoms, values))
-                model = _prop_model(fs, table, goal.logic)
-                ctx = EvalContext(model)
-                for asg in enumerate_assignments(phi, model, ctx, goal.budget.max_assignments):
-                    census["evaluations"] += 1
-                    val = eval_sentence(phi, model, asg, ctx)
-                    if val != alg.top:
-                        return Finding(
-                            goal=goal.kind,
-                            algebra_size=alg.size,
-                            structure=fs,
-                            atom_values=tuple(sorted(table.items())),
-                            assignment_fingerprint=asg.fingerprint(),
-                            values=((formula_to_text(phi), val),),
-                            description=(f"||{formula_to_text(phi)}|| = {val} < top = {alg.top}",),
-                        )
-    return Exhausted(goal.kind, tuple(sorted(census.items())))
-
-
 def _search_sequent(goal: SearchGoal, algebras) -> Finding | Exhausted:
     """Premises all top, conclusion below top, under one joint assignment."""
-    census = {"evaluations": 0}
     joint, parts = _sequent(goal)
-    atoms = sorted(prop_atoms(joint))
-    for alg in algebras:
-        for fs in _families(alg, goal.budget.families, goal.logic):
-            for values in itertools.product(range(alg.size), repeat=len(atoms)):
-                table = dict(zip(atoms, values))
-                model = _prop_model(fs, table, goal.logic)
-                ctx = EvalContext(model)
-                for asg in enumerate_assignments(joint, model, ctx, goal.budget.max_assignments):
-                    census["evaluations"] += 1
-                    vals = [eval_sentence(f, model, asg, ctx, path) for f, path in parts]
-                    prem_vals, concl = vals[:-1], vals[-1]
-                    if all(v == alg.top for v in prem_vals) and concl != alg.top:
-                        return Finding(
-                            goal="refute_sequent",
-                            algebra_size=alg.size,
-                            structure=fs,
-                            atom_values=tuple(sorted(table.items())),
-                            assignment_fingerprint=asg.fingerprint(),
-                            values=(
-                                *(
-                                    (formula_to_text(g), v)
-                                    for g, v in zip(goal.premises, prem_vals)
-                                ),
-                                (formula_to_text(goal.formula), concl),
-                            ),
-                            description=(
-                                "premises all top, conclusion "
-                                f"{concl} < top;",
-                            ),
-                        )
-    return Exhausted("refute_sequent", tuple(sorted(census.items())))
+    structures = (
+        fs for alg in algebras for fs in _families(alg, goal.budget.families, goal.logic)
+    )
+    evaluations = 0
+    for fs, table, asg, vals in _table_walk(joint, parts, structures, goal.budget.max_assignments):
+        evaluations += 1
+        top = fs.algebra.top
+        *prem_vals, concl = vals
+        if concl != top and all(v == top for v in prem_vals):
+            values = tuple((formula_to_text(f), v) for (f, _), v in zip(parts, vals))
+            if goal.kind == "refute_sequent":
+                description = f"premises all top, conclusion {concl} < top;"
+            else:
+                description = f"||{values[0][0]}|| = {concl} < top = {top}"
+            return Finding(
+                goal=goal.kind,
+                algebra_size=fs.algebra.size,
+                structure=fs,
+                atom_values=tuple(sorted(table.items())),
+                assignment_fingerprint=asg.fingerprint(),
+                values=values,
+                description=(description,),
+            )
+    return Exhausted(goal.kind, (("evaluations", evaluations),))
 
 
 def _recertify(finding: Finding, goal: SearchGoal) -> None:
@@ -259,17 +238,14 @@ def _recertify(finding: Finding, goal: SearchGoal) -> None:
     exact assignment the finding names (a sequent's premises and conclusion
     under that one assignment); findings that fail re-certification are a
     bug, not a result."""
-    model = _prop_model(finding.structure, dict(finding.atom_values), goal.logic)
+    model = _prop_model(finding.structure, dict(finding.atom_values))
     ctx = EvalContext(model)
-    if goal.kind == "refute_sequent":
-        sentence, parts = _sequent(goal)
-    elif goal.kind == "non_explosion":
+    if goal.kind == "non_explosion":
         p, q = Pred("p", ()), Pred("q", ())
         sentence = Neg(p)
         parts = [(p, ()), (sentence, ()), (q, ())]
     else:
-        sentence = _refuted(goal)
-        parts = [(sentence, ())]
+        sentence, parts = _sequent(goal)
     named = [
         a
         for a in enumerate_assignments(sentence, model, ctx, goal.budget.max_assignments)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 from .errors import PstError
 
@@ -236,7 +236,8 @@ def free_for(t: Term, x: str, phi: Formula) -> bool:
                 return not (tvs & blocked)
             return True
         if isinstance(node, BINOPS):
-            return walk(node.left, blocked) and walk(node.right, blocked)
+            left, right = iff_sides(node) or (node.left, node.right)
+            return walk(left, blocked) and walk(right, blocked)
         if isinstance(node, Neg):
             return walk(node.body, blocked)
         if isinstance(node, (Forall, Exists)):
@@ -255,43 +256,47 @@ def substitute(phi: Formula, x: str, t: Term) -> Formula:
     """
     if not free_for(t, x, phi):
         raise NotFreeFor(t, x)
+    return map_terms(phi, lambda term: _subst_term(term, x, t), x)
+
+
+def map_terms(phi: Formula, fn: Callable[[Term], Term], bound: str | None = None) -> Formula:
+    """phi with every term of its atoms replaced by fn(term), except below
+    a quantifier over ``bound``.  The shared sides of a <-> are rewritten
+    once and stay shared."""
 
     def walk(node: Formula) -> Formula:
-        if isinstance(node, (Bot, Meta)):
-            return node
-        if isinstance(node, Mem):
-            return Mem(_subst_term(node.left, x, t), _subst_term(node.right, x, t))
-        if isinstance(node, Eq):
-            return Eq(_subst_term(node.left, x, t), _subst_term(node.right, x, t))
-        if isinstance(node, Pred):
-            return Pred(node.sym, tuple(_subst_term(a, x, t) for a in node.args))
-        if isinstance(node, And):
-            return And(walk(node.left), walk(node.right))
-        if isinstance(node, Or):
-            return Or(walk(node.left), walk(node.right))
-        if isinstance(node, Imp):
-            return Imp(walk(node.left), walk(node.right))
-        if isinstance(node, Neg):
+        cls = node.__class__
+        if cls is Mem or cls is Eq:
+            return cls(fn(node.left), fn(node.right))
+        if cls is Pred:
+            return Pred(node.sym, tuple(fn(a) for a in node.args))
+        if cls is And or cls is Or or cls is Imp:
+            sides = iff_sides(node)
+            if sides is not None:
+                return iff(walk(sides[0]), walk(sides[1]))
+            return cls(walk(node.left), walk(node.right))
+        if cls is Neg:
             return Neg(walk(node.body))
-        if isinstance(node, (Forall, Exists)):
-            if node.var == x:
-                return node
-            body = walk(node.body)
-            return type(node)(node.var, body)
+        if cls is Forall or cls is Exists:
+            return node if node.var == bound else cls(node.var, walk(node.body))
+        if cls is Bot or cls is Meta:
+            return node
         raise TypeError(f"not a formula: {node!r}")
 
     return walk(phi)
 
 
 def subformulas(phi: Formula) -> Iterator[Formula]:
-    """phi and each of its subformulas, in pre-order, left before right."""
+    """phi and each of its subformulas, in pre-order, left before right.
+    A <-> is one node over its two sides, each visited once."""
     stack = [phi]
     while stack:
         node = stack.pop()
         yield node
         if isinstance(node, BINOPS):
-            stack.append(node.right)
-            stack.append(node.left)
+            left, right = iff_sides(node) or (node.left, node.right)
+            stack.append(right)
+            stack.append(left)
         elif isinstance(node, (Neg, Forall, Exists)):
             stack.append(node.body)
 
@@ -330,6 +335,9 @@ def nnf_n4(phi: Formula) -> Formula:
             raise NegOverQuantifier(b)
         return phi  # atom or bot
     if isinstance(phi, And):
+        sides = iff_sides(phi)
+        if sides is not None:
+            return iff(nnf_n4(sides[0]), nnf_n4(sides[1]))
         return And(nnf_n4(phi.left), nnf_n4(phi.right))
     if isinstance(phi, Or):
         return Or(nnf_n4(phi.left), nnf_n4(phi.right))
@@ -409,7 +417,7 @@ def bounded_exists(var: str, bound: Term, body: Formula) -> Formula:
 
 # --- printing ----------------------------------------------------------------
 
-_PREC_IMP, _PREC_OR, _PREC_AND, _PREC_NEG = 1, 2, 3, 4
+_PREC_IFF, _PREC_IMP, _PREC_OR, _PREC_AND, _PREC_NEG = 1, 2, 3, 4, 5
 
 
 def term_to_text(t: Term) -> str:
@@ -442,6 +450,10 @@ def _print(node: Formula, ctx: int) -> str:
     if isinstance(node, Neg):
         return "~" + _print(node.body, _PREC_NEG)
     if isinstance(node, And):
+        sides = iff_sides(node)
+        if sides is not None:  # lowest and right-associative, as parsed
+            s = f"{_print(sides[0], _PREC_IFF + 1)} <-> {_print(sides[1], _PREC_IFF)}"
+            return f"({s})" if ctx > _PREC_IFF else s
         s = f"{_print(node.left, _PREC_AND)} & {_print(node.right, _PREC_AND + 1)}"
         return f"({s})" if ctx > _PREC_AND else s
     if isinstance(node, Or):

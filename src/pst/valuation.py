@@ -35,7 +35,6 @@ from .syntax import (
     Exists,
     Forall,
     Formula,
-    FuncApp,
     Imp,
     Mem,
     NameConst,
@@ -50,6 +49,7 @@ from .syntax import (
     iff_sides,
     is_negation_free,
     is_restricted,
+    map_terms,
     negates_atoms_only,
     nnf_n4,
     substitute,
@@ -97,7 +97,9 @@ class SetModel:
     mode: str
     scope: tuple[int, ...]
     bounded_opt: bool = False
-    prop_values: Mapping[str, int] = field(default_factory=dict)
+    # predicate table: sym -> value for a 0-ary atom, (sym, args) -> value
+    # for an atom over the name ids args
+    prop_values: Mapping[str | tuple, int] = field(default_factory=dict)
 
     def neg_options(self, value: int) -> tuple[int, ...]:
         if self.structure is None:
@@ -124,7 +126,7 @@ def make_model(
     mode: str | None = None,
     scope: Sequence[int] | None = None,
     bounded_opt: bool = False,
-    prop_values: Mapping[str, int] | None = None,
+    prop_values: Mapping[str | tuple, int] | None = None,
 ) -> SetModel:
     """Build a model; the scope defaults to all names of rank <= bound."""
     if isinstance(structure, FStructure):
@@ -243,7 +245,7 @@ def _atom_key(node: Formula, env: Mapping[str, int]) -> AtomKey:
         return ("mem", _resolve(node.left, env), _resolve(node.right, env))
     if isinstance(node, Pred):
         if node.args:
-            raise EvalError("predicate atoms with arguments need a theta structure")
+            return ("pred", node.sym, tuple(_resolve(a, env) for a in node.args))
         return ("pred", node.sym)
     raise EvalError(f"not an atom: {node!r}")
 
@@ -341,11 +343,14 @@ class EvalContext:
             return self.kernel.eq(key[1], key[2])
         if key[0] == "mem":
             return self.kernel.mem(key[1], key[2])
-        if key[0] == "pred":
-            sym = key[1]
-            if sym not in self.model.prop_values:
-                raise EvalError(f"no value for propositional atom {sym!r}")
-            return self.model.prop_values[sym]
+        if key[0] == "pred":  # a table cell: sym, or (sym, args) with arguments
+            cell = key[1] if len(key) == 2 else key[1:]
+            if cell not in self.model.prop_values:
+                if len(key) == 2:
+                    raise EvalError(f"no value for propositional atom {cell!r}")
+                args = ", ".join(f"#{a}" for a in key[2])
+                raise EvalError(f"no value for predicate atom {key[1]}({args})")
+            return self.model.prop_values[cell]
         raise EvalError(f"bad atom key {key!r}")
 
     # --- vector folds ---------------------------------------------------------
@@ -410,6 +415,13 @@ class EvalContext:
         p = self.planes
         if cls is Eq or cls is Mem:
             return self._vector_atom(node, env, var, dom)
+        if cls is Pred:
+            env2 = dict(env)
+            values = []
+            for i in dom.ids:
+                env2[var] = i
+                values.append((i, self.atom_value(_atom_key(node, env2))))
+            return p.from_values(values)
         if cls is And:
             sides = iff_sides(node)
             if sides is not None:
@@ -502,11 +514,12 @@ class EvalContext:
 def eval_sentence(
     phi: Formula,
     model: SetModel,
-    assignment: Assignment = EMPTY_ASSIGNMENT,
+    assignment: Assignment | AssignmentIndex = EMPTY_ASSIGNMENT,
     ctx: EvalContext | None = None,
     path: tuple[int, ...] = (),
-) -> int:
-    """Truth value of a closed formula under a concrete assignment.
+) -> Vector:
+    """Truth value of a closed formula under a concrete assignment (an
+    element), or under an ``AssignmentIndex`` (a vector over the index).
 
     ``path`` is the position of phi inside the sentence the assignment was
     enumerated for; comega occurrence choices are keyed by position."""
@@ -845,7 +858,6 @@ def _occ_cap(cap: int) -> CapExceeded:
 
 @dataclass(frozen=True)
 class Verdict:
-    subject: str
     mode: str
     quantification: str | None
     rank_bound: int
@@ -942,7 +954,6 @@ def check_valid(
     ctx = ctx or EvalContext(model)
     sweep = sweep_assignments(phi, model, ctx, cap)
     return Verdict(
-        subject=formula_to_text(phi),
         mode=model.mode,
         quantification=quantification,
         rank_bound=model.rank_bound,
@@ -1011,7 +1022,6 @@ def check_leibniz(
                         f"assignment={fp}",
                     )
     return Verdict(
-        subject="leibniz",
         mode=model.mode,
         quantification=quantification,
         rank_bound=rank,
@@ -1057,7 +1067,6 @@ def _leibniz_vectors(
             fp = EMPTY_ASSIGNMENT.fingerprint() if quantification == "all_assignments" else "all-fail"
             first_violation = (f"u=#{u}", f"v=#{v}", f"phi={formula_to_text(phi)}", f"assignment={fp}")
     return Verdict(
-        subject="leibniz",
         mode=model.mode,
         quantification=quantification,
         rank_bound=rank,
@@ -1067,108 +1076,6 @@ def _leibniz_vectors(
         notes=("rank-relative",),
         detail=first_violation,
     )
-
-
-# --- theta structures (general predicate semantics) -----------------------------------
-
-
-@dataclass(frozen=True)
-class ThetaStructure:
-    """An F-structure over a finite first-order domain: predicate tables
-    into the algebra, function tables into the domain, and a table of
-    chosen negation values for each atom."""
-
-    fstructure: FStructure
-    domain: tuple
-    preds: Mapping[str, Mapping[tuple, int]]
-    funcs: Mapping[str, Mapping[tuple, object]]
-    neg_preds: Mapping[str, Mapping[tuple, int]]
-
-    def __post_init__(self) -> None:
-        for sym, table in self.neg_preds.items():
-            if sym not in self.preds:
-                raise EvalError(f"negation table for unknown predicate {sym!r}")
-            for args, nv in table.items():
-                base = self.preds[sym][args]
-                if nv not in self.fstructure.negs[base]:
-                    raise InvalidAssignment(
-                        f"~{sym}{args} = {nv} not in N_{base}"
-                    )
-
-    @property
-    def algebra(self) -> FiniteHeytingAlgebra:
-        return self.fstructure.algebra
-
-
-def eval_qn4(
-    phi: Formula,
-    theta: ThetaStructure,
-    valuation: Mapping[str, object] | None = None,
-) -> int:
-    """Truth value over a theta structure; negation over a compound is
-    pushed to the atoms by ``nnf_n4`` and read from the negated-atom table
-    at atoms."""
-    return _eval_theta(phi, theta, dict(valuation or {}))
-
-
-def _theta_term(t: Term, theta: ThetaStructure, v: Mapping[str, object]) -> object:
-    if isinstance(t, Var):
-        if t.name not in v:
-            raise EvalError(f"unassigned variable {t.name!r}")
-        return v[t.name]
-    if isinstance(t, FuncApp):
-        args = tuple(_theta_term(a, theta, v) for a in t.args)
-        try:
-            return theta.funcs[t.sym][args]
-        except KeyError as exc:
-            raise EvalError(f"no interpretation for {t.sym}{args}") from exc
-    raise EvalError("name constants have no theta interpretation")
-
-
-def _eval_theta(phi: Formula, theta: ThetaStructure, v: dict) -> int:
-    alg = theta.algebra
-    negated = isinstance(phi, Neg)
-    atom = phi.body if negated else phi
-    if isinstance(atom, Bot):
-        if negated:
-            raise UncoveredNegation("~bot has no clause")
-        return alg.bottom
-    if isinstance(atom, Pred):
-        args = tuple(_theta_term(a, theta, v) for a in atom.args)
-        table = theta.neg_preds if negated else theta.preds
-        try:
-            return table[atom.sym][args]
-        except KeyError as exc:
-            if negated:
-                raise UncoveredNegation(f"~{atom.sym}{args}") from exc
-            raise EvalError(f"no table for {atom.sym}{args}") from exc
-    if isinstance(atom, (Mem, Eq)):
-        raise EvalError("set atoms have no theta interpretation")
-    if negated:  # over a compound: push it to the atoms
-        return _eval_theta(nnf_n4(phi), theta, v)
-    if isinstance(phi, And):
-        return alg.meet_(_eval_theta(phi.left, theta, v), _eval_theta(phi.right, theta, v))
-    if isinstance(phi, Or):
-        return alg.join_(_eval_theta(phi.left, theta, v), _eval_theta(phi.right, theta, v))
-    if isinstance(phi, Imp):
-        return alg.imp_(_eval_theta(phi.left, theta, v), _eval_theta(phi.right, theta, v))
-    if isinstance(phi, (Forall, Exists)):
-        vals = []
-        for a in theta.domain:
-            v2 = dict(v)
-            v2[phi.var] = a
-            vals.append(_eval_theta(phi.body, theta, v2))
-        return alg.meet_all(vals) if isinstance(phi, Forall) else alg.join_all(vals)
-    raise EvalError(f"cannot evaluate {phi!r}")
-
-
-def theta_true(phi: Formula, theta: ThetaStructure) -> bool:
-    """True in the structure: top under every variable valuation."""
-    vs = sorted(free_vars(phi))
-    for combo in itertools.product(theta.domain, repeat=len(vs)):
-        if eval_qn4(phi, theta, dict(zip(vs, combo))) != theta.algebra.top:
-            return False
-    return True
 
 
 # --- subalgebra absoluteness -----------------------------------------------------------
@@ -1217,20 +1124,7 @@ def check_subalgebra_absolute(
             raise EvalError("no algebra embedding found")
     memo: dict[int, int] = {}
 
-    def move(node: Formula) -> Formula:
-        if isinstance(node, Mem):
-            return Mem(_move_term(node.left), _move_term(node.right))
-        if isinstance(node, Eq):
-            return Eq(_move_term(node.left), _move_term(node.right))
-        if isinstance(node, (And, Or, Imp)):
-            return type(node)(move(node.left), move(node.right))
-        if isinstance(node, (Forall, Exists)):
-            return type(node)(node.var, move(node.body))
-        if isinstance(node, Bot):
-            return node
-        raise EvalError(f"cannot transport {node!r}")
-
-    def _move_term(t: Term) -> Term:
+    def move(t: Term) -> Term:
         if isinstance(t, NameConst):
             return NameConst(
                 transport_name(t.ref, sub_model.store, super_model.store, embedding, memo)
@@ -1240,10 +1134,9 @@ def check_subalgebra_absolute(
     sub_eval = sub_model.with_flags(bounded_opt=True)
     super_eval = super_model.with_flags(bounded_opt=True)
     v_sub = eval_sentence(phi, sub_eval, EMPTY_ASSIGNMENT, ctx_sub)
-    v_super = eval_sentence(move(phi), super_eval, EMPTY_ASSIGNMENT, ctx_super)
+    v_super = eval_sentence(map_terms(phi, move), super_eval, EMPTY_ASSIGNMENT, ctx_super)
     ok = embedding[v_sub] == v_super
     return Verdict(
-        subject=f"absolute:{formula_to_text(phi)}",
         mode=super_model.mode,
         quantification=None,
         rank_bound=sub_model.rank_bound,
@@ -1389,7 +1282,6 @@ def check_hat_lemma(
     failures += [f"(iv) {line}" for line in mismatches]
 
     return Verdict(
-        subject="hat-lemma",
         mode=model.mode,
         quantification=None,
         rank_bound=model.rank_bound,
@@ -1424,7 +1316,6 @@ def check_maximum_principle(
     total = alg.join_all(values.values())
     if total != alg.top:
         return Verdict(
-            subject=f"maximum:{formula_to_text(phi)}",
             mode=model.mode,
             quantification=None,
             rank_bound=model.rank_bound,
@@ -1436,7 +1327,6 @@ def check_maximum_principle(
     for nid in model.scope:
         if values[nid] == alg.top:
             return Verdict(
-                subject=f"maximum:{formula_to_text(phi)}",
                 mode=model.mode,
                 quantification=None,
                 rank_bound=model.rank_bound,
@@ -1447,7 +1337,6 @@ def check_maximum_principle(
                 detail=(f"witness=#{nid}",),
             )
     return Verdict(
-        subject=f"maximum:{formula_to_text(phi)}",
         mode=model.mode,
         quantification=None,
         rank_bound=model.rank_bound,

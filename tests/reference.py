@@ -13,15 +13,27 @@ bound.
 ``enumerated_verdicts``, ``enumerated_leibniz`` and ``enumerated_induction``
 are the oracle for the assignment index: they list every assignment with
 ``enumerate_assignments`` and evaluate the sentence under each one.
+
+``theta_audit`` is the oracle for the quantified soundness audit: it
+enumerates every table of negated-predicate values and evaluates the
+instance over each one by the textbook n4 clauses (``eval_qn4``).
 """
 
 from __future__ import annotations
 
+import itertools
+from dataclasses import dataclass
+from typing import Mapping
+
+from pst.fidel import FStructure, saturate
+from pst.proofs import AuditFailure, _all_tables
 from pst.syntax import (
     And,
     Bot,
     Eq,
+    Exists,
     Forall,
+    FuncApp,
     Imp,
     Mem,
     NameConst,
@@ -32,12 +44,17 @@ from pst.syntax import (
     bounded_parts,
     formula_to_text,
     free_vars,
+    nnf_n4,
+    subformulas,
     substitute,
 )
 from pst.valuation import (
     ASSIGNMENT_CAP,
     EvalContext,
+    EvalError,
+    InvalidAssignment,
     SetModel,
+    UncoveredNegation,
     Verdict,
     enumerate_assignments,
     eval_sentence,
@@ -138,7 +155,6 @@ def enumerated_verdicts(phi, model: SetModel, cap: int = ASSIGNMENT_CAP) -> dict
             falsifier = asg
     return {
         quant: Verdict(
-            subject=formula_to_text(phi),
             mode=model.mode,
             quantification=quant,
             rank_bound=model.rank_bound,
@@ -196,3 +212,123 @@ def enumerated_induction(model: SetModel, phi, var: str, quantification: str, ca
     verdict = enumerated_verdicts(schema, model, cap)[quantification]
     value = verdict.value_lo if quantification == "all_assignments" else verdict.value_hi
     return value, verdict.valid, verdict.n_assignments
+
+
+def unshared(phi):
+    """phi rebuilt node by node, so that no <-> shares its sides."""
+    if isinstance(phi, (And, Or, Imp)):
+        return type(phi)(unshared(phi.left), unshared(phi.right))
+    if isinstance(phi, Neg):
+        return Neg(unshared(phi.body))
+    if isinstance(phi, (Forall, Exists)):
+        return type(phi)(phi.var, unshared(phi.body))
+    return phi
+
+
+# --- theta structures: predicate tables over a finite domain ---------------------------
+
+
+@dataclass(frozen=True)
+class ThetaStructure:
+    """An F-structure over a finite first-order domain: predicate tables
+    into the algebra, function tables into the domain, and a table of
+    chosen negation values for each atom."""
+
+    fstructure: FStructure
+    domain: tuple
+    preds: Mapping[str, Mapping[tuple, int]]
+    funcs: Mapping[str, Mapping[tuple, object]]
+    neg_preds: Mapping[str, Mapping[tuple, int]]
+
+    def __post_init__(self) -> None:
+        for sym, table in self.neg_preds.items():
+            for args, nv in table.items():
+                base = self.preds[sym][args]
+                if nv not in self.fstructure.negs[base]:
+                    raise InvalidAssignment(f"~{sym}{args} = {nv} not in N_{base}")
+
+
+def eval_qn4(phi, theta: ThetaStructure, valuation=None) -> int:
+    """Truth value over a theta structure; negation over a compound is
+    pushed to the atoms by ``nnf_n4`` and read from the negated-atom table
+    at atoms."""
+    alg = theta.fstructure.algebra
+    v = dict(valuation or {})
+
+    def term(t):
+        if isinstance(t, Var):
+            return v[t.name]
+        if isinstance(t, FuncApp):
+            return theta.funcs[t.sym][tuple(term(a) for a in t.args)]
+        raise EvalError("name constants have no theta interpretation")
+
+    negated = isinstance(phi, Neg)
+    atom = phi.body if negated else phi
+    if isinstance(atom, Bot):
+        if negated:
+            raise UncoveredNegation("~bot has no clause")
+        return alg.bottom
+    if isinstance(atom, Pred):
+        table = theta.neg_preds if negated else theta.preds
+        return table[atom.sym][tuple(term(a) for a in atom.args)]
+    if negated:
+        return eval_qn4(nnf_n4(phi), theta, v)
+    if isinstance(phi, And):
+        return alg.meet_(eval_qn4(phi.left, theta, v), eval_qn4(phi.right, theta, v))
+    if isinstance(phi, Or):
+        return alg.join_(eval_qn4(phi.left, theta, v), eval_qn4(phi.right, theta, v))
+    if isinstance(phi, Imp):
+        return alg.imp_(eval_qn4(phi.left, theta, v), eval_qn4(phi.right, theta, v))
+    if isinstance(phi, (Forall, Exists)):
+        vals = [eval_qn4(phi.body, theta, {**v, phi.var: a}) for a in theta.domain]
+        return alg.meet_all(vals) if isinstance(phi, Forall) else alg.join_all(vals)
+    raise EvalError(f"cannot evaluate {phi!r}")
+
+
+def _neg_tables(ptab, fs):
+    """Every admissible negated-atom table over the predicate tables."""
+    cells = [(sym, args, base) for sym, table in sorted(ptab.items()) for args, base in sorted(table.items())]
+    for combo in itertools.product(*(fs.negs[base] for _, _, base in cells)):
+        out: dict[str, dict] = {sym: {} for sym, _, _ in cells}
+        for (sym, args, _), val in zip(cells, combo):
+            out[sym][args] = val
+        yield out
+
+
+def theta_audit(sid: str, inst, algebras, max_domain: int) -> tuple[int, list[AuditFailure]]:
+    """(evaluations, failures) of the quantified audit of one instance: one
+    evaluation per negated-atom table, one failure per table and variable
+    valuation below top."""
+    preds: dict[str, int] = {}
+    funcs: dict[str, int] = {}
+
+    def collect(t):
+        if isinstance(t, FuncApp):
+            funcs[t.sym] = len(t.args)
+            for a in t.args:
+                collect(a)
+
+    for node in subformulas(inst):
+        if isinstance(node, Pred):
+            preds[node.sym] = len(node.args)
+            for a in node.args:
+                collect(a)
+    vs = sorted(free_vars(inst))
+    count = 0
+    failures = []
+    for alg in algebras:
+        fs = saturate(alg, "n4")
+        for dsize in range(1, max_domain + 1):
+            domain = tuple(range(dsize))
+            for ptab in _all_tables(preds, domain, range(alg.size)):
+                for ftab in _all_tables(funcs, domain, domain):
+                    for ntab in _neg_tables(ptab, fs):
+                        theta = ThetaStructure(fs, domain, ptab, ftab, ntab)
+                        count += 1
+                        for combo in itertools.product(domain, repeat=len(vs)):
+                            val = eval_qn4(inst, theta, dict(zip(vs, combo)))
+                            if val != alg.top:
+                                failures.append(
+                                    AuditFailure(sid, formula_to_text(inst), alg.size, dsize, repr(ptab), val)
+                                )
+    return count, failures

@@ -1,21 +1,28 @@
 import pytest
 
+from pst.algebra import enumerate_heyting
+from pst.errors import CapExceeded
 from pst.proofs import (
+    _QUANT_INSTANCES,
     SYSTEMS,
     NoMatch,
     SideConditionViolated,
+    _audit_quantified,
     audit_soundness,
     check_derivation,
     match_schema,
 )
 from derivation_corpus import CURATED, ID_ARROW, MUTATIONS
+from reference import theta_audit
 from pst.syntax import (
     Exists,
     Forall,
     FuncApp,
     Imp,
     Pred,
+    Signature,
     Var,
+    formula_to_text,
     parse_derivation_text,
     parse_formula,
 )
@@ -185,3 +192,39 @@ def test_audit_qcw_positive_fragment_clean():
     # CW1/CW2 hold over saturated families by construction of the choices
     rep = audit_soundness("qcw", max_domain=1, max_algebra=3)
     assert rep.ok, rep.failures[:3]
+
+
+def test_quantified_audit_matches_the_theta_oracle():
+    """The audit's one vector evaluation per table gives the evaluation count
+    and the failure list, in order, of evaluating the instance over every
+    negated-atom table by the textbook clauses."""
+    sig = Signature(functions={"c": 0, "f": 1})
+    negated = [
+        parse_formula(text, sig)
+        for text in (
+            "(forall x . ~P(x)) -> ~P(c)",
+            "forall x . ~P(x) -> ~P(c)",
+            "~P(c) -> exists x . ~P(x)",
+            "(forall x . ~(P(x) & q)) -> ~(P(c) & q)",
+            "(exists x . ~P(x)) -> ~P(f(c))",
+            "~~P(f(c)) <-> (forall x . P(x) | ~P(x))",
+        )
+    ]
+    instances = [(sid, inst) for sid, insts in _QUANT_INSTANCES.items() for inst in insts]
+    instances += [("A2", inst) for inst in negated]
+    algebras = list(enumerate_heyting(4))
+    failing = 0
+    for sid, inst in instances:
+        failures = []
+        count = _audit_quantified(sid, inst, algebras, 2, failures, 10**9)
+        assert (count, failures) == theta_audit(sid, inst, algebras, 2), formula_to_text(inst)
+        failing += bool(failures)
+    assert failing >= 2  # the failure lists are compared, not only empty ones
+
+
+def test_quantified_audit_budget():
+    inst = _QUANT_INSTANCES["A2"][0]
+    algebras = list(enumerate_heyting(3))
+    with pytest.raises(CapExceeded) as exc:
+        _audit_quantified("A2", inst, algebras, 2, [], 10)
+    assert exc.value.cap == "eval_cap" and exc.value.limit == 10 and exc.value.predicted > 10

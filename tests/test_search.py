@@ -34,12 +34,6 @@ def test_non_explosion_deterministic():
     assert a == b
 
 
-def test_non_explosion_parallel_matches_sequential():
-    a = search(SearchGoal("non_explosion"))
-    b = search(SearchGoal("non_explosion"), jobs=3)
-    assert a == b
-
-
 def test_refute_n14_separates_n4_from_n3():
     out = search(SearchGoal("separate_n4_n3", budget=Budget(max_algebra=3)))
     assert isinstance(out, Finding)

@@ -31,6 +31,7 @@ from pst.syntax import (
     free_for,
     free_vars,
     iff,
+    iff_sides,
     is_negation_free,
     is_restricted,
     nnf_n4,
@@ -71,6 +72,15 @@ def test_precedence_and_associativity():
 def test_iff_is_sugar():
     assert parse_formula("p <-> q") == And(Imp(p, q), Imp(q, p))
     assert parse_formula("p <-> q") == iff(p, q)
+
+
+def test_iff_prints_as_iff():
+    for text in ("p <-> q", "p <-> q <-> p", "(p <-> q) <-> p", "(p <-> q) & p", "~(p <-> q)", "p -> q <-> q"):
+        assert formula_to_text(parse_formula(text)) == text
+    chain = " <-> ".join(["p"] * 40)
+    assert formula_to_text(parse_formula(chain)) == chain  # linear, not doubling per term
+    # an unshared (p -> q) & (q -> p) keeps its written form
+    assert formula_to_text(And(Imp(p, q), Imp(Pred("q", ()), p))) == "(p -> q) & (q -> p)"
 
 
 def test_name_constants_and_bot():
@@ -228,6 +238,11 @@ def quantifier_free():
 
 def _walk(phi):
     yield phi
+    sides = iff_sides(phi)
+    if sides is not None:  # a <-> visits its shared sides once
+        for sub in sides:
+            yield from _walk(sub)
+        return
     for attr in ("left", "right", "body"):
         sub = getattr(phi, attr, None)
         if sub is not None and not isinstance(sub, (str, tuple)):

@@ -5,7 +5,7 @@ import re
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import Reference, enumerated_induction, enumerated_leibniz, enumerated_verdicts
+from reference import Reference, enumerated_induction, enumerated_leibniz, enumerated_verdicts, unshared
 
 from pst.algebra import chain, enumerate_heyting
 from pst.axioms import check_induction
@@ -28,9 +28,12 @@ from pst.syntax import (
     MAX_FORMULA_DEPTH,
     Var,
     formula_to_text,
+    free_for,
     iff,
+    iff_sides,
     nnf_n4,
     parse_formula,
+    subformulas,
     substitute,
     universal_closure,
 )
@@ -44,7 +47,6 @@ from pst.valuation import (
     InvalidAssignment,
     NotNegationFree,
     NotRestricted,
-    ThetaStructure,
     UncoveredNegation,
     check_hat_lemma,
     check_leibniz,
@@ -52,11 +54,9 @@ from pst.valuation import (
     check_subalgebra_absolute,
     check_valid,
     enumerate_assignments,
-    eval_qn4,
     eval_sentence,
     make_model,
     sweep_assignments,
-    theta_true,
 )
 
 x, y = Var("x"), Var("y")
@@ -622,6 +622,8 @@ def test_iff_sides_are_evaluated_once(monkeypatch):
         (syntax_mod, "free_vars"),
         (syntax_mod, "is_negation_free"),
         (syntax_mod, "negates_atoms_only"),
+        (syntax_mod, "nnf_n4"),
+        (syntax_mod, "_subst_term"),
     ):
         plain = getattr(mod, name)
 
@@ -652,15 +654,27 @@ def test_iff_sides_are_evaluated_once(monkeypatch):
         model = make_model(structure, NameStore(), 2)
         calls = 0
         assert sweep_assignments(chain_of(term, 50), model, EvalContext(model)).lo == lo
+    # the syntactic walkers: nnf_n4 and substitute rebuild a <-> with iff, so
+    # its sides stay shared; free_for (through free_vars at its atoms) and
+    # subformulas visit each side once
+    body = chain_of(Neg(Eq(x, x)), 50).body
+    for walk in (
+        lambda: iff_sides(nnf_n4(body)),
+        lambda: nnf_n4(Neg(body)),
+        lambda: iff_sides(substitute(body, "x", NameConst(0))),
+        lambda: free_for(y, "x", body),
+        lambda: [count() for _ in subformulas(body)],
+    ):
+        calls = 0
+        assert walk()
     monkeypatch.undo()
     # a comega negated compound keeps one choice per position: t <-> t has
     # four occurrences of t, two of which a shared side would never read
     model = make_model(saturate(chain(3), "comega"), NameStore(), 1)
     phi = chain_of(Neg(And(Eq(x, x), Eq(x, x))), 2)
-    unshared = substitute(phi, "unused", Var("unused"))  # rebuilds every node
     assert check_valid(phi, model).n_assignments == 3 ** 4
     _agrees_with_enumeration(phi, model)
-    assert enumerated_verdicts(phi, model) == enumerated_verdicts(unshared, model)
+    assert enumerated_verdicts(phi, model) == enumerated_verdicts(unshared(phi), model)
 
 
 @pytest.mark.parametrize("mode", ["heyting", "comega", "n4"])
@@ -673,10 +687,10 @@ def test_short_iff_chains_match_the_unshared_reference(mode):
     for text in ("x eq x", "~(x eq #1)", "x in #1 | ~(x in #1)"):
         for n in range(1, 9):
             phi = parse_formula("forall x . (" + " <-> ".join([f"({text})"] * n) + ")")
-            unshared = substitute(phi, "unused", Var("unused"))  # rebuilds every node
-            want = enumerated_verdicts(unshared, model)["all_assignments"]
+            copy = unshared(phi)
+            want = enumerated_verdicts(copy, model)["all_assignments"]
             if mode == "heyting":
-                assert want.value_lo == Reference(model).eval(unshared)
+                assert want.value_lo == Reference(model).eval(copy)
             assert check_valid(phi, model).result_line() == want.result_line(), (text, n)
 
 
@@ -757,51 +771,57 @@ def test_leibniz_requires_one_free_variable(bool_model):
         check_leibniz(bool_model, [("x", Eq(x, y))], 2)
 
 
-# --- theta structures ---------------------------------------------------------------------
+# --- predicate tables over a finite domain ----------------------------------------------
 
 
 def _simple_theta():
-    alg = chain(3)
-    fs = saturate(alg, "n4")
-    preds = {"P": {(0,): 2, (1,): 1}, "q": {(): 2}}
-    neg = {"P": {(0,): 0, (1,): 2}, "q": {(): 0}}
-    funcs = {"c": {(): 0}}
-    return ThetaStructure(fs, (0, 1), preds, funcs, neg)
+    """P over the domain {0, 1} and a 0-ary q on the 3-chain, with a chosen
+    value for every negated cell: the scope is the domain, each cell a
+    table atom."""
+    fs = saturate(chain(3), "n4")
+    model = make_model(fs, NameStore(), 0, scope=(0, 1), prop_values={("P", (0,)): 2, ("P", (1,)): 1, "q": 2})
+    asg = Assignment(atoms=((("pred", "P", (0,)), 0), (("pred", "P", (1,)), 2), (("pred", "q"), 0)))
+    return model, asg
 
 
-def test_eval_qn4_tables_and_quantifiers():
-    th = _simple_theta()
-    P = lambda t: Pred("P", (t,))
-    assert eval_qn4(Pred("q", ()), th) == 2
-    assert eval_qn4(P(Var("x")), th, {"x": 1}) == 1
-    assert eval_qn4(Forall("x", P(x)), th) == 1  # meet of 2 and 1
-    assert eval_qn4(Exists("x", P(x)), th) == 2
-    assert eval_qn4(Neg(P(Var("x"))), th, {"x": 0}) == 0
-    assert eval_qn4(Neg(Neg(P(Var("x")))), th, {"x": 0}) == 2
+def P(t):
+    return Pred("P", (t,))
 
 
-def test_eval_qn4_de_morgan_definitions():
-    th = _simple_theta()
-    alg = th.algebra
-    a, b = Pred("P", (Var("x"),)), Pred("q", ())
-    v = {"x": 0}
-    na, nb = eval_qn4(Neg(a), th, v), eval_qn4(Neg(b), th, v)
-    assert eval_qn4(Neg(And(a, b)), th, v) == alg.join_(na, nb)
-    assert eval_qn4(Neg(Or(a, b)), th, v) == alg.meet_(na, nb)
-    assert eval_qn4(Neg(Imp(a, b)), th, v) == alg.meet_(eval_qn4(a, th, v), nb)
+def test_predicate_tables_and_quantifiers():
+    model, asg = _simple_theta()
+    one, zero = NameConst(1), NameConst(0)
+    assert eval_sentence(Pred("q", ()), model, asg) == 2
+    assert eval_sentence(P(one), model, asg) == 1
+    assert eval_sentence(Forall("x", P(x)), model, asg) == 1  # meet of 2 and 1
+    assert eval_sentence(Exists("x", P(x)), model, asg) == 2
+    assert eval_sentence(Neg(P(zero)), model, asg) == 0
+    assert eval_sentence(Neg(Neg(P(zero))), model, asg) == 2
+
+
+def test_predicate_tables_de_morgan_definitions():
+    model, asg = _simple_theta()
+    alg = model.algebra
+    a, b = P(NameConst(0)), Pred("q", ())
+    na, nb = eval_sentence(Neg(a), model, asg), eval_sentence(Neg(b), model, asg)
+    assert eval_sentence(Neg(And(a, b)), model, asg) == alg.join_(na, nb)
+    assert eval_sentence(Neg(Or(a, b)), model, asg) == alg.meet_(na, nb)
+    assert eval_sentence(Neg(Imp(a, b)), model, asg) == alg.meet_(eval_sentence(a, model, asg), nb)
 
 
 def test_theta_invariant_enforced():
-    alg = chain(3)
-    fs = saturate(alg, "n4")
-    with pytest.raises(InvalidAssignment):
-        ThetaStructure(fs, (0,), {"q": {(): 1}}, {}, {"q": {(): 1}})  # 1 not in N_1
+    fs = saturate(chain(3), "n4")
+    model = make_model(fs, NameStore(), 0, scope=(0,), prop_values={"q": 1})
+    with pytest.raises(InvalidAssignment):  # 1 not in N_1
+        eval_sentence(Neg(Pred("q", ())), model, Assignment(atoms=((("pred", "q"), 1),)))
 
 
 def test_theta_true_quantifies_valuations():
-    th = _simple_theta()
-    assert theta_true(Imp(Pred("P", (x,)), Pred("P", (x,))), th)
-    assert not theta_true(Pred("P", (x,)), th)
+    """True in the structure: the universal closure takes the top value."""
+    model, asg = _simple_theta()
+    top = model.algebra.top
+    assert eval_sentence(universal_closure(Imp(P(x), P(x))), model, asg) == top
+    assert eval_sentence(universal_closure(P(x)), model, asg) != top
 
 
 # --- subalgebra absoluteness -----------------------------------------------------------
