@@ -387,13 +387,25 @@ def _propositional_instances(sid: str) -> Iterator[Formula]:
 
 
 def _instantiate(tpl: Formula, binds: Mapping[str, Formula]) -> Formula:
-    if isinstance(tpl, Meta):
-        return binds[tpl.name]
-    if isinstance(tpl, (And, Or, Imp)):
-        return type(tpl)(_instantiate(tpl.left, binds), _instantiate(tpl.right, binds))
-    if isinstance(tpl, Neg):
-        return Neg(_instantiate(tpl.body, binds))
-    return tpl
+    """tpl with its meta-variables bound.  Each template node is rebuilt
+    once, so the shared sides of a <-> stay shared in the instance."""
+    built: dict[int, Formula] = {}  # by the id of a template node
+
+    def build(node: Formula) -> Formula:
+        out = built.get(id(node))
+        if out is None:
+            if isinstance(node, Meta):
+                out = binds[node.name]
+            elif isinstance(node, (And, Or, Imp)):
+                out = type(node)(build(node.left), build(node.right))
+            elif isinstance(node, Neg):
+                out = Neg(build(node.body))
+            else:
+                out = node
+            built[id(node)] = out
+        return out
+
+    return build(tpl)
 
 
 _QUANT_INSTANCES: dict[str, tuple[Formula, ...]] = {

@@ -126,11 +126,7 @@ def search(goal: SearchGoal) -> Finding | Exhausted:
     """Run the requested goal within budget; deterministic."""
     if goal.kind not in GOALS:
         raise SearchError(f"unknown goal {goal.kind!r}")
-    algebras = list(enumerate_heyting(goal.budget.max_algebra))
-    if goal.kind == "non_explosion":
-        out = _search_non_explosion(goal, algebras)
-    else:
-        out = _search_sequent(goal, algebras)
+    out = _search_sequent(goal)
     if isinstance(out, Finding):
         _recertify(out, goal)
     return out
@@ -139,10 +135,16 @@ def search(goal: SearchGoal) -> Finding | Exhausted:
 def _sequent(goal: SearchGoal) -> tuple[Formula, list[tuple[Formula, tuple[int, ...]]]]:
     """The joint sentence premise_n & (... & (premise_1 & conclusion)) whose
     assignments a search enumerates, and the premises and then the
-    conclusion with their positions in it.  A refute_formula or
-    separate_n4_n3 goal is a sequent without premises."""
+    conclusion with their positions in it.  non_explosion is the sequent
+    p, ~p |- q; a refute_formula or separate_n4_n3 goal is a sequent
+    without premises."""
     premises: tuple[Formula, ...] = ()
-    if goal.kind == "separate_n4_n3":
+    if goal.premises and goal.kind != "refute_sequent":
+        raise SearchError(f"{goal.kind} takes no premises; use refute_sequent")
+    if goal.kind == "non_explosion":
+        p = Pred("p", ())
+        premises, conclusion = (p, Neg(p)), Pred("q", ())
+    elif goal.kind == "separate_n4_n3":
         from .proofs import SCHEMAS, _instantiate
 
         conclusion = _instantiate(
@@ -165,47 +167,9 @@ def _sequent(goal: SearchGoal) -> tuple[Formula, list[tuple[Formula, tuple[int, 
     return joint, parts[1:] + parts[:1]
 
 
-def _search_non_explosion(goal: SearchGoal, algebras) -> Finding | Exhausted:
-    """Find ||p|| = ||~p|| = top while some q stays below top."""
-    census = {"algebras": 0, "structures": 0, "candidates": 0}
-    for alg in algebras:
-        census["algebras"] += 1
-        top = alg.top
-        for fs in _families(alg, goal.budget.families, goal.logic):
-            census["structures"] += 1
-            for q_val in range(alg.size):
-                for neg_p in fs.negs[top]:
-                    census["candidates"] += 1
-                    if neg_p == top and q_val != top:
-                        model = _prop_model(fs, {"p": top, "q": q_val})
-                        ctx = EvalContext(model)
-                        asgs = [
-                            a
-                            for a in enumerate_assignments(Neg(Pred("p", ())), model, ctx)
-                            if a.atom(("pred", "p")) == neg_p
-                        ]
-                        asg = asgs[0]
-                        return Finding(
-                            goal="non_explosion",
-                            algebra_size=alg.size,
-                            structure=fs,
-                            atom_values=(("p", top), ("q", q_val)),
-                            assignment_fingerprint=asg.fingerprint(),
-                            values=(
-                                ("p", top),
-                                ("~p", eval_sentence(Neg(Pred("p", ())), model, asg, ctx)),
-                                ("q", q_val),
-                            ),
-                            description=(
-                                f"||p|| = ||~p|| = {top} (top) while ||q|| = {q_val} < top;",
-                                "the contradictory pair {p, ~p} holds without q following",
-                            ),
-                        )
-    return Exhausted("non_explosion", tuple(sorted(census.items())))
-
-
-def _search_sequent(goal: SearchGoal, algebras) -> Finding | Exhausted:
+def _search_sequent(goal: SearchGoal) -> Finding | Exhausted:
     """Premises all top, conclusion below top, under one joint assignment."""
+    algebras = list(enumerate_heyting(goal.budget.max_algebra))
     joint, parts = _sequent(goal)
     structures = (
         fs for alg in algebras for fs in _families(alg, goal.budget.families, goal.logic)
@@ -217,10 +181,15 @@ def _search_sequent(goal: SearchGoal, algebras) -> Finding | Exhausted:
         *prem_vals, concl = vals
         if concl != top and all(v == top for v in prem_vals):
             values = tuple((formula_to_text(f), v) for (f, _), v in zip(parts, vals))
-            if goal.kind == "refute_sequent":
-                description = f"premises all top, conclusion {concl} < top;"
+            if goal.kind == "non_explosion":
+                description: tuple[str, ...] = (
+                    f"||p|| = ||~p|| = {top} (top) while ||q|| = {concl} < top;",
+                    "the contradictory pair {p, ~p} holds without q following",
+                )
+            elif goal.kind == "refute_sequent":
+                description = (f"premises all top, conclusion {concl} < top;",)
             else:
-                description = f"||{values[0][0]}|| = {concl} < top = {top}"
+                description = (f"||{values[0][0]}|| = {concl} < top = {top}",)
             return Finding(
                 goal=goal.kind,
                 algebra_size=fs.algebra.size,
@@ -228,7 +197,7 @@ def _search_sequent(goal: SearchGoal, algebras) -> Finding | Exhausted:
                 atom_values=tuple(sorted(table.items())),
                 assignment_fingerprint=asg.fingerprint(),
                 values=values,
-                description=(description,),
+                description=description,
             )
     return Exhausted(goal.kind, (("evaluations", evaluations),))
 
@@ -240,12 +209,7 @@ def _recertify(finding: Finding, goal: SearchGoal) -> None:
     bug, not a result."""
     model = _prop_model(finding.structure, dict(finding.atom_values))
     ctx = EvalContext(model)
-    if goal.kind == "non_explosion":
-        p, q = Pred("p", ()), Pred("q", ())
-        sentence = Neg(p)
-        parts = [(p, ()), (sentence, ()), (q, ())]
-    else:
-        sentence, parts = _sequent(goal)
+    sentence, parts = _sequent(goal)
     named = [
         a
         for a in enumerate_assignments(sentence, model, ctx, goal.budget.max_assignments)

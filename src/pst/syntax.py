@@ -417,7 +417,8 @@ def bounded_exists(var: str, bound: Term, body: Formula) -> Formula:
 
 # --- printing ----------------------------------------------------------------
 
-_PREC_IFF, _PREC_IMP, _PREC_OR, _PREC_AND, _PREC_NEG = 1, 2, 3, 4, 5
+# a right conjunct prints at _PREC_AND + 1, below a negation's body
+_PREC_IFF, _PREC_IMP, _PREC_OR, _PREC_AND, _PREC_NEG = 1, 2, 3, 4, 6
 
 
 def term_to_text(t: Term) -> str:
@@ -442,7 +443,7 @@ def _print(node: Formula, ctx: int) -> str:
     if isinstance(node, (Mem, Eq)):
         op = "in" if isinstance(node, Mem) else "eq"
         s = f"{term_to_text(node.left)} {op} {term_to_text(node.right)}"
-        return f"({s})" if ctx > _PREC_AND else s
+        return f"({s})" if ctx == _PREC_NEG else s
     if isinstance(node, Pred):
         if node.args:
             return f"{node.sym}({', '.join(term_to_text(a) for a in node.args)})"

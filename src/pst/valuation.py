@@ -21,7 +21,7 @@ import hashlib
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .algebra import FiniteHeytingAlgebra, check_refinable
 from .errors import CapExceeded, PstError
@@ -566,17 +566,19 @@ def _eval(
     trail: tuple[int, ...],
     path: tuple[int, ...],
     model: SetModel,
-    asg: Assignment | AssignmentIndex,
+    asg: Assignment | AssignmentIndex | _Probe | _Alternatives,
     ctx: EvalContext,
 ) -> Vector:
-    """The value of node under a concrete assignment (an element), or under
-    an ``AssignmentIndex`` (a vector over the index)."""
+    """The value of node under a concrete assignment (an element), under
+    an ``AssignmentIndex`` (a vector over the index), under a ``_Probe``
+    (which records the negated atoms read), or under ``_Alternatives`` (an
+    element or a list of comega occurrence alternatives)."""
     alg = model.algebra
     if isinstance(node, _ATOMIC):
         return ctx.atom_value(_atom_key(node, env))
     if isinstance(node, Neg):
         return _eval_neg(node, env, trail, path, model, asg, ctx)
-    meet, join, imp = asg.ops if asg.__class__ is AssignmentIndex else ctx.element_ops
+    meet, join, imp = ctx.element_ops if asg.__class__ is Assignment else asg.ops
     if isinstance(node, And):
         sides = iff_sides(node)
         # a comega negated compound in a side is chosen per position, so
@@ -629,7 +631,7 @@ def _eval_neg(
     trail: tuple[int, ...],
     path: tuple[int, ...],
     model: SetModel,
-    asg: Assignment | AssignmentIndex,
+    asg: Assignment | AssignmentIndex | _Probe | _Alternatives,
     ctx: EvalContext,
 ) -> Vector:
     alg = model.algebra
@@ -649,14 +651,16 @@ def _neg_choice(
     trail: tuple[int, ...],
     path: tuple[int, ...],
     model: SetModel,
-    asg: Assignment | AssignmentIndex,
+    asg: Assignment | AssignmentIndex | _Probe | _Alternatives,
     ctx: EvalContext,
-) -> tuple[Vector, int]:
+) -> tuple[Vector, Vector]:
     """The chosen value of a negation and the value of its body, the choice
     checked against N_body and, under a double negation, against the
     double-negation bound.  Atoms take their functional choice (from an
     index, the vector of its admissible choices); comega compound bodies
-    take the choice of this occurrence."""
+    take the choice of this occurrence, read after the body is evaluated,
+    since its options depend on the body's value (under ``_Alternatives``,
+    each alternative of the body is extended by each of its options)."""
     body = node.body
     if isinstance(body, _ATOMIC):
         key = _atom_key(body, env)
@@ -667,14 +671,19 @@ def _neg_choice(
         if asg.__class__ is Assignment and choice not in model.neg_options(base):
             raise InvalidAssignment(f"choice {choice} not in N_{base} for {key}")
         return choice, base
-    choice = asg.occ(("occ", path, trail))
-    if choice is None:
-        raise UncoveredNegation(f"occurrence at path {path}, bindings {trail}")
     double = isinstance(body, Neg)
     if double:  # the inner step also yields the value the bound needs
         base, inner = _neg_choice(body, env, trail, path + (0,), model, asg, ctx)
     else:
-        base = _eval(body, env, trail, path + (0,), model, asg, ctx)
+        base, inner = _eval(body, env, trail, path + (0,), model, asg, ctx), None
+    key = ("occ", path, trail)
+    if asg.__class__ is _Alternatives:
+        return asg.expand(key, base, inner)
+    if asg.__class__ is _Probe:
+        return base, base
+    choice = asg.occ(key)
+    if choice is None:
+        raise UncoveredNegation(f"occurrence at path {path}, bindings {trail}")
     if choice not in model.neg_options(base):
         raise InvalidAssignment(f"choice {choice} not in N_{base} at {path}")
     if double and not model.algebra.le(choice, inner):
@@ -685,6 +694,124 @@ def _neg_choice(
 
 
 # --- assignment enumeration --------------------------------------------------------
+
+
+def _cap_exceeded(what: str, cap: int, predicted: int) -> CapExceeded:
+    return CapExceeded(f"more than {cap} {what}", cap="ASSIGNMENT_CAP", limit=cap, predicted=predicted)
+
+
+class _Probe:
+    """Records the options of each negated atom as the evaluation reads it:
+    one pass of ``_eval`` finds the atom keys of exactly the instances it
+    evaluates (the scope, or a bounded quantifier's domain).  Its values are
+    never read, so every negation answers with its body's value.  The cap
+    trips as soon as the product of the option counts passes it."""
+
+    def __init__(self, model: SetModel, ctx: EvalContext, cap: int):
+        self.model = model
+        self.ctx = ctx
+        self.cap = cap
+        self.ops = ctx.element_ops
+        self.options: dict[AtomKey, tuple[int, ...]] = {}
+        self.total = 1
+
+    def atom(self, key: AtomKey) -> int:
+        value = self.ctx.atom_value(key)
+        if key not in self.options:
+            self.options[key] = self.model.neg_options(value)
+            self.total *= len(self.options[key])
+            if self.total > self.cap:
+                raise _cap_exceeded("atom assignments", self.cap, self.total)
+        return value
+
+
+class _Alternatives:
+    """comega only, the atom choices fixed: every combination of occurrence
+    choices at once.  A value is an element (no occurrence read yet) or a
+    list of (occurrence choices, element) pairs, in enumeration order: a
+    connective forms the product of its sides' lists, the left side more
+    significant, and a quantifier folds its instances' lists in range
+    order."""
+
+    def __init__(self, atoms: Sequence[tuple[AtomKey, int]], model: SetModel, cap: int):
+        self._atoms = dict(atoms)
+        self.model = model
+        self.cap = cap
+        alg = model.algebra
+        self.ops = tuple(self._lift(op) for op in (alg.meet_, alg.join_, alg.imp_))
+
+    def atom(self, key: AtomKey) -> int | None:
+        return self._atoms.get(key)
+
+    def _lift(self, op: Callable[[int, int], int]) -> Callable[[int | list, int | list], int | list]:
+        def lifted(a: int | list, b: int | list) -> int | list:
+            if a.__class__ is int and b.__class__ is int:
+                return op(a, b)
+            a, b = _pairs(a), _pairs(b)
+            if len(a) * len(b) > self.cap:
+                raise _cap_exceeded("occurrence choices", self.cap, self.cap + 1)
+            return [(oa + ob, op(va, vb)) for oa, va in a for ob, vb in b]
+
+        return lifted
+
+    def expand(self, key: OccKey, base: int | list, limit: int | list | None) -> tuple[list, list]:
+        """Each alternative of a negated compound's body extended by each
+        choice in N_body at occurrence key: the negation's values, and the
+        body's values aligned with them.  Under a double negation, limit
+        holds each alternative's bound, the value of the body's body."""
+        choices, bases = [], []
+        limits = _pairs(limit) if limit is not None else itertools.repeat(((), None))
+        for (occs, value), (_, bound) in zip(_pairs(base), limits):
+            for c in self.model.neg_options(value):
+                if bound is None or self.model.algebra.le(c, bound):
+                    extended = occs + ((key, c),)
+                    choices.append((extended, c))
+                    bases.append((extended, value))
+        if len(choices) > self.cap:
+            raise _cap_exceeded("occurrence choices", self.cap, self.cap + 1)
+        return choices, bases
+
+
+def _pairs(value: int | list) -> list:
+    return [((), value)] if value.__class__ is int else value
+
+
+def _atom_options(
+    phi: Formula,
+    model: SetModel,
+    ctx: EvalContext,
+    cap: int,
+) -> dict[AtomKey, tuple[int, ...]]:
+    """The admissible choices at every negated ground atom that evaluating
+    phi reads, from one evaluation under a ``_Probe``."""
+    if ctx.choice_free(phi, model.mode):
+        return {}
+    probe = _Probe(model, ctx, cap)
+    _eval(phi, {}, (), (), model, probe, ctx)
+    return probe.options
+
+
+def _comega_assignments(
+    phi: Formula,
+    model: SetModel,
+    ctx: EvalContext,
+    cap: int,
+) -> Iterator[tuple[Assignment, int]]:
+    """comega with a negated compound: every assignment of phi with phi's
+    value under it.  The atom choices run as a product over the sorted keys,
+    the first most significant; under each, one evaluation under
+    ``_Alternatives`` lists the occurrence choices."""
+    options = _atom_options(phi, model, ctx, cap)
+    keys = sorted(options)
+    count = 0
+    for combo in itertools.product(*(options[key] for key in keys)):
+        atoms = tuple(zip(keys, combo))
+        value = _eval(phi, {}, (), (), model, _Alternatives(atoms, model, cap), ctx)
+        for occs, v in _pairs(value):
+            count += 1
+            if count > cap:
+                raise _cap_exceeded("assignments", cap, count)
+            yield Assignment(atoms=atoms, occs=tuple(sorted(occs))), v
 
 
 def enumerate_assignments(
@@ -700,157 +827,11 @@ def enumerate_assignments(
     ctx = ctx or EvalContext(model)
     if ctx.choice_free(phi, model.mode):
         return [EMPTY_ASSIGNMENT]
+    if model.mode == "comega" and not ctx.compound_free(phi):
+        return [asg for asg, _ in _comega_assignments(phi, model, ctx, cap)]
     options = _atom_options(phi, model, ctx, cap)
     option_lists = [[(key, c) for c in options[key]] for key in sorted(options)]
-    if model.mode == "n4" or ctx.compound_free(phi):
-        return [Assignment(atoms=combo) for combo in itertools.product(*option_lists)]
-    out: list[Assignment] = []
-    for atoms in itertools.product(*option_lists):
-        base_asg = Assignment(atoms=atoms)
-        for occs in _occ_space(phi, {}, (), (), model, base_asg, ctx, cap):
-            out.append(Assignment(atoms=atoms, occs=tuple(sorted(occs.items()))))
-            if len(out) > cap:
-                raise CapExceeded(
-                    f"more than {cap} assignments",
-                    cap="ASSIGNMENT_CAP",
-                    limit=cap,
-                    predicted=len(out),
-                )
-    return out
-
-
-def _atom_options(
-    phi: Formula,
-    model: SetModel,
-    ctx: EvalContext,
-    cap: int,
-) -> dict[AtomKey, tuple[int, ...]]:
-    """The admissible choices at every negated ground atom of phi.  Atoms
-    are valued as they are found, and the cap trips as soon as the product
-    of their choice counts passes it."""
-    options: dict[AtomKey, tuple[int, ...]] = {}
-    if ctx.choice_free(phi, model.mode):
-        return options
-    total = 1
-
-    def visit(key: AtomKey) -> None:
-        nonlocal total
-        if key in options:
-            return
-        options[key] = model.neg_options(ctx.atom_value(key))
-        total *= len(options[key])
-        if total > cap:
-            raise CapExceeded(
-                f"more than {cap} atom assignments",
-                cap="ASSIGNMENT_CAP",
-                limit=cap,
-                predicted=total,
-            )
-
-    _collect_atom_keys(phi, {}, model, ctx, visit)
-    return options
-
-
-def _collect_atom_keys(
-    node: Formula,
-    env: dict[str, int],
-    model: SetModel,
-    ctx: EvalContext,
-    visit: Callable[[AtomKey], None],
-) -> None:
-    """Call visit on the key of every negated ground atom that carries a
-    choice, instance by instance."""
-    if isinstance(node, _ATOMIC):
-        return
-    if isinstance(node, (And, Or, Imp)):
-        if iff_sides(node) is not None:
-            node = node.left  # a -> b holds both sides of a <-> b
-        _collect_atom_keys(node.left, env, model, ctx, visit)
-        _collect_atom_keys(node.right, env, model, ctx, visit)
-        return
-    if isinstance(node, (Forall, Exists)):
-        for nid in model.scope:
-            env2 = dict(env)
-            env2[node.var] = nid
-            _collect_atom_keys(node.body, env2, model, ctx, visit)
-        return
-    if isinstance(node, Neg):
-        body = node.body
-        if isinstance(body, _ATOMIC):
-            visit(_atom_key(body, env))
-        elif model.mode == "n4":
-            _collect_atom_keys(ctx.nnf(node), env, model, ctx, visit)
-        else:
-            # comega: the occurrence itself is enumerated later; atoms inside
-            # the body still need functional choices when negated deeper.
-            _collect_atom_keys(body, env, model, ctx, visit)
-        return
-    raise EvalError(f"cannot analyse {node!r}")
-
-
-def _occ_space(
-    node: Formula,
-    env: dict[str, int],
-    trail: tuple[int, ...],
-    path: tuple[int, ...],
-    model: SetModel,
-    base_asg: Assignment,
-    ctx: EvalContext,
-    cap: int,
-) -> list[dict[OccKey, int]]:
-    """comega only: all per-occurrence choice dictionaries for compound
-    negations inside node, given fixed atom choices."""
-    if ctx.compound_free(node):
-        return [{}]
-    if isinstance(node, (And, Or, Imp)):
-        lefts = _occ_space(node.left, env, trail, path + (0,), model, base_asg, ctx, cap)
-        rights = _occ_space(node.right, env, trail, path + (1,), model, base_asg, ctx, cap)
-        return _occ_product(lefts, rights, cap)
-    if isinstance(node, (Forall, Exists)):
-        spaces: list[dict[OccKey, int]] = [{}]
-        for nid in model.scope:
-            env2 = dict(env)
-            env2[node.var] = nid
-            subs = _occ_space(node.body, env2, trail + (nid,), path + (0,), model, base_asg, ctx, cap)
-            spaces = _occ_product(spaces, subs, cap)
-        return spaces
-    if isinstance(node, Neg):
-        body = node.body
-        inner = _occ_space(body, env, trail, path + (0,), model, base_asg, ctx, cap)
-        key = ("occ", path, trail)
-        out = []
-        for d in inner:
-            asg = Assignment(atoms=base_asg.atoms, occs=tuple(sorted(d.items())))
-            if isinstance(body, Neg):
-                base, limit = _neg_choice(body, env, trail, path + (0,), model, asg, ctx)
-                options = tuple(c for c in model.neg_options(base) if model.algebra.le(c, limit))
-            else:
-                options = model.neg_options(_eval(body, env, trail, path + (0,), model, asg, ctx))
-            for c in options:
-                merged = dict(d)
-                merged[key] = c
-                out.append(merged)
-                if len(out) > cap:
-                    raise _occ_cap(cap)
-        return out
-    raise EvalError(f"cannot analyse {node!r}")
-
-
-def _occ_product(lefts: list[dict], rights: list[dict], cap: int) -> list[dict[OccKey, int]]:
-    """Each left choice dictionary joined with each right one."""
-    out = []
-    for dl in lefts:
-        for dr in rights:
-            out.append({**dl, **dr})
-            if len(out) > cap:
-                raise _occ_cap(cap)
-    return out
-
-
-def _occ_cap(cap: int) -> CapExceeded:
-    return CapExceeded(
-        f"more than {cap} occurrence choices", cap="ASSIGNMENT_CAP", limit=cap, predicted=cap + 1
-    )
+    return [Assignment(atoms=combo) for combo in itertools.product(*option_lists)]
 
 
 # --- verdicts -----------------------------------------------------------------------
@@ -933,9 +914,8 @@ def sweep_assignments(
     at a time."""
     planes = ctx.planes
     if model.mode == "comega" and not ctx.compound_free(phi):
-        assignments = enumerate_assignments(phi, model, ctx, cap)
-        values = [eval_sentence(phi, model, asg, ctx) for asg in assignments]
-        return Sweep.of(values, assignments, planes)
+        pairs = list(_comega_assignments(phi, model, ctx, cap))
+        return Sweep.of([v for _, v in pairs], [asg for asg, _ in pairs], planes)
     index = AssignmentIndex(_atom_options(phi, model, ctx, cap), planes)
     return Sweep(_eval(phi, {}, (), (), model, index, ctx), index.size, index.decode, planes)
 

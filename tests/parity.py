@@ -1,0 +1,134 @@
+"""Output parity of two pst source trees on the benchmark's checks.
+
+Runs every check that the three workloads of ``perfbench/checks.py``
+(``rank3-dense``, ``witness-negation``, ``search-audit``) draw at the given
+seeds through ``pst.cli.main``, once under each source tree, in machine and
+in human format, and compares exit code, stdout and stderr.  Each argv that
+differs is printed with both outputs; the exit status is 1 on any
+difference, 0 otherwise.
+
+    python tests/parity.py PARENT_SRC [CHANGE_SRC] [--seeds 1-10] [--rounds 2]
+
+PARENT_SRC and CHANGE_SRC are directories holding a ``pst`` package
+(CHANGE_SRC defaults to this checkout's ``src``); a parent tree can be made
+with ``git archive <rev> | tar -x -C DIR``.  ``--rounds`` is the number of
+seeded rounds drawn per workload and seed (two rounds reach the benchmark's
+minimum of 100 checks a run on every workload).  Each tree runs in a
+process of its own, both at once, each check cold as the benchmark runs it.
+``perfbench/checks.py`` is imported, never changed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import gc
+import io
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("rank3-dense", "witness-negation", "search-audit")
+JOBS = 2
+
+
+def _seeds(text: str) -> list[int]:
+    out: list[int] = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        out.extend(range(int(lo), int(hi or lo) + 1))
+    return out
+
+
+def _argvs(seeds: list[int], rounds: int, models_dir: str) -> list[list[str]]:
+    """Every distinct check argv, in machine and in human format."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import checks
+
+    seen: dict[tuple[str, ...], None] = {}
+    for workload in WORKLOADS:
+        for seed in seeds:
+            for round_checks in checks.make_rounds(workload, seed, rounds, models_dir, JOBS):
+                for check in round_checks:
+                    assert check.argv[:2] == ("--format", "machine")
+                    for fmt in ("machine", "human"):
+                        seen[("--format", fmt, *check.argv[2:])] = None
+    return [list(argv) for argv in seen]
+
+
+def _run_tree(src: str, argv_file: str, out_file: str) -> None:
+    """Child process: every argv through one tree's cli.main, as JSON lines."""
+    sys.path.insert(0, src)
+    import pst.cli
+
+    if Path(pst.cli.__file__).resolve().parent != (Path(src) / "pst").resolve():
+        raise SystemExit(f"parity: imported pst from {pst.cli.__file__}, not from {src}")
+    argvs = json.loads(Path(argv_file).read_text())
+    with open(out_file, "w", encoding="utf-8") as fh:
+        for argv in argvs:
+            gc.collect()
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    rc = pst.cli.main(list(argv))
+                except Exception as exc:  # a traceback is an output like any other
+                    rc, err = "raised", io.StringIO(f"{type(exc).__name__}: {exc}")
+            fh.write(json.dumps([rc, out.getvalue(), err.getvalue()]) + "\n")
+
+
+def _write_models(src: str, models_dir: str) -> None:
+    sys.path.insert(0, src)
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import worker
+
+    worker.write_models(models_dir)
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent_src")
+    ap.add_argument("change_src", nargs="?", default=str(ROOT / "src"))
+    ap.add_argument("--seeds", default="1-10", help="seeds, e.g. 1-10 or 1,3,5")
+    ap.add_argument("--rounds", type=int, default=2, help="rounds per workload and seed")
+    args = ap.parse_args()
+    trees = [str(Path(p).resolve()) for p in (args.parent_src, args.change_src)]
+    with tempfile.TemporaryDirectory(prefix="pst-parity-") as tmp:
+        models_dir = str(Path(tmp) / "models")
+        Path(models_dir).mkdir()
+        subprocess.run([sys.executable, __file__, "--models", trees[1], models_dir], check=True)
+        argvs = _argvs(_seeds(args.seeds), args.rounds, models_dir)
+        argv_file = str(Path(tmp) / "argvs.json")
+        Path(argv_file).write_text(json.dumps(argvs))
+        outs = [str(Path(tmp) / f"out{i}.jsonl") for i in range(2)]
+        children = [
+            subprocess.Popen([sys.executable, __file__, "--child", tree, argv_file, out])
+            for tree, out in zip(trees, outs)
+        ]
+        if any(child.wait() for child in children):
+            print("parity: a tree's run failed", file=sys.stderr)
+            return 2
+        results = [Path(out).read_text().splitlines() for out in outs]
+    differ = 0
+    for argv, parent, change in zip(argvs, *results):
+        if parent != change:
+            differ += 1
+            print("differs:", " ".join(argv))
+            for name, line in (("parent", parent), ("change", change)):
+                rc, out, err = json.loads(line)
+                print(f"  {name}: exit {rc}")
+                for text in (out + err).splitlines():
+                    print(f"    {text}")
+    print(f"{len(argvs)} argvs, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--child"]:  # internal: one tree's run
+        _run_tree(*sys.argv[2:5])
+    elif sys.argv[1:2] == ["--models"]:  # internal: the shared model files
+        _write_models(*sys.argv[2:4])
+    else:
+        sys.exit(main())

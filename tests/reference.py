@@ -11,8 +11,12 @@ bounded quantifier (under ``bounded_opt``) ranges over the entries of its
 bound.
 
 ``enumerated_verdicts``, ``enumerated_leibniz`` and ``enumerated_induction``
-are the oracle for the assignment index: they list every assignment with
-``enumerate_assignments`` and evaluate the sentence under each one.
+are the oracle for the assignment index and the comega alternatives: they
+list every assignment with ``reference_assignments`` and evaluate the
+sentence under each one.  ``reference_assignments`` is the enumerator the
+evaluator replaced: it finds the negated atoms and the comega occurrences
+by walks of its own (``_collect_atom_keys``, ``_occ_space``) over the whole
+scope, so it serves as the oracle outside ``bounded_opt`` only.
 
 ``theta_audit`` is the oracle for the quantified soundness audit: it
 enumerates every table of negated-predicate values and evaluates the
@@ -44,21 +48,28 @@ from pst.syntax import (
     bounded_parts,
     formula_to_text,
     free_vars,
+    iff_sides,
     nnf_n4,
     subformulas,
     substitute,
 )
+from pst.errors import CapExceeded
 from pst.valuation import (
     ASSIGNMENT_CAP,
+    EMPTY_ASSIGNMENT,
+    Assignment,
     EvalContext,
     EvalError,
     InvalidAssignment,
     SetModel,
     UncoveredNegation,
     Verdict,
-    enumerate_assignments,
+    _atom_key,
+    _eval,
     eval_sentence,
 )
+
+_ATOMIC = (Bot, Mem, Eq, Pred)
 
 
 class Reference:
@@ -138,10 +149,130 @@ class Reference:
 
 
 
+# --- the replaced enumerator: negated atoms and comega occurrences by own walks ---------
+
+
+def reference_assignments(phi, model: SetModel, ctx: EvalContext, cap: int = ASSIGNMENT_CAP) -> list[Assignment]:
+    """Every admissible negation assignment of a closed formula: the atom
+    choices as a product over the sorted keys, the first most significant,
+    and for comega negated compounds, within each atom combination, the
+    occurrence choices in ``_occ_space`` order."""
+    if ctx.choice_free(phi, model.mode):
+        return [EMPTY_ASSIGNMENT]
+    options: dict = {}
+    total = 1
+
+    def visit(key) -> None:
+        nonlocal total
+        if key in options:
+            return
+        options[key] = model.neg_options(ctx.atom_value(key))
+        total *= len(options[key])
+        if total > cap:
+            raise CapExceeded(
+                f"more than {cap} atom assignments", cap="ASSIGNMENT_CAP", limit=cap, predicted=total
+            )
+
+    _collect_atom_keys(phi, {}, model, ctx, visit)
+    option_lists = [[(key, c) for c in options[key]] for key in sorted(options)]
+    if model.mode == "n4" or ctx.compound_free(phi):
+        return [Assignment(atoms=combo) for combo in itertools.product(*option_lists)]
+    out: list[Assignment] = []
+    for atoms in itertools.product(*option_lists):
+        base_asg = Assignment(atoms=atoms)
+        for occs in _occ_space(phi, {}, (), (), model, base_asg, ctx, cap):
+            out.append(Assignment(atoms=atoms, occs=tuple(sorted(occs.items()))))
+            if len(out) > cap:
+                raise CapExceeded(
+                    f"more than {cap} assignments", cap="ASSIGNMENT_CAP", limit=cap, predicted=len(out)
+                )
+    return out
+
+
+def _collect_atom_keys(node, env, model: SetModel, ctx: EvalContext, visit) -> None:
+    """Call visit on the key of every negated ground atom, instance by
+    instance over the whole scope."""
+    if isinstance(node, _ATOMIC):
+        return
+    if isinstance(node, (And, Or, Imp)):
+        if iff_sides(node) is not None:
+            node = node.left  # a -> b holds both sides of a <-> b
+        _collect_atom_keys(node.left, env, model, ctx, visit)
+        _collect_atom_keys(node.right, env, model, ctx, visit)
+        return
+    if isinstance(node, (Forall, Exists)):
+        for nid in model.scope:
+            _collect_atom_keys(node.body, {**env, node.var: nid}, model, ctx, visit)
+        return
+    if isinstance(node, Neg):
+        body = node.body
+        if isinstance(body, _ATOMIC):
+            visit(_atom_key(body, env))
+        elif model.mode == "n4":
+            _collect_atom_keys(nnf_n4(node), env, model, ctx, visit)
+        else:
+            _collect_atom_keys(body, env, model, ctx, visit)
+        return
+    raise EvalError(f"cannot analyse {node!r}")
+
+
+def _occ_space(node, env, trail, path, model: SetModel, base_asg: Assignment, ctx: EvalContext, cap: int) -> list[dict]:
+    """comega only: every per-occurrence choice dictionary for the compound
+    negations inside node, given fixed atom choices; each option set is read
+    from the body's value under the choices made inside it."""
+    if ctx.compound_free(node):
+        return [{}]
+    if isinstance(node, (And, Or, Imp)):
+        lefts = _occ_space(node.left, env, trail, path + (0,), model, base_asg, ctx, cap)
+        rights = _occ_space(node.right, env, trail, path + (1,), model, base_asg, ctx, cap)
+        return _occ_product(lefts, rights, cap)
+    if isinstance(node, (Forall, Exists)):
+        spaces: list[dict] = [{}]
+        for nid in model.scope:
+            env2 = {**env, node.var: nid}
+            subs = _occ_space(node.body, env2, trail + (nid,), path + (0,), model, base_asg, ctx, cap)
+            spaces = _occ_product(spaces, subs, cap)
+        return spaces
+    if isinstance(node, Neg):
+        body = node.body
+        inner = _occ_space(body, env, trail, path + (0,), model, base_asg, ctx, cap)
+        key = ("occ", path, trail)
+        out = []
+        for d in inner:
+            asg = Assignment(atoms=base_asg.atoms, occs=tuple(sorted(d.items())))
+            base = _eval(body, env, trail, path + (0,), model, asg, ctx)
+            options = model.neg_options(base)
+            if isinstance(body, Neg):  # the double-negation bound: the value of body's body
+                limit = _eval(body.body, env, trail, path + (0, 0), model, asg, ctx)
+                options = tuple(c for c in options if model.algebra.le(c, limit))
+            for c in options:
+                out.append({**d, key: c})
+                if len(out) > cap:
+                    raise _occ_cap(cap)
+        return out
+    raise EvalError(f"cannot analyse {node!r}")
+
+
+def _occ_product(lefts: list[dict], rights: list[dict], cap: int) -> list[dict]:
+    out = []
+    for dl in lefts:
+        for dr in rights:
+            out.append({**dl, **dr})
+            if len(out) > cap:
+                raise _occ_cap(cap)
+    return out
+
+
+def _occ_cap(cap: int) -> CapExceeded:
+    return CapExceeded(
+        f"more than {cap} occurrence choices", cap="ASSIGNMENT_CAP", limit=cap, predicted=cap + 1
+    )
+
+
 def enumerated_verdicts(phi, model: SetModel, cap: int = ASSIGNMENT_CAP) -> dict[str, Verdict]:
     """check_valid under both quantifications, one assignment at a time."""
     ctx = EvalContext(model)
-    assignments = enumerate_assignments(phi, model, ctx, cap)
+    assignments = reference_assignments(phi, model, ctx, cap)
     alg = model.algebra
     lo, hi = alg.top, alg.bottom
     witness = falsifier = None
@@ -182,7 +313,7 @@ def enumerated_leibniz(model: SetModel, var: str, phi, rank: int, quantification
             eq_uv = ctx.eval_eq(u, v)
             test = Imp(substitute(phi, var, NameConst(u)), substitute(phi, var, NameConst(v)))
             ok_some = False
-            for asg in enumerate_assignments(test, model, ctx, cap):
+            for asg in reference_assignments(test, model, ctx, cap):
                 val = eval_sentence(test, model, asg, ctx)
                 lo = alg.meet_(lo, alg.imp_(eq_uv, val))
                 if alg.le(eq_uv, val):

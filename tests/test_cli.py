@@ -336,6 +336,16 @@ def test_counter_search_found_and_not(files, capsys):
     assert code == 1 and "RESULT found=no" in out
 
 
+def test_counter_search_premise_needs_refute_sequent(capsys):
+    for fmt in ("human", "machine"):
+        code, out, err = run(
+            capsys, "--format", fmt, "counter", "search", "--goal", "refute_formula",
+            "--formula", "q", "--premise", "q", "--max-algebra", "2",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1 and "refute_sequent" in err
+
+
 def test_counter_congruence(files, capsys):
     code, out, _ = run(
         capsys,

@@ -8,6 +8,7 @@ from pst.proofs import (
     NoMatch,
     SideConditionViolated,
     _audit_quantified,
+    _propositional_instances,
     audit_soundness,
     check_derivation,
     match_schema,
@@ -23,6 +24,7 @@ from pst.syntax import (
     Signature,
     Var,
     formula_to_text,
+    iff_sides,
     parse_derivation_text,
     parse_formula,
 )
@@ -171,6 +173,14 @@ def test_systems_fixed():
 
 
 # --- soundness audit ----------------------------------------------------------------
+
+
+def test_biconditional_instances_keep_their_shared_sides():
+    """N9-N13 are <-> templates: each instance shares its two sides between
+    the two implications, so the evaluator reads each side once."""
+    for sid in ("N9", "N10", "N11", "N12", "N13"):
+        for inst in _propositional_instances(sid):
+            assert iff_sides(inst) is not None, (sid, formula_to_text(inst))
 
 
 def test_audit_qn4_small_budget_clean():

@@ -112,6 +112,37 @@ def test_search_goal_validation():
         search(SearchGoal("unknown_goal"))
     with pytest.raises(SearchError):
         search(SearchGoal("refute_formula"))
+    # premises belong to refute_sequent; the other goals do not drop them
+    for kind in ("refute_formula", "non_explosion", "separate_n4_n3"):
+        with pytest.raises(SearchError, match="takes no premises"):
+            search(SearchGoal(kind, formula=parse_formula("q"), premises=(parse_formula("q"),)))
+
+
+def test_non_explosion_is_the_sequent_p_not_p_entails_q():
+    """The goal's finding is refute_sequent's for p, ~p |- q, field by field
+    but for the goal and the description: p = ~p = top, q = 0, the same atom
+    table and assignment."""
+    sequent = (parse_formula("p"), parse_formula("~p"))
+    budgets = [Budget(max_algebra=m) for m in (2, 3, 4, 5)]
+    budgets += [Budget(max_algebra=m, families="all") for m in (2, 3)]
+    for logic in ("n4", "comega"):
+        for budget in budgets:
+            ne = search(SearchGoal("non_explosion", logic=logic, budget=budget))
+            seq = search(
+                SearchGoal("refute_sequent", formula=parse_formula("q"), premises=sequent, logic=logic, budget=budget)
+            )
+            assert isinstance(ne, Finding)
+            assert dataclasses.replace(ne, goal=seq.goal, description=seq.description) == seq
+            top = ne.structure.algebra.top
+            assert ne.values == (("p", top), ("~p", top), ("q", 0))
+            assert ne.atom_values == (("p", top), ("q", 0))
+            assert ne.description == (
+                f"||p|| = ||~p|| = {top} (top) while ||q|| = 0 < top;",
+                "the contradictory pair {p, ~p} holds without q following",
+            )
+    # only the one-element algebra, where q is top, has no certificate
+    out = search(SearchGoal("non_explosion", budget=Budget(max_algebra=1)))
+    assert isinstance(out, Exhausted) and out.census == (("evaluations", 1),)
 
 
 def test_all_families_search():

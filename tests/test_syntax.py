@@ -83,6 +83,18 @@ def test_iff_prints_as_iff():
     assert formula_to_text(And(Imp(p, q), Imp(Pred("q", ()), p))) == "(p -> q) & (q -> p)"
 
 
+def test_atoms_are_parenthesized_only_as_negation_bodies():
+    for text in (
+        "x in y & y in x",
+        "x in y & y in x & x eq y",
+        "x in y | y eq x",
+        "x in y -> y in x",
+        "~(x in y & y in x) <-> ~(x in y) | ~(y in x)",
+        "~(x eq y) & ~(y in x)",
+    ):
+        assert formula_to_text(parse_formula(text)) == text
+
+
 def test_name_constants_and_bot():
     assert parse_formula("#3 in #0") == Mem(NameConst(3), NameConst(0))
     assert parse_formula("bot -> p") == Imp(Bot(), p)

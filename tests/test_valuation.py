@@ -5,7 +5,14 @@ import re
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import Reference, enumerated_induction, enumerated_leibniz, enumerated_verdicts, unshared
+from reference import (
+    Reference,
+    enumerated_induction,
+    enumerated_leibniz,
+    enumerated_verdicts,
+    reference_assignments,
+    unshared,
+)
 
 from pst.algebra import chain, enumerate_heyting
 from pst.axioms import check_induction
@@ -523,6 +530,59 @@ def test_assignment_index_matches_enumeration_on_witness_sentences():
             _agrees_with_enumeration(phi, model, cap=1100 if indexed else 100)
 
 
+# negated compounds: comega chooses per occurrence, with options read from the
+# body's value; n4 pushes them to the atoms
+_COMPOUND_SENTENCES = [
+    parse_formula(text)
+    for text in (
+        "~~~(#0 eq #0)",
+        "forall x . ~~(x in x)",
+        "forall x . (~(x eq x & #0 in x) | #0 in x)",
+        "exists x . ~(x eq #0 -> #0 in x)",
+        "forall x . exists y . ~~(x in y)",
+        "exists x . forall y . (~(y in x & x eq x) -> ~~(y eq y))",
+        "forall x . (~(x eq x & x eq x) <-> ~~(x eq x))",
+        "~(#0 eq #0 -> ~(#0 in #0)) <-> ~(#0 eq #0) & #0 in #0",
+    )
+]
+
+
+def test_compound_negations_match_the_replaced_enumerator():
+    """The assignment list and check_valid under both quantifications
+    against the enumerator the evaluator replaced (tests/reference.py), for
+    every saturated comega and n4 structure of size <= 5 at ranks 1 and 2.
+    Past the cap both sides must trip it alike."""
+    cap = 1100
+    for model in _saturated_models():
+        for phi in _COMPOUND_SENTENCES:
+            _same_outcome(
+                lambda: reference_assignments(phi, model, EvalContext(model), cap),
+                lambda: enumerate_assignments(phi, model, cap=cap),
+            )
+            _agrees_with_enumeration(phi, model, cap)
+
+
+def test_bounded_quantifiers_choose_only_the_atoms_they_read():
+    """Under bounded_opt a bounded quantifier ranges over its bound's
+    entries, so the assignments cover the atoms and occurrences of those
+    instances only, not of the whole scope."""
+    for kind, size, text, bounded, unbounded in (
+        ("n4", 3, "forall x . forall y . (y in x -> ~(y eq y))", 3, 81),
+        ("comega", 2, "forall x . forall y . (y in x -> ~~(y eq y))", 5, 729),
+    ):
+        plain = make_model(saturate(chain(size), kind), NameStore(), 2)
+        model = plain.with_flags(bounded_opt=True)
+        phi = parse_formula(text)
+        assert check_valid(phi, plain).n_assignments == unbounded
+        verdict = check_valid(phi, model)
+        assert verdict.n_assignments == len(enumerate_assignments(phi, model)) == bounded
+        entries = {(x, c) for x in model.scope for c, _ in model.store.get(x).entries}
+        for asg in (verdict.witness, verdict.falsifier):
+            assert {key for key, _ in asg.atoms} == {("eq", c, c) for _, c in entries}
+            assert {trail for (_, _, trail), _ in asg.occs} <= entries
+            assert len(asg.occs) == (len(entries) if kind == "comega" else 0)
+            eval_sentence(phi, model, asg)  # every choice it names is read
+
 def _choice_formulas(leaves):
     atoms = st.builds(Eq, leaves, leaves) | st.builds(Mem, leaves, leaves) | st.just(Bot())
 
@@ -618,7 +678,6 @@ def test_iff_sides_are_evaluated_once(monkeypatch):
 
     for mod, name in (
         (val_mod, "_eval"),
-        (val_mod, "_collect_atom_keys"),
         (syntax_mod, "free_vars"),
         (syntax_mod, "is_negation_free"),
         (syntax_mod, "negates_atoms_only"),
