@@ -444,6 +444,11 @@ def audit_soundness(
     """
     if system not in SYSTEMS:
         raise ProofError(f"unknown system {system!r}")
+    # an empty budget would audit nothing and still report no failures
+    if max_algebra < 1:
+        raise ProofError(f"max_algebra must be at least 1, got {max_algebra}")
+    if max_domain < 1:
+        raise ProofError(f"max_domain must be at least 1, got {max_domain}")
     logic = "comega" if system == "qcw" else "n4"
     failures: list[AuditFailure] = []
     n_inst = 0

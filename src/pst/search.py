@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .algebra import FiniteHeytingAlgebra, enumerate_heyting
 from .errors import PstError
@@ -85,16 +85,78 @@ def _families(alg: FiniteHeytingAlgebra, which: str, kind: str) -> Iterator[FStr
         return
     if which != "all":
         raise SearchError(f"unknown family selector {which!r}")
+    yield from _valid_families(alg, kind)
+
+
+def _valid_families(alg: FiniteHeytingAlgebra, kind: str) -> Iterator[FStructure]:
+    """Every family that validate_n4 / validate_comega accepts, in the order
+    of itertools.product over the non-empty subsets of each N_x in mask
+    order, N_0 most significant.
+
+    N_0, N_1, ... are assigned by backtracking, and a prefix is dropped as
+    soon as a clause whose sets are all assigned fails.  Each clause is a
+    bit-mask test on the assigned sets, filed under the highest element
+    whose set it names.  Comega offers N_x only subsets of {y : x v y = 1}
+    (excluded middle is per element).  The pruning is only a necessary
+    condition: every complete family still goes through validate_*."""
+    n = alg.size
     validate = validate_n4 if kind == "n4" else validate_comega
-    subsets = [
-        tuple(e for e in range(alg.size) if mask >> e & 1)
-        for mask in range(1, 1 << alg.size)
-    ]
-    for fam in itertools.product(subsets, repeat=alg.size):
-        try:
-            yield validate(alg, list(fam))
-        except FidelError:
-            continue
+    members = [[e for e in range(n) if mask >> e & 1] for mask in range(1 << n)]
+    clauses: list[list[Callable[[list[int]], bool]]] = [[] for _ in range(n)]
+    for x in range(n):
+        # x' in N_x needs x in N_{x'} (n4), or an x'' <= x in N_{x'} (comega)
+        need = 1 << x if kind == "n4" else sum(1 << y for y in range(n) if alg.le(y, x))
+        for xp in range(n):
+            clauses[max(x, xp)].append(
+                lambda f, x=x, xp=xp, need=need: not f[x] >> xp & 1 or f[xp] & need
+            )
+    if kind == "n4":
+        choices = [range(1, 1 << n)] * n
+        for x in range(n):
+            for y in range(n):
+                if x <= y:  # clause (ii) is symmetric in x and y
+                    lo, hi = alg.meet_(x, y), alg.join_(x, y)
+                    clauses[max(y, lo, hi)].append(
+                        lambda f, x=x, y=y, lo=lo, hi=hi: all(
+                            f[lo] >> alg.join_(a, b) & 1 and f[hi] >> alg.meet_(a, b) & 1
+                            for a in members[f[x]]
+                            for b in members[f[y]]
+                        )
+                    )
+                to = alg.imp_(x, y)
+                clauses[max(y, to)].append(
+                    lambda f, x=x, y=y, to=to: all(
+                        f[to] >> alg.meet_(x, b) & 1 for b in members[f[y]]
+                    )
+                )
+    else:
+        choices = [
+            [m for m in range(1, 1 << n) if all(alg.join_(x, y) == alg.top for y in members[m])]
+            for x in range(n)
+        ]
+    fam = [0] * n
+
+    def extend(d: int) -> Iterator[FStructure]:
+        if d == n:
+            try:
+                yield validate(alg, [members[m] for m in fam])
+            except FidelError:
+                pass
+            return
+        for mask in choices[d]:
+            fam[d] = mask
+            if all(clause(fam) for clause in clauses[d]):
+                yield from extend(d + 1)
+
+    return extend(0)
+
+
+def _algebras(budget: Budget) -> list[FiniteHeytingAlgebra]:
+    """Every algebra within budget.  A budget that admits no algebra is an
+    error, not a search that exhausts nothing."""
+    if budget.max_algebra < 1:
+        raise SearchError(f"max_algebra must be at least 1, got {budget.max_algebra}")
+    return list(enumerate_heyting(budget.max_algebra))
 
 
 def _prop_model(fs: FStructure, values: Mapping[str, int]) -> SetModel:
@@ -169,7 +231,7 @@ def _sequent(goal: SearchGoal) -> tuple[Formula, list[tuple[Formula, tuple[int, 
 
 def _search_sequent(goal: SearchGoal) -> Finding | Exhausted:
     """Premises all top, conclusion below top, under one joint assignment."""
-    algebras = list(enumerate_heyting(goal.budget.max_algebra))
+    algebras = _algebras(goal.budget)
     joint, parts = _sequent(goal)
     structures = (
         fs for alg in algebras for fs in _families(alg, goal.budget.families, goal.logic)
@@ -240,7 +302,7 @@ def congruence_probe(
     if structures is None:
         pool: Iterator[FStructure] = (
             fs
-            for alg in enumerate_heyting(budget.max_algebra)
+            for alg in _algebras(budget)
             for fs in _families(alg, budget.families, logic)
         )
     else:

@@ -21,6 +21,10 @@ scope, so it serves as the oracle outside ``bounded_opt`` only.
 ``theta_audit`` is the oracle for the quantified soundness audit: it
 enumerates every table of negated-predicate values and evaluates the
 instance over each one by the textbook n4 clauses (``eval_qn4``).
+
+``raw_families`` is the oracle for the backtracking family generator of
+``counter search --families all``: it validates every family of the raw
+product of non-empty subsets.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
-from pst.fidel import FStructure, saturate
+from pst.fidel import FidelError, FStructure, saturate, validate_comega, validate_n4
 from pst.proofs import AuditFailure, _all_tables
 from pst.syntax import (
     And,
@@ -463,3 +467,18 @@ def theta_audit(sid: str, inst, algebras, max_domain: int) -> tuple[int, list[Au
                                     AuditFailure(sid, formula_to_text(inst), alg.size, dsize, repr(ptab), val)
                                 )
     return count, failures
+
+
+def raw_families(alg, kind: str):
+    """Every family of the given kind over alg: the product of the non-empty
+    subsets in mask order (N_0 most significant), each validated whole."""
+    validate = validate_n4 if kind == "n4" else validate_comega
+    subsets = [
+        tuple(e for e in range(alg.size) if mask >> e & 1)
+        for mask in range(1, 1 << alg.size)
+    ]
+    for fam in itertools.product(subsets, repeat=alg.size):
+        try:
+            yield validate(alg, list(fam))
+        except FidelError:
+            continue

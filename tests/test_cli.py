@@ -361,6 +361,40 @@ def test_counter_congruence(files, capsys):
     assert code == 0 and "RESULT found=yes" in out
 
 
+def test_counter_search_all_families_at_size_five(capsys):
+    """--families all reaches max-algebra 5.  The census is pinned from the
+    backtracking generator alone: the raw product of 31^5 families per
+    algebra is out of reach in test time."""
+    base = ("counter", "search", "--max-algebra", "5", "--families", "all")
+    code, out, _ = run(capsys, *base, "--goal", "refute_formula", "--formula", "~~p -> p", "--logic", "comega")
+    assert code == 1 and "exhausted search space (evaluations=1668)" in out
+    code, out, _ = run(capsys, *base, "--goal", "refute_formula", "--formula", "p | ~p", "--logic", "n4")
+    assert code == 0 and "over algebra of size 2" in out and "negation family: [[0, 1], [0]]" in out
+    found = [
+        run(capsys, "counter", "search", "--goal", "congruence", "--logic", "comega",
+            "--max-algebra", "5", "--families", families)
+        for families in ("saturated", "all")
+    ]
+    assert found[0] == found[1] and found[0][0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("prove", "audit", "--system", "qn4", "--max-algebra", "0"),
+        ("prove", "audit", "--system", "qn4", "--max-domain", "0"),
+        ("counter", "search", "--goal", "refute_formula", "--formula", "p", "--max-algebra", "0"),
+        ("counter", "search", "--goal", "refute_formula", "--formula", "p", "--max-algebra", "-1"),
+        ("counter", "search", "--goal", "congruence", "--max-algebra", "0"),
+    ],
+)
+def test_empty_budget_is_a_usage_error(capsys, argv):
+    # a budget that admits nothing would report a vacuous success or exhaustion
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1 and "must be at least 1" in err
+
+
 def test_usage_errors_exit_two(files, capsys):
     assert run(capsys, "algebra")[0] == 2 or True  # argparse exits are mapped
     code, _, err = run(capsys, "eval", "--model", "missing.fst", "--rank", "2", "--formula", "bot")

@@ -6,6 +6,7 @@ from pst.proofs import (
     _QUANT_INSTANCES,
     SYSTEMS,
     NoMatch,
+    ProofError,
     SideConditionViolated,
     _audit_quantified,
     _propositional_instances,
@@ -202,6 +203,17 @@ def test_audit_qcw_positive_fragment_clean():
     # CW1/CW2 hold over saturated families by construction of the choices
     rep = audit_soundness("qcw", max_domain=1, max_algebra=3)
     assert rep.ok, rep.failures[:3]
+
+
+def test_audit_rejects_an_empty_budget():
+    """An audit over no algebra, or over no domain, would report no failures
+    without evaluating anything."""
+    for system in SYSTEMS:
+        for max_algebra in (0, -1):
+            with pytest.raises(ProofError, match="max_algebra must be at least 1"):
+                audit_soundness(system, max_domain=1, max_algebra=max_algebra)
+        with pytest.raises(ProofError, match="max_domain must be at least 1"):
+            audit_soundness(system, max_domain=0, max_algebra=2)
 
 
 def test_quantified_audit_matches_the_theta_oracle():

@@ -1,11 +1,13 @@
 import dataclasses
+import random
 
 import pytest
 
-from pst.algebra import chain
-from pst.fidel import FStructure, saturate
+from pst.algebra import chain, enumerate_heyting
+from pst.fidel import FidelError, FStructure, saturate, validate_comega, validate_n4
 from pst.search import (
     Budget,
+    _families,
     _recertify,
     Exhausted,
     Finding,
@@ -15,6 +17,7 @@ from pst.search import (
     search,
 )
 from pst.syntax import parse_formula
+from reference import raw_families
 
 
 def test_non_explosion_finding():
@@ -124,7 +127,7 @@ def test_non_explosion_is_the_sequent_p_not_p_entails_q():
     table and assignment."""
     sequent = (parse_formula("p"), parse_formula("~p"))
     budgets = [Budget(max_algebra=m) for m in (2, 3, 4, 5)]
-    budgets += [Budget(max_algebra=m, families="all") for m in (2, 3)]
+    budgets += [Budget(max_algebra=m, families="all") for m in (2, 3, 4, 5)]
     for logic in ("n4", "comega"):
         for budget in budgets:
             ne = search(SearchGoal("non_explosion", logic=logic, budget=budget))
@@ -143,6 +146,62 @@ def test_non_explosion_is_the_sequent_p_not_p_entails_q():
     # only the one-element algebra, where q is top, has no certificate
     out = search(SearchGoal("non_explosion", budget=Budget(max_algebra=1)))
     assert isinstance(out, Exhausted) and out.census == (("evaluations", 1),)
+
+
+def test_empty_budget_is_an_error():
+    """No algebra within budget is an error, not an exhausted search."""
+    for max_algebra in (0, -1):
+        budget = Budget(max_algebra=max_algebra)
+        with pytest.raises(SearchError, match="max_algebra must be at least 1"):
+            search(SearchGoal("refute_formula", formula=parse_formula("p"), budget=budget))
+        with pytest.raises(SearchError, match="max_algebra must be at least 1"):
+            congruence_probe(budget)
+
+
+def test_all_families_match_the_raw_product():
+    """Backtracking yields the families of validating the whole raw product,
+    in its order, for every algebra of size <= 4."""
+    for alg in enumerate_heyting(4):
+        for kind in ("n4", "comega"):
+            assert list(_families(alg, "all", kind)) == list(raw_families(alg, kind)), (alg.size, kind)
+
+
+def _masks(fam):
+    return tuple(sum(1 << e for e in ns) for ns in fam)
+
+
+def _sets(masks, size):
+    return [[e for e in range(size) if m >> e & 1] for m in masks]
+
+
+def test_all_families_at_size_five_agree_with_validation():
+    """Size 5 is out of the raw product's reach (31^5 families), so sample
+    it: every generated family validates, they come in strictly increasing
+    product order, and a sampled raw family validates exactly when it was
+    generated.  Half the sample is uniform; the other half differs from a
+    generated family in one element of one N_x, where valid families are
+    dense."""
+    rng = random.Random(5)
+    for alg in (a for a in enumerate_heyting(5) if a.size == 5):
+        full = (1 << alg.size) - 1
+        for kind, validate in (("n4", validate_n4), ("comega", validate_comega)):
+            generated = [_masks(fs.negs) for fs in _families(alg, "all", kind)]
+            assert generated and generated == sorted(set(generated))
+            for fam in generated:
+                validate(alg, _sets(fam, alg.size))
+            accepted = set(generated)
+            for i in range(1000):
+                if i % 2:
+                    fam = list(rng.choice(generated))
+                    fam[rng.randrange(alg.size)] ^= 1 << rng.randrange(alg.size)
+                else:
+                    fam = [rng.randint(1, full) for _ in range(alg.size)]
+                try:
+                    validate(alg, _sets(fam, alg.size))
+                    valid = True
+                except FidelError:
+                    valid = False
+                assert valid == (tuple(fam) in accepted), (kind, fam)
 
 
 def test_all_families_search():
