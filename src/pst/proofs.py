@@ -14,7 +14,7 @@ from typing import Iterator, Mapping
 
 from .algebra import enumerate_heyting
 from .errors import CapExceeded, PstError
-from .fidel import saturate
+from .fidel import FStructure, saturate
 from .names import NameStore
 from .syntax import (
     And,
@@ -449,25 +449,22 @@ def audit_soundness(
         raise ProofError(f"max_algebra must be at least 1, got {max_algebra}")
     if max_domain < 1:
         raise ProofError(f"max_domain must be at least 1, got {max_domain}")
-    logic = "comega" if system == "qcw" else "n4"
     failures: list[AuditFailure] = []
     n_inst = 0
     n_eval = 0
     algebras = list(enumerate_heyting(max_algebra))
+    n4 = [saturate(alg, "n4") for alg in algebras]
+    own = [saturate(alg, "comega") for alg in algebras] if system == "qcw" else n4
     for sid in SYSTEMS[system]:
         schema = SCHEMAS[sid]
         if schema.template is not None:
             for inst in _propositional_instances(sid):
                 n_inst += 1
-                n_eval += _audit_propositional(
-                    sid, inst, algebras, failures, eval_cap - n_eval, logic
-                )
+                n_eval += _audit_propositional(sid, inst, own, failures, eval_cap - n_eval)
         else:
             for inst in _QUANT_INSTANCES[sid]:
                 n_inst += 1
-                n_eval += _audit_quantified(
-                    sid, inst, algebras, max_domain, failures, eval_cap - n_eval
-                )
+                n_eval += _audit_quantified(sid, inst, n4, max_domain, failures, eval_cap - n_eval)
     return AuditReport(
         system=system,
         max_algebra=max_algebra,
@@ -488,25 +485,33 @@ def _check_budget(count: int, budget: int) -> None:
 def _audit_propositional(
     sid: str,
     inst: Formula,
-    algebras,
+    structures: list[FStructure],
     failures: list[AuditFailure],
     budget: int,
-    logic: str = "n4",
 ) -> int:
+    """Evaluate inst at every table of atom values and every negation
+    assignment over each structure, counting one evaluation per assignment,
+    and list the ones below top in that order."""
     count = 0
-    structures = (saturate(alg, logic) for alg in algebras)
-    for fs, table, asg, (val,) in _table_walk(inst, [(inst, ())], structures):
-        count += 1
-        _check_budget(count, budget)
-        if val != fs.algebra.top:
+    text = formula_to_text(inst)
+    for fs, p, (value,), valid, decode in _table_walk(inst, [(inst, ())], structures):
+        count += valid.bit_count()
+        # one at a time, the count would have stopped one past the budget
+        _check_budget(min(count, budget + 1), budget)
+        failing = p.exceeds(p.top, value) & valid
+        while failing:
+            low = failing & -failing
+            failing ^= low
+            i = low.bit_length() - 1
+            table, asg = decode(i)
             failures.append(
                 AuditFailure(
                     schema=sid,
-                    instance=formula_to_text(inst),
+                    instance=text,
                     algebra_size=fs.algebra.size,
                     domain_size=0,
                     tables=f"atoms={table} negs={asg.fingerprint()}",
-                    value=val,
+                    value=p.decode(value, i),
                 )
             )
     return count
@@ -532,7 +537,7 @@ def _ground(t: Term, ftab: Mapping[str, Mapping[tuple, int]]) -> Term:
 def _audit_quantified(
     sid: str,
     inst: Formula,
-    algebras,
+    structures: list[FStructure],
     max_domain: int,
     failures: list[AuditFailure],
     budget: int,
@@ -552,8 +557,8 @@ def _audit_quantified(
             preds[node.sym] = len(node.args)
             for a in node.args:
                 _collect_term_funcs(a, funcs)
-    for alg in algebras:
-        fs = saturate(alg, "n4")
+    for fs in structures:
+        alg = fs.algebra
         for dsize in range(1, max_domain + 1):
             domain = tuple(range(dsize))
             func_tables = _all_tables(funcs, domain, domain)
@@ -566,7 +571,7 @@ def _audit_quantified(
                         options[("pred", sym, args) if args else ("pred", sym)] = fs.negs[value]
                 model = make_model(fs, NameStore(), 0, scope=domain, prop_values=cells)
                 ctx = EvalContext(model)
-                p = ctx.planes
+                p = alg.planes
                 index = AssignmentIndex(options, p)
                 for ftab in func_tables:
                     count += index.size

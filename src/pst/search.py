@@ -17,6 +17,7 @@ deterministic.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -24,12 +25,18 @@ from .algebra import FiniteHeytingAlgebra, enumerate_heyting
 from .errors import PstError
 from .fidel import FidelError, FStructure, saturate, validate_comega, validate_n4
 from .names import NameStore
-from .syntax import And, Formula, Neg, Pred, formula_to_text, prop_atoms
+from .kernel import Planes, Vector
+from .syntax import And, Formula, Neg, Pred, formula_to_text, negates_atoms_only, prop_atoms
 from .valuation import (
     ASSIGNMENT_CAP,
     Assignment,
+    AssignmentIndex,
+    AtomKey,
     EvalContext,
     SetModel,
+    _atom_options,
+    _cap_exceeded,
+    _comega_assignments,
     enumerate_assignments,
     eval_sentence,
     make_model,
@@ -163,25 +170,134 @@ def _prop_model(fs: FStructure, values: Mapping[str, int]) -> SetModel:
     return make_model(fs, NameStore(), 0, scope=(), prop_values=values)
 
 
+# positions of one vector evaluation: every negation digit and as many of
+# the innermost atom digits as fit (a run holds at least one table, which
+# the cap bounds); the outer atom digits loop in Python
+_SWEEP_SIZE = 1 << 16
+
+# (structure, planes, part values, valid positions, decode): decode(i) is the
+# atom table and the negation assignment at position i
+_Run = tuple[FStructure, Planes, list[Vector], int, Callable[[int], tuple[dict[str, int], Assignment]]]
+
+
 def _table_walk(
     joint: Formula,
     parts: Sequence[tuple[Formula, tuple[int, ...]]],
     structures: Iterable[FStructure],
     cap: int = ASSIGNMENT_CAP,
-) -> Iterator[tuple[FStructure, dict[str, int], Assignment, list[int]]]:
-    """(structure, atom table, assignment, part values) for every structure
-    given, every table of values of the propositional atoms of joint
-    (lexicographically over the sorted atoms) and every negation assignment
-    of joint, in enumeration order.  Each part is evaluated at its position
-    in joint, so one assignment serves all of them."""
+) -> Iterator[_Run]:
+    """The values of the parts of joint for every structure given, every
+    table of values of the propositional atoms of joint (lexicographically
+    over the sorted atoms) and every negation assignment of joint, as
+    vectors over runs of positions in that order.  Each part is evaluated
+    at its position in joint, so one assignment serves all of them.
+
+    The cap bounds each table's assignments: it trips on the first table
+    over it, after the positions before that table."""
     atoms = sorted(prop_atoms(joint))
+    compound = not negates_atoms_only(joint)
     for fs in structures:
-        for values in itertools.product(range(fs.algebra.size), repeat=len(atoms)):
-            table = dict(zip(atoms, values))
-            model = _prop_model(fs, table)
+        if fs.kind == "comega" and compound:
+            yield from _occurrence_walk(joint, parts, fs, atoms, cap)
+        else:
+            yield from _index_walk(joint, parts, fs, atoms, cap)
+
+
+def _index_walk(
+    joint: Formula,
+    parts: Sequence[tuple[Formula, tuple[int, ...]]],
+    fs: FStructure,
+    atoms: list[str],
+    cap: int,
+) -> Iterator[_Run]:
+    """Every choice sits at a ground atom: one ``AssignmentIndex`` over the
+    innermost atom values and every negation choice per run.  A probe at
+    the first table finds the negated atoms, in the order evaluation reads
+    them; which atoms they are does not depend on the values."""
+    alg = fs.algebra
+    n = alg.size
+    first = _prop_model(fs, dict.fromkeys(atoms, 0))
+    options = _atom_options(joint, first, EvalContext(first), cap)
+    atom_of = {("pred", a): a for a in atoms}
+    # a negated atom's choices depend on its value: pad them to the longest
+    longest = max(len(negs) for negs in fs.negs)
+    span = math.prod(longest if key in atom_of else len(opts) for key, opts in options.items())
+    inner = len(atoms)
+    while inner and n**inner * span > _SWEEP_SIZE:
+        inner -= 1
+    outer_atoms, inner_atoms = atoms[: len(atoms) - inner], atoms[len(atoms) - inner :]
+    inner_keys = [("pred", a) for a in inner_atoms]
+    for outer in itertools.product(range(n), repeat=len(outer_atoms)):
+        fixed = dict(zip(outer_atoms, outer))
+        opts = {
+            key: fs.negs[fixed[atom_of[key]]] if atom_of.get(key) in fixed else choices
+            for key, choices in options.items()
+        }
+        stop = _first_over_cap(options, atom_of, fs, fixed, inner_atoms, cap) if span > cap else None
+        index = AssignmentIndex(opts, alg.planes, inner_keys, fs.negs)
+        valid = index.valid
+        if stop is not None:
+            valid &= (1 << stop[0] * (index.size // n**inner)) - 1
+        if valid:
+
+            def decode(i: int, index: AssignmentIndex = index, outer: tuple[int, ...] = outer):
+                return dict(zip(atoms, outer + index.table(i))), index.decode(i)
+
+            model = _prop_model(fs, {**fixed, **{key[1]: index.value(key) for key in inner_keys}})
             ctx = EvalContext(model)
-            for asg in enumerate_assignments(joint, model, ctx, cap):
-                yield fs, table, asg, [eval_sentence(f, model, asg, ctx, path) for f, path in parts]
+            values = [eval_sentence(f, model, index, ctx, path) for f, path in parts]
+            yield fs, alg.planes, values, valid, decode
+        if stop is not None:
+            raise _cap_exceeded("atom assignments", cap, stop[1])
+
+
+def _first_over_cap(
+    options: Mapping[AtomKey, tuple[int, ...]],
+    atom_of: Mapping[AtomKey, str],
+    fs: FStructure,
+    fixed: Mapping[str, int],
+    inner_atoms: list[str],
+    cap: int,
+) -> tuple[int, int] | None:
+    """(table number in the run, predicted count) of the first table whose
+    assignments pass the cap, counted as a probe reads the negated atoms,
+    or None."""
+    for t, values in enumerate(itertools.product(range(fs.algebra.size), repeat=len(inner_atoms))):
+        table = {**fixed, **dict(zip(inner_atoms, values))}
+        total = 1
+        for key, opts in options.items():
+            total *= len(fs.negs[table[atom_of[key]]] if key in atom_of else opts)
+            if total > cap:
+                return t, total
+    return None
+
+
+def _occurrence_walk(
+    joint: Formula,
+    parts: Sequence[tuple[Formula, tuple[int, ...]]],
+    fs: FStructure,
+    atoms: list[str],
+    cap: int,
+) -> Iterator[_Run]:
+    """comega with a negated compound, whose options depend on its body's
+    value: one run per table, enumerated with joint's value under each
+    assignment.  A lone part is joint itself and takes that value."""
+    planes = fs.algebra.planes
+    for values in itertools.product(range(fs.algebra.size), repeat=len(atoms)):
+        table = dict(zip(atoms, values))
+        model = _prop_model(fs, table)
+        ctx = EvalContext(model)
+        pairs = list(_comega_assignments(joint, model, ctx, cap))
+        if len(parts) == 1:
+            columns = [[v for _, v in pairs]]
+        else:
+            columns = [[eval_sentence(f, model, asg, ctx, path) for asg, _ in pairs] for f, path in parts]
+
+        def decode(i: int, table: dict[str, int] = table, pairs: list = pairs):
+            return table, pairs[i][0]
+
+        vectors = [planes.from_values(enumerate(column)) for column in columns]
+        yield fs, planes, vectors, (1 << len(pairs)) - 1, decode
 
 
 def search(goal: SearchGoal) -> Finding | Exhausted:
@@ -237,30 +353,37 @@ def _search_sequent(goal: SearchGoal) -> Finding | Exhausted:
         fs for alg in algebras for fs in _families(alg, goal.budget.families, goal.logic)
     )
     evaluations = 0
-    for fs, table, asg, vals in _table_walk(joint, parts, structures, goal.budget.max_assignments):
-        evaluations += 1
-        top = fs.algebra.top
+    for fs, p, vals, valid, decode in _table_walk(joint, parts, structures, goal.budget.max_assignments):
         *prem_vals, concl = vals
-        if concl != top and all(v == top for v in prem_vals):
-            values = tuple((formula_to_text(f), v) for (f, _), v in zip(parts, vals))
-            if goal.kind == "non_explosion":
-                description: tuple[str, ...] = (
-                    f"||p|| = ||~p|| = {top} (top) while ||q|| = {concl} < top;",
-                    "the contradictory pair {p, ~p} holds without q following",
-                )
-            elif goal.kind == "refute_sequent":
-                description = (f"premises all top, conclusion {concl} < top;",)
-            else:
-                description = (f"||{values[0][0]}|| = {concl} < top = {top}",)
-            return Finding(
-                goal=goal.kind,
-                algebra_size=fs.algebra.size,
-                structure=fs,
-                atom_values=tuple(sorted(table.items())),
-                assignment_fingerprint=asg.fingerprint(),
-                values=values,
-                description=description,
+        hits = valid & p.exceeds(p.top, concl)
+        for v in prem_vals:
+            hits &= ~p.exceeds(p.top, v)
+        if not hits:
+            evaluations += valid.bit_count()
+            continue
+        i = (hits & -hits).bit_length() - 1
+        table, asg = decode(i)
+        top = fs.algebra.top
+        concl = p.decode(concl, i)
+        values = tuple((formula_to_text(f), p.decode(v, i)) for (f, _), v in zip(parts, vals))
+        if goal.kind == "non_explosion":
+            description: tuple[str, ...] = (
+                f"||p|| = ||~p|| = {top} (top) while ||q|| = {concl} < top;",
+                "the contradictory pair {p, ~p} holds without q following",
             )
+        elif goal.kind == "refute_sequent":
+            description = (f"premises all top, conclusion {concl} < top;",)
+        else:
+            description = (f"||{values[0][0]}|| = {concl} < top = {top}",)
+        return Finding(
+            goal=goal.kind,
+            algebra_size=fs.algebra.size,
+            structure=fs,
+            atom_values=tuple(sorted(table.items())),
+            assignment_fingerprint=asg.fingerprint(),
+            values=values,
+            description=description,
+        )
     return Exhausted(goal.kind, (("evaluations", evaluations),))
 
 

@@ -98,8 +98,9 @@ class SetModel:
     scope: tuple[int, ...]
     bounded_opt: bool = False
     # predicate table: sym -> value for a 0-ary atom, (sym, args) -> value
-    # for an atom over the name ids args
-    prop_values: Mapping[str | tuple, int] = field(default_factory=dict)
+    # for an atom over the name ids args; a value is an element, or a
+    # vector over the tables of an AssignmentIndex
+    prop_values: Mapping[str | tuple, Vector] = field(default_factory=dict)
 
     def neg_options(self, value: int) -> tuple[int, ...]:
         if self.structure is None:
@@ -126,7 +127,7 @@ def make_model(
     mode: str | None = None,
     scope: Sequence[int] | None = None,
     bounded_opt: bool = False,
-    prop_values: Mapping[str | tuple, int] | None = None,
+    prop_values: Mapping[str | tuple, Vector] | None = None,
 ) -> SetModel:
     """Build a model; the scope defaults to all names of rank <= bound."""
     if isinstance(structure, FStructure):
@@ -202,36 +203,96 @@ class AssignmentIndex:
     mixed-radix index over the sorted atom keys, the first key most
     significant, as in ``itertools.product``.
 
-    Evaluated under the index, every value is a vector over it
-    (``kernel.Planes``): a negated atom reads as the vector of its choices,
-    and the connectives and quantifiers combine vectors plane-wise."""
+    The index may run over tables of atom values as well: the atoms in
+    ``values`` then take one digit each, of radix |A|, ahead of the choice
+    digits, so that each table's assignments follow the last table's.  A
+    negated atom in ``values`` has the choices negs[v] at value v (its
+    entry in ``options`` is not read): its digit is padded to the longest
+    negs[v], and ``valid`` masks the positions whose every choice is in
+    range.
 
-    def __init__(self, options: Mapping[AtomKey, tuple[int, ...]], planes: Planes):
+    Evaluated under the index, every value is a vector over it
+    (``kernel.Planes``): an atom in ``values`` reads as the vector of its
+    values (``value``, to be put in the model's table), a negated atom as
+    the vector of its choices, and the connectives and quantifiers combine
+    vectors plane-wise."""
+
+    def __init__(
+        self,
+        options: Mapping[AtomKey, tuple[int, ...]],
+        planes: Planes,
+        values: Sequence[AtomKey] = (),
+        negs: Sequence[tuple[int, ...]] = (),
+    ):
+        n = planes.alg.size
+        self.values = tuple(values)
         self.keys = sorted(options)
-        self.options = [options[key] for key in self.keys]
-        self.size = math.prod(len(opts) for opts in self.options)
+        digit = {key: j for j, key in enumerate(self.values)}
+        # the digit of each key's value (None: one value), and its choices at each value
+        self._governor = [digit.get(key) for key in self.keys]
+        self._choices = [
+            (options[key],) if j is None else negs for key, j in zip(self.keys, self._governor)
+        ]
+        self._radices = [n] * len(self.values) + [max(map(len, c)) for c in self._choices]
+        self.size = math.prod(self._radices)
         self.ops = (planes.meet, planes.join, planes.imp)
-        self._choices: dict[AtomKey, Vector] = {}
-        stride = 1  # the last key varies fastest
-        for key, opts in zip(reversed(self.keys), reversed(self.options)):
-            period = stride * len(opts)
-            # digit d of this key: runs of stride positions, one every period
-            repunit = ((1 << self.size) - 1) // ((1 << period) - 1)
+        full = (1 << self.size) - 1
+        strides = [1] * len(self._radices)  # the last digit varies fastest
+        for j in range(len(strides) - 2, -1, -1):
+            strides[j] = strides[j + 1] * self._radices[j + 1]
+
+        def masks(j: int) -> list[int]:
+            """The positions whose digit j is d, for each d: runs of stride
+            positions, one every period."""
+            stride = strides[j]
+            repunit = full // ((1 << stride * self._radices[j]) - 1)
             run = (1 << stride) - 1
-            self._choices[key] = opts[0] if len(opts) == 1 else planes.from_masks(
-                ((run << d * stride) * repunit, choice) for d, choice in enumerate(opts)
-            )
-            stride = period
+            return [(run << d * stride) * repunit for d in range(self._radices[j])]
+
+        value_masks = [masks(j) for j in range(len(self.values))]
+        self._values = {key: planes.from_masks(zip(m, range(n))) for key, m in zip(self.values, value_masks)}
+        self._vectors: dict[AtomKey, Vector] = {}
+        invalid = 0
+        for c, (key, j, choices) in enumerate(zip(self.keys, self._governor, self._choices), len(self.values)):
+            if j is None:
+                (opts,) = choices
+                self._vectors[key] = opts[0] if len(opts) == 1 else planes.from_masks(zip(masks(c), opts))
+                continue
+            pairs = []
+            choice_masks = masks(c)
+            for at, opts in zip(value_masks[j], choices):
+                pairs += ((at & m, choice) for m, choice in zip(choice_masks, opts))
+                for m in choice_masks[len(opts) :]:
+                    invalid |= at & m
+            self._vectors[key] = planes.from_masks(pairs)
+        self.valid = full & ~invalid
 
     def atom(self, key: AtomKey) -> Vector | None:
-        return self._choices.get(key)
+        return self._vectors.get(key)
+
+    def value(self, key: AtomKey) -> Vector:
+        """The values of an atom in ``values``, position by position."""
+        return self._values[key]
+
+    def _digits(self, i: int) -> list[int]:
+        out = []
+        for radix in reversed(self._radices):
+            i, d = divmod(i, radix)
+            out.append(d)
+        out.reverse()
+        return out
+
+    def table(self, i: int) -> tuple[int, ...]:
+        """The values of the atoms in ``values`` at position i."""
+        return tuple(self._digits(i)[: len(self.values)])
 
     def decode(self, i: int) -> Assignment:
-        atoms = []
-        for key, opts in zip(reversed(self.keys), reversed(self.options)):
-            i, d = divmod(i, len(opts))
-            atoms.append((key, opts[d]))
-        return Assignment(atoms=tuple(reversed(atoms)))
+        digits = self._digits(i)
+        atoms = tuple(
+            (key, choices[0 if j is None else digits[j]][d])
+            for key, j, choices, d in zip(self.keys, self._governor, self._choices, digits[len(self.values) :])
+        )
+        return Assignment(atoms=atoms)
 
 
 def _atom_key(node: Formula, env: Mapping[str, int]) -> AtomKey:
@@ -302,8 +363,13 @@ class EvalContext:
         self.model = model
         self.alg = model.algebra
         self._kernel: EqMemKernel | None = None
-        self._atoms: dict[AtomKey, int] = {}
-        self.element_ops = (self.alg.meet_, self.alg.join_, self.alg.imp_)
+        self._atoms: dict[AtomKey, Vector] = {}
+        if any(v.__class__ is tuple for v in model.prop_values.values()):
+            # atom values that are vectors over an AssignmentIndex's tables
+            p = self.alg.planes
+            self.element_ops = (p.meet, p.join, p.imp)
+        else:
+            self.element_ops = (self.alg.meet_, self.alg.join_, self.alg.imp_)
         # id(key) -> (key, value); the key is held so its id stays unique
         self._free: dict[int, tuple[Formula, frozenset[str]]] = {}
         self._negfree: dict[int, tuple[Formula, bool]] = {}
@@ -314,12 +380,12 @@ class EvalContext:
     @property
     def kernel(self) -> EqMemKernel:
         if self._kernel is None:
-            self._kernel = EqMemKernel(Planes(self.alg), self.model.store)
+            self._kernel = EqMemKernel(self.alg.planes, self.model.store)
         return self._kernel
 
     @property
     def planes(self) -> Planes:
-        return self.kernel.planes
+        return self.alg.planes
 
     # ||u ~ v|| -- symmetric by construction
     def eval_eq(self, u: int, v: int) -> int:
@@ -329,14 +395,14 @@ class EvalContext:
     def eval_mem(self, u: int, v: int) -> int:
         return self.atom_value(("mem", u, v))
 
-    def atom_value(self, key: AtomKey) -> int:
+    def atom_value(self, key: AtomKey) -> Vector:
         value = self._atoms.get(key)
         if value is None:
             value = self._read_atom(key)
             self._atoms[key] = value
         return value
 
-    def _read_atom(self, key: AtomKey) -> int:
+    def _read_atom(self, key: AtomKey) -> Vector:
         if key[0] == "bot":
             return self.alg.bottom
         if key[0] == "eq":

@@ -25,6 +25,16 @@ instance over each one by the textbook n4 clauses (``eval_qn4``).
 ``raw_families`` is the oracle for the backtracking family generator of
 ``counter search --families all``: it validates every family of the raw
 product of non-empty subsets.
+
+``table_walk`` is the oracle for the sweep of ``search._table_walk``: it
+builds a model, an ``EvalContext`` and an assignment list for every table
+of atom values and evaluates each part once per assignment.
+``walk_search`` and ``walk_audit`` run a search and the soundness audit
+through it.
+
+``enumerated_heyting`` is the oracle for ``algebra.enumerate_heyting``: it
+lists every labelled poset by its pair bitmask and its down-sets by
+testing every subset.
 """
 
 from __future__ import annotations
@@ -33,8 +43,21 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
+from pst.algebra import FiniteHeytingAlgebra, canonical_key, derive_heyting, enumerate_heyting, validate_lattice
 from pst.fidel import FidelError, FStructure, saturate, validate_comega, validate_n4
-from pst.proofs import AuditFailure, _all_tables
+from pst.names import NameStore
+from pst.proofs import (
+    _QUANT_INSTANCES,
+    SCHEMAS,
+    SYSTEMS,
+    AuditFailure,
+    AuditReport,
+    _all_tables,
+    _audit_quantified,
+    _check_budget,
+    _propositional_instances,
+)
+from pst.search import Exhausted, Finding, SearchGoal, _algebras, _families, _sequent
 from pst.syntax import (
     And,
     Bot,
@@ -54,6 +77,7 @@ from pst.syntax import (
     free_vars,
     iff_sides,
     nnf_n4,
+    prop_atoms,
     subformulas,
     substitute,
 )
@@ -70,7 +94,9 @@ from pst.valuation import (
     Verdict,
     _atom_key,
     _eval,
+    enumerate_assignments,
     eval_sentence,
+    make_model,
 )
 
 _ATOMIC = (Bot, Mem, Eq, Pred)
@@ -482,3 +508,168 @@ def raw_families(alg, kind: str):
             yield validate(alg, list(fam))
         except FidelError:
             continue
+
+
+# --- the per-table walk the sweep replaced ----------------------------------------------
+
+
+def table_walk(joint, parts, structures, cap: int = ASSIGNMENT_CAP):
+    """(structure, atom table, assignment, part values) for every structure
+    given, every table of values of the propositional atoms of joint
+    (lexicographically over the sorted atoms) and every negation assignment
+    of joint, in enumeration order.  Each part is evaluated at its position
+    in joint, so one assignment serves all of them."""
+    atoms = sorted(prop_atoms(joint))
+    for fs in structures:
+        for values in itertools.product(range(fs.algebra.size), repeat=len(atoms)):
+            table = dict(zip(atoms, values))
+            model = make_model(fs, NameStore(), 0, scope=(), prop_values=table)
+            ctx = EvalContext(model)
+            for asg in enumerate_assignments(joint, model, ctx, cap):
+                yield fs, table, asg, [eval_sentence(f, model, asg, ctx, path) for f, path in parts]
+
+
+def walk_search(goal: SearchGoal):
+    """``search.search`` through ``table_walk``: the first assignment with
+    every premise top and the conclusion below it, or the count of
+    evaluations on exhaustion (no re-certification)."""
+    joint, parts = _sequent(goal)
+    structures = (
+        fs for alg in _algebras(goal.budget) for fs in _families(alg, goal.budget.families, goal.logic)
+    )
+    evaluations = 0
+    for fs, table, asg, vals in table_walk(joint, parts, structures, goal.budget.max_assignments):
+        evaluations += 1
+        top = fs.algebra.top
+        *prem_vals, concl = vals
+        if concl != top and all(v == top for v in prem_vals):
+            values = tuple((formula_to_text(f), v) for (f, _), v in zip(parts, vals))
+            if goal.kind == "non_explosion":
+                description = (
+                    f"||p|| = ||~p|| = {top} (top) while ||q|| = {concl} < top;",
+                    "the contradictory pair {p, ~p} holds without q following",
+                )
+            elif goal.kind == "refute_sequent":
+                description = (f"premises all top, conclusion {concl} < top;",)
+            else:
+                description = (f"||{values[0][0]}|| = {concl} < top = {top}",)
+            return Finding(
+                goal=goal.kind,
+                algebra_size=fs.algebra.size,
+                structure=fs,
+                atom_values=tuple(sorted(table.items())),
+                assignment_fingerprint=asg.fingerprint(),
+                values=values,
+                description=description,
+            )
+    return Exhausted(goal.kind, (("evaluations", evaluations),))
+
+
+def walk_audit(system: str, max_domain: int = 2, max_algebra: int = 4, eval_cap: int = 2_000_000) -> AuditReport:
+    """``proofs.audit_soundness`` with the propositional instances evaluated
+    through ``table_walk``, one evaluation at a time; the quantified
+    instances go through ``proofs._audit_quantified`` as in the audit."""
+    logic = "comega" if system == "qcw" else "n4"
+    algebras = list(enumerate_heyting(max_algebra))
+    n4 = [saturate(alg, "n4") for alg in algebras]
+    failures: list[AuditFailure] = []
+    n_inst = n_eval = 0
+    for sid in SYSTEMS[system]:
+        if SCHEMAS[sid].template is None:
+            for inst in _QUANT_INSTANCES[sid]:
+                n_inst += 1
+                n_eval += _audit_quantified(sid, inst, n4, max_domain, failures, eval_cap - n_eval)
+            continue
+        for inst in _propositional_instances(sid):
+            n_inst += 1
+            budget = eval_cap - n_eval
+            count = 0
+            structures = (saturate(alg, logic) for alg in algebras)
+            for fs, table, asg, (val,) in table_walk(inst, [(inst, ())], structures):
+                count += 1
+                _check_budget(count, budget)
+                if val != fs.algebra.top:
+                    failures.append(
+                        AuditFailure(
+                            schema=sid,
+                            instance=formula_to_text(inst),
+                            algebra_size=fs.algebra.size,
+                            domain_size=0,
+                            tables=f"atoms={table} negs={asg.fingerprint()}",
+                            value=val,
+                        )
+                    )
+            n_eval += count
+    return AuditReport(system, max_algebra, max_domain, n_inst, n_eval, tuple(failures))
+
+
+# --- distributive lattices from every labelled poset ----------------------------------
+
+
+def _labelled_posets(k: int):
+    """All posets on 0..k-1 whose order refines the integer order, by pair
+    bitmask.  Rows are bitmasks: bit j of row i set iff i <= j."""
+    if k == 0:
+        yield ()
+        return
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    for bits in range(1 << len(pairs)):
+        rows = [1 << i for i in range(k)]
+        for idx, (i, j) in enumerate(pairs):
+            if bits >> idx & 1:
+                rows[i] |= 1 << j
+        ok = True
+        for i in range(k):
+            acc = rows[i]
+            m = rows[i]
+            while m:
+                j = (m & -m).bit_length() - 1
+                m &= m - 1
+                acc |= rows[j]
+            if acc != rows[i]:
+                ok = False
+                break
+        if ok:
+            yield tuple(rows)
+
+
+def _downsets(rows, limit: int):
+    """Downward-closed subsets as bitmasks, or None if more than limit."""
+    k = len(rows)
+    down = [0] * k
+    for i in range(k):
+        for j in range(k):
+            if rows[j] >> i & 1:  # j <= i
+                down[i] |= 1 << j
+    out = []
+    for s in range(1 << k):
+        closed = True
+        m = s
+        while m:
+            i = (m & -m).bit_length() - 1
+            m &= m - 1
+            if down[i] & ~s:
+                closed = False
+                break
+        if closed:
+            out.append(s)
+            if len(out) > limit:
+                return None
+    return out
+
+
+def enumerated_heyting(max_size: int) -> list[FiniteHeytingAlgebra]:
+    """Every distributive lattice of at most max_size elements, the first
+    labelled poset of each isomorphism class kept, by size and then
+    canonical key."""
+    found: dict[bytes, FiniteHeytingAlgebra] = {}
+    for k in range(0, max_size):
+        for rows in _labelled_posets(k):
+            downs = _downsets(rows, max_size)
+            if downs is None:
+                continue
+            downs.sort(key=lambda s: (bin(s).count("1"), s))
+            leq = [[(a & b) == a for b in downs] for a in downs]
+            alg = derive_heyting(validate_lattice(leq))
+            found.setdefault(canonical_key(alg), alg)
+    return [alg for _, alg in sorted(found.items(), key=lambda kv: (kv[1].size, kv[0]))]

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import pst
 from pst.cli import main
 
 CHAIN3 = """
@@ -92,6 +98,20 @@ def test_algebra_check_machine_single_line(files, capsys):
 def test_algebra_enum(files, capsys):
     code, out, _ = run(capsys, "--format", "machine", "algebra", "enum", "--max-size", "4")
     assert code == 0 and out.strip() == "RESULT count=5 max_size=4"
+
+
+def test_python_dash_m_runs_the_cli():
+    """``python -m pst`` is the ``pst`` script, from a checkout as well."""
+    env = dict(os.environ, PYTHONPATH=str(Path(pst.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pst", "algebra", "enum", "--max-size", "3"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "RESULT count=3 max_size=3"
 
 
 def test_algebra_refinable(files, capsys):

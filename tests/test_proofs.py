@@ -2,6 +2,7 @@ import pytest
 
 from pst.algebra import enumerate_heyting
 from pst.errors import CapExceeded
+from pst.fidel import saturate
 from pst.proofs import (
     _QUANT_INSTANCES,
     SYSTEMS,
@@ -238,7 +239,7 @@ def test_quantified_audit_matches_the_theta_oracle():
     failing = 0
     for sid, inst in instances:
         failures = []
-        count = _audit_quantified(sid, inst, algebras, 2, failures, 10**9)
+        count = _audit_quantified(sid, inst, [saturate(alg, "n4") for alg in algebras], 2, failures, 10**9)
         assert (count, failures) == theta_audit(sid, inst, algebras, 2), formula_to_text(inst)
         failing += bool(failures)
     assert failing >= 2  # the failure lists are compared, not only empty ones
@@ -246,7 +247,7 @@ def test_quantified_audit_matches_the_theta_oracle():
 
 def test_quantified_audit_budget():
     inst = _QUANT_INSTANCES["A2"][0]
-    algebras = list(enumerate_heyting(3))
+    structures = [saturate(alg, "n4") for alg in enumerate_heyting(3)]
     with pytest.raises(CapExceeded) as exc:
-        _audit_quantified("A2", inst, algebras, 2, [], 10)
+        _audit_quantified("A2", inst, structures, 2, [], 10)
     assert exc.value.cap == "eval_cap" and exc.value.limit == 10 and exc.value.predicted > 10

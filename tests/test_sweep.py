@@ -1,0 +1,192 @@
+"""The sweep of ``search._table_walk`` against the per-table walk it
+replaced (``reference.table_walk``): the same positions, in the same order,
+with the same atom tables, assignments and part values; the same audit
+reports and search results; and the same cap trips."""
+
+import itertools
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pst import search as search_mod
+from pst.algebra import chain, enumerate_heyting
+from pst.errors import CapExceeded
+from pst.fidel import saturate
+from pst.proofs import audit_soundness
+from pst.search import GOALS, Budget, SearchGoal, _sequent, _table_walk, search
+from pst.syntax import And, Imp, Neg, Or, Pred, iff, parse_formula
+from pst.valuation import ASSIGNMENT_CAP
+from reference import table_walk, walk_audit, walk_search
+
+_STRUCTURES_TO_4 = [saturate(alg, kind) for alg in enumerate_heyting(4) for kind in ("n4", "comega")]
+
+
+def _positions(joint, parts, structures, cap):
+    """The sweep, one (structure, table, assignment, part values) per valid
+    position."""
+    for fs, p, values, valid, decode in _table_walk(joint, parts, structures, cap):
+        while valid:
+            low = valid & -valid
+            valid ^= low
+            i = low.bit_length() - 1
+            table, asg = decode(i)
+            yield fs, table, asg, [p.decode(v, i) for v in values]
+
+
+def _run(walk, limit=None):
+    """The first limit positions of a walk, with each table as its items in
+    order, and the fields of the cap trip that ended it, if one did."""
+    out = []
+    try:
+        for fs, table, asg, values in itertools.islice(walk, limit):
+            out.append((fs, list(table.items()), asg, values))
+    except CapExceeded as exc:
+        return out, (str(exc), exc.cap, exc.limit, exc.predicted)
+    return out, None
+
+
+def _assert_same_walk(joint, parts, structures, cap=ASSIGNMENT_CAP, limit=None):
+    got = _run(_positions(joint, parts, structures, cap), limit)
+    want = _run(table_walk(joint, parts, structures, cap), limit)
+    assert got == want
+    return got
+
+
+@pytest.mark.parametrize("system", ["qn4", "qn3", "qcw"])
+def test_audit_matches_the_per_table_walk(system):
+    """Field for field: the counts, and every failure in order with its
+    tables string and value.  Max-algebra 5 walks every structure of the
+    smaller budgets as well, in the same order."""
+    for max_algebra in (1, 3, 5):
+        report = audit_soundness(system, max_domain=1, max_algebra=max_algebra)
+        assert report == walk_audit(system, max_domain=1, max_algebra=max_algebra)
+    if system == "qn3":
+        assert len(report.failures) == 1037
+
+
+def test_audit_eval_cap_trips_alike():
+    """A lowered eval_cap trips where one evaluation at a time would, with
+    the same fields: inside the first instance, inside a later one, and
+    inside the quantified half."""
+    full = audit_soundness("qn3", max_domain=1, max_algebra=3).n_evaluations
+    for eval_cap in (0, 5, 200, 1000, full - 1):
+        trips = []
+        for audit in (audit_soundness, walk_audit):
+            with pytest.raises(CapExceeded) as exc:
+                audit("qn3", max_domain=1, max_algebra=3, eval_cap=eval_cap)
+            trips.append((str(exc.value), exc.value.cap, exc.value.limit, exc.value.predicted))
+        assert trips[0] == trips[1]
+
+
+_SEARCH_FORMULAS = {
+    "refute_formula": [(f, ()) for f in ("~~p -> p", "p | ~p", "~(p & q) -> (~p | ~q)", "(p -> q) -> (~q -> ~p)")],
+    "refute_sequent": [("~p", ("p -> q", "~q")), ("p", ("~~p",)), ("~(p & q)", ("~p | ~q",))],
+    "non_explosion": [(None, ())],
+    "separate_n4_n3": [(None, ())],
+}
+
+
+@pytest.mark.parametrize("logic", ["n4", "comega"])
+@pytest.mark.parametrize("kind", GOALS)
+def test_search_matches_the_per_table_walk(kind, logic):
+    """Every goal and logic: the same finding, or the same evaluation count
+    on exhaustion, over the saturated families at max-algebra 2-5 and every
+    family at 2-4."""
+    budgets = [Budget(max_algebra=m) for m in (2, 3, 4, 5)]
+    budgets += [Budget(max_algebra=m, families="all") for m in (2, 3, 4)]
+    for formula, premises in _SEARCH_FORMULAS[kind]:
+        for budget in budgets:
+            goal = SearchGoal(
+                kind,
+                formula=parse_formula(formula) if formula else None,
+                premises=tuple(parse_formula(text) for text in premises),
+                logic=logic,
+                budget=budget,
+            )
+            assert search(goal) == walk_search(goal)
+
+
+def test_search_cap_trips_alike():
+    """A lowered max_assignments trips on the first table over it, after
+    every position before that table, with the same fields; a finding
+    before that table wins."""
+    for text, cap in (("~p & ~q & ~r -> r", 24), ("~r | ~q | ~p | (p & ~p)", 7), ("~p & ~q -> p", 4)):
+        for logic, m in itertools.product(("n4", "comega"), (3, 5)):
+            goal = SearchGoal("refute_formula", formula=parse_formula(text), logic=logic, budget=Budget(m, cap))
+            outs = []
+            for run in (search, walk_search):
+                try:
+                    outs.append(run(goal))
+                except CapExceeded as exc:
+                    outs.append((str(exc), exc.cap, exc.limit, exc.predicted))
+            assert outs[0] == outs[1]
+
+
+def test_walk_cap_trips_under_every_family():
+    """Every n4 family of size <= 3, N_0 with several members included: a
+    low cap trips on the first table or a later one, with the count of the
+    negated atoms read up to the trip, or not at all, as the per-table walk
+    does."""
+    joint = parse_formula("~s | ~r | ~q | ~p")
+    structures = [fs for alg in enumerate_heyting(3) for fs in search_mod._families(alg, "all", "n4")]
+    trips = set()
+    for fs, cap in itertools.product(structures, (2, 3, 5)):
+        positions, trip = _assert_same_walk(joint, [(joint, ())], [fs], cap)
+        trips.add((bool(positions), trip))
+    assert len(trips) > 5
+
+
+def _formulas():
+    leaves = st.sampled_from([Pred(a, ()) for a in "pqrs"])
+
+    def grow(sub):
+        return st.one_of(
+            sub.map(Neg),
+            st.tuples(sub, sub).map(lambda ab: And(*ab)),
+            st.tuples(sub, sub).map(lambda ab: Or(*ab)),
+            st.tuples(sub, sub).map(lambda ab: Imp(*ab)),
+            st.tuples(sub, sub).map(lambda ab: iff(*ab)),
+        )
+
+    return st.recursive(leaves, grow, max_leaves=5)
+
+
+@given(
+    _formulas(),
+    st.lists(_formulas(), max_size=2),
+    st.sampled_from([ASSIGNMENT_CAP, 2, 6]),
+    st.sampled_from([search_mod._SWEEP_SIZE, 8]),
+)
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_walk_matches_on_propositional_formulas(conclusion, premises, cap, sweep_size):
+    """Up to four atoms, negated atoms and compounds and <->, with and
+    without premises, over every saturated structure of size <= 4.  A
+    small sweep size splits the tables into runs, and a small cap trips."""
+    goal = SearchGoal("refute_sequent", formula=conclusion, premises=tuple(premises))
+    joint, parts = _sequent(goal)
+    with mock.patch.object(search_mod, "_SWEEP_SIZE", sweep_size):
+        _assert_same_walk(joint, parts, _STRUCTURES_TO_4, cap)
+
+
+def test_walk_in_runs_over_six_atoms():
+    """Six atoms over 5-element algebras: the sweep covers the innermost
+    atom digits and every negation digit per run, and the outer atom digits
+    loop; with six negated atoms each run is one table.  The compared
+    positions span more than one run."""
+    atoms = [Pred(a, ()) for a in "pqrstu"]
+    two = Imp(And(Neg(atoms[2]), Neg(atoms[5])), Or(*atoms[:2]))
+    for rest in atoms[2:]:
+        two = Or(two, rest)
+    six = Neg(atoms[0])
+    for a in atoms[1:]:
+        six = Or(six, Neg(a))
+    # 0 < a < b, c < 1: the saturated N_b = {c, 1} and N_c = {b, 1}
+    diamond_on_a = [alg for alg in enumerate_heyting(5) if alg.size == 5][1]
+    # runs of 2025 positions, and of one table each
+    for joint, fs, limit in ((two, saturate(chain(5), "comega"), 2100), (six, saturate(diamond_on_a, "n4"), 600)):
+        runs = list(itertools.islice(_table_walk(joint, [(joint, ())], [fs], ASSIGNMENT_CAP), 8))
+        assert len(runs) == 8
+        positions, trip = _assert_same_walk(joint, [(joint, ())], [fs], limit=limit)
+        assert trip is None and len(positions) > runs[0][3].bit_count()
