@@ -72,9 +72,6 @@ class FStructure:
     negs: tuple[tuple[int, ...], ...]
     kind: str
 
-    def neg_set(self, x: int) -> tuple[int, ...]:
-        return self.negs[x]
-
 
 def _normalize(algebra: FiniteHeytingAlgebra, negs: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     if len(negs) != algebra.size:
@@ -285,8 +282,3 @@ def format_fstructure_text(ident: str, f: FStructure) -> str:
     return "\n".join(
         [f"fstructure {ident} kind={f.kind}", alg_text, *n_lines, "end", ""]
     )
-
-
-def load_fstructure(path: str) -> tuple[str, FStructure]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_fstructure_text(fh.read())

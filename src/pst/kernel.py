@@ -107,10 +107,6 @@ class Planes:
             out.append(acc)
         return tuple(out)
 
-    def neg(self, a: Vector) -> Vector:
-        """Pseudo-complement a -> 0."""
-        return self.imp(a, self.bottom)
-
     def decode(self, a: Vector, i: int) -> int:
         """The element at name id i."""
         if a.__class__ is int:

@@ -36,6 +36,7 @@ from .valuation import (
     SetModel,
     _atom_options,
     _cap_exceeded,
+    _comega_assignment,
     _comega_assignments,
     enumerate_assignments,
     eval_sentence,
@@ -287,17 +288,18 @@ def _occurrence_walk(
         table = dict(zip(atoms, values))
         model = _prop_model(fs, table)
         ctx = EvalContext(model)
-        pairs = list(_comega_assignments(joint, model, ctx, cap))
+        rows = _comega_assignments(joint, model, ctx, cap)
         if len(parts) == 1:
-            columns = [[v for _, v in pairs]]
+            columns = [[v for _, _, v in rows]]
         else:
-            columns = [[eval_sentence(f, model, asg, ctx, path) for asg, _ in pairs] for f, path in parts]
+            asgs = [_comega_assignment(atoms, occs) for atoms, occs, _ in rows]
+            columns = [[eval_sentence(f, model, asg, ctx, path) for asg in asgs] for f, path in parts]
 
-        def decode(i: int, table: dict[str, int] = table, pairs: list = pairs):
-            return table, pairs[i][0]
+        def decode(i: int, table: dict[str, int] = table, rows: list = rows):
+            return table, _comega_assignment(*rows[i][:2])
 
         vectors = [planes.from_values(enumerate(column)) for column in columns]
-        yield fs, planes, vectors, (1 << len(pairs)) - 1, decode
+        yield fs, planes, vectors, (1 << len(rows)) - 1, decode
 
 
 def search(goal: SearchGoal) -> Finding | Exhausted:

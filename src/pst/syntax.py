@@ -407,14 +407,6 @@ def bounded_parts(phi: Formula) -> tuple[Term, Formula] | None:
     return None
 
 
-def bounded_forall(var: str, bound: Term, body: Formula) -> Formula:
-    return Forall(var, Imp(Mem(Var(var), bound), body))
-
-
-def bounded_exists(var: str, bound: Term, body: Formula) -> Formula:
-    return Exists(var, And(Mem(Var(var), bound), body))
-
-
 # --- printing ----------------------------------------------------------------
 
 # a right conjunct prints at _PREC_AND + 1, below a negation's body
@@ -721,16 +713,6 @@ def _tree_depth(phi: Formula) -> int:
             return h
         height[id(node)] = h
     return height[id(phi)]
-
-
-def parse_term(text: str, signature: Signature | None = None) -> Term:
-    sig = signature if signature is not None else Signature()
-    p = _Parser(text, sig)
-    out = p.term()
-    t = p.peek()
-    if t.kind != "eof":
-        raise FormulaSyntaxError(t.pos, "end of input", t.text)
-    return out
 
 
 # --- derivations ---------------------------------------------------------------

@@ -21,7 +21,7 @@ import hashlib
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .algebra import FiniteHeytingAlgebra, check_refinable
 from .errors import CapExceeded, PstError
@@ -343,6 +343,20 @@ class _Domain:
         self.need = max(self.ids) + 1 if self.ids else 0
 
 
+class _Fold:
+    """Folding a choice-free node over var: its values for every name bound
+    to var, one vector exact at the ids of dom.  An atom that mentions var
+    reads a kernel row or column, a node that does not is evaluated once as
+    an element, and the connectives combine vectors plane-wise."""
+
+    __slots__ = ("var", "dom", "ops")
+
+    def __init__(self, var: str, dom: _Domain, planes: Planes):
+        self.var = var
+        self.dom = dom
+        self.ops = (planes.meet, planes.join, planes.imp)
+
+
 def _memo(cache: dict, fn: Callable, key: object):
     """fn(key), cached by the identity of key while it lives."""
     hit = cache.get(id(key))
@@ -473,99 +487,31 @@ class EvalContext:
     ) -> Vector:
         """The values of a choice-free node for every name bound to var,
         exact at the ids of dom; an element when node does not mention var."""
-        if var not in self._free_vars(node):
-            if isinstance(node, _ATOMIC):
-                return self._read_atom(_atom_key(node, env))
-            return _eval(node, dict(env), (), (), model, EMPTY_ASSIGNMENT, self)
+        return _eval(node, dict(env), (), (), model, _Fold(var, dom, self.planes), self)
+
+    def _vector_atom(self, node: Formula, env: Mapping[str, int], var: str, dom: _Domain) -> Vector:
+        """An atom that mentions var: a kernel row or column, or its values
+        read id by id."""
         cls = node.__class__
-        p = self.planes
-        if cls is Eq or cls is Mem:
-            return self._vector_atom(node, env, var, dom)
         if cls is Pred:
             env2 = dict(env)
             values = []
             for i in dom.ids:
                 env2[var] = i
-                values.append((i, self.atom_value(_atom_key(node, env2))))
-            return p.from_values(values)
-        if cls is And:
-            sides = iff_sides(node)
-            if sides is not None:
-                a = self.vector(sides[0], env, var, dom, model)
-                b = self.vector(sides[1], env, var, dom, model)
-                return p.meet(p.imp(a, b), p.imp(b, a))
-            return p.meet(
-                self.vector(node.left, env, var, dom, model),
-                self.vector(node.right, env, var, dom, model),
-            )
-        if cls is Or:
-            return p.join(
-                self.vector(node.left, env, var, dom, model),
-                self.vector(node.right, env, var, dom, model),
-            )
-        if cls is Imp:
-            return p.imp(
-                self.vector(node.left, env, var, dom, model),
-                self.vector(node.right, env, var, dom, model),
-            )
-        if cls is Neg:  # reached in boolean/heyting mode only
-            return p.neg(self.vector(node.body, env, var, dom, model))
-        if cls is Forall or cls is Exists:
-            return self._vector_quantifier(node, env, var, dom, model)
-        raise EvalError(f"cannot evaluate {node!r}")
-
-    def _vector_atom(self, node: Eq | Mem, env: Mapping[str, int], var: str, dom: _Domain) -> Vector:
+                values.append((i, self._read_atom(_atom_key(node, env2))))
+            return self.planes.from_values(values)
         left = node.left.__class__ is Var and node.left.name == var
         right = node.right.__class__ is Var and node.right.name == var
         kernel = self.kernel
         if left and right:
-            read = kernel.eq if node.__class__ is Eq else kernel.mem
+            read = kernel.eq if cls is Eq else kernel.mem
             return self.planes.from_values((i, read(i, i)) for i in dom.ids)
         other = _resolve(node.right if left else node.left, env)
-        if node.__class__ is Eq:
+        if cls is Eq:
             return kernel.eqrow(other, dom.need)
         if left:
             return kernel.memcol(other, dom.need)
         return kernel.memrow(other, dom.need)
-
-    def _vector_quantifier(
-        self,
-        node: Forall | Exists,
-        env: Mapping[str, int],
-        var: str,
-        dom: _Domain,
-        model: SetModel,
-    ) -> Vector:
-        """Inner quantifiers loop over their range and combine vectors."""
-        p = self.planes
-        forall = node.__class__ is Forall
-        acc: Vector = model.algebra.top if forall else model.algebra.bottom
-        env2 = dict(env)
-        bounded = bounded_parts(node) if model.bounded_opt else None
-        if bounded is None:
-            for nid in model.scope:
-                env2[node.var] = nid
-                sub = self.vector(node.body, env2, var, dom, model)
-                acc = p.meet(acc, sub) if forall else p.join(acc, sub)
-            return acc
-        bound_term, body = bounded
-        if bound_term.__class__ is Var and bound_term.name == var:
-            # the range is dom(x) for each x: weigh every child name z by
-            # the entry vector x -> x(z)
-            for z in self._children(dom):
-                env2[node.var] = z
-                sub = self.vector(body, env2, var, dom, model)
-                weight = self.kernel.entry(z)
-                if forall:
-                    acc = p.meet(acc, p.imp(weight, sub))
-                else:
-                    acc = p.join(acc, p.meet(weight, sub))
-            return acc
-        for child, a in model.store.get(_resolve(bound_term, env)).entries:
-            env2[node.var] = child
-            sub = self.vector(body, env2, var, dom, model)
-            acc = p.meet(acc, p.imp(a, sub)) if forall else p.join(acc, p.meet(a, sub))
-        return acc
 
     def _children(self, dom: _Domain) -> list[int]:
         if dom.children is None:
@@ -632,19 +578,32 @@ def _eval(
     trail: tuple[int, ...],
     path: tuple[int, ...],
     model: SetModel,
-    asg: Assignment | AssignmentIndex | _Probe | _Alternatives,
+    asg: Assignment | AssignmentIndex | _Probe | _Alternatives | _Fold,
     ctx: EvalContext,
 ) -> Vector:
     """The value of node under a concrete assignment (an element), under
     an ``AssignmentIndex`` (a vector over the index), under a ``_Probe``
-    (which records the negated atoms read), or under ``_Alternatives`` (an
-    element or a list of comega occurrence alternatives)."""
+    (which records the negated atoms read), under ``_Alternatives`` (an
+    element or a list of comega occurrence alternatives), or under a
+    ``_Fold`` (a vector over the folded variable)."""
     alg = model.algebra
-    if isinstance(node, _ATOMIC):
+    if asg.__class__ is _Fold:
+        if asg.var in ctx._free_vars(node):
+            if isinstance(node, _ATOMIC):
+                return ctx._vector_atom(node, env, asg.var, asg.dom)
+        elif isinstance(node, _ATOMIC):
+            return ctx._read_atom(_atom_key(node, env))
+        else:
+            asg = EMPTY_ASSIGNMENT
+    elif isinstance(node, _ATOMIC):
         return ctx.atom_value(_atom_key(node, env))
-    if isinstance(node, Neg):
-        return _eval_neg(node, env, trail, path, model, asg, ctx)
     meet, join, imp = ctx.element_ops if asg.__class__ is Assignment else asg.ops
+    if isinstance(node, Neg):
+        if model.mode in ("boolean", "heyting"):
+            return imp(_eval(node.body, env, trail, path + (0,), model, asg, ctx), alg.bottom)
+        if model.mode == "n4" and not isinstance(node.body, _ATOMIC):
+            return _eval(ctx.nnf(node), env, trail, path, model, asg, ctx)
+        return _neg_choice(node, env, trail, path, model, asg, ctx)[0]
     if isinstance(node, And):
         sides = iff_sides(node)
         # a comega negated compound in a side is chosen per position, so
@@ -668,47 +627,32 @@ def _eval(
             _eval(node.right, env, trail, path + (1,), model, asg, ctx),
         )
     if isinstance(node, (Forall, Exists)):
-        if ctx.choice_free(node.body, model.mode):
+        folding = asg.__class__ is _Fold
+        if not folding and ctx.choice_free(node.body, model.mode):
             return ctx.fold(node, env, model)
         forall = isinstance(node, Forall)
         acc = alg.top if forall else alg.bottom
+        env2 = dict(env)
         bounded = bounded_parts(node) if model.bounded_opt else None
         if bounded is not None:
             bound_term, body = bounded
-            u = _resolve(bound_term, env)
-            for child, a in model.store.get(u).entries:
-                env2 = dict(env)
+            if folding and bound_term.__class__ is Var and bound_term.name == asg.var:
+                # the range is dom(x) for each x: weigh every child name z
+                # by the entry vector x -> x(z)
+                entries = [(z, ctx.kernel.entry(z)) for z in ctx._children(asg.dom)]
+            else:
+                entries = model.store.get(_resolve(bound_term, env)).entries
+            for child, a in entries:
                 env2[node.var] = child
                 sub = _eval(body, env2, trail + (child,), path + (0, 1), model, asg, ctx)
                 acc = meet(acc, imp(a, sub)) if forall else join(acc, meet(a, sub))
             return acc
         combine = meet if forall else join
         for nid in model.scope:
-            env2 = dict(env)
             env2[node.var] = nid
             acc = combine(acc, _eval(node.body, env2, trail + (nid,), path + (0,), model, asg, ctx))
         return acc
     raise EvalError(f"cannot evaluate {node!r}")
-
-
-def _eval_neg(
-    node: Neg,
-    env: dict[str, int],
-    trail: tuple[int, ...],
-    path: tuple[int, ...],
-    model: SetModel,
-    asg: Assignment | AssignmentIndex | _Probe | _Alternatives,
-    ctx: EvalContext,
-) -> Vector:
-    alg = model.algebra
-    body = node.body
-    if model.mode in ("boolean", "heyting"):
-        return alg.imp_(
-            _eval(body, env, trail, path + (0,), model, asg, ctx), alg.bottom
-        )
-    if model.mode == "n4" and not isinstance(body, _ATOMIC):
-        return _eval(ctx.nnf(node), env, trail, path, model, asg, ctx)
-    return _neg_choice(node, env, trail, path, model, asg, ctx)[0]
 
 
 def _neg_choice(
@@ -862,22 +806,26 @@ def _comega_assignments(
     model: SetModel,
     ctx: EvalContext,
     cap: int,
-) -> Iterator[tuple[Assignment, int]]:
-    """comega with a negated compound: every assignment of phi with phi's
-    value under it.  The atom choices run as a product over the sorted keys,
-    the first most significant; under each, one evaluation under
+) -> list[tuple[tuple, tuple, int]]:
+    """comega with a negated compound: every assignment of phi, as its
+    atom choices and its occurrence choices (unsorted), with phi's value
+    under it.  The atom choices run as a product over the sorted keys, the
+    first most significant; under each, one evaluation under
     ``_Alternatives`` lists the occurrence choices."""
     options = _atom_options(phi, model, ctx, cap)
     keys = sorted(options)
-    count = 0
+    out = []
     for combo in itertools.product(*(options[key] for key in keys)):
         atoms = tuple(zip(keys, combo))
-        value = _eval(phi, {}, (), (), model, _Alternatives(atoms, model, cap), ctx)
-        for occs, v in _pairs(value):
-            count += 1
-            if count > cap:
-                raise _cap_exceeded("assignments", cap, count)
-            yield Assignment(atoms=atoms, occs=tuple(sorted(occs))), v
+        pairs = _pairs(_eval(phi, {}, (), (), model, _Alternatives(atoms, model, cap), ctx))
+        if len(out) + len(pairs) > cap:
+            raise _cap_exceeded("assignments", cap, cap + 1)
+        out += ((atoms, occs, v) for occs, v in pairs)
+    return out
+
+
+def _comega_assignment(atoms: tuple, occs: tuple) -> Assignment:
+    return Assignment(atoms=atoms, occs=tuple(sorted(occs)))
 
 
 def enumerate_assignments(
@@ -894,7 +842,7 @@ def enumerate_assignments(
     if ctx.choice_free(phi, model.mode):
         return [EMPTY_ASSIGNMENT]
     if model.mode == "comega" and not ctx.compound_free(phi):
-        return [asg for asg, _ in _comega_assignments(phi, model, ctx, cap)]
+        return [_comega_assignment(atoms, occs) for atoms, occs, _ in _comega_assignments(phi, model, ctx, cap)]
     options = _atom_options(phi, model, ctx, cap)
     option_lists = [[(key, c) for c in options[key]] for key in sorted(options)]
     return [Assignment(atoms=combo) for combo in itertools.product(*option_lists)]
@@ -980,8 +928,9 @@ def sweep_assignments(
     at a time."""
     planes = ctx.planes
     if model.mode == "comega" and not ctx.compound_free(phi):
-        pairs = list(_comega_assignments(phi, model, ctx, cap))
-        return Sweep.of([v for _, v in pairs], [asg for asg, _ in pairs], planes)
+        rows = _comega_assignments(phi, model, ctx, cap)
+        values = planes.from_values((i, v) for i, (_, _, v) in enumerate(rows))
+        return Sweep(values, len(rows), lambda i: _comega_assignment(*rows[i][:2]), planes)
     index = AssignmentIndex(_atom_options(phi, model, ctx, cap), planes)
     return Sweep(_eval(phi, {}, (), (), model, index, ctx), index.size, index.decode, planes)
 
@@ -1192,9 +1141,6 @@ def check_subalgebra_absolute(
         notes=("rank-relative",),
         detail=() if ok else (f"sub={v_sub}", f"super={v_super}",),
     )
-
-
-# --- maximum principle ------------------------------------------------------------------
 
 
 # --- hat embedding laws -------------------------------------------------------------

@@ -10,8 +10,10 @@ difference, 0 otherwise.
     python tests/parity.py PARENT_SRC [CHANGE_SRC] [--seeds 1-10] [--rounds 2]
 
 PARENT_SRC and CHANGE_SRC are directories holding a ``pst`` package
-(CHANGE_SRC defaults to this checkout's ``src``); a parent tree can be made
-with ``git archive <rev> | tar -x -C DIR``.  ``--rounds`` is the number of
+(CHANGE_SRC defaults to this checkout's ``src``).  A PARENT_SRC that is not
+a directory is taken as a git revision of this checkout, whose ``src`` is
+extracted with ``git archive`` into a temporary directory (for example
+``python tests/parity.py HEAD~1``).  ``--rounds`` is the number of
 seeded rounds drawn per workload and seed (two rounds reach the benchmark's
 minimum of 100 checks a run on every workload).  Each tree runs in a
 process of its own, both at once, each check cold as the benchmark runs it.
@@ -87,6 +89,18 @@ def _write_models(src: str, models_dir: str) -> None:
     worker.write_models(models_dir)
 
 
+def _revision_src(rev: str, tmp: str) -> str | None:
+    """The ``src`` tree of git revision rev, extracted under tmp; None when
+    rev names no revision."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"], capture_output=True)
+    if archive.returncode:
+        return None
+    out = Path(tmp) / "revision"
+    out.mkdir()
+    subprocess.run(["tar", "-x", "-C", str(out)], input=archive.stdout, check=True)
+    return str(out / "src")
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent_src")
@@ -94,8 +108,13 @@ def main() -> int:
     ap.add_argument("--seeds", default="1-10", help="seeds, e.g. 1-10 or 1,3,5")
     ap.add_argument("--rounds", type=int, default=2, help="rounds per workload and seed")
     args = ap.parse_args()
-    trees = [str(Path(p).resolve()) for p in (args.parent_src, args.change_src)]
     with tempfile.TemporaryDirectory(prefix="pst-parity-") as tmp:
+        trees = [str(Path(p).resolve()) for p in (args.parent_src, args.change_src)]
+        if not Path(args.parent_src).is_dir():
+            trees[0] = _revision_src(args.parent_src, tmp)
+            if trees[0] is None:
+                print(f"parity: {args.parent_src} is neither a directory nor a git revision", file=sys.stderr)
+                return 2
         models_dir = str(Path(tmp) / "models")
         Path(models_dir).mkdir()
         subprocess.run([sys.executable, __file__, "--models", trees[1], models_dir], check=True)

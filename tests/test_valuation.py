@@ -141,6 +141,7 @@ def _choice_free_formulas(with_negation, names):
             st.builds(And, sub, sub)
             | st.builds(Or, sub, sub)
             | st.builds(Imp, sub, sub)
+            | st.builds(iff, sub, sub)
             | st.builds(Forall, var, sub)
             | st.builds(Exists, var, sub)
             | st.builds(lambda v, t, b: Forall(v, Imp(Mem(Var(v), t), b)), var, leaf, sub)
@@ -172,12 +173,13 @@ _FOLD_MODELS = _fold_models()
 
 @pytest.mark.parametrize("model", _FOLD_MODELS, ids=lambda m: f"{m.mode}-{m.bounded_opt}")
 def test_vector_fold_matches_scalar_reference(model):
-    """Quantifiers folded as vectors against instance-by-instance evaluation."""
+    """Quantifiers folded as vectors against instance-by-instance evaluation,
+    <-> sides shared."""
     names = list(model.scope[:2]) + list(model.scope[-2:])
     negation = model.mode in ("boolean", "heyting")
 
     @given(_choice_free_formulas(negation, names))
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     def check(phi):
         assert eval_sentence(phi, model) == Reference(model).eval(phi), formula_to_text(phi)
 
@@ -435,6 +437,31 @@ def test_assignment_cap(comega3_model):
         enumerate_assignments(phi, comega3_model, cap=10)
     assert (exc.value.cap, exc.value.limit) == ("ASSIGNMENT_CAP", 10)
     assert exc.value.predicted > 10 and "more than 10" in str(exc.value)
+
+
+def test_comega_assignment_cap_trips_before_any_assignment_is_built(monkeypatch):
+    """The count of comega assignments trips the cap from each atom
+    combination's alternatives, before one Assignment is built.  At cap
+    1000 the atom probe would trip first (1024 combinations); at 2000 the
+    trip is in the assignment count."""
+    import pst.valuation as val_mod
+
+    built = 0
+
+    class Counting(Assignment):
+        def __init__(self, *args, **kwargs):
+            nonlocal built
+            built += 1
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(val_mod, "Assignment", Counting)
+    model = make_model(saturate(chain(4), "comega"), NameStore(), 2)
+    phi = parse_formula("forall x . (~~(x eq x) -> x eq x)")
+    with pytest.raises(CapExceeded) as exc:
+        check_valid(phi, model, cap=2000)
+    assert str(exc.value) == "more than 2000 assignments"
+    assert (exc.value.cap, exc.value.limit, exc.value.predicted) == ("ASSIGNMENT_CAP", 2000, 2001)
+    assert built == 0
 
 
 # --- validity ---------------------------------------------------------------------------
