@@ -41,7 +41,7 @@ from .syntax import (
     substitute,
     subformulas,
 )
-from .search import _table_walk
+from .search import _SWEEP_SIZE, _table_walk
 from .valuation import AssignmentIndex, EvalContext, eval_sentence, make_model
 
 
@@ -544,12 +544,18 @@ def _audit_quantified(
 ) -> int:
     """Evaluate a closed instance over every domain of at most max_domain
     elements, every predicate table and every function table, under every
-    admissible table of negated-predicate values.  The domain is the
-    quantifier scope, each predicate cell a table atom whose negation
-    choices are one digit of an ``AssignmentIndex``: one vector evaluation
-    covers every negation table, in ``itertools.product`` order over the
-    sorted cells."""
-    count = 0
+    admissible table of negated-predicate values, counting one evaluation
+    per negation table and listing the ones below top by (predicate table,
+    function table, negation table).
+
+    The domain is the quantifier scope.  The predicate cells are the value
+    digits of an ``AssignmentIndex``, in ``_all_tables`` order (first cell
+    most significant), and each cell's negation choices are a digit of it
+    too: one vector evaluation per function table covers every predicate
+    and negation table of a run, and the outer cell digits loop, as in
+    ``search._index_walk``.  Each function table's instance is grounded
+    once per domain size."""
+    text = formula_to_text(inst)
     preds: dict[str, int] = {}
     funcs: dict[str, int] = {}
     for node in subformulas(inst):
@@ -557,41 +563,91 @@ def _audit_quantified(
             preds[node.sym] = len(node.args)
             for a in node.args:
                 _collect_term_funcs(a, funcs)
+    domains = []
+    for dsize in range(1, max_domain + 1):
+        domain = tuple(range(dsize))
+        cells = [
+            (sym, args)
+            for sym, arity in sorted(preds.items())
+            for args in itertools.product(domain, repeat=arity)
+        ]
+        grounded = [map_terms(inst, lambda t: _ground(t, ftab)) for ftab in _all_tables(funcs, domain, domain)]
+        domains.append((domain, cells, grounded))
+    count = 0
     for fs in structures:
-        alg = fs.algebra
-        for dsize in range(1, max_domain + 1):
-            domain = tuple(range(dsize))
-            func_tables = _all_tables(funcs, domain, domain)
-            for ptab in _all_tables(preds, domain, range(alg.size)):
-                cells: dict[str | tuple, int] = {}
-                options: dict[tuple, tuple[int, ...]] = {}
-                for sym, table in ptab.items():
-                    for args, value in table.items():
-                        cells[(sym, args) if args else sym] = value
-                        options[("pred", sym, args) if args else ("pred", sym)] = fs.negs[value]
-                model = make_model(fs, NameStore(), 0, scope=domain, prop_values=cells)
-                ctx = EvalContext(model)
-                p = alg.planes
-                index = AssignmentIndex(options, p)
-                for ftab in func_tables:
-                    count += index.size
-                    _check_budget(count, budget)
-                    grounded = map_terms(inst, lambda t: _ground(t, ftab))
-                    value = eval_sentence(grounded, model, index, ctx)
-                    failing = p.exceeds(p.top, value) & ((1 << index.size) - 1)
-                    while failing:
-                        low = failing & -failing
-                        failing ^= low
-                        failures.append(
-                            AuditFailure(
-                                schema=sid,
-                                instance=formula_to_text(inst),
-                                algebra_size=alg.size,
-                                domain_size=dsize,
-                                tables=repr(ptab),
-                                value=p.decode(value, low.bit_length() - 1),
-                            )
-                        )
+        for domain, cells, grounded in domains:
+            count = _quantified_runs(sid, text, fs, domain, cells, grounded, failures, budget, count)
+    return count
+
+
+def _quantified_runs(
+    sid: str,
+    text: str,
+    fs: FStructure,
+    domain: tuple[int, ...],
+    cells: list[tuple[str, tuple[int, ...]]],
+    grounded: list[Formula],
+    failures: list[AuditFailure],
+    budget: int,
+    count: int,
+) -> int:
+    """The audit of one structure and domain, run by run; count is the
+    evaluations so far, and the new count is returned.  The budget trips
+    where one evaluation per (predicate table, function table) would, before
+    the run that holds it is evaluated."""
+    alg = fs.algebra
+    n = alg.size
+    p = alg.planes
+    keys = [("pred", sym, args) if args else ("pred", sym) for sym, args in cells]
+    names = [(sym, args) if args else sym for sym, args in cells]  # prop_values keys
+    # each cell's negation digit is padded to the longest N_v
+    span = max(len(negs) for negs in fs.negs) ** len(cells)
+    inner = len(cells)
+    while inner and n**inner * span > _SWEEP_SIZE:
+        inner -= 1
+    n_outer = len(cells) - inner
+    for outer in itertools.product(range(n), repeat=n_outer):
+        options = {key: fs.negs[v] for key, v in zip(keys, outer)}
+        options.update(dict.fromkeys(keys[n_outer:], ()))
+        index = AssignmentIndex(options, p, keys[n_outer:], fs.negs)
+        valid = index.valid
+        per = index.size // n**inner  # positions per predicate table
+        total = valid.bit_count() * len(grounded)
+        if count + total > budget:  # trip where one table at a time would
+            at = count
+            for t in range(n**inner):
+                size = (valid >> t * per & (1 << per) - 1).bit_count()
+                for _ in grounded:
+                    at += size
+                    _check_budget(at, budget)
+        count += total
+        values = dict(zip(names, outer))
+        values.update((name, index.value(key)) for name, key in zip(names[n_outer:], keys[n_outer:]))
+        model = make_model(fs, NameStore(), 0, scope=domain, prop_values=values)
+        ctx = EvalContext(model)
+        hits = []
+        for f, inst in enumerate(grounded):
+            value = eval_sentence(inst, model, index, ctx)
+            failing = p.exceeds(p.top, value) & valid
+            while failing:
+                low = failing & -failing
+                failing ^= low
+                i = low.bit_length() - 1
+                hits.append((i // per, f, i, p.decode(value, i)))
+        for _, _, i, value in sorted(hits):
+            ptab: dict[str, dict] = {}
+            for (sym, args), v in zip(cells, outer + index.table(i)):
+                ptab.setdefault(sym, {})[args] = v
+            failures.append(
+                AuditFailure(
+                    schema=sid,
+                    instance=text,
+                    algebra_size=n,
+                    domain_size=len(domain),
+                    tables=repr(ptab),
+                    value=value,
+                )
+            )
     return count
 
 

@@ -378,12 +378,15 @@ class EvalContext:
         self.alg = model.algebra
         self._kernel: EqMemKernel | None = None
         self._atoms: dict[AtomKey, Vector] = {}
-        if any(v.__class__ is tuple for v in model.prop_values.values()):
+        # a choice-free quantifier folds to one vector over names, unless
+        # the atom values are vectors already
+        self.folds = not any(v.__class__ is tuple for v in model.prop_values.values())
+        if self.folds:
+            self.element_ops = (self.alg.meet_, self.alg.join_, self.alg.imp_)
+        else:
             # atom values that are vectors over an AssignmentIndex's tables
             p = self.alg.planes
             self.element_ops = (p.meet, p.join, p.imp)
-        else:
-            self.element_ops = (self.alg.meet_, self.alg.join_, self.alg.imp_)
         # id(key) -> (key, value); the key is held so its id stays unique
         self._free: dict[int, tuple[Formula, frozenset[str]]] = {}
         self._negfree: dict[int, tuple[Formula, bool]] = {}
@@ -628,7 +631,7 @@ def _eval(
         )
     if isinstance(node, (Forall, Exists)):
         folding = asg.__class__ is _Fold
-        if not folding and ctx.choice_free(node.body, model.mode):
+        if not folding and ctx.folds and ctx.choice_free(node.body, model.mode):
             return ctx.fold(node, env, model)
         forall = isinstance(node, Forall)
         acc = alg.top if forall else alg.bottom

@@ -30,7 +30,9 @@ product of non-empty subsets.
 builds a model, an ``EvalContext`` and an assignment list for every table
 of atom values and evaluates each part once per assignment.
 ``walk_search`` and ``walk_audit`` run a search and the soundness audit
-through it.
+through it; ``walk_audit`` runs the quantified instances through
+``table_audit_quantified``, the per-predicate-table loop the quantified
+audit's index over the predicate cells replaced.
 
 ``enumerated_heyting`` is the oracle for ``algebra.enumerate_heyting``: it
 lists every labelled poset by its pair bitmask and its down-sets by
@@ -53,8 +55,9 @@ from pst.proofs import (
     AuditFailure,
     AuditReport,
     _all_tables,
-    _audit_quantified,
     _check_budget,
+    _collect_term_funcs,
+    _ground,
     _propositional_instances,
 )
 from pst.search import Exhausted, Finding, SearchGoal, _algebras, _families, _sequent
@@ -76,6 +79,7 @@ from pst.syntax import (
     formula_to_text,
     free_vars,
     iff_sides,
+    map_terms,
     nnf_n4,
     prop_atoms,
     subformulas,
@@ -86,6 +90,7 @@ from pst.valuation import (
     ASSIGNMENT_CAP,
     EMPTY_ASSIGNMENT,
     Assignment,
+    AssignmentIndex,
     EvalContext,
     EvalError,
     InvalidAssignment,
@@ -567,8 +572,8 @@ def walk_search(goal: SearchGoal):
 
 def walk_audit(system: str, max_domain: int = 2, max_algebra: int = 4, eval_cap: int = 2_000_000) -> AuditReport:
     """``proofs.audit_soundness`` with the propositional instances evaluated
-    through ``table_walk``, one evaluation at a time; the quantified
-    instances go through ``proofs._audit_quantified`` as in the audit."""
+    through ``table_walk``, one evaluation at a time, and the quantified
+    instances through ``table_audit_quantified``."""
     logic = "comega" if system == "qcw" else "n4"
     algebras = list(enumerate_heyting(max_algebra))
     n4 = [saturate(alg, "n4") for alg in algebras]
@@ -578,7 +583,7 @@ def walk_audit(system: str, max_domain: int = 2, max_algebra: int = 4, eval_cap:
         if SCHEMAS[sid].template is None:
             for inst in _QUANT_INSTANCES[sid]:
                 n_inst += 1
-                n_eval += _audit_quantified(sid, inst, n4, max_domain, failures, eval_cap - n_eval)
+                n_eval += table_audit_quantified(sid, inst, n4, max_domain, failures, eval_cap - n_eval)
             continue
         for inst in _propositional_instances(sid):
             n_inst += 1
@@ -601,6 +606,65 @@ def walk_audit(system: str, max_domain: int = 2, max_algebra: int = 4, eval_cap:
                     )
             n_eval += count
     return AuditReport(system, max_algebra, max_domain, n_inst, n_eval, tuple(failures))
+
+
+def table_audit_quantified(
+    sid: str,
+    inst,
+    structures,
+    max_domain: int,
+    failures: list[AuditFailure],
+    budget: int,
+) -> int:
+    """``proofs._audit_quantified`` one predicate table at a time: a model,
+    an ``EvalContext`` and an ``AssignmentIndex`` over the negation choices
+    of the cells per predicate table, and one evaluation of the grounded
+    instance per function table, counting the index's size and checking
+    the budget before each."""
+    count = 0
+    preds: dict[str, int] = {}
+    funcs: dict[str, int] = {}
+    for node in subformulas(inst):
+        if isinstance(node, Pred):
+            preds[node.sym] = len(node.args)
+            for a in node.args:
+                _collect_term_funcs(a, funcs)
+    for fs in structures:
+        alg = fs.algebra
+        for dsize in range(1, max_domain + 1):
+            domain = tuple(range(dsize))
+            func_tables = _all_tables(funcs, domain, domain)
+            for ptab in _all_tables(preds, domain, range(alg.size)):
+                cells: dict = {}
+                options: dict[tuple, tuple[int, ...]] = {}
+                for sym, table in ptab.items():
+                    for args, value in table.items():
+                        cells[(sym, args) if args else sym] = value
+                        options[("pred", sym, args) if args else ("pred", sym)] = fs.negs[value]
+                model = make_model(fs, NameStore(), 0, scope=domain, prop_values=cells)
+                ctx = EvalContext(model)
+                p = alg.planes
+                index = AssignmentIndex(options, p)
+                for ftab in func_tables:
+                    count += index.size
+                    _check_budget(count, budget)
+                    grounded = map_terms(inst, lambda t: _ground(t, ftab))
+                    value = eval_sentence(grounded, model, index, ctx)
+                    failing = p.exceeds(p.top, value) & ((1 << index.size) - 1)
+                    while failing:
+                        low = failing & -failing
+                        failing ^= low
+                        failures.append(
+                            AuditFailure(
+                                schema=sid,
+                                instance=formula_to_text(inst),
+                                algebra_size=alg.size,
+                                domain_size=dsize,
+                                tables=repr(ptab),
+                                value=p.decode(value, low.bit_length() - 1),
+                            )
+                        )
+    return count
 
 
 # --- distributive lattices from every labelled poset ----------------------------------

@@ -335,6 +335,33 @@ def test_prove_audit(files, capsys):
     assert code == 0 and out.strip() == "RESULT failures=0"
 
 
+@pytest.mark.parametrize(
+    "system, max_algebra, max_domain, summary, result, want_code",
+    [
+        ("qn4", 5, 2, "audited 72 instances / 43508 evaluations for qn4 (algebra <= 5, |S| <= 2)", "RESULT failures=0", 0),
+        ("qcw", 5, 2, "audited 54 instances / 31798 evaluations for qcw (algebra <= 5, |S| <= 2)", "RESULT failures=0", 0),
+        ("qn3", 4, 2, "audited 78 instances / 15190 evaluations for qn3 (algebra <= 4, |S| <= 2)", "RESULT failures=291", 1),
+        ("qn4", 4, 3, "audited 72 instances / 79492 evaluations for qn4 (algebra <= 4, |S| <= 3)", "RESULT failures=0", 0),
+    ],
+    ids=["qn4-5-2", "qcw-5-2", "qn3-4-2", "qn4-4-3"],
+)
+def test_prove_audit_summary(capsys, system, max_algebra, max_domain, summary, result, want_code):
+    """The human summary line, the RESULT line and the exit code, pinned."""
+    code, out, _ = run(
+        capsys,
+        "prove",
+        "audit",
+        "--system",
+        system,
+        "--max-algebra",
+        str(max_algebra),
+        "--max-domain",
+        str(max_domain),
+    )
+    lines = out.splitlines()
+    assert (code, lines[0], lines[-1]) == (want_code, summary, result)
+
+
 def test_counter_search_found_and_not(files, capsys):
     code, out, _ = run(
         capsys, "--format", "machine", "counter", "search", "--goal", "non_explosion"

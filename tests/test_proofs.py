@@ -1,8 +1,11 @@
+from unittest import mock
+
 import pytest
 
 from pst.algebra import enumerate_heyting
 from pst.errors import CapExceeded
 from pst.fidel import saturate
+from pst import proofs as proofs_mod
 from pst.proofs import (
     _QUANT_INSTANCES,
     SYSTEMS,
@@ -16,7 +19,7 @@ from pst.proofs import (
     match_schema,
 )
 from derivation_corpus import CURATED, ID_ARROW, MUTATIONS
-from reference import theta_audit
+from reference import table_audit_quantified, theta_audit
 from pst.syntax import (
     Exists,
     Forall,
@@ -30,6 +33,7 @@ from pst.syntax import (
     parse_derivation_text,
     parse_formula,
 )
+from pst.valuation import eval_sentence
 
 p, q = Pred("p", ()), Pred("q", ())
 
@@ -217,37 +221,90 @@ def test_audit_rejects_an_empty_budget():
             audit_soundness(system, max_domain=0, max_algebra=2)
 
 
+_SIG = Signature(functions={"c": 0, "f": 1})
+
+# instances below top somewhere: negated ones, and positive non-theorems
+_FAILING = [
+    parse_formula(text, _SIG)
+    for text in (
+        "(forall x . ~P(x)) -> ~P(c)",
+        "forall x . ~P(x) -> ~P(c)",
+        "~P(c) -> exists x . ~P(x)",
+        "(forall x . ~(P(x) & q)) -> ~(P(c) & q)",
+        "(exists x . ~P(x)) -> ~P(f(c))",
+        "~~P(f(c)) <-> (forall x . P(x) | ~P(x))",
+        "P(c) -> forall x . P(x)",
+        "(exists x . P(x)) -> P(c)",
+    )
+]
+# a binary predicate and two predicate symbols: the order of the cell digits
+_BINARY = parse_formula("(forall x . R(x, c) & P(x)) -> R(c, c)", _SIG)
+_INSTANCES = [(sid, inst) for sid, insts in _QUANT_INSTANCES.items() for inst in insts]
+_INSTANCES += [("A2", inst) for inst in _FAILING]
+
+
 def test_quantified_audit_matches_the_theta_oracle():
-    """The audit's one vector evaluation per table gives the evaluation count
-    and the failure list, in order, of evaluating the instance over every
-    negated-atom table by the textbook clauses."""
-    sig = Signature(functions={"c": 0, "f": 1})
-    negated = [
-        parse_formula(text, sig)
-        for text in (
-            "(forall x . ~P(x)) -> ~P(c)",
-            "forall x . ~P(x) -> ~P(c)",
-            "~P(c) -> exists x . ~P(x)",
-            "(forall x . ~(P(x) & q)) -> ~(P(c) & q)",
-            "(exists x . ~P(x)) -> ~P(f(c))",
-            "~~P(f(c)) <-> (forall x . P(x) | ~P(x))",
-        )
-    ]
-    instances = [(sid, inst) for sid, insts in _QUANT_INSTANCES.items() for inst in insts]
-    instances += [("A2", inst) for inst in negated]
-    algebras = list(enumerate_heyting(4))
+    """The audit's one vector evaluation per function table gives the
+    evaluation count and the failure list, in order, of evaluating the
+    instance over every negated-atom table by the textbook clauses.  The
+    binary instance has 12 cells at domain size 3, too many tables for the
+    oracle, so it runs at domain sizes <= 2 only."""
+    ranges = [(_INSTANCES, 4, 2), (_INSTANCES, 3, 3), ([("A2", _BINARY)], 3, 2)]
     failing = 0
-    for sid, inst in instances:
-        failures = []
-        count = _audit_quantified(sid, inst, [saturate(alg, "n4") for alg in algebras], 2, failures, 10**9)
-        assert (count, failures) == theta_audit(sid, inst, algebras, 2), formula_to_text(inst)
-        failing += bool(failures)
-    assert failing >= 2  # the failure lists are compared, not only empty ones
+    for instances, max_algebra, max_domain in ranges:
+        algebras = list(enumerate_heyting(max_algebra))
+        structures = [saturate(alg, "n4") for alg in algebras]
+        for sid, inst in instances:
+            failures = []
+            count = _audit_quantified(sid, inst, structures, max_domain, failures, 10**9)
+            want = theta_audit(sid, inst, algebras, max_domain)
+            assert (count, failures) == want, (formula_to_text(inst), max_algebra, max_domain)
+            failing += bool(failures)
+    assert failing >= 10  # the failure lists are compared, not only empty ones
+
+
+def test_quantified_audit_matches_the_per_table_loop():
+    """Over every algebra of size <= 5 at domain sizes <= 1 and <= 2, the
+    same count and the same failures, in order, as one model, context and
+    index per predicate table.  The binary instance has 7e6 evaluations at
+    domain size 2, so it runs at domain size 1 only."""
+    structures = [saturate(alg, "n4") for alg in enumerate_heyting(5)]
+    runs = [(sid, inst, max_domain) for sid, inst in _INSTANCES for max_domain in (1, 2)]
+    runs.append(("A2", _BINARY, 1))
+    for sid, inst, max_domain in runs:
+        got, want = [], []
+        count = _audit_quantified(sid, inst, structures, max_domain, got, 10**9)
+        assert count == table_audit_quantified(sid, inst, structures, max_domain, want, 10**9)
+        assert got == want, (formula_to_text(inst), max_domain)
+
+
+def _trip(audit, inst, structures, budget):
+    with pytest.raises(CapExceeded) as exc:
+        audit("A1", inst, structures, 3, [], budget)
+    return exc.value.cap, exc.value.limit, exc.value.predicted
 
 
 def test_quantified_audit_budget():
-    inst = _QUANT_INSTANCES["A2"][0]
+    """Every budget trips where one evaluation per (predicate table,
+    function table) would, with the same fields, in runs of the default
+    size and in runs of a few tables; and no run past the trip is
+    evaluated: the positions evaluated stay within the budget."""
+    inst = _QUANT_INSTANCES["A1"][1]
     structures = [saturate(alg, "n4") for alg in enumerate_heyting(3)]
-    with pytest.raises(CapExceeded) as exc:
-        _audit_quantified("A2", inst, structures, 2, [], 10)
-    assert exc.value.cap == "eval_cap" and exc.value.limit == 10 and exc.value.predicted > 10
+    assert _audit_quantified("A1", inst, structures, 3, [], 10**9) > 400
+    evaluated = []
+
+    def counting(phi, model, index, ctx):
+        evaluated.append(index.valid.bit_count())
+        return eval_sentence(phi, model, index, ctx)
+
+    for budget in range(401):
+        want = _trip(table_audit_quantified, inst, structures, budget)
+        assert want[:2] == ("eval_cap", budget) and want[2] > budget
+        for sweep_size in (proofs_mod._SWEEP_SIZE, 256):
+            evaluated.clear()
+            with mock.patch.object(proofs_mod, "_SWEEP_SIZE", sweep_size), mock.patch.object(
+                proofs_mod, "eval_sentence", counting
+            ):
+                assert _trip(_audit_quantified, inst, structures, budget) == want
+            assert sum(evaluated) <= budget

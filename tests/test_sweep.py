@@ -16,8 +16,9 @@ from pst.errors import CapExceeded
 from pst.fidel import saturate
 from pst.proofs import audit_soundness
 from pst.search import GOALS, Budget, SearchGoal, _sequent, _table_walk, search
-from pst.syntax import And, Imp, Neg, Or, Pred, iff, parse_formula
-from pst.valuation import ASSIGNMENT_CAP
+from pst.names import NameStore
+from pst.syntax import And, FuncApp, Imp, NameConst, Neg, Or, Pred, Signature, iff, map_terms, parse_formula
+from pst.valuation import ASSIGNMENT_CAP, AssignmentIndex, EvalContext, eval_sentence, make_model
 from reference import table_walk, walk_audit, walk_search
 
 _STRUCTURES_TO_4 = [saturate(alg, kind) for alg in enumerate_heyting(4) for kind in ("n4", "comega")]
@@ -190,3 +191,36 @@ def test_walk_in_runs_over_six_atoms():
         assert len(runs) == 8
         positions, trip = _assert_same_walk(joint, [(joint, ())], [fs], limit=limit)
         assert trip is None and len(positions) > runs[0][3].bit_count()
+
+
+def test_quantifier_over_index_vector_predicates():
+    """Predicate cells whose values are vectors over an index's tables: a
+    choice-free quantifier loops over the scope instead of folding over
+    names, and the value at every valid position is the value of one
+    scalar evaluation under that position's table and negation choices."""
+    sig = Signature(functions={"c": 0})
+    phi = map_terms(
+        parse_formula("(forall x . P(x) -> q) -> (exists y . ~P(y) & (P(c) | ~q))", sig),
+        lambda t: NameConst(1) if isinstance(t, FuncApp) else t,
+    )
+    cells = [("P", (0,)), ("P", (1,)), "q"]
+    keys = [("pred", "P", (0,)), ("pred", "P", (1,)), ("pred", "q")]
+    for alg in enumerate_heyting(4):
+        fs = saturate(alg, "n4")
+        p = alg.planes
+        index = AssignmentIndex(dict.fromkeys(keys, ()), p, keys, fs.negs)
+        values = {cell: index.value(key) for cell, key in zip(cells, keys)}
+        model = make_model(fs, NameStore(), 0, scope=(0, 1), prop_values=values)
+        ctx = EvalContext(model)
+        assert not ctx.folds
+        vec = eval_sentence(phi, model, index, ctx)
+        valid = index.valid
+        while valid:
+            low = valid & -valid
+            valid ^= low
+            i = low.bit_length() - 1
+            table = dict(zip(cells, index.table(i)))
+            scalar = make_model(fs, NameStore(), 0, scope=(0, 1), prop_values=table)
+            assert EvalContext(scalar).folds
+            assert p.decode(vec, i) == eval_sentence(phi, scalar, index.decode(i)), (alg.size, i)
+
