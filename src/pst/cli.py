@@ -8,6 +8,7 @@ per check; all randomness flows from --seed, which is echoed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import algebra as alg_mod
@@ -184,6 +185,23 @@ def _cmd_universe_hat(args) -> int:
     return 0
 
 
+def _count_text(n: int) -> str:
+    """n in decimal; past the interpreter's limit on the digits of an int
+    printed (4300), its first three digits and its power of ten, as
+    "about 1.23e15699"."""
+    try:
+        return str(n)
+    except ValueError:
+        power = int(math.log10(n)) - 2
+        lead = n // 10**power
+        while lead >= 1000:  # log10 rounds
+            power, lead = power + 1, lead // 10
+        while lead < 100:
+            power -= 1
+            lead = n // 10**power
+        return f"about {lead // 100}.{lead % 100:02d}e{power + 2}"
+
+
 def _cmd_eval(args) -> int:
     model = _build_model(args)
     phi = parse_formula(args.formula)
@@ -194,7 +212,7 @@ def _cmd_eval(args) -> int:
         lines = [
             f"formula: {formula_to_text(phi)}",
             f"mode {verdict.mode}, scope {len(model.scope)} names (rank <= {model.rank_bound})",
-            f"assignments: {verdict.n_assignments}; value range [{verdict.value_lo}, {verdict.value_hi}]",
+            f"assignments: {_count_text(verdict.n_assignments)}; value range [{verdict.value_lo}, {verdict.value_hi}]",
             f"valid ({quant}): {'yes' if verdict.valid else 'no'}",
         ]
     _emit(args, lines, verdict.result_line())

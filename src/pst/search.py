@@ -290,9 +290,9 @@ def _occurrence_walk(
         ctx = EvalContext(model)
         rows = _comega_assignments(joint, model, ctx, cap)
         if len(parts) == 1:
-            columns = [[v for _, _, v in rows]]
+            columns = [[row[2] for row in rows]]
         else:
-            asgs = [_comega_assignment(atoms, occs) for atoms, occs, _ in rows]
+            asgs = [_comega_assignment(*row[:2]) for row in rows]
             columns = [[eval_sentence(f, model, asg, ctx, path) for asg in asgs] for f, path in parts]
 
         def decode(i: int, table: dict[str, int] = table, rows: list = rows):

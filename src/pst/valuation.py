@@ -57,6 +57,7 @@ from .syntax import (
 
 MODES = ("boolean", "heyting", "comega", "n4")
 ASSIGNMENT_CAP = 50_000
+KEY_CAP = 1 << 18  # negated ground atoms read by one sentence's instances, at least one each
 
 
 class EvalError(PstError):
@@ -168,24 +169,26 @@ AtomKey = tuple
 OccKey = tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Assignment:
-    """A concrete resolution of the non-deterministic negation choices."""
+    """A concrete resolution of the non-deterministic negation choices.
+    Two assignments are equal when they make the same choices."""
 
     atoms: tuple[tuple[AtomKey, int], ...] = ()
     occs: tuple[tuple[OccKey, int], ...] = ()
+    # every choice by its key, built on the first lookup
+    _choices: dict | None = field(default=None, init=False, repr=False, compare=False)
+
+    def _lookup(self) -> dict:
+        if self._choices is None:
+            object.__setattr__(self, "_choices", {**dict(self.atoms), **dict(self.occs)})
+        return self._choices
 
     def atom(self, key: AtomKey) -> int | None:
-        for k, v in self.atoms:
-            if k == key:
-                return v
-        return None
+        return self._lookup().get(key)
 
     def occ(self, key: OccKey) -> int | None:
-        for k, v in self.occs:
-            if k == key:
-                return v
-        return None
+        return self._lookup().get(key)
 
     def fingerprint(self) -> str:
         if not self.atoms and not self.occs:
@@ -193,8 +196,40 @@ class Assignment:
         blob = repr((tuple(sorted(self.atoms)), tuple(sorted(self.occs))))
         return hashlib.sha1(blob.encode()).hexdigest()[:12]
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Assignment):
+            return NotImplemented
+        return self.atoms == other.atoms and self.occs == other.occs
+
+    def __hash__(self) -> int:
+        return hash((self.atoms, self.occs))
+
 
 EMPTY_ASSIGNMENT = Assignment()
+
+
+class _Deferred(Assignment):
+    """An assignment whose choices are collected on first use: the witness
+    of a decomposed sentence names every key, and most verdicts print only
+    one of witness and falsifier."""
+
+    def __init__(self, collect: Callable[[], tuple[tuple, tuple]]):
+        object.__setattr__(self, "_collect", collect)
+        object.__setattr__(self, "_choices", None)
+
+    def _made(self) -> tuple[tuple, tuple]:
+        if self._collect is not None:
+            object.__setattr__(self, "_made_choices", self._collect())
+            object.__setattr__(self, "_collect", None)
+        return self._made_choices
+
+    @property
+    def atoms(self) -> tuple:
+        return self._made()[0]
+
+    @property
+    def occs(self) -> tuple:
+        return self._made()[1]
 
 
 class AssignmentIndex:
@@ -266,6 +301,7 @@ class AssignmentIndex:
                     invalid |= at & m
             self._vectors[key] = planes.from_masks(pairs)
         self.valid = full & ~invalid
+        self.orders: tuple = ()  # no occurrence digits
 
     def atom(self, key: AtomKey) -> Vector | None:
         return self._vectors.get(key)
@@ -281,6 +317,10 @@ class AssignmentIndex:
             out.append(d)
         out.reverse()
         return out
+
+    def digits(self, i: int) -> tuple[int, ...]:
+        """The choice digits of position i, one per key."""
+        return tuple(self._digits(i)[len(self.values) :])
 
     def table(self, i: int) -> tuple[int, ...]:
         """The values of the atoms in ``values`` at position i."""
@@ -347,14 +387,28 @@ class _Fold:
     """Folding a choice-free node over var: its values for every name bound
     to var, one vector exact at the ids of dom.  An atom that mentions var
     reads a kernel row or column, a node that does not is evaluated once as
-    an element, and the connectives combine vectors plane-wise."""
+    an element, and the connectives combine vectors plane-wise.
 
-    __slots__ = ("var", "dom", "ops")
+    Given a ``_Probe``, the fold probes a node with negation choices for
+    every name at once, as ``_Probe`` does for one instance: ``reads``
+    lists the values of its choice-free subformulas (a vector where one
+    mentions var, else an element), ``patterns`` the key of every negated
+    atom that mentions var, with -1 in var's place, and the probe records
+    the negated atoms that do not.  A node without var but with choices is
+    probed as one instance, and its value goes to ``reads``; ``opaque``
+    says one was, so that ``reads`` may not fix the node's value per name."""
 
-    def __init__(self, var: str, dom: _Domain, planes: Planes):
+    __slots__ = ("var", "dom", "ops", "probe", "plain", "reads", "patterns", "opaque")
+
+    def __init__(self, var: str, dom: _Domain, planes: Planes, probe: _Probe | None = None):
         self.var = var
         self.dom = dom
         self.ops = (planes.meet, planes.join, planes.imp)
+        self.probe = probe
+        self.plain = None if probe is None else _Fold(var, dom, planes)
+        self.reads: list[Vector] | None = None if probe is None else []
+        self.patterns: list[AtomKey] = []
+        self.opaque = False
 
 
 def _memo(cache: dict, fn: Callable, key: object):
@@ -539,6 +593,8 @@ def eval_sentence(
     ``path`` is the position of phi inside the sentence the assignment was
     enumerated for; comega occurrence choices are keyed by position."""
     ctx = ctx or EvalContext(model)
+    if assignment.__class__ is _Deferred:
+        assignment = Assignment(assignment.atoms, assignment.occs)
     return _eval(phi, {}, (), path, model, assignment, ctx)
 
 
@@ -591,13 +647,24 @@ def _eval(
     ``_Fold`` (a vector over the folded variable)."""
     alg = model.algebra
     if asg.__class__ is _Fold:
-        if asg.var in ctx._free_vars(node):
+        mentions = asg.var in ctx._free_vars(node)
+        if asg.probe is not None and (isinstance(node, _ATOMIC) or ctx.choice_free(node, model.mode)):
+            # a probing fold reads a choice-free node as one value
+            value = _eval(node, env, trail, path, model, asg.plain if mentions else EMPTY_ASSIGNMENT, ctx)
+            asg.reads.append(value)
+            return value
+        if mentions:
             if isinstance(node, _ATOMIC):
                 return ctx._vector_atom(node, env, asg.var, asg.dom)
         elif isinstance(node, _ATOMIC):
             return ctx._read_atom(_atom_key(node, env))
-        else:
+        elif asg.probe is None:
             asg = EMPTY_ASSIGNMENT
+        else:
+            value = _eval(node, env, trail, path, model, asg.probe, ctx)
+            asg.reads.append(value)
+            asg.opaque = True
+            return value
     elif isinstance(node, _ATOMIC):
         return ctx.atom_value(_atom_key(node, env))
     meet, join, imp = ctx.element_ops if asg.__class__ is Assignment else asg.ops
@@ -676,6 +743,10 @@ def _neg_choice(
     each alternative of the body is extended by each of its options)."""
     body = node.body
     if isinstance(body, _ATOMIC):
+        if asg.__class__ is _Fold:  # a probing fold; body mentions its variable
+            asg.patterns.append(_atom_key(body, {**env, asg.var: -1}))
+            value = _eval(body, env, trail, path + (0,), model, asg, ctx)
+            return value, value
         key = _atom_key(body, env)
         choice = asg.atom(key)
         if choice is None:
@@ -692,7 +763,7 @@ def _neg_choice(
     key = ("occ", path, trail)
     if asg.__class__ is _Alternatives:
         return asg.expand(key, base, inner)
-    if asg.__class__ is _Probe:
+    if asg.__class__ is _Probe or asg.__class__ is _Fold:
         return base, base
     choice = asg.occ(key)
     if choice is None:
@@ -809,22 +880,76 @@ def _comega_assignments(
     model: SetModel,
     ctx: EvalContext,
     cap: int,
-) -> list[tuple[tuple, tuple, int]]:
-    """comega with a negated compound: every assignment of phi, as its
-    atom choices and its occurrence choices (unsorted), with phi's value
-    under it.  The atom choices run as a product over the sorted keys, the
-    first most significant; under each, one evaluation under
-    ``_Alternatives`` lists the occurrence choices."""
+) -> list[tuple[tuple, tuple, int, tuple[int]]]:
+    """comega with a negated compound: every assignment of phi, as the rows
+    of ``_comega_rows`` for phi alone."""
     options = _atom_options(phi, model, ctx, cap)
+    return _comega_rows([(phi, {}, (), (), ())], options, model.algebra.meet_, model, ctx, cap)
+
+
+# an instance: a node, its bindings, trail and path, and its rank in evaluation order
+_Instance = tuple[Formula, dict, tuple, tuple, tuple]
+
+
+def _comega_rows(
+    instances: Sequence[_Instance],
+    options: Mapping[AtomKey, tuple[int, ...]],
+    combine: Callable[[int, int], int],
+    model: SetModel,
+    ctx: EvalContext,
+    cap: int,
+) -> list[tuple[tuple, tuple, int, tuple[int, ...]]]:
+    """Every assignment of instances that read only the atoms of options,
+    with the combined value of the instances under it, in enumeration
+    order: the atom choices as a product over the sorted keys, the first
+    most significant; under each, one evaluation per instance under
+    ``_Alternatives`` lists its occurrence choices, and their product runs
+    the first instance most significant.  A row is (atom choices,
+    occurrence choices (unsorted), value, each instance's alternative)."""
     keys = sorted(options)
     out = []
     for combo in itertools.product(*(options[key] for key in keys)):
         atoms = tuple(zip(keys, combo))
-        pairs = _pairs(_eval(phi, {}, (), (), model, _Alternatives(atoms, model, cap), ctx))
-        if len(out) + len(pairs) > cap:
+        alternatives = _Alternatives(atoms, model, cap)
+        lists = [_pairs(_eval(*inst[:4], model, alternatives, ctx)) for inst in instances]
+        if len(out) + math.prod(map(len, lists)) > cap:
             raise _cap_exceeded("assignments", cap, cap + 1)
-        out += ((atoms, occs, v) for occs, v in pairs)
+        if len(lists) == 1:
+            out += ((atoms, occs, v, (i,)) for i, (occs, v) in enumerate(lists[0]))
+            continue
+        for picks in itertools.product(*map(enumerate, lists)):
+            occs: tuple = ()
+            value = None
+            for _, (o, v) in picks:
+                occs += o
+                value = v if value is None else combine(value, v)
+            out.append((atoms, occs, value, tuple(i for i, _ in picks)))
     return out
+
+
+class _Rows:
+    """The positions of ``_comega_rows``: decoded to assignments, and to
+    digits (each atom's option number, then each instance's alternative)."""
+
+    def __init__(self, options: Mapping[AtomKey, tuple[int, ...]], rows: list, orders: tuple):
+        self.keys = sorted(options)
+        self.orders = orders
+        self.rows = rows
+        self._number = [{c: j for j, c in enumerate(options[key])} for key in self.keys]
+
+    def decode(self, i: int) -> Assignment:
+        return _comega_assignment(*self.rows[i][:2])
+
+    def digits(self, i: int) -> tuple[int, ...]:
+        atoms, _, _, alternatives = self.rows[i]
+        return tuple(number[c] for number, (_, c) in zip(self._number, atoms)) + alternatives
+
+
+class _Listed:
+    """Positions that are the items of an assignment list."""
+
+    def __init__(self, assignments: Sequence[Assignment]):
+        self.decode = assignments.__getitem__
 
 
 def _comega_assignment(atoms: tuple, occs: tuple) -> Assignment:
@@ -845,7 +970,7 @@ def enumerate_assignments(
     if ctx.choice_free(phi, model.mode):
         return [EMPTY_ASSIGNMENT]
     if model.mode == "comega" and not ctx.compound_free(phi):
-        return [_comega_assignment(atoms, occs) for atoms, occs, _ in _comega_assignments(phi, model, ctx, cap)]
+        return [_comega_assignment(*row[:2]) for row in _comega_assignments(phi, model, ctx, cap)]
     options = _atom_options(phi, model, ctx, cap)
     option_lists = [[(key, c) for c in options[key]] for key in sorted(options)]
     return [Assignment(atoms=combo) for combo in itertools.product(*option_lists)]
@@ -887,23 +1012,30 @@ QUANTIFICATIONS = ("all_assignments", "some_assignment")
 
 
 class Sweep:
-    """A sentence's value under every negation assignment: one vector over
-    the assignments' positions in ``enumerate_assignments`` order."""
+    """A value under every negation assignment: one vector over the
+    assignments' positions in enumeration order.  ``code`` decodes a
+    position to its assignment (``decode``); for a component of the
+    instance decomposition it also gives the position's digits
+    (``digits``), the atom keys of its first digits (``keys``, sorted) and
+    the evaluation rank of each instance whose occurrence alternative the
+    remaining digits count (``orders``)."""
 
-    def __init__(self, value: Vector, size: int, decode: Callable[[int], Assignment], planes: Planes):
+    def __init__(self, value: Vector, size: int, code, planes: Planes):
         self.value = value
         self.size = size
-        self.decode = decode
+        self.code = code
+        self.decode = code.decode
         self.mask = (1 << size) - 1
         self.lo = planes.meet_over(value, self.mask)
         self.hi = planes.join_over(value, self.mask)
         self.failing = planes.exceeds(planes.top, value) & self.mask  # value not top
         self.holding = self.mask & ~self.failing
+        self._planes = planes
 
     @classmethod
     def of(cls, values: Sequence[int], assignments: Sequence[Assignment], planes: Planes) -> "Sweep":
         """The sweep of values listed one per assignment."""
-        return cls(planes.from_values(enumerate(values)), len(values), assignments.__getitem__, planes)
+        return cls(planes.from_values(enumerate(values)), len(values), _Listed(assignments), planes)
 
     def valid(self, quantification: str) -> bool:
         if quantification == "all_assignments":
@@ -912,7 +1044,54 @@ class Sweep:
 
     def first(self, positions: int) -> Assignment | None:
         """The assignment at the lowest position in the mask positions."""
-        return self.decode((positions & -positions).bit_length() - 1) if positions else None
+        return self.decode(_lowest(positions)) if positions else None
+
+    def values(self) -> set[int]:
+        """The values taken at some position."""
+        if self.value.__class__ is int:
+            return {self.value} if self.size else set()
+        out = set()
+        for e, ks in enumerate(self._planes.bits):
+            at = self.mask
+            for k, plane in enumerate(self.value):
+                at &= plane if k in ks else ~plane
+            if at:
+                out.add(e)
+        return out
+
+
+def _lowest(positions: int) -> int:
+    return (positions & -positions).bit_length() - 1
+
+
+def _component(
+    instances: Sequence[_Instance],
+    options: Mapping[AtomKey, tuple[int, ...]],
+    meet: bool,
+    model: SetModel,
+    ctx: EvalContext,
+    cap: int,
+) -> Sweep:
+    """The meet (or join) of instances that read only the negated atoms of
+    options, under every assignment of them.  When every choice sits at a
+    ground atom (outside comega mode always, in comega mode when no
+    negation has a compound body), each instance is evaluated once, under
+    the ``AssignmentIndex``.  A comega negated compound has options that
+    depend on its body's value, so its assignments do not form a product;
+    they are listed with the instances' values by ``_comega_rows``."""
+    planes = ctx.planes
+    if model.mode == "comega" and not all(ctx.compound_free(inst[0]) for inst in instances):
+        alg = model.algebra
+        rows = _comega_rows(instances, options, alg.meet_ if meet else alg.join_, model, ctx, cap)
+        values = planes.from_values((i, row[2]) for i, row in enumerate(rows))
+        return Sweep(values, len(rows), _Rows(options, rows, tuple(inst[4] for inst in instances)), planes)
+    index = AssignmentIndex(options, planes)
+    combine = planes.meet if meet else planes.join
+    value = None
+    for node, env, trail, path, _ in instances:
+        v = _eval(node, env, trail, path, model, index, ctx)
+        value = v if value is None else combine(value, v)
+    return Sweep(value, index.size, index, planes)
 
 
 def sweep_assignments(
@@ -921,21 +1100,9 @@ def sweep_assignments(
     ctx: EvalContext,
     cap: int = ASSIGNMENT_CAP,
 ) -> Sweep:
-    """The value of a closed formula under every negation assignment.
-
-    When every choice sits at a ground atom (outside comega mode always,
-    in comega mode when no negation has a compound body), phi is evaluated
-    once, under the ``AssignmentIndex``.  A comega negated compound has
-    options that depend on its body's value, so its assignments do not form
-    a product; those sentences are enumerated and evaluated one assignment
-    at a time."""
-    planes = ctx.planes
-    if model.mode == "comega" and not ctx.compound_free(phi):
-        rows = _comega_assignments(phi, model, ctx, cap)
-        values = planes.from_values((i, v) for i, (_, _, v) in enumerate(rows))
-        return Sweep(values, len(rows), lambda i: _comega_assignment(*rows[i][:2]), planes)
-    index = AssignmentIndex(_atom_options(phi, model, ctx, cap), planes)
-    return Sweep(_eval(phi, {}, (), (), model, index, ctx), index.size, index.decode, planes)
+    """The value of a closed formula under every negation assignment, as
+    one vector: phi taken as a single instance (``check_valid`` splits it)."""
+    return _component([(phi, {}, (), (), ())], _atom_options(phi, model, ctx, cap), True, model, ctx, cap)
 
 
 def check_valid(
@@ -946,21 +1113,26 @@ def check_valid(
     cap: int = ASSIGNMENT_CAP,
 ) -> Verdict:
     """Rank-relative validity: the truth value must be top, quantified over
-    negation assignments as requested."""
+    negation assignments as requested.  phi is split into independent
+    components (``decompose``): ``cap`` bounds each component's
+    assignments, and ``KEY_CAP`` the negated atoms the instances read."""
     if quantification not in QUANTIFICATIONS:
         raise EvalError(f"unknown quantification {quantification!r}")
+    from .decompose import split_values  # on first use: most commands split no sentence
+
     ctx = ctx or EvalContext(model)
-    sweep = sweep_assignments(phi, model, ctx, cap)
+    alg = model.algebra
+    values, count, witness, falsifier = split_values(phi, model, ctx, cap)
     return Verdict(
         mode=model.mode,
         quantification=quantification,
         rank_bound=model.rank_bound,
-        value_lo=sweep.lo,
-        value_hi=sweep.hi,
-        valid=sweep.valid(quantification),
-        n_assignments=sweep.size,
-        witness=sweep.first(sweep.holding),
-        falsifier=sweep.first(sweep.failing),
+        value_lo=alg.meet_all(values),
+        value_hi=alg.join_all(values),
+        valid=values <= {alg.top} if quantification == "all_assignments" else alg.top in values,
+        n_assignments=count,
+        witness=witness,
+        falsifier=falsifier,
         notes=("rank-relative",),
     )
 

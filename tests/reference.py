@@ -41,6 +41,7 @@ testing every subset.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Mapping
@@ -378,6 +379,131 @@ def enumerated_induction(model: SetModel, phi, var: str, quantification: str, ca
     verdict = enumerated_verdicts(schema, model, cap)[quantification]
     value = verdict.value_lo if quantification == "all_assignments" else verdict.value_hi
     return value, verdict.valid, verdict.n_assignments
+
+
+# --- the instance decomposition, by brute force ----------------------------------------
+
+
+def component_verdict(phi, model: SetModel) -> tuple[int, int, bool, bool, int]:
+    """(value_lo, value_hi, valid under all assignments, valid under some,
+    n_assignments) of a closed sentence, from no valuation code: the
+    instances of its prefix (forall and & for a meet, exists and | for a
+    join) found by a walk of their own, joined where they negate a common
+    ground atom, each component's assignments listed by brute force with
+    atom values from ``Reference``, and the components' value sets
+    combined.  Only outside ``bounded_opt``."""
+    ref = Reference(model)
+    alg = model.algebra
+    meet = not isinstance(phi, (Exists, Or))
+    op = alg.meet_ if meet else alg.join_
+    instances = []
+
+    def split(node, env):
+        if isinstance(node, Forall if meet else Exists):
+            for nid in model.scope:
+                split(node.body, {**env, node.var: nid})
+        elif isinstance(node, And if meet else Or):
+            split(node.left, env)
+            split(node.right, env)
+        else:
+            instances.append((node, env))
+
+    def key(atom, env):
+        def name(t):
+            return t.ref if isinstance(t, NameConst) else env[t.name]
+
+        if isinstance(atom, Bot):
+            return ("bot",)
+        if isinstance(atom, Eq):
+            return ("eq", *sorted((name(atom.left), name(atom.right))))
+        return ("mem", name(atom.left), name(atom.right))
+
+    def value(k):
+        if k[0] == "bot":
+            return alg.bottom
+        return ref.eq(k[1], k[2]) if k[0] == "eq" else ref.mem(k[1], k[2])
+
+    def negated(node, env, out):
+        if isinstance(node, Neg) and isinstance(node.body, _ATOMIC) and model.mode in ("comega", "n4"):
+            out.add(key(node.body, env))
+        elif isinstance(node, Neg) and model.mode == "n4":
+            negated(nnf_n4(node), env, out)
+        elif isinstance(node, Neg):
+            negated(node.body, env, out)
+        elif isinstance(node, (And, Or, Imp)):
+            negated(node.left, env, out)
+            negated(node.right, env, out)
+        elif isinstance(node, (Forall, Exists)):
+            for nid in model.scope:
+                negated(node.body, {**env, node.var: nid}, out)
+
+    def values(node, env, chosen) -> list[int]:
+        """The node's value under each combination of its occurrence choices."""
+        if isinstance(node, _ATOMIC):
+            return [value(key(node, env))]
+        if isinstance(node, Neg):
+            if model.mode in ("boolean", "heyting"):
+                return [alg.neg_(v) for v in values(node.body, env, chosen)]
+            if model.mode == "n4" and not isinstance(node.body, _ATOMIC):
+                return values(nnf_n4(node), env, chosen)
+            return [c for c, _ in negations(node, env, chosen)]
+        if isinstance(node, (And, Or, Imp)):
+            f = alg.meet_ if isinstance(node, And) else alg.join_ if isinstance(node, Or) else alg.imp_
+            return [f(a, b) for a in values(node.left, env, chosen) for b in values(node.right, env, chosen)]
+        forall = isinstance(node, Forall)
+        acc = [alg.top if forall else alg.bottom]
+        for nid in model.scope:
+            sub = values(node.body, {**env, node.var: nid}, chosen)
+            acc = [(alg.meet_ if forall else alg.join_)(a, b) for a in acc for b in sub]
+        return acc
+
+    def negations(node, env, chosen) -> list[tuple[int, int]]:
+        """comega: (the negation's value, its body's value) per choice."""
+        body = node.body
+        if isinstance(body, _ATOMIC):
+            k = key(body, env)
+            return [(chosen[k], value(k))]
+        if isinstance(body, Neg):  # the choice stays below the body's body
+            return [
+                (c, v) for v, bound in negations(body, env, chosen) for c in model.neg_options(v) if alg.le(c, bound)
+            ]
+        return [(c, v) for v in values(body, env, chosen) for c in model.neg_options(v)]
+
+    split(phi, {})
+    keys = []
+    for node, env in instances:
+        found: set = set()
+        negated(node, env, found)
+        keys.append(found)
+    components: list[tuple[list[int], set]] = []
+    for i, found in enumerate(keys):
+        joined = [c for c in components if c[1] & found]
+        merged = ([i], set(found))
+        for members, ks in joined:
+            merged[0].extend(members)
+            merged[1].update(ks)
+            components.remove((members, ks))
+        components.append(merged)
+    reach = {alg.top if meet else alg.bottom}
+    count = 1
+    for members, ks in components:
+        ks = sorted(ks)
+        taken: set = set()
+        n = 0
+        for combo in itertools.product(*(model.neg_options(value(k)) for k in ks)):
+            chosen = dict(zip(ks, combo))
+            for vals in itertools.product(*(values(*instances[i], chosen) for i in members)):
+                taken.add(functools.reduce(op, vals))
+                n += 1
+        count *= n
+        reach = {op(a, b) for a in reach for b in taken}
+    return (
+        alg.meet_all(reach),
+        alg.join_all(reach),
+        reach <= {alg.top},
+        alg.top in reach,
+        count,
+    )
 
 
 def unshared(phi):

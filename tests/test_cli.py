@@ -502,28 +502,121 @@ def test_hf_set_at_the_depth_cap_embeds(files, capsys):
     assert code == 0 and "RESULT hat=99 rank=100" in out
 
 
-def test_assignment_cap_trips_before_valuing_every_atom(tmp_path, capsys):
-    # B4 at rank 3 has 3125 names, hence about 4.9 million ground eq atoms;
-    # four choices for ~a at a = top exceed the 50000 cap after eight atoms
-    from pst.algebra import boolean_algebra
+def _saturated(tmp_path, algebra, kind):
     from pst.fidel import format_fstructure_text, saturate
 
-    path = tmp_path / "b4.fst"
-    path.write_text(format_fstructure_text("b4", saturate(boolean_algebra(2), "comega")))
-    code, out, err = run(
-        capsys,
-        "--format",
-        "machine",
-        "eval",
-        "--model",
-        str(path),
-        "--rank",
-        "3",
-        "--formula",
-        "forall x . forall y . (x eq y | ~(x eq y))",
-    )
+    path = tmp_path / f"sat_{kind}.fst"
+    path.write_text(format_fstructure_text("sat", saturate(algebra, kind)))
+    return str(path)
+
+
+EQ_LEM = "forall x . forall y . (x eq y | ~(x eq y))"
+
+
+def test_assignment_cap_trips_before_valuing_every_atom(tmp_path, capsys):
+    # B4 at rank 3 has 3125 names, hence about 4.9 million ground eq atoms:
+    # KEY_CAP trips once the first row of the grid is probed
+    import time
+
+    from pst.algebra import boolean_algebra
+
+    path = _saturated(tmp_path, boolean_algebra(2), "comega")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "--format", "machine", "eval", "--model", path, "--rank", "3", "--formula", EQ_LEM)
     assert code == 2 and out == ""
-    assert "more than 50000" in err
+    assert err == "error: more than 262144 negated ground atoms\n"
+    assert time.perf_counter() - start < 1.0
+
+
+# the reach checks of the benchmark's witness-negation workload, with the
+# answers written by hand in perfbench/checks.py: every admissible choice c
+# for ~a lies in N_a, so a | c = top; top is in N_top, so ~(x = x) may be
+# top; and ||x = x|| = top makes every implication top.  The --quant some
+# witness chooses the first option, bottom, at every ~(x eq x) but the
+# last, which takes top.
+@pytest.mark.parametrize(
+    "algebra, kind, rank, quant, formula, result",
+    [
+        (
+            "chain3",
+            "comega",
+            3,
+            "all",
+            EQ_LEM,
+            "mode=comega rank=3 quant=all_assignments value=2 valid=yes assignment=none",
+        ),
+        (
+            "chain3",
+            "n4",
+            3,
+            "all",
+            EQ_LEM,
+            "mode=n4 rank=3 quant=all_assignments value=2 valid=yes assignment=none",
+        ),
+        (
+            "chain3",
+            "comega",
+            3,
+            "some",
+            "exists x . (x eq x & ~(x eq x))",
+            "mode=comega rank=3 quant=some_assignment value=2 valid=yes assignment=3c7e621e9437",
+        ),
+        (
+            "chain3",
+            "n4",
+            3,
+            "some",
+            "exists x . (x eq x & ~(x eq x))",
+            "mode=n4 rank=3 quant=some_assignment value=2 valid=yes assignment=3c7e621e9437",
+        ),
+        (
+            "b4",
+            "comega",
+            2,
+            "all",
+            EQ_LEM,
+            "mode=comega rank=2 quant=all_assignments value=3 valid=yes assignment=none",
+        ),
+        (
+            "b4",
+            "comega",
+            2,
+            "all",
+            "forall x . (~~(x eq x) -> x eq x)",
+            "mode=comega rank=2 quant=all_assignments value=3 valid=yes assignment=none",
+        ),
+    ],
+)
+def test_reach_checks_print_their_known_answers(tmp_path, capsys, algebra, kind, rank, quant, formula, result):
+    from pst.algebra import boolean_algebra, chain
+
+    path = _saturated(tmp_path, chain(3) if algebra == "chain3" else boolean_algebra(2), kind)
+    argv = ("--format", "machine", "eval", "--model", path, "--rank", str(rank), "--quant", quant, "--formula", formula)
+    assert run(capsys, *argv) == (0, f"RESULT {result}\n", "")
+
+
+def test_eval_human_output_past_the_digit_limit(tmp_path, capsys):
+    """3-chain eq-LEM at rank 3 has 3 ** 2828 assignments (three choices at
+    each of the 2828 eq atoms of value top, one elsewhere): 1350 digits.
+    Printed whole, and, past the interpreter's limit on printed digits
+    (lowered to its least, 640), by its leading digits and power of ten."""
+    from pst.algebra import chain
+
+    path = _saturated(tmp_path, chain(3), "comega")
+    argv = ("eval", "--model", path, "--rank", "3", "--formula", EQ_LEM)
+    result = "RESULT mode=comega rank=3 quant=all_assignments value=2 valid=yes assignment=none"
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    valid = "valid (all_assignments): yes"
+    assert out.splitlines()[2:] == [f"assignments: {3**2828}; value range [2, 2]", valid, result]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, *argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[2:] == ["assignments: about 1.99e1349; value range [2, 2]", valid, result]
 
 
 def test_unknown_flag_rejected(files, capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import (
     Reference,
+    component_verdict,
     enumerated_induction,
     enumerated_leibniz,
     enumerated_verdicts,
@@ -36,6 +37,7 @@ from pst.syntax import (
     Var,
     formula_to_text,
     free_for,
+    free_vars,
     iff,
     iff_sides,
     nnf_n4,
@@ -55,6 +57,7 @@ from pst.valuation import (
     NotNegationFree,
     NotRestricted,
     UncoveredNegation,
+    Verdict,
     check_hat_lemma,
     check_leibniz,
     check_maximum_principle,
@@ -441,9 +444,11 @@ def test_assignment_cap(comega3_model):
 
 def test_comega_assignment_cap_trips_before_any_assignment_is_built(monkeypatch):
     """The count of comega assignments trips the cap from each atom
-    combination's alternatives, before one Assignment is built.  At cap
-    1000 the atom probe would trip first (1024 combinations); at 2000 the
-    trip is in the assignment count."""
+    combination's alternatives, before one Assignment is built.  The
+    sentence is one component: its five instances of ~~(x eq x) -> x eq x
+    (7 assignments each, 16807 together) sit under an implication, which
+    opens no prefix.  At cap 1000 the atom probe would trip first (1024
+    combinations); at 2000 the trip is in the assignment count."""
     import pst.valuation as val_mod
 
     built = 0
@@ -456,7 +461,7 @@ def test_comega_assignment_cap_trips_before_any_assignment_is_built(monkeypatch)
 
     monkeypatch.setattr(val_mod, "Assignment", Counting)
     model = make_model(saturate(chain(4), "comega"), NameStore(), 2)
-    phi = parse_formula("forall x . (~~(x eq x) -> x eq x)")
+    phi = parse_formula("#0 in #0 -> forall x . (~~(x eq x) -> x eq x)")
     with pytest.raises(CapExceeded) as exc:
         check_valid(phi, model, cap=2000)
     assert str(exc.value) == "more than 2000 assignments"
@@ -535,26 +540,179 @@ def _same_outcome(oracle, program):
     assert program() == want
 
 
-def _agrees_with_enumeration(phi, model, cap=ASSIGNMENT_CAP):
+def _agrees_with_enumeration(phi, model, cap=ASSIGNMENT_CAP, raised=None):
     """check_valid under both quantifications against the loop over every
     assignment: equal verdicts, so equal RESULT lines, n_assignments, value
-    range, witness and falsifier."""
-    _same_outcome(
-        lambda: enumerated_verdicts(phi, model, cap),
-        lambda: {quant: check_valid(phi, model, quant, cap=cap) for quant in QUANTIFICATIONS},
+    range, witness and falsifier.  check_valid caps each independent
+    component, the loop the whole sentence: where check_valid trips, the
+    loop must trip alike, and where only the loop trips, it runs again at
+    the raised cap; where it trips there too, value range, validity and
+    n_assignments are compared with the brute-force per-component reference
+    (tests/reference.py), and the witness and the falsifier re-verified."""
+    try:
+        got = {quant: check_valid(phi, model, quant, cap=cap) for quant in QUANTIFICATIONS}
+    except PstError as exc:
+        with pytest.raises(type(exc)) as want:
+            enumerated_verdicts(phi, model, cap)
+        if isinstance(exc, CapExceeded):  # a component past the cap puts the sentence past it
+            assert (want.value.cap, want.value.limit) == (exc.cap, exc.limit)
+        else:
+            assert str(want.value) == str(exc)
+        return
+    for limit in (cap, raised) if raised else (cap,):
+        try:
+            want = enumerated_verdicts(phi, model, limit)
+        except CapExceeded:
+            continue
+        assert got == want, formula_to_text(phi)
+        return
+    _agrees_with_components(phi, model, got)
+
+
+def _agrees_with_components(phi, model, verdicts):
+    alg = model.algebra
+    allq, some = verdicts["all_assignments"], verdicts["some_assignment"]
+    assert (allq.value_lo, allq.value_hi, allq.valid, some.valid, allq.n_assignments) == component_verdict(
+        phi, model
+    ), formula_to_text(phi)
+    for verdict in (allq, some):
+        assert (verdict.witness is not None) == some.valid
+        assert (verdict.falsifier is not None) == (not allq.valid)
+        if verdict.witness is not None:
+            assert eval_sentence(phi, model, verdict.witness) == alg.top
+        if verdict.falsifier is not None:
+            assert eval_sentence(phi, model, verdict.falsifier) != alg.top
+
+
+# instances that share keys: a symmetric eq key, x in y with y in x, a
+# closed negated atom that every instance reads; meet and join prefixes
+_SHARED_SENTENCES = [
+    parse_formula(text)
+    for text in (
+        "forall x . forall y . (~(x eq y) | x in y)",
+        "forall x . forall y . (~(x in y) | ~(y in x))",
+        "forall x . (~(#0 eq #0) | ~(x in x))",
+        "exists x . exists y . (~(x eq y) & ~(y in x))",
+        "exists x . (~(x in #0) & ~(#0 in x))",
+        "forall x . ((forall y . ~(x in y)) & ~(x eq #0))",
+        "exists x . ~(x eq x) | forall y . ~(y in #0)",
+        "forall x . exists y . ~(y eq x)",
+        "exists x . (~(x in #1) & ~(#1 in x))",
+        # joins of values below top reach top over B4
+        "exists x . exists y . (x in y & ~(x in y))",
+        "exists x . ~(#1 in x)",
+        "exists x . (x eq #2 & ~(x eq #2))",
+        # rows whose reads without y differ; in comega one holds a choice
+        "forall x . forall y . (~(x eq y) | exists z . z in x)",
+        "forall x . forall y . (~(x eq y) | (~(exists z . z in x) | exists z . x in z))",
+        "forall x . forall y . (~(x in y) | (~(exists z . z in x) | exists z . x in z))",
+        # a key of a grid position read by another instance, or by another grid
+        "(forall x . ~(x in #0)) & ~(#1 in #0)",
+        "(forall x . forall y . (~(x eq y) | ~(x in y))) & ~(#1 in #2)",
+        "(forall x . ~(x in #0)) & (forall y . ~(y in #0) | #0 eq #0)",
     )
+]
 
 
 def test_assignment_index_matches_enumeration_on_witness_sentences():
     """Every saturated comega/n4 structure of size <= 5 at ranks 1 and 2.
-    Past the cap both sides must trip it alike.  The cap is lower where a
-    comega negated compound sends both sides down the same enumerator,
-    which looks up each occurrence choice by a scan: 400 assignments of the
-    De Morgan sentence on a 5-element algebra take a second."""
+    The enumeration runs again at a raised cap where it trips; the cap is
+    lower where a comega negated compound lists every assignment."""
     for model in _saturated_models():
-        for phi in _WITNESS_SENTENCES:
+        for phi in _WITNESS_SENTENCES + _SHARED_SENTENCES:
             indexed = model.mode == "n4" or EvalContext(model).compound_free(phi)
-            _agrees_with_enumeration(phi, model, cap=1100 if indexed else 100)
+            _agrees_with_enumeration(phi, model, cap=1100 if indexed else 100, raised=3000 if indexed else 400)
+
+
+def test_decomposition_matches_one_sweep_under_bounded_opt():
+    """Under bounded_opt the enumeration oracle walks the whole scope, so
+    the split is held against the sentence swept as one instance: grids
+    for sentences whose ranges are the scope, scalar instances where a
+    bounded quantifier's range depends on the names bound."""
+    cap = 3000
+    for text in (
+        "forall x . forall y . (x eq y | ~(x eq y))",
+        "exists x . exists y . (x in y & ~(x in y))",
+        "forall x . forall y . (y in x -> ~(y eq y))",
+        "forall x . forall y . (~(x in y) | (exists z . (z in y & ~(z eq x))))",
+        "exists x . ~(x eq x) | (forall y . (y in #0 -> ~(y in y)))",
+    ):
+        phi = parse_formula(text)
+        for plain in _saturated_models():
+            model = plain.with_flags(bounded_opt=True)
+            try:
+                sweep = sweep_assignments(phi, model, EvalContext(model), cap)
+            except CapExceeded:
+                continue
+            want = {
+                quant: Verdict(
+                    mode=model.mode,
+                    quantification=quant,
+                    rank_bound=model.rank_bound,
+                    value_lo=sweep.lo,
+                    value_hi=sweep.hi,
+                    valid=sweep.valid(quant),
+                    n_assignments=sweep.size,
+                    witness=sweep.first(sweep.holding),
+                    falsifier=sweep.first(sweep.failing),
+                    notes=("rank-relative",),
+                )
+                for quant in QUANTIFICATIONS
+            }
+            assert {quant: check_valid(phi, model, quant, cap=cap) for quant in QUANTIFICATIONS} == want, text
+
+
+def test_component_cap_trips_as_its_instances_join(monkeypatch):
+    """Every instance of forall x . (~(#0 eq #0) | ~(x eq x)) reads
+    ~(#0 eq #0), so the 256 instances at rank 3 form one component; with
+    three choices at ~(#0 eq #0) and at each ~(x eq x), nine instances
+    pass the cap (3 ** 10 > 50000), and no more are probed."""
+    import pst.decompose as decompose_mod
+
+    probed = 0
+    plain = decompose_mod._Split._probe
+
+    def counting(self, inst):
+        nonlocal probed
+        probed += 1
+        return plain(self, inst)
+
+    monkeypatch.setattr(decompose_mod._Split, "_probe", counting)
+    model = make_model(saturate(chain(3), "comega"), NameStore(), 3)
+    with pytest.raises(CapExceeded) as exc:
+        check_valid(parse_formula("forall x . (~(#0 eq #0) | ~(x eq x))"), model)
+    assert (exc.value.cap, exc.value.limit) == ("ASSIGNMENT_CAP", ASSIGNMENT_CAP)
+    assert exc.value.predicted == 3**10 and probed == 9
+
+
+def test_de_morgan_on_the_400_assignment_structure_matches_the_enumerator():
+    """The comega De Morgan sentence over the saturated structure of the
+    5-element algebra whose rank-2 instances have 400 assignments in all,
+    which the sweep once listed one by one."""
+    algebra = [a for a in enumerate_heyting(5) if a.size == 5][1]
+    model = make_model(saturate(algebra, "comega"), NameStore(), 2)
+    phi = _WITNESS_SENTENCES[5]
+    want = enumerated_verdicts(phi, model)
+    assert want["all_assignments"].n_assignments == 400
+    assert {quant: check_valid(phi, model, quant) for quant in QUANTIFICATIONS} == want
+
+
+def test_reach_witnesses_re_verify():
+    """The witnesses of the 3-chain reach checks at rank 3 name every
+    negated atom, 256 and 32896 of them, and evaluate to top under the
+    assignment they are; each choice is found by its key.  The --quant some
+    witness of the contradiction chooses bottom, the first option, at every
+    ~(x eq x) but the last, the latest key, which takes top."""
+    model = make_model(saturate(chain(3), "comega"), NameStore(), 3)
+    contra = parse_formula("exists x . (x eq x & ~(x eq x))")
+    witness = check_valid(contra, model, "some_assignment").witness
+    assert [key for key, _ in witness.atoms] == [("eq", u, u) for u in model.scope]
+    assert [c for _, c in witness.atoms] == [0] * 255 + [2]
+    assert eval_sentence(contra, model, witness) == 2
+    lem = parse_formula("forall x . forall y . (x eq y | ~(x eq y))")
+    witness = check_valid(lem, model).witness
+    assert len(witness.atoms) == 256 * 257 // 2 and not witness.occs
+    assert eval_sentence(lem, model, witness) == 2
 
 
 # negated compounds: comega chooses per occurrence, with options read from the
@@ -586,7 +744,7 @@ def test_compound_negations_match_the_replaced_enumerator():
                 lambda: reference_assignments(phi, model, EvalContext(model), cap),
                 lambda: enumerate_assignments(phi, model, cap=cap),
             )
-            _agrees_with_enumeration(phi, model, cap)
+            _agrees_with_enumeration(phi, model, cap, raised=3000)
 
 
 def test_bounded_quantifiers_choose_only_the_atoms_they_read():
@@ -625,16 +783,25 @@ def _choice_formulas(leaves):
             | st.builds(Exists, var, sub)
         )
 
-    return st.recursive(atoms, grow, max_leaves=4).map(universal_closure)
+    return st.recursive(atoms, grow, max_leaves=4)
+
+
+def _existential_closure(phi):
+    for v in sorted(free_vars(phi), reverse=True):
+        phi = Exists(v, phi)
+    return phi
 
 
 @pytest.mark.parametrize("kind", ["comega", "n4"])
 def test_assignment_index_matches_enumeration_on_generated_formulas(kind):
+    """Generated formulas under a meet and under a join prefix: their
+    instances share keys wherever two atoms name the same names."""
     models = [m for m in _saturated_models() if m.structure.kind == kind]
     leaves = st.sampled_from(["x", "y"]).map(Var) | st.sampled_from([0, 1]).map(NameConst)
+    closures = st.sampled_from([universal_closure, _existential_closure])
 
-    @given(_choice_formulas(leaves), st.sampled_from(models))
-    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(st.builds(lambda close, phi: close(phi), closures, _choice_formulas(leaves)), st.sampled_from(models))
+    @settings(max_examples=120, deadline=None, derandomize=True)
     def check(phi, model):
         _agrees_with_enumeration(phi, model)
 
