@@ -19,7 +19,7 @@ from pst.algebra import chain, enumerate_heyting
 from pst.axioms import check_induction
 from pst.errors import CapExceeded, PstError
 from pst.fidel import saturate
-from pst.names import NameStore
+from pst.names import NameStore, enumerate_universe
 from pst.syntax import (
     And,
     Bot,
@@ -683,6 +683,22 @@ def test_component_cap_trips_as_its_instances_join(monkeypatch):
         check_valid(parse_formula("forall x . (~(#0 eq #0) | ~(x eq x))"), model)
     assert (exc.value.cap, exc.value.limit) == ("ASSIGNMENT_CAP", ASSIGNMENT_CAP)
     assert exc.value.predicted == 3**10 and probed == 9
+
+
+def test_grid_keys_keep_their_order_across_a_constant():
+    """Every P(u, v) is top, so the positions of forall x . (~P(x, #1) |
+    ~P(#1, x)) read equal values on both sides of #1, but their two keys
+    sort the other way round past #1: (0, 1) < (1, 0) and (1, 2) < (2, 1).
+    The witness chooses top at the less significant key of each position,
+    so a class spanning #1 would misplace it."""
+    store = NameStore()
+    structure = saturate(chain(3), "comega")
+    scope = enumerate_universe(store, structure.algebra, 2)
+    model = make_model(structure, store, 2, prop_values={("P", (u, v)): 2 for u in scope for v in scope})
+    phi = parse_formula("forall x . (~P(x, #1) | ~P(#1, x))")
+    want = enumerated_verdicts(phi, model)
+    assert {quant: check_valid(phi, model, quant) for quant in QUANTIFICATIONS} == want
+    assert dict(want["all_assignments"].witness.atoms)[("pred", "P", (1, 2))] == 0
 
 
 def test_de_morgan_on_the_400_assignment_structure_matches_the_enumerator():
