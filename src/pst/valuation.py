@@ -177,7 +177,7 @@ class Assignment:
     atoms: tuple[tuple[AtomKey, int], ...] = ()
     occs: tuple[tuple[OccKey, int], ...] = ()
     # every choice by its key, built on the first lookup
-    _choices: dict | None = field(default=None, init=False, repr=False, compare=False)
+    _choices: dict | None = field(default=None, init=False, repr=False)
 
     def _lookup(self) -> dict:
         if self._choices is None:
