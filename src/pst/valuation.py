@@ -231,6 +231,9 @@ class _Deferred(Assignment):
     def occs(self) -> tuple:
         return self._made()[1]
 
+    def __repr__(self) -> str:
+        return repr(Assignment(self.atoms, self.occs))
+
 
 class AssignmentIndex:
     """Every negation assignment of a sentence whose choices all sit at
