@@ -9,6 +9,7 @@ rank-relative.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Sequence
@@ -34,8 +35,8 @@ from .valuation import (
     SetModel,
     Sweep,
     Vector,
-    closure_assignments,
-    eval_instance,
+    _atom_options,
+    _instance_values,
     hat_transfer,
     sweep_assignments,
 )
@@ -191,33 +192,44 @@ def check_separation(
     cap: int = ASSIGNMENT_CAP,
 ) -> AxiomReport:
     """dom(w) = dom(u) with w(x) = ||x in u|| ^ ||phi(x)|| realises
-    z in w <-> (z in u & phi(z)), per negation assignment."""
+    z in w <-> (z in u & phi(z)), per negation assignment.
+
+    The assignments are those of forall var . phi, and phi at each name is
+    one vector over them (``_instance_values``).  ||z in w|| is read as
+    the join over x in dom(u) of w(x) ^ ||x = z||, the definition of
+    membership; the witness name is made for the first target under the
+    first assignment only."""
     if free_vars(phi) != {var}:
         raise EvalError("separation needs a one-free-variable formula")
     ctx = ctx or EvalContext(model)
-    alg = model.algebra
     store = model.store
-    assignments = closure_assignments(phi, (var,), model, ctx, cap)
-    values = []
+    p = ctx.planes
+    targets = _targets(model, u)
+    children = _children(model, targets)
+    names = list(dict.fromkeys([*model.scope, *children]))
+    options = _atom_options(Forall(var, phi), model, ctx, cap)
+    instances = [(phi, {var: x}, (x,), (0,), (i,)) for i, x in enumerate(names)]
+    values, code, size = _instance_values(instances, options, model, ctx, cap)
+    phi_at = dict(zip(names, values))
+    need = ctx.domain(model.scope).need
+    # per child x, ||x = z|| for each z, by the position of z in the scope
+    eq = {x: [p.decode(row, z) for z in model.scope] for x, row in ((x, ctx.kernel.eqrow(x, need)) for x in children)}
+    value: Vector = p.top
     witnesses = []
-    for asg in assignments:
-        val = alg.top
-        for uu in _targets(model, u):
-            entries = []
-            for x, _ in store.get(uu).entries:
-                phi_x = eval_instance(phi, ((var, x),), model, asg, ctx)
-                entries.append((x, alg.meet_(ctx.eval_mem(x, uu), phi_x)))
-            w = store.mk_name(entries)
-            if not witnesses:
-                witnesses.append(("w", w))
-            for z in model.scope:
-                lhs = ctx.eval_mem(z, w)
-                phi_z = eval_instance(phi, ((var, z),), model, asg, ctx)
-                rhs = alg.meet_(ctx.eval_mem(z, uu), phi_z)
-                val = alg.meet_(val, _bicond(model, lhs, rhs))
-        values.append(val)
-    sweep = Sweep.of(values, assignments, ctx.planes)
-    return _quantified_report(model, "separation", sweep, quantification, witnesses)
+    for uu in targets:
+        w = [(x, p.meet(ctx.eval_mem(x, uu), phi_at[x])) for x, _ in store.get(uu).entries]
+        if not witnesses and size:
+            witnesses.append(("w", store.mk_name([(x, p.decode(wx, 0)) for x, wx in w])))
+        for i, z in enumerate(model.scope):
+            lhs = functools.reduce(p.join, (p.meet(wx, eq[x][i]) for x, wx in w), p.bottom)
+            rhs = p.meet(ctx.eval_mem(z, uu), phi_at[z])
+            value = p.meet(value, p.meet(p.imp(lhs, rhs), p.imp(rhs, lhs)))
+    return _quantified_report(model, "separation", Sweep(value, size, code, p), quantification, witnesses)
+
+
+def _children(model: SetModel, targets: Sequence[int]) -> list[int]:
+    """The children of the targets, each once, in order."""
+    return list(dict.fromkeys(x for uu in targets for x, _ in model.store.get(uu).entries))
 
 
 def _quantified_report(
@@ -379,40 +391,43 @@ def check_collection(
     """The name with domain the whole scope and constant value top bounds
     the unbounded existential: ||forall x in u exists y phi|| <=
     ||forall x in u exists y in v phi||.  The scope stands in for the
-    ordinal-indexed level of the class argument."""
+    ordinal-indexed level of the class argument.
+
+    The assignments are those of forall var_x . forall var_y . phi, and
+    phi at each pair of names is one vector over them
+    (``_instance_values``).  Since v holds every scope name at value top,
+    the join over v equals the join over the scope term by term, so the
+    value is top whenever the check finishes; both sides are computed all
+    the same."""
     if free_vars(phi) != {var_x, var_y}:
         raise EvalError("collection needs a two-free-variable formula")
     ctx = ctx or EvalContext(model)
     alg = model.algebra
     store = model.store
+    p = ctx.planes
     v_name = store.mk_name([(nid, alg.top) for nid in model.scope])
-    assignments = closure_assignments(phi, (var_x, var_y), model, ctx, cap)
-    values = []
-    for asg in assignments:
-        val = alg.top
-        for uu in _targets(model, u):
-            lhs = alg.top
-            rhs = alg.top
-            for x, ux in store.get(uu).entries:
-                ex_scope = alg.join_all(
-                    eval_instance(phi, ((var_x, x), (var_y, y)), model, asg, ctx)
-                    for y in model.scope
-                )
-                ex_v = alg.join_all(
-                    alg.meet_(
-                        vy,
-                        eval_instance(phi, ((var_x, x), (var_y, y)), model, asg, ctx),
-                    )
-                    for y, vy in store.get(v_name).entries
-                )
-                lhs = alg.meet_(lhs, alg.imp_(ux, ex_scope))
-                rhs = alg.meet_(rhs, alg.imp_(ux, ex_v))
-            val = alg.meet_(val, alg.imp_(lhs, rhs))
-        values.append(val)
+    targets = _targets(model, u)
+    children = _children(model, targets)
+    pairs = [(x, y) for x in dict.fromkeys([*model.scope, *children]) for y in model.scope]
+    options = _atom_options(Forall(var_x, Forall(var_y, phi)), model, ctx, cap)
+    instances = [(phi, {var_x: x, var_y: y}, (x, y), (0, 0), (i,)) for i, (x, y) in enumerate(pairs)]
+    values, code, size = _instance_values(instances, options, model, ctx, cap)
+    phi_at = dict(zip(pairs, values))
+    v_entries = store.get(v_name).entries
+    ex_scope = {x: functools.reduce(p.join, (phi_at[x, y] for y in model.scope), p.bottom) for x in children}
+    ex_v = {x: functools.reduce(p.join, (p.meet(vy, phi_at[x, y]) for y, vy in v_entries), p.bottom) for x in children}
+    value: Vector = p.top
+    for uu in targets:
+        lhs: Vector = p.top
+        rhs: Vector = p.top
+        for x, ux in store.get(uu).entries:
+            lhs = p.meet(lhs, p.imp(ux, ex_scope[x]))
+            rhs = p.meet(rhs, p.imp(ux, ex_v[x]))
+        value = p.meet(value, p.imp(lhs, rhs))
     return _quantified_report(
         model,
         "collection",
-        Sweep.of(values, assignments, ctx.planes),
+        Sweep(value, size, code, p),
         quantification,
         witnesses=[("v", v_name)],
         notes=("scope-wide constant-top witness stands in for the class level",),

@@ -36,8 +36,7 @@ from .valuation import (
     SetModel,
     _atom_options,
     _cap_exceeded,
-    _comega_assignment,
-    _comega_assignments,
+    _instance_values,
     enumerate_assignments,
     eval_sentence,
     make_model,
@@ -281,25 +280,23 @@ def _occurrence_walk(
     cap: int,
 ) -> Iterator[_Run]:
     """comega with a negated compound, whose options depend on its body's
-    value: one run per table, enumerated with joint's value under each
-    assignment.  A lone part is joint itself and takes that value."""
+    value: one run per table, each part's values listed under every
+    assignment of joint (``_instance_values``).  The parts are joint's
+    instances, taken in evaluation order: the order of their paths."""
     planes = fs.algebra.planes
+    order = sorted(range(len(parts)), key=lambda k: parts[k][1])
+    instances = [(parts[k][0], {}, (), parts[k][1], (k,)) for k in order]
     for values in itertools.product(range(fs.algebra.size), repeat=len(atoms)):
         table = dict(zip(atoms, values))
         model = _prop_model(fs, table)
         ctx = EvalContext(model)
-        rows = _comega_assignments(joint, model, ctx, cap)
-        if len(parts) == 1:
-            columns = [[row[2] for row in rows]]
-        else:
-            asgs = [_comega_assignment(*row[:2]) for row in rows]
-            columns = [[eval_sentence(f, model, asg, ctx, path) for asg in asgs] for f, path in parts]
+        vectors, code, size = _instance_values(instances, _atom_options(joint, model, ctx, cap), model, ctx, cap)
+        by_part = dict(zip(order, vectors))
 
-        def decode(i: int, table: dict[str, int] = table, rows: list = rows):
-            return table, _comega_assignment(*rows[i][:2])
+        def decode(i: int, table: dict[str, int] = table, code=code):
+            return table, code.decode(i)
 
-        vectors = [planes.from_values(enumerate(column)) for column in columns]
-        yield fs, planes, vectors, (1 << len(rows)) - 1, decode
+        yield fs, planes, [by_part[k] for k in range(len(parts))], (1 << size) - 1, decode
 
 
 def search(goal: SearchGoal) -> Finding | Exhausted:

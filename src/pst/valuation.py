@@ -17,6 +17,7 @@ verdict records the rank bound and is rank-relative.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -601,39 +602,6 @@ def eval_sentence(
     return _eval(phi, {}, (), path, model, assignment, ctx)
 
 
-def eval_instance(
-    phi: Formula,
-    bindings: Sequence[tuple[str, int]],
-    model: SetModel,
-    assignment: Assignment = EMPTY_ASSIGNMENT,
-    ctx: EvalContext | None = None,
-) -> int:
-    """Evaluate an open formula with variables bound to names, using the
-    same occurrence keys as evaluating it inside nested universal closures
-    in the given binding order.  Assignments enumerated for that closure
-    therefore cover these instances."""
-    ctx = ctx or EvalContext(model)
-    env = dict(bindings)
-    trail = tuple(nid for _, nid in bindings)
-    path = (0,) * len(bindings)
-    return _eval(phi, env, trail, path, model, assignment, ctx)
-
-
-def closure_assignments(
-    phi: Formula,
-    binding_vars: Sequence[str],
-    model: SetModel,
-    ctx: EvalContext | None = None,
-    cap: int = ASSIGNMENT_CAP,
-) -> list[Assignment]:
-    """Assignments covering every scope instance of an open formula, keyed
-    compatibly with ``eval_instance``."""
-    closed: Formula = phi
-    for var in reversed(binding_vars):
-        closed = Forall(var, closed)
-    return enumerate_assignments(closed, model, ctx, cap)
-
-
 def _eval(
     node: Formula,
     env: dict[str, int],
@@ -878,18 +846,6 @@ def _atom_options(
     return probe.options
 
 
-def _comega_assignments(
-    phi: Formula,
-    model: SetModel,
-    ctx: EvalContext,
-    cap: int,
-) -> list[tuple[tuple, tuple, int, tuple[int]]]:
-    """comega with a negated compound: every assignment of phi, as the rows
-    of ``_comega_rows`` for phi alone."""
-    options = _atom_options(phi, model, ctx, cap)
-    return _comega_rows([(phi, {}, (), (), ())], options, model.algebra.meet_, model, ctx, cap)
-
-
 # an instance: a node, its bindings, trail and path, and its rank in evaluation order
 _Instance = tuple[Formula, dict, tuple, tuple, tuple]
 
@@ -897,37 +853,39 @@ _Instance = tuple[Formula, dict, tuple, tuple, tuple]
 def _comega_rows(
     instances: Sequence[_Instance],
     options: Mapping[AtomKey, tuple[int, ...]],
-    combine: Callable[[int, int], int],
     model: SetModel,
     ctx: EvalContext,
     cap: int,
-) -> list[tuple[tuple, tuple, int, tuple[int, ...]]]:
+) -> list[tuple[tuple, tuple]]:
     """Every assignment of instances that read only the atoms of options,
-    with the combined value of the instances under it, in enumeration
-    order: the atom choices as a product over the sorted keys, the first
-    most significant; under each, one evaluation per instance under
-    ``_Alternatives`` lists its occurrence choices, and their product runs
-    the first instance most significant.  A row is (atom choices,
-    occurrence choices (unsorted), value, each instance's alternative)."""
+    with each instance's value under it, in enumeration order: the atom
+    choices as a product over the sorted keys, the first most significant;
+    under each, one evaluation per instance under ``_Alternatives`` lists
+    its occurrence choices, and their product runs the first instance most
+    significant.  A row is (atom choices, picks), with one pick per
+    instance: the number of its alternative and the alternative,
+    (occurrence choices, value).  The cap trips where one atom
+    combination's product passes it, as a quantifier's product over its
+    instances does, and where the count of rows would, before any row is
+    built."""
     keys = sorted(options)
-    out = []
+    combos = []
+    total = 0
     for combo in itertools.product(*(options[key] for key in keys)):
         atoms = tuple(zip(keys, combo))
         alternatives = _Alternatives(atoms, model, cap)
-        lists = [_pairs(_eval(*inst[:4], model, alternatives, ctx)) for inst in instances]
-        if len(out) + math.prod(map(len, lists)) > cap:
+        lists = []
+        count = 1
+        for inst in instances:
+            lists.append(list(enumerate(_pairs(_eval(*inst[:4], model, alternatives, ctx)))))
+            count *= len(lists[-1])
+            if count > cap:
+                raise _cap_exceeded("occurrence choices", cap, cap + 1)
+        total += count
+        if total > cap:
             raise _cap_exceeded("assignments", cap, cap + 1)
-        if len(lists) == 1:
-            out += ((atoms, occs, v, (i,)) for i, (occs, v) in enumerate(lists[0]))
-            continue
-        for picks in itertools.product(*map(enumerate, lists)):
-            occs: tuple = ()
-            value = None
-            for _, (o, v) in picks:
-                occs += o
-                value = v if value is None else combine(value, v)
-            out.append((atoms, occs, value, tuple(i for i, _ in picks)))
-    return out
+        combos.append((atoms, lists))
+    return [(atoms, picks) for atoms, lists in combos for picks in itertools.product(*lists)]
 
 
 class _Rows:
@@ -941,22 +899,16 @@ class _Rows:
         self._number = [{c: j for j, c in enumerate(options[key])} for key in self.keys]
 
     def decode(self, i: int) -> Assignment:
-        return _comega_assignment(*self.rows[i][:2])
+        return _comega_assignment(self.rows[i])
 
     def digits(self, i: int) -> tuple[int, ...]:
-        atoms, _, _, alternatives = self.rows[i]
-        return tuple(number[c] for number, (_, c) in zip(self._number, atoms)) + alternatives
+        atoms, picks = self.rows[i]
+        return tuple(number[c] for number, (_, c) in zip(self._number, atoms)) + tuple(j for j, _ in picks)
 
 
-class _Listed:
-    """Positions that are the items of an assignment list."""
-
-    def __init__(self, assignments: Sequence[Assignment]):
-        self.decode = assignments.__getitem__
-
-
-def _comega_assignment(atoms: tuple, occs: tuple) -> Assignment:
-    return Assignment(atoms=atoms, occs=tuple(sorted(occs)))
+def _comega_assignment(row: tuple[tuple, tuple]) -> Assignment:
+    atoms, picks = row
+    return Assignment(atoms=atoms, occs=tuple(sorted(occ for _, (occs, _) in picks for occ in occs)))
 
 
 def enumerate_assignments(
@@ -972,9 +924,9 @@ def enumerate_assignments(
     ctx = ctx or EvalContext(model)
     if ctx.choice_free(phi, model.mode):
         return [EMPTY_ASSIGNMENT]
-    if model.mode == "comega" and not ctx.compound_free(phi):
-        return [_comega_assignment(*row[:2]) for row in _comega_assignments(phi, model, ctx, cap)]
     options = _atom_options(phi, model, ctx, cap)
+    if model.mode == "comega" and not ctx.compound_free(phi):
+        return [_comega_assignment(row) for row in _comega_rows([(phi, {}, (), (), ())], options, model, ctx, cap)]
     option_lists = [[(key, c) for c in options[key]] for key in sorted(options)]
     return [Assignment(atoms=combo) for combo in itertools.product(*option_lists)]
 
@@ -1035,11 +987,6 @@ class Sweep:
         self.holding = self.mask & ~self.failing
         self._planes = planes
 
-    @classmethod
-    def of(cls, values: Sequence[int], assignments: Sequence[Assignment], planes: Planes) -> "Sweep":
-        """The sweep of values listed one per assignment."""
-        return cls(planes.from_values(enumerate(values)), len(values), _Listed(assignments), planes)
-
     def valid(self, quantification: str) -> bool:
         if quantification == "all_assignments":
             return not self.failing
@@ -1067,6 +1014,31 @@ def _lowest(positions: int) -> int:
     return (positions & -positions).bit_length() - 1
 
 
+def _instance_values(
+    instances: Sequence[_Instance],
+    options: Mapping[AtomKey, tuple[int, ...]],
+    model: SetModel,
+    ctx: EvalContext,
+    cap: int,
+) -> tuple[list[Vector], AssignmentIndex | _Rows, int]:
+    """Each instance's value under every assignment of instances that read
+    only the negated atoms of options: one vector per instance over the
+    assignments' positions in enumeration order, the positions' code and
+    their number.  When every choice sits at a ground atom (outside comega
+    mode always, in comega mode when no negation has a compound body), each
+    instance is evaluated once, under the ``AssignmentIndex``.  A comega
+    negated compound has options that depend on its body's value, so its
+    assignments do not form a product; they are listed with the instances'
+    values by ``_comega_rows``."""
+    planes = ctx.planes
+    if model.mode == "comega" and not all(ctx.compound_free(inst[0]) for inst in instances):
+        rows = _comega_rows(instances, options, model, ctx, cap)
+        values = [planes.from_column([picks[k][1][1] for _, picks in rows]) for k in range(len(instances))]
+        return values, _Rows(options, rows, tuple(inst[4] for inst in instances)), len(rows)
+    index = AssignmentIndex(options, planes)
+    return [_eval(*inst[:4], model, index, ctx) for inst in instances], index, index.size
+
+
 def _component(
     instances: Sequence[_Instance],
     options: Mapping[AtomKey, tuple[int, ...]],
@@ -1076,25 +1048,10 @@ def _component(
     cap: int,
 ) -> Sweep:
     """The meet (or join) of instances that read only the negated atoms of
-    options, under every assignment of them.  When every choice sits at a
-    ground atom (outside comega mode always, in comega mode when no
-    negation has a compound body), each instance is evaluated once, under
-    the ``AssignmentIndex``.  A comega negated compound has options that
-    depend on its body's value, so its assignments do not form a product;
-    they are listed with the instances' values by ``_comega_rows``."""
+    options, under every assignment of them."""
+    values, code, size = _instance_values(instances, options, model, ctx, cap)
     planes = ctx.planes
-    if model.mode == "comega" and not all(ctx.compound_free(inst[0]) for inst in instances):
-        alg = model.algebra
-        rows = _comega_rows(instances, options, alg.meet_ if meet else alg.join_, model, ctx, cap)
-        values = planes.from_values((i, row[2]) for i, row in enumerate(rows))
-        return Sweep(values, len(rows), _Rows(options, rows, tuple(inst[4] for inst in instances)), planes)
-    index = AssignmentIndex(options, planes)
-    combine = planes.meet if meet else planes.join
-    value = None
-    for node, env, trail, path, _ in instances:
-        v = _eval(node, env, trail, path, model, index, ctx)
-        value = v if value is None else combine(value, v)
-    return Sweep(value, index.size, index, planes)
+    return Sweep(functools.reduce(planes.meet if meet else planes.join, values), size, code, planes)
 
 
 def sweep_assignments(

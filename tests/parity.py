@@ -2,10 +2,10 @@
 
 Runs every check that the three workloads of ``perfbench/checks.py``
 (``rank3-dense``, ``witness-negation``, ``search-audit``) draw at the given
-seeds through ``pst.cli.main``, once under each source tree, in machine and
-in human format, and compares exit code, stdout and stderr.  Each argv that
-differs is printed with both outputs; the exit status is 1 on any
-difference, 0 otherwise.
+seeds, and the fixed argvs of ``EXTRA``, through ``pst.cli.main``, once
+under each source tree, in machine and in human format, and compares exit
+code, stdout and stderr.  Each argv that differs is printed with both
+outputs; the exit status is 1 on any difference, 0 otherwise.
 
     python tests/parity.py PARENT_SRC [CHANGE_SRC] [--seeds 1-10] [--rounds 2]
 
@@ -27,6 +27,7 @@ import contextlib
 import gc
 import io
 import json
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -35,6 +36,32 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("rank3-dense", "witness-negation", "search-audit")
 JOBS = 2
+
+# argvs the benchmark never draws, {models} standing for its model directory:
+# comega negated compounds in separation and collection (several answer,
+# several trip ASSIGNMENT_CAP), and a comega sequent walk over several parts
+_SEPARATION = 'axiom check --axiom separation --model {models}/%s_comega.fst --rank %d --formula "%s" --var x'
+_COLLECTION = 'axiom check --axiom collection --model {models}/%s_comega.fst --rank %d --formula "%s" --var x --var2 y'
+EXTRA = [
+    *(
+        _SEPARATION % (stem, 2, f) + quant
+        for stem in ("chain3", "chain4", "b4")
+        for f in ("~(x eq x & x eq x)", "~~(x eq x)", "~(x in x & x eq x)", "~(~(x in x) | x eq #0)")
+        for quant in ("", " --quant some")
+    ),
+    _SEPARATION % ("chain3", 2, "~~(x eq x)") + " --u 2",
+    _SEPARATION % ("chain3", 3, "~(x eq x & x eq x)"),
+    _SEPARATION % ("chain3", 3, "~(x eq x)") + " --u 3",
+    *(
+        _COLLECTION % (stem, 2, f) + quant
+        for stem in ("chain3", "b4")
+        for f in ("~(x in y & y eq x)", "~~(x eq y)", "~(x eq x & y eq y)")
+        for quant in ("", " --quant some")
+    ),
+    _COLLECTION % ("chain3", 2, "~(x in y & y eq x)") + " --u 3",
+    'counter search --goal refute_sequent --premise "~(p & q)" --premise p --formula "~(p & q) & p" --logic comega',
+    'counter search --goal refute_sequent --premise "~~p" --premise "~(p | q)" --formula "~(~p & q)" --logic comega',
+]
 
 
 def _seeds(text: str) -> list[int]:
@@ -58,6 +85,9 @@ def _argvs(seeds: list[int], rounds: int, models_dir: str) -> list[list[str]]:
                     assert check.argv[:2] == ("--format", "machine")
                     for fmt in ("machine", "human"):
                         seen[("--format", fmt, *check.argv[2:])] = None
+    for text in EXTRA:
+        for fmt in ("machine", "human"):
+            seen[("--format", fmt, *shlex.split(text.format(models=models_dir)))] = None
     return [list(argv) for argv in seen]
 
 

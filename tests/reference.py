@@ -10,10 +10,11 @@ clauses, one instance at a time: negation is the pseudo-complement, and a
 bounded quantifier (under ``bounded_opt``) ranges over the entries of its
 bound.
 
-``enumerated_verdicts``, ``enumerated_leibniz`` and ``enumerated_induction``
-are the oracle for the assignment index and the comega alternatives: they
-list every assignment with ``reference_assignments`` and evaluate the
-sentence under each one.  ``reference_assignments`` is the enumerator the
+``enumerated_verdicts``, ``enumerated_leibniz``, ``enumerated_induction``,
+``enumerated_separation`` and ``enumerated_collection`` are the oracle for
+the assignment index and the comega alternatives: they list every
+assignment with ``reference_assignments`` and evaluate the sentence (or
+the axiom's instances) under each one.  ``reference_assignments`` is the enumerator the
 evaluator replaced: it finds the negated atoms and the comega occurrences
 by walks of its own (``_collect_atom_keys``, ``_occ_space``) over the whole
 scope, so it serves as the oracle outside ``bounded_opt`` only.
@@ -86,6 +87,7 @@ from pst.syntax import (
     subformulas,
     substitute,
 )
+from pst.axioms import AxiomReport, _report
 from pst.errors import CapExceeded
 from pst.valuation import (
     ASSIGNMENT_CAP,
@@ -379,6 +381,81 @@ def enumerated_induction(model: SetModel, phi, var: str, quantification: str, ca
     verdict = enumerated_verdicts(schema, model, cap)[quantification]
     value = verdict.value_lo if quantification == "all_assignments" else verdict.value_hi
     return value, verdict.valid, verdict.n_assignments
+
+
+def _at(phi, env: dict, model: SetModel, asg: Assignment, ctx: EvalContext) -> int:
+    """phi with its free variables bound by env, keyed as inside nested
+    universal closures over them in env's order."""
+    return _eval(phi, dict(env), tuple(env.values()), (0,) * len(env), model, asg, ctx)
+
+
+def _enumerated_reports(model: SetModel, axiom: str, values, witnesses, notes=()) -> dict[str, AxiomReport]:
+    alg = model.algebra
+    return {
+        quant: _report(
+            model,
+            axiom,
+            alg.meet_all(values) if quant == "all_assignments" else alg.join_all(values),
+            all(v == alg.top for v in values) if quant == "all_assignments" else alg.top in values,
+            quant,
+            witnesses,
+            len(values),
+            notes,
+        )
+        for quant in ("all_assignments", "some_assignment")
+    }
+
+
+def enumerated_separation(model: SetModel, phi, var: str, u=None, cap: int = ASSIGNMENT_CAP) -> dict[str, AxiomReport]:
+    """check_separation under both quantifications, one assignment of
+    forall var . phi at a time: a witness name made for every target under
+    every assignment, and ||z in w|| read from it."""
+    ctx = EvalContext(model)
+    alg = model.algebra
+    store = model.store
+    values = []
+    witnesses = []
+    for asg in reference_assignments(Forall(var, phi), model, ctx, cap):
+        val = alg.top
+        for uu in model.scope if u is None else [u]:
+            entries = store.get(uu).entries
+            w = store.mk_name([(x, alg.meet_(ctx.eval_mem(x, uu), _at(phi, {var: x}, model, asg, ctx))) for x, _ in entries])
+            if not witnesses:
+                witnesses.append(("w", w))
+            for z in model.scope:
+                lhs = ctx.eval_mem(z, w)
+                rhs = alg.meet_(ctx.eval_mem(z, uu), _at(phi, {var: z}, model, asg, ctx))
+                val = alg.meet_(val, alg.meet_(alg.imp_(lhs, rhs), alg.imp_(rhs, lhs)))
+        values.append(val)
+    return _enumerated_reports(model, "separation", values, witnesses)
+
+
+def enumerated_collection(
+    model: SetModel, phi, var_x: str, var_y: str, u=None, cap: int = ASSIGNMENT_CAP
+) -> dict[str, AxiomReport]:
+    """check_collection under both quantifications, one assignment of
+    forall var_x . forall var_y . phi at a time."""
+    ctx = EvalContext(model)
+    alg = model.algebra
+    store = model.store
+    v_name = store.mk_name([(nid, alg.top) for nid in model.scope])
+    values = []
+    for asg in reference_assignments(Forall(var_x, Forall(var_y, phi)), model, ctx, cap):
+        val = alg.top
+        for uu in model.scope if u is None else [u]:
+            lhs = rhs = alg.top
+            for x, ux in store.get(uu).entries:
+                ex_scope = alg.join_all(_at(phi, {var_x: x, var_y: y}, model, asg, ctx) for y in model.scope)
+                ex_v = alg.join_all(
+                    alg.meet_(vy, _at(phi, {var_x: x, var_y: y}, model, asg, ctx))
+                    for y, vy in store.get(v_name).entries
+                )
+                lhs = alg.meet_(lhs, alg.imp_(ux, ex_scope))
+                rhs = alg.meet_(rhs, alg.imp_(ux, ex_v))
+            val = alg.meet_(val, alg.imp_(lhs, rhs))
+        values.append(val)
+    notes = ("scope-wide constant-top witness stands in for the class level",)
+    return _enumerated_reports(model, "collection", values, [("v", v_name)], notes)
 
 
 # --- the instance decomposition, by brute force ----------------------------------------

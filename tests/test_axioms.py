@@ -1,6 +1,10 @@
-import pytest
+import itertools
 
-from pst.algebra import chain
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pst.algebra import chain, enumerate_heyting
 from pst.axioms import (
     CHECKS,
     check_collection,
@@ -14,11 +18,13 @@ from pst.axioms import (
     check_separation,
     check_union,
 )
+from pst.cli import main
 from pst.errors import CapExceeded
-from pst.fidel import saturate
+from pst.fidel import format_fstructure_text, saturate
 from pst.names import NameStore
-from pst.syntax import Eq, Forall, Imp, Mem, NameConst, Neg, Or, Var, iff
-from pst.valuation import EvalContext, EvalError, eval_sentence, make_model
+from pst.syntax import And, Eq, Forall, Imp, Mem, NameConst, Neg, Or, Var, free_vars, iff, parse_formula
+from pst.valuation import ASSIGNMENT_CAP, EvalContext, EvalError, eval_sentence, make_model
+from reference import enumerated_collection, enumerated_separation
 
 x, y, z = Var("x"), Var("y"), Var("z")
 
@@ -219,3 +225,156 @@ def test_formula_arity_guards(bool_model):
         check_collection(bool_model, Eq(x, x), "x", "y")
     with pytest.raises(EvalError):
         check_induction(bool_model, Eq(x, y), "x")
+
+
+# --- one enumeration per check, against one evaluation per assignment ----------------
+
+_STRUCTURES_TO_5 = [saturate(alg, kind) for alg in enumerate_heyting(5) for kind in ("comega", "n4")]
+_STRUCTURES_TO_5 += list(enumerate_heyting(5))
+_GATE_CAP = 1500  # low enough that the per-assignment oracle stays quick; some inputs trip it
+
+
+def _same_reports(program, oracle):
+    """program(quantification) returns the oracle's report under each
+    quantification, or trips the cap as it does, with the same message
+    and fields."""
+    try:
+        want = oracle()
+    except CapExceeded as exc:
+        with pytest.raises(CapExceeded) as got:
+            program("all_assignments")
+        assert (str(got.value), got.value.cap, got.value.limit, got.value.predicted) == (
+            str(exc),
+            exc.cap,
+            exc.limit,
+            exc.predicted,
+        )
+        return "tripped"
+    for quant, report in want.items():
+        assert program(quant) == report, quant
+    return want["all_assignments"].n_assignments
+
+
+def _against_oracle(check, oracle, structure, rank, phi, *variables, u=None):
+    """check against oracle, each on a model of its own."""
+
+    def program(quant):
+        model = make_model(structure, NameStore(), rank)
+        return check(model, phi, *variables, u=u, quantification=quant, cap=_GATE_CAP)
+
+    model = make_model(structure, NameStore(), rank)
+    return _same_reports(program, lambda: oracle(model, phi, *variables, u=u, cap=_GATE_CAP))
+
+
+def _separation(structure, rank, phi, u=None):
+    return _against_oracle(check_separation, enumerated_separation, structure, rank, phi, "x", u=u)
+
+
+def _collection(structure, rank, phi, u=None):
+    return _against_oracle(check_collection, enumerated_collection, structure, rank, phi, "x", "y", u=u)
+
+
+# atom-only negations, then comega compounds
+_SEPARATION_FORMULAS = [
+    "~(x eq x)",
+    "~(x in x)",
+    "x in #0 | ~(x eq #0)",
+    "~(x in x & x eq x)",
+    "~~(x eq x)",
+    "~(x eq x & x eq x)",
+]
+_COLLECTION_FORMULAS = ["~(x in y)", "~(x eq y) -> y in x", "~(x in y & y eq x)", "~~(x eq y)", "~(x eq x & y eq y)"]
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_separation_matches_the_per_assignment_loop(rank):
+    """Every saturated structure and plain algebra of size <= 5: the whole
+    report (value, validity, assignment count, witness id) under both
+    quantifications, or the same cap trip."""
+    outcomes = set()
+    for structure, text in itertools.product(_STRUCTURES_TO_5, _SEPARATION_FORMULAS):
+        outcomes.add(_separation(structure, rank, parse_formula(text)))
+    assert len(outcomes) > 5
+    if rank == 2:
+        assert "tripped" in outcomes
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_collection_matches_the_per_assignment_loop(rank):
+    outcomes = set()
+    for structure, text in itertools.product(_STRUCTURES_TO_5, _COLLECTION_FORMULAS):
+        outcomes.add(_collection(structure, rank, parse_formula(text)))
+    assert len(outcomes) > 3
+    if rank == 2:
+        assert "tripped" in outcomes
+
+
+def test_one_target_matches():
+    """A single target u, at every scope name of the saturated 3-chain."""
+    for kind in ("comega", "n4"):
+        structure = saturate(chain(3), kind)
+        for u in make_model(structure, NameStore(), 2).scope:
+            for text in ("~(x eq x)", "~~(x eq x)", "~(x eq x & x eq x)"):
+                _separation(structure, 2, parse_formula(text), u=u)
+            for text in ("~(x in y)", "~(x eq x & y eq y)"):
+                _collection(structure, 2, parse_formula(text), u=u)
+
+
+def _open_formulas(leaves):
+    atoms = st.builds(Eq, leaves, leaves) | st.builds(Mem, leaves, leaves)
+
+    def grow(sub):
+        return st.builds(And, sub, sub) | st.builds(Or, sub, sub) | st.builds(Imp, sub, sub) | st.builds(Neg, sub)
+
+    return st.recursive(atoms, grow, max_leaves=4)
+
+
+# of size >= 2, at rank 2, so that every scope holds #0 and #1
+_DRAW_STRUCTURES = [saturate(alg, kind) for alg in enumerate_heyting(4) if alg.size > 1 for kind in ("comega", "n4")]
+_CONSTANTS = [NameConst(0), NameConst(1)]
+
+
+@given(
+    _open_formulas(st.sampled_from([x, x, *_CONSTANTS])).filter(lambda f: free_vars(f) == {"x"}),
+    st.sampled_from(_DRAW_STRUCTURES),
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_separation_matches_on_drawn_formulas(phi, structure):
+    """Drawn formulas in x with the name constants #0 and #1."""
+    _separation(structure, 2, phi)
+
+
+@given(
+    _open_formulas(st.sampled_from([x, y, *_CONSTANTS])).filter(lambda f: free_vars(f) == {"x", "y"}),
+    st.sampled_from(_DRAW_STRUCTURES),
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_collection_matches_on_drawn_formulas(phi, structure):
+    _collection(structure, 2, phi)
+
+
+def test_assignment_cap_trips_in_separation_and_collection(tmp_path, capsys):
+    """ASSIGNMENT_CAP, from the command line and from the API: the atom
+    choices of forall x . ~(x eq x) over the 3-chain at rank 3 (3^10 of
+    them by the tenth name), with every target or one; and the occurrence
+    choices of a negated compound, one per instance and three options
+    each."""
+    path = tmp_path / "sat3.fst"
+    path.write_text(format_fstructure_text("sat3", saturate(chain(3), "comega")))
+    argv = ["axiom", "check", "--axiom", "separation", "--model", str(path), "--rank", "3", "--formula", "~(x eq x)"]
+    for extra in ([], ["--u", "3"]):
+        assert main(argv + extra) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: more than {ASSIGNMENT_CAP} atom assignments\n"
+    structure = saturate(chain(3), "comega")
+    trips = [
+        (lambda m: check_separation(m, parse_formula("~(x eq x)"), "x", u=3), 3, "atom assignments", 3**10),
+        (lambda m: check_separation(m, parse_formula("~(x eq x & x eq x)"), "x"), 3, "occurrence choices", None),
+        (lambda m: check_collection(m, parse_formula("~(x eq x & y eq y)"), "x", "y"), 2, "occurrence choices", None),
+    ]
+    for check, rank, what, predicted in trips:
+        with pytest.raises(CapExceeded) as exc:
+            check(make_model(structure, NameStore(), rank))
+        assert str(exc.value) == f"more than {ASSIGNMENT_CAP} {what}"
+        assert (exc.value.cap, exc.value.limit) == ("ASSIGNMENT_CAP", ASSIGNMENT_CAP)
+        assert exc.value.predicted == (predicted or ASSIGNMENT_CAP + 1)

@@ -469,6 +469,18 @@ def test_comega_assignment_cap_trips_before_any_assignment_is_built(monkeypatch)
     assert built == 0
 
 
+def test_comega_component_cap_names_the_occurrence_choices():
+    """A component of several instances (every x shares the key of
+    ~(#0 eq #0)) whose one atom combination has more occurrence choices
+    than the cap trips as the quantifier's product over its instances
+    does in the enumeration oracle, with the same message and fields."""
+    model = make_model(saturate(chain(3), "comega"), NameStore(), 2)
+    phi = parse_formula("forall x . (~(x eq x & x eq x) | ~(#0 eq #0))")
+    _same_outcome(lambda: enumerated_verdicts(phi, model, 50), lambda: check_valid(phi, model, cap=50))
+    with pytest.raises(CapExceeded, match="more than 50 occurrence choices"):
+        check_valid(phi, model, cap=50)
+
+
 # --- validity ---------------------------------------------------------------------------
 
 
