@@ -148,52 +148,67 @@ class FiniteHeytingAlgebra:
         return self._planes
 
 
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def _least_cover(mask: int, sets: Sequence[int]) -> int | None:
+    """The lowest w in mask whose set ``sets[w]`` holds all of mask."""
+    rest = mask
+    while rest:
+        w = _lowest(rest)
+        if not mask & ~sets[w]:
+            return w
+        rest &= rest - 1
+    return None
+
+
 def validate_lattice(leq_rows: Sequence[Sequence[object]]) -> FiniteLattice:
     """Check a candidate order relation and derive the lattice tables.
 
     Accepts any square matrix of truthy/falsy entries.  Raises the first
-    failed property with the offending pair.
+    failed property with the offending pair.  The order is read as bit
+    masks: bit j of ``up[i]`` is set iff i <= j, bit j of ``down[i]`` iff
+    j <= i.
     """
     n = len(leq_rows)
     if n < 1 or any(len(row) != n for row in leq_rows):
         raise NotAPoset("shape", (n, n))
     leq = tuple(tuple(bool(v) for v in row) for row in leq_rows)
+    up = [sum(1 << j for j, v in enumerate(row) if v) for row in leq]
+    down = [sum(1 << j for j, v in enumerate(col) if v) for col in zip(*leq)]
 
     for i in range(n):
         if not leq[i][i]:
             raise NotAPoset("reflexivity", (i, i))
     for i in range(n):
-        for j in range(n):
-            if i != j and leq[i][j] and leq[j][i]:
-                raise NotAPoset("antisymmetry", (i, j))
+        both = up[i] & down[i] & ~(1 << i)
+        if both:
+            raise NotAPoset("antisymmetry", (i, _lowest(both)))
     for i in range(n):
         for j in range(n):
-            if not leq[i][j]:
-                continue
-            for k in range(n):
-                if leq[j][k] and not leq[i][k]:
-                    raise NotAPoset("transitivity", (i, k))
+            if leq[i][j] and up[j] & ~up[i]:
+                raise NotAPoset("transitivity", (i, _lowest(up[j] & ~up[i])))
 
     meet = [[0] * n for _ in range(n)]
     join = [[0] * n for _ in range(n)]
     for x in range(n):
         for y in range(n):
-            lower = [w for w in range(n) if leq[w][x] and leq[w][y]]
-            glb = [w for w in lower if all(leq[v][w] for v in lower)]
-            if not glb:
+            glb = _least_cover(down[x] & down[y], down)
+            if glb is None:
                 raise NoMeet((x, y))
-            meet[x][y] = glb[0]
-            upper = [w for w in range(n) if leq[x][w] and leq[y][w]]
-            lub = [w for w in upper if all(leq[w][v] for v in upper)]
-            if not lub:
+            meet[x][y] = glb
+            lub = _least_cover(up[x] & up[y], up)
+            if lub is None:
                 raise NoJoin((x, y))
-            join[x][y] = lub[0]
+            join[x][y] = lub
 
-    tops = [t for t in range(n) if all(leq[x][t] for x in range(n))]
-    if not tops:
+    full = (1 << n) - 1
+    top = _least_cover(full, down)
+    if top is None:
         raise NotBounded("top")
-    bottoms = [b for b in range(n) if all(leq[b][x] for x in range(n))]
-    if not bottoms:
+    bottom = _least_cover(full, up)
+    if bottom is None:
         raise NotBounded("bottom")
 
     return FiniteLattice(
@@ -201,8 +216,8 @@ def validate_lattice(leq_rows: Sequence[Sequence[object]]) -> FiniteLattice:
         leq=leq,
         meet=tuple(tuple(row) for row in meet),
         join=tuple(tuple(row) for row in join),
-        top=tops[0],
-        bottom=bottoms[0],
+        top=top,
+        bottom=bottom,
     )
 
 

@@ -462,10 +462,17 @@ def _cmd_counter_congruence(args) -> int:
     return 1
 
 
+_parser: argparse.ArgumentParser | None = None  # built by the first main call
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    # One parser serves every call: parse_args makes a fresh Namespace each
+    # time, and nothing a check loads or builds is kept past its call.
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -39,10 +39,12 @@ JOBS = 2
 
 # argvs the benchmark never draws, {models} standing for its model directory:
 # comega negated compounds in separation and collection (several answer,
-# several trip ASSIGNMENT_CAP), and a comega sequent walk over several parts
+# several trip ASSIGNMENT_CAP), a comega sequent walk over several parts, and
+# usage errors and --help, each followed by an ordinary check, so that a
+# parser that serves every call is compared right after an error exit
 _SEPARATION = 'axiom check --axiom separation --model {models}/%s_comega.fst --rank %d --formula "%s" --var x'
 _COLLECTION = 'axiom check --axiom collection --model {models}/%s_comega.fst --rank %d --formula "%s" --var x --var2 y'
-EXTRA = [
+_CHECKS = [
     *(
         _SEPARATION % (stem, 2, f) + quant
         for stem in ("chain3", "chain4", "b4")
@@ -62,6 +64,13 @@ EXTRA = [
     'counter search --goal refute_sequent --premise "~(p & q)" --premise p --formula "~(p & q) & p" --logic comega',
     'counter search --goal refute_sequent --premise "~~p" --premise "~(p | q)" --formula "~(~p & q)" --logic comega',
 ]
+_USAGE = [
+    "algebra",
+    "algebra check {models}/chain3.alg --bogus",
+    "eval --help",
+    "counter search --goal refute_formula --formula p --premise p",
+]
+EXTRA = [*(text for pair in zip(_USAGE, _CHECKS) for text in pair), *_CHECKS[len(_USAGE) :]]
 
 
 def _seeds(text: str) -> list[int]:

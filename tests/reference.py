@@ -38,6 +38,9 @@ audit's index over the predicate cells replaced.
 ``enumerated_heyting`` is the oracle for ``algebra.enumerate_heyting``: it
 lists every labelled poset by its pair bitmask and its down-sets by
 testing every subset.
+
+``reference_validate_lattice`` is the oracle for the bit-mask
+``algebra.validate_lattice``: the loops over the order matrix it replaced.
 """
 
 from __future__ import annotations
@@ -47,7 +50,18 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
-from pst.algebra import FiniteHeytingAlgebra, canonical_key, derive_heyting, enumerate_heyting, validate_lattice
+from pst.algebra import (
+    FiniteHeytingAlgebra,
+    FiniteLattice,
+    NoJoin,
+    NoMeet,
+    NotAPoset,
+    NotBounded,
+    canonical_key,
+    derive_heyting,
+    enumerate_heyting,
+    validate_lattice,
+)
 from pst.fidel import FidelError, FStructure, saturate, validate_comega, validate_n4
 from pst.names import NameStore
 from pst.proofs import (
@@ -940,3 +954,65 @@ def enumerated_heyting(max_size: int) -> list[FiniteHeytingAlgebra]:
             alg = derive_heyting(validate_lattice(leq))
             found.setdefault(canonical_key(alg), alg)
     return [alg for _, alg in sorted(found.items(), key=lambda kv: (kv[1].size, kv[0]))]
+
+
+# --- lattice validation by loops over the order matrix ------------------------------
+
+
+def reference_validate_lattice(leq_rows) -> FiniteLattice:
+    """The oracle for ``algebra.validate_lattice``: the same checks, in the
+    same order, by loops over the order matrix.
+
+    Accepts any square matrix of truthy/falsy entries.  Raises the first
+    failed property with the offending pair.
+    """
+    n = len(leq_rows)
+    if n < 1 or any(len(row) != n for row in leq_rows):
+        raise NotAPoset("shape", (n, n))
+    leq = tuple(tuple(bool(v) for v in row) for row in leq_rows)
+
+    for i in range(n):
+        if not leq[i][i]:
+            raise NotAPoset("reflexivity", (i, i))
+    for i in range(n):
+        for j in range(n):
+            if i != j and leq[i][j] and leq[j][i]:
+                raise NotAPoset("antisymmetry", (i, j))
+    for i in range(n):
+        for j in range(n):
+            if not leq[i][j]:
+                continue
+            for k in range(n):
+                if leq[j][k] and not leq[i][k]:
+                    raise NotAPoset("transitivity", (i, k))
+
+    meet = [[0] * n for _ in range(n)]
+    join = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            lower = [w for w in range(n) if leq[w][x] and leq[w][y]]
+            glb = [w for w in lower if all(leq[v][w] for v in lower)]
+            if not glb:
+                raise NoMeet((x, y))
+            meet[x][y] = glb[0]
+            upper = [w for w in range(n) if leq[x][w] and leq[y][w]]
+            lub = [w for w in upper if all(leq[w][v] for v in upper)]
+            if not lub:
+                raise NoJoin((x, y))
+            join[x][y] = lub[0]
+
+    tops = [t for t in range(n) if all(leq[x][t] for x in range(n))]
+    if not tops:
+        raise NotBounded("top")
+    bottoms = [b for b in range(n) if all(leq[b][x] for x in range(n))]
+    if not bottoms:
+        raise NotBounded("bottom")
+
+    return FiniteLattice(
+        size=n,
+        leq=leq,
+        meet=tuple(tuple(row) for row in meet),
+        join=tuple(tuple(row) for row in join),
+        top=tops[0],
+        bottom=bottoms[0],
+    )

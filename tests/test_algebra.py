@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pst.algebra import (
     CapExceeded,
@@ -19,7 +21,7 @@ from pst.algebra import (
     parse_algebra_text,
     validate_lattice,
 )
-from reference import enumerated_heyting
+from reference import enumerated_heyting, reference_validate_lattice
 
 
 def brute_imp(lat, x, y):
@@ -76,6 +78,60 @@ def test_not_a_poset_diagnostics():
     with pytest.raises(NotAPoset) as exc:
         validate_lattice([[1, 1], [1, 1]])
     assert exc.value.why == "antisymmetry"
+
+
+def _outcome(validate, leq):
+    """The lattice, or the type and args of the exception raised."""
+    try:
+        return validate(leq)
+    except Exception as exc:
+        return type(exc), exc.args
+
+
+def test_validate_lattice_matches_the_loops_on_every_small_matrix():
+    kinds = set()
+    for n in range(4):
+        for bits in range(1 << (n * n)):
+            leq = [[bits >> (i * n + j) & 1 for j in range(n)] for i in range(n)]
+            want = _outcome(reference_validate_lattice, leq)
+            assert _outcome(validate_lattice, leq) == want, leq
+            if isinstance(want, tuple):
+                kind, (message,) = want
+                kinds.add(message.split("(")[1].split()[0] if kind is NotAPoset else kind.__name__)
+    # every check is reached: shape, the three order laws, a missing meet and join
+    assert kinds == {"shape", "reflexivity", "antisymmetry", "transitivity", "NoMeet", "NoJoin"}
+
+
+def test_validate_lattice_matches_the_loops_on_enumerated_algebras():
+    for alg in enumerate_heyting(7):
+        assert validate_lattice(alg.lattice.leq) == reference_validate_lattice(alg.lattice.leq) == alg.lattice
+
+
+@st.composite
+def order_matrices(draw):
+    """A random order on 4-6 elements, bounded or not, transitively closed
+    or not, with a few entries flipped and the elements permuted: mostly
+    reflexive, so that the meet and join checks are reached as well as the
+    order laws."""
+    n = draw(st.integers(4, 6))
+    leq = [[i == j or (i < j and draw(st.booleans())) for j in range(n)] for i in range(n)]
+    if draw(st.booleans()):
+        for i in range(n):
+            leq[0][i] = leq[i][n - 1] = True
+    if draw(st.booleans()):
+        for k, i, j in itertools.product(range(n), repeat=3):
+            leq[i][j] = leq[i][j] or (leq[i][k] and leq[k][j])
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for i, j in draw(st.lists(cell, max_size=2)):
+        leq[i][j] = not leq[i][j]
+    perm = draw(st.permutations(range(n)))
+    return [[leq[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+
+
+@given(order_matrices())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_validate_lattice_matches_the_loops_on_drawn_orders(leq):
+    assert _outcome(validate_lattice, leq) == _outcome(reference_validate_lattice, leq)
 
 
 def test_diamond_m3_not_distributive():

@@ -114,6 +114,26 @@ def test_python_dash_m_runs_the_cli():
     assert proc.stdout.splitlines()[-1] == "RESULT count=3 max_size=3"
 
 
+def test_main_reuses_one_parser_like_fresh_processes(files, capsys, monkeypatch):
+    """One process's main answers a sequence of calls as fresh ``python -m
+    pst`` processes answer each of them: no premise leaks from one call into
+    the next, and a usage error or ``--help`` leaves the parser as it was."""
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the same width in both
+    env = dict(os.environ, PYTHONPATH=str(Path(pst.__file__).resolve().parent.parent))
+    sequence = [
+        ["counter", "search", "--goal", "refute_sequent", "--premise", "p", "--premise", "~p", "--formula", "q"],
+        ["counter", "search", "--goal", "refute_formula", "--formula", "p"],
+        ["algebra"],
+        ["eval", "--help"],
+        ["eval", "--model", files["sat3.fst"], "--rank", "2", "--formula", "forall x . x eq x"],
+    ]
+    for argv in sequence:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pst", *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert run(capsys, *argv) == (proc.returncode, proc.stdout, proc.stderr), argv
+
+
 def test_algebra_refinable(files, capsys):
     code, out, _ = run(capsys, "algebra", "refinable", files["chain3.alg"])
     assert code == 0
@@ -443,7 +463,9 @@ def test_empty_budget_is_a_usage_error(capsys, argv):
 
 
 def test_usage_errors_exit_two(files, capsys):
-    assert run(capsys, "algebra")[0] == 2 or True  # argparse exits are mapped
+    code, out, err = run(capsys, "algebra")  # argparse's exit is mapped to a return
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: pst algebra")
     code, _, err = run(capsys, "eval", "--model", "missing.fst", "--rank", "2", "--formula", "bot")
     assert code == 2 and "error:" in err
     code, _, err = run(
