@@ -225,37 +225,52 @@ def derive_heyting(lat: FiniteLattice) -> FiniteHeytingAlgebra:
     """Compute the implication table x -> y = max { z : x /\\ z <= y }.
 
     Fails with the offending triple when meet does not distribute over
-    join; residuation is then unsatisfiable.
+    join; residuation is then unsatisfiable.  The tables are read as bit
+    masks: ``meets[x][e]`` holds the z with x /\\ z = e, and ``down[e]``
+    the z <= e.
     """
+    n = lat.size
+    bits = [1 << z for z in range(n)]
+    meets = []
+    for x in range(n):
+        m, j = [0] * n, [0] * n
+        row = list(zip(bits, lat.meet[x], lat.join[x]))
+        for bit, a, b in row:
+            m[a] |= bit
+            j[b] |= bit
+        # distributive iff x /\ y = x /\ z and x \/ y = x \/ z imply y = z;
+        # the first failing triple is then found by the definition
+        for bit, a, b in row:
+            if m[a] & j[b] != bit:
+                _raise_first_undistributed(lat)
+        meets.append(m)
+    columns = list(zip(*lat.leq))
+    down = [sum(bit for bit, le in zip(bits, col) if le) for col in columns]
+    below_of = [[z for z, le in enumerate(col) if le] for col in columns]
+    largest = {mask: e for e, mask in enumerate(down)}
+
+    imp = []
+    for m in meets:
+        row = []
+        for members in below_of:
+            below = 0  # the z with x /\ z <= y
+            for e in members:
+                below |= m[e]
+            # distributivity makes below the down-set of its largest
+            # element, so residuation holds: z /\ x <= y iff z <= x -> y
+            row.append(largest[below])
+        imp.append(tuple(row))
+    flag = all(lat.join[x][imp[x][lat.bottom]] == lat.top for x in range(n))
+    return FiniteHeytingAlgebra(lattice=lat, imp=tuple(imp), boolean_flag=flag)
+
+
+def _raise_first_undistributed(lat: FiniteLattice) -> None:
     n = lat.size
     for x in range(n):
         for y in range(n):
             for z in range(n):
                 if lat.meet[x][lat.join[y][z]] != lat.join[lat.meet[x][y]][lat.meet[x][z]]:
                     raise NotDistributive((x, y, z))
-
-    imp = [[0] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            candidates = [z for z in range(n) if lat.leq[lat.meet[x][z]][y]]
-            best = lat.bottom
-            for z in candidates:
-                best = lat.join[best][z]
-            # distributivity guarantees the join of candidates is a candidate
-            assert lat.leq[lat.meet[x][best]][y]
-            imp[x][y] = best
-
-    # residuation must now hold for every triple
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                assert (lat.leq[lat.meet[x][y]][z]) == (lat.leq[x][imp[y][z]])
-    flag = all(lat.join[x][imp[x][lat.bottom]] == lat.top for x in range(n))
-    return FiniteHeytingAlgebra(
-        lattice=lat,
-        imp=tuple(tuple(row) for row in imp),
-        boolean_flag=flag,
-    )
 
 
 def is_boolean(h: FiniteHeytingAlgebra) -> bool:

@@ -139,6 +139,16 @@ class Planes:
                 d |= 1 << k
         return self._elem[d]
 
+    def where(self, a: Vector, e: int) -> int:
+        """Mask of the ids i with a(i) = e (every id when a is e itself)."""
+        if a.__class__ is int:
+            return -1 if a == e else 0
+        ks = self.bits[e]
+        out = -1
+        for k, plane in enumerate(a):
+            out &= plane if k in ks else ~plane
+        return out
+
     def exceeds(self, a: Vector, b: Vector) -> int:
         """Mask of the ids i with a(i) not <= b(i)."""
         out = 0

@@ -9,6 +9,7 @@ elimination for the non-deterministic negation).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -41,7 +42,7 @@ from .syntax import (
     substitute,
     subformulas,
 )
-from .search import _SWEEP_SIZE, _table_walk
+from .search import _SWEEP_SIZE, _runs, _table_walk
 from .valuation import AssignmentIndex, EvalContext, eval_sentence, make_model
 
 
@@ -553,8 +554,8 @@ def _audit_quantified(
     most significant), and each cell's negation choices are a digit of it
     too: one vector evaluation per function table covers every predicate
     and negation table of a run, and the outer cell digits loop, as in
-    ``search._index_walk``.  Each function table's instance is grounded
-    once per domain size."""
+    ``search._index_walk`` (``search._runs`` plans the runs).  Each
+    function table's instance is grounded once per domain size."""
     text = formula_to_text(inst)
     preds: dict[str, int] = {}
     funcs: dict[str, int] = {}
@@ -600,13 +601,16 @@ def _quantified_runs(
     p = alg.planes
     keys = [("pred", sym, args) if args else ("pred", sym) for sym, args in cells]
     names = [(sym, args) if args else sym for sym, args in cells]  # prop_values keys
-    # each cell's negation digit is padded to the longest N_v
-    span = max(len(negs) for negs in fs.negs) ** len(cells)
-    inner = len(cells)
-    while inner and n**inner * span > _SWEEP_SIZE:
-        inner -= 1
-    n_outer = len(cells) - inner
-    for outer in itertools.product(range(n), repeat=n_outer):
+    longest = max(len(negs) for negs in fs.negs)
+
+    def span(outer: tuple[int, ...]) -> int:
+        """An outer cell's negation digit has its actual radix, an inner
+        cell's is padded to the longest N_v."""
+        return longest ** (len(cells) - len(outer)) * math.prod(len(fs.negs[v]) for v in outer)
+
+    for outer in _runs(len(cells), n, span, _SWEEP_SIZE):
+        n_outer = len(outer)
+        inner = len(cells) - n_outer
         options = {key: fs.negs[v] for key, v in zip(keys, outer)}
         options.update(dict.fromkeys(keys[n_outer:], ()))
         index = AssignmentIndex(options, p, keys[n_outer:], fs.negs)

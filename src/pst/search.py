@@ -9,9 +9,12 @@ negation choices).
 Search order is deterministic: algebras ascending by size, candidate
 negation families lexicographically, atom values and choices
 lexicographically; the first find is therefore the smallest in that
-order.  Every finding is re-certified in a fresh evaluation context.
-Exhaustion is reported from the one ordered pass, since evaluation is
-deterministic.
+order.  The walk over tables and choices (``_table_walk``) evaluates
+each part once per run of tables, as a vector over an
+``AssignmentIndex`` whose digits are the atom values, the negated atoms'
+choices and the comega occurrences' choices.  Every finding is
+re-certified in a fresh evaluation context.  Exhaustion is reported from
+the one ordered pass, since evaluation is deterministic.
 """
 
 from __future__ import annotations
@@ -22,20 +25,22 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .algebra import FiniteHeytingAlgebra, enumerate_heyting
-from .errors import PstError
+from .errors import CapExceeded, PstError
 from .fidel import FidelError, FStructure, saturate, validate_comega, validate_n4
 from .names import NameStore
 from .kernel import Planes, Vector
-from .syntax import And, Formula, Neg, Pred, formula_to_text, negates_atoms_only, prop_atoms
+from .syntax import And, Formula, Neg, Pred, formula_to_text, prop_atoms
 from .valuation import (
     ASSIGNMENT_CAP,
     Assignment,
     AssignmentIndex,
     AtomKey,
     EvalContext,
+    OccKey,
     SetModel,
     _atom_options,
     _cap_exceeded,
+    _choice_keys,
     _instance_values,
     enumerate_assignments,
     eval_sentence,
@@ -170,14 +175,30 @@ def _prop_model(fs: FStructure, values: Mapping[str, int]) -> SetModel:
     return make_model(fs, NameStore(), 0, scope=(), prop_values=values)
 
 
-# positions of one vector evaluation: every negation digit and as many of
-# the innermost atom digits as fit (a run holds at least one table, which
-# the cap bounds); the outer atom digits loop in Python
+# positions of one vector evaluation: a run sweeps as many of the innermost
+# atom digits as fit beside the choice digits (``_runs``); a table whose
+# choice digits alone pass it is listed on its own (``_instance_values``)
 _SWEEP_SIZE = 1 << 16
 
 # (structure, planes, part values, valid positions, decode): decode(i) is the
 # atom table and the negation assignment at position i
 _Run = tuple[FStructure, Planes, list[Vector], int, Callable[[int], tuple[dict[str, int], Assignment]]]
+
+
+def _runs(count: int, n: int, span: Callable[[tuple[int, ...]], int], size: int) -> Iterator[tuple[int, ...]]:
+    """The runs that cover the tables of count value digits of radix n, in
+    lexicographic order: each run fixes a prefix of the digits and sweeps
+    the rest.  span(prefix) is the number of choice positions per table
+    once prefix is fixed, the digits it fixes taking their actual radices.
+    A prefix is extended by one digit, over every value, until its run
+    fits in size or it fixes every digit."""
+    stack = [()]
+    while stack:
+        prefix = stack.pop()
+        if len(prefix) == count or n ** (count - len(prefix)) * span(prefix) <= size:
+            yield prefix
+        else:
+            stack.extend(prefix + (v,) for v in reversed(range(n)))
 
 
 def _table_walk(
@@ -192,15 +213,17 @@ def _table_walk(
     vectors over runs of positions in that order.  Each part is evaluated
     at its position in joint, so one assignment serves all of them.
 
-    The cap bounds each table's assignments: it trips on the first table
-    over it, after the positions before that table."""
+    Which atoms are negated, and where comega chooses per occurrence, does
+    not depend on the structure or the table: one probe per logic finds
+    them.  The cap bounds each table's assignments: it trips on the first
+    table over it, after the positions before that table."""
     atoms = sorted(prop_atoms(joint))
-    compound = not negates_atoms_only(joint)
+    probed: dict[str, tuple[list[AtomKey], list[OccKey]]] = {}
     for fs in structures:
-        if fs.kind == "comega" and compound:
-            yield from _occurrence_walk(joint, parts, fs, atoms, cap)
-        else:
-            yield from _index_walk(joint, parts, fs, atoms, cap)
+        if fs.kind not in probed:
+            first = _prop_model(fs, dict.fromkeys(atoms, 0))
+            probed[fs.kind] = _choice_keys(joint, first, EvalContext(first))
+        yield from _index_walk(joint, parts, fs, atoms, *probed[fs.kind], cap)
 
 
 def _index_walk(
@@ -208,95 +231,121 @@ def _index_walk(
     parts: Sequence[tuple[Formula, tuple[int, ...]]],
     fs: FStructure,
     atoms: list[str],
+    keys: list[AtomKey],
+    occs: list[OccKey],
     cap: int,
 ) -> Iterator[_Run]:
-    """Every choice sits at a ground atom: one ``AssignmentIndex`` over the
-    innermost atom values and every negation choice per run.  A probe at
-    the first table finds the negated atoms, in the order evaluation reads
-    them; which atoms they are does not depend on the values."""
+    """One ``AssignmentIndex`` per run: the digits of its atom values, then
+    of the negated atoms' choices (keys, in reading order) and of the comega
+    occurrences' choices (occs, in evaluation order); one vector evaluation
+    of each part covers the run.  A negated key that is no atom of the
+    table is bot."""
     alg = fs.algebra
     n = alg.size
-    first = _prop_model(fs, dict.fromkeys(atoms, 0))
-    options = _atom_options(joint, first, EvalContext(first), cap)
-    atom_of = {("pred", a): a for a in atoms}
-    # a negated atom's choices depend on its value: pad them to the longest
-    longest = max(len(negs) for negs in fs.negs)
-    span = math.prod(longest if key in atom_of else len(opts) for key, opts in options.items())
-    inner = len(atoms)
-    while inner and n**inner * span > _SWEEP_SIZE:
-        inner -= 1
-    outer_atoms, inner_atoms = atoms[: len(atoms) - inner], atoms[len(atoms) - inner :]
-    inner_keys = [("pred", a) for a in inner_atoms]
-    for outer in itertools.product(range(n), repeat=len(outer_atoms)):
-        fixed = dict(zip(outer_atoms, outer))
-        opts = {
-            key: fs.negs[fixed[atom_of[key]]] if atom_of.get(key) in fixed else choices
-            for key, choices in options.items()
-        }
-        stop = _first_over_cap(options, atom_of, fs, fixed, inner_atoms, cap) if span > cap else None
-        index = AssignmentIndex(opts, alg.planes, inner_keys, fs.negs)
+    negs = fs.negs
+    longest = max(map(len, negs))
+
+    def value_of(key: AtomKey, table: Mapping[str, int]) -> int | None:
+        """The value of a negated key where table fixes it, else None."""
+        return table.get(key[1]) if key[0] == "pred" else alg.bottom
+
+    def span(prefix: tuple[int, ...]) -> int:
+        fixed = dict(zip(atoms, prefix))
+        values = (value_of(key, fixed) for key in keys)
+        return longest ** len(occs) * math.prod(longest if v is None else len(negs[v]) for v in values)
+
+    for outer in _runs(len(atoms), n, span, _SWEEP_SIZE):
+        fixed = dict(zip(atoms, outer))
+        inner_atoms = atoms[len(outer) :]
+        if not inner_atoms and span(outer) > _SWEEP_SIZE:
+            yield _listed_table(joint, parts, fs, fixed, cap)
+            continue
+        values = {key: value_of(key, fixed) for key in keys}
+        options = {key: () if v is None else negs[v] for key, v in values.items()}
+        inner_keys = [("pred", a) for a in inner_atoms]
+        index = AssignmentIndex(options, alg.planes, inner_keys, negs, occs)
+
+        def decode(i: int, index: AssignmentIndex = index, outer: tuple[int, ...] = outer):
+            return dict(zip(atoms, outer + index.table(i))), index.decode(i)
+
+        model = _prop_model(fs, {**fixed, **{key[1]: index.value(key) for key in inner_keys}})
+        ctx = EvalContext(model)
+        vectors = [eval_sentence(f, model, index, ctx, path) for f, path in parts]
         valid = index.valid
-        if stop is not None:
-            valid &= (1 << stop[0] * (index.size // n**inner)) - 1
+        per = index.size // n ** len(inner_atoms)  # positions per table
+        trip = None
+        if per > cap:
+            trip = _first_trip(keys, value_of, fs, fixed, inner_atoms, valid, per, longest ** len(occs), cap)
+        if trip is not None:
+            valid &= (1 << trip[0] * per) - 1
         if valid:
-
-            def decode(i: int, index: AssignmentIndex = index, outer: tuple[int, ...] = outer):
-                return dict(zip(atoms, outer + index.table(i))), index.decode(i)
-
-            model = _prop_model(fs, {**fixed, **{key[1]: index.value(key) for key in inner_keys}})
-            ctx = EvalContext(model)
-            values = [eval_sentence(f, model, index, ctx, path) for f, path in parts]
-            yield fs, alg.planes, values, valid, decode
-        if stop is not None:
-            raise _cap_exceeded("atom assignments", cap, stop[1])
+            yield fs, alg.planes, vectors, valid, decode
+        if trip is not None:
+            raise trip[1]
 
 
-def _first_over_cap(
-    options: Mapping[AtomKey, tuple[int, ...]],
-    atom_of: Mapping[AtomKey, str],
+def _first_trip(
+    keys: list[AtomKey],
+    value_of: Callable[[AtomKey, Mapping[str, int]], int | None],
     fs: FStructure,
     fixed: Mapping[str, int],
     inner_atoms: list[str],
+    valid: int,
+    per: int,
+    block: int,
     cap: int,
-) -> tuple[int, int] | None:
-    """(table number in the run, predicted count) of the first table whose
-    assignments pass the cap, counted as a probe reads the negated atoms,
-    or None."""
+) -> tuple[int, CapExceeded] | None:
+    """(table number in the run, error) for the first table whose
+    assignments pass the cap, or None, checked as a per-table enumeration
+    checks them: the negated atoms' option counts multiplied in reading
+    order, then the count of each atom combination's occurrence choices
+    (a block of positions each) and the running count of assignments.
+    Under a comega family every choice extends, so a combination's count
+    is the largest of the counts such an enumeration builds for it."""
+    negs = fs.negs
     for t, values in enumerate(itertools.product(range(fs.algebra.size), repeat=len(inner_atoms))):
         table = {**fixed, **dict(zip(inner_atoms, values))}
         total = 1
-        for key, opts in options.items():
-            total *= len(fs.negs[table[atom_of[key]]] if key in atom_of else opts)
+        for key in keys:
+            total *= len(negs[value_of(key, table)])
             if total > cap:
-                return t, total
+                return t, _cap_exceeded("atom assignments", cap, total)
+        rows = valid >> t * per & (1 << per) - 1
+        if rows.bit_count() <= cap:
+            continue
+        total = 0
+        for at in range(0, per, block):
+            count = (rows >> at & (1 << block) - 1).bit_count()
+            if count > cap:
+                return t, _cap_exceeded("occurrence choices", cap, cap + 1)
+            total += count
+            if total > cap:
+                return t, _cap_exceeded("assignments", cap, cap + 1)
     return None
 
 
-def _occurrence_walk(
+def _listed_table(
     joint: Formula,
     parts: Sequence[tuple[Formula, tuple[int, ...]]],
     fs: FStructure,
-    atoms: list[str],
+    table: dict[str, int],
     cap: int,
-) -> Iterator[_Run]:
-    """comega with a negated compound, whose options depend on its body's
-    value: one run per table, each part's values listed under every
-    assignment of joint (``_instance_values``).  The parts are joint's
-    instances, taken in evaluation order: the order of their paths."""
-    planes = fs.algebra.planes
+) -> _Run:
+    """One table whose padded choice digits pass the sweep size: its
+    assignments listed with each part's values (``_instance_values``), the
+    parts being joint's instances, taken in evaluation order: the order of
+    their paths."""
     order = sorted(range(len(parts)), key=lambda k: parts[k][1])
     instances = [(parts[k][0], {}, (), parts[k][1], (k,)) for k in order]
-    for values in itertools.product(range(fs.algebra.size), repeat=len(atoms)):
-        table = dict(zip(atoms, values))
-        model = _prop_model(fs, table)
-        ctx = EvalContext(model)
-        vectors, code, size = _instance_values(instances, _atom_options(joint, model, ctx, cap), model, ctx, cap)
-        by_part = dict(zip(order, vectors))
+    model = _prop_model(fs, table)
+    ctx = EvalContext(model)
+    vectors, code, size = _instance_values(instances, _atom_options(joint, model, ctx, cap), model, ctx, cap)
+    by_part = dict(zip(order, vectors))
 
-        def decode(i: int, table: dict[str, int] = table, code=code):
-            return table, code.decode(i)
+    def decode(i: int) -> tuple[dict[str, int], Assignment]:
+        return table, code.decode(i)
 
-        yield fs, planes, [by_part[k] for k in range(len(parts))], (1 << size) - 1, decode
+    return fs, fs.algebra.planes, [by_part[k] for k in range(len(parts))], (1 << size) - 1, decode
 
 
 def search(goal: SearchGoal) -> Finding | Exhausted:

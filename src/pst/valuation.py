@@ -237,10 +237,10 @@ class _Deferred(Assignment):
 
 
 class AssignmentIndex:
-    """Every negation assignment of a sentence whose choices all sit at
-    ground atoms, numbered as ``enumerate_assignments`` lists them: a
-    mixed-radix index over the sorted atom keys, the first key most
-    significant, as in ``itertools.product``.
+    """Every negation assignment of a sentence, numbered as
+    ``enumerate_assignments`` lists them: a mixed-radix index over the
+    sorted atom keys, the first key most significant, as in
+    ``itertools.product``.
 
     The index may run over tables of atom values as well: the atoms in
     ``values`` then take one digit each, of radix |A|, ahead of the choice
@@ -249,6 +249,14 @@ class AssignmentIndex:
     entry in ``options`` is not read): its digit is padded to the longest
     negs[v], and ``valid`` masks the positions whose every choice is in
     range.
+
+    A comega negated compound takes a digit after the atom keys' too, one
+    per key in ``occs``, in the order evaluation reaches them, padded to the
+    longest negs[v] as well.  Its choice is read when evaluation reaches it
+    (``choose``): it is negs[v][d] where its body's value is v and its digit
+    is d, and the positions out of range, or past the double-negation
+    bound, leave ``valid`` then.  Each table's valid positions are then its
+    assignments in ``_comega_rows`` order.
 
     Evaluated under the index, every value is a vector over it
     (``kernel.Planes``): an atom in ``values`` reads as the vector of its
@@ -262,17 +270,21 @@ class AssignmentIndex:
         planes: Planes,
         values: Sequence[AtomKey] = (),
         negs: Sequence[tuple[int, ...]] = (),
+        occs: Sequence[OccKey] = (),
     ):
         n = planes.alg.size
         self.values = tuple(values)
         self.keys = sorted(options)
+        self._planes = planes
+        self._negs = negs
         digit = {key: j for j, key in enumerate(self.values)}
         # the digit of each key's value (None: one value), and its choices at each value
         self._governor = [digit.get(key) for key in self.keys]
         self._choices = [
             (options[key],) if j is None else negs for key, j in zip(self.keys, self._governor)
         ]
-        self._radices = [n] * len(self.values) + [max(map(len, c)) for c in self._choices]
+        longest = max(map(len, negs), default=1)
+        self._radices = [n] * len(self.values) + [max(map(len, c)) for c in self._choices] + [longest] * len(occs)
         self.size = math.prod(self._radices)
         self.ops = (planes.meet, planes.join, planes.imp)
         full = (1 << self.size) - 1
@@ -282,11 +294,16 @@ class AssignmentIndex:
 
         def masks(j: int) -> list[int]:
             """The positions whose digit j is d, for each d: runs of stride
-            positions, one every period."""
+            positions, one every period (the run at digit 0 repeated by
+            doubling, shifted by d strides)."""
             stride = strides[j]
-            repunit = full // ((1 << stride * self._radices[j]) - 1)
-            run = (1 << stride) - 1
-            return [(run << d * stride) * repunit for d in range(self._radices[j])]
+            zero = (1 << stride) - 1
+            period = stride * self._radices[j]
+            while period < self.size:
+                zero |= zero << period
+                period *= 2
+            zero &= full
+            return [zero << d * stride for d in range(self._radices[j])]
 
         value_masks = [masks(j) for j in range(len(self.values))]
         self._values = {key: planes.from_masks(zip(m, range(n))) for key, m in zip(self.values, value_masks)}
@@ -305,10 +322,37 @@ class AssignmentIndex:
                     invalid |= at & m
             self._vectors[key] = planes.from_masks(pairs)
         self.valid = full & ~invalid
-        self.orders: tuple = ()  # no occurrence digits
+        first = len(self.values) + len(self.keys)
+        self._occ_masks = {key: masks(c) for c, key in enumerate(occs, first)}
+        self._occ_vectors: dict[OccKey, Vector] = {}
+        self.orders: tuple = ()  # no instance alternatives
 
     def atom(self, key: AtomKey) -> Vector | None:
         return self._vectors.get(key)
+
+    def choose(self, key: OccKey, base: Vector, bound: Vector | None) -> Vector:
+        """The choices at occurrence key, whose body has the values base:
+        negs[v][d] where base is v and the digit is d.  The positions whose
+        digit is past negs[v], or (under a double negation) whose choice is
+        not below bound, leave ``valid``."""
+        masks = self._occ_masks.get(key)
+        if masks is None:
+            raise UncoveredNegation(f"occurrence at path {key[1]}, bindings {key[2]}")
+        planes = self._planes
+        pairs = []
+        invalid = 0
+        for v, opts in enumerate(self._negs):
+            at = planes.where(base, v)
+            if at:
+                pairs += ((at & m, choice) for m, choice in zip(masks, opts))
+                for m in masks[len(opts) :]:
+                    invalid |= at & m
+        choice = planes.from_masks(pairs)
+        if bound is not None:
+            invalid |= planes.exceeds(choice, bound)
+        self.valid &= ~invalid
+        self._occ_vectors[key] = choice
+        return choice
 
     def value(self, key: AtomKey) -> Vector:
         """The values of an atom in ``values``, position by position."""
@@ -323,7 +367,8 @@ class AssignmentIndex:
         return out
 
     def digits(self, i: int) -> tuple[int, ...]:
-        """The choice digits of position i, one per key."""
+        """The choice digits of position i: one per key, then one per
+        occurrence."""
         return tuple(self._digits(i)[len(self.values) :])
 
     def table(self, i: int) -> tuple[int, ...]:
@@ -336,7 +381,9 @@ class AssignmentIndex:
             (key, choices[0 if j is None else digits[j]][d])
             for key, j, choices, d in zip(self.keys, self._governor, self._choices, digits[len(self.values) :])
         )
-        return Assignment(atoms=atoms)
+        decode = self._planes.decode
+        occs = tuple(sorted((key, decode(choice, i)) for key, choice in self._occ_vectors.items()))
+        return Assignment(atoms=atoms, occs=occs)
 
 
 def _atom_key(node: Formula, env: Mapping[str, int]) -> AtomKey:
@@ -710,8 +757,9 @@ def _neg_choice(
     double-negation bound.  Atoms take their functional choice (from an
     index, the vector of its admissible choices); comega compound bodies
     take the choice of this occurrence, read after the body is evaluated,
-    since its options depend on the body's value (under ``_Alternatives``,
-    each alternative of the body is extended by each of its options)."""
+    since its options depend on the body's value (under an index, from the
+    occurrence's digit; under ``_Alternatives``, each alternative of the
+    body is extended by each of its options)."""
     body = node.body
     if isinstance(body, _ATOMIC):
         if asg.__class__ is _Fold:  # a probing fold; body mentions its variable
@@ -732,9 +780,14 @@ def _neg_choice(
     else:
         base, inner = _eval(body, env, trail, path + (0,), model, asg, ctx), None
     key = ("occ", path, trail)
+    if asg.__class__ is AssignmentIndex:
+        return asg.choose(key, base, inner), base
     if asg.__class__ is _Alternatives:
         return asg.expand(key, base, inner)
-    if asg.__class__ is _Probe or asg.__class__ is _Fold:
+    if asg.__class__ is _Probe:
+        asg.occs.append(key)
+        return base, base
+    if asg.__class__ is _Fold:
         return base, base
     choice = asg.occ(key)
     if choice is None:
@@ -758,16 +811,18 @@ def _cap_exceeded(what: str, cap: int, predicted: int) -> CapExceeded:
 class _Probe:
     """Records the options of each negated atom as the evaluation reads it:
     one pass of ``_eval`` finds the atom keys of exactly the instances it
-    evaluates (the scope, or a bounded quantifier's domain).  Its values are
+    evaluates (the scope, or a bounded quantifier's domain), and the keys of
+    the comega occurrences in the order it reaches them.  Its values are
     never read, so every negation answers with its body's value.  The cap
     trips as soon as the product of the option counts passes it."""
 
-    def __init__(self, model: SetModel, ctx: EvalContext, cap: int):
+    def __init__(self, model: SetModel, ctx: EvalContext, cap: float):
         self.model = model
         self.ctx = ctx
         self.cap = cap
         self.ops = ctx.element_ops
         self.options: dict[AtomKey, tuple[int, ...]] = {}
+        self.occs: list[OccKey] = []
         self.total = 1
 
     def atom(self, key: AtomKey) -> int:
@@ -844,6 +899,17 @@ def _atom_options(
     probe = _Probe(model, ctx, cap)
     _eval(phi, {}, (), (), model, probe, ctx)
     return probe.options
+
+
+def _choice_keys(phi: Formula, model: SetModel, ctx: EvalContext) -> tuple[list[AtomKey], list[OccKey]]:
+    """The negated ground atoms that evaluating phi reads, in reading order,
+    and its comega occurrences, in evaluation order, from one evaluation
+    under a ``_Probe`` without a cap."""
+    if ctx.choice_free(phi, model.mode):
+        return [], []
+    probe = _Probe(model, ctx, math.inf)
+    _eval(phi, {}, (), (), model, probe, ctx)
+    return list(probe.options), probe.occs
 
 
 # an instance: a node, its bindings, trail and path, and its rank in evaluation order
@@ -1000,14 +1066,8 @@ class Sweep:
         """The values taken at some position."""
         if self.value.__class__ is int:
             return {self.value} if self.size else set()
-        out = set()
-        for e, ks in enumerate(self._planes.bits):
-            at = self.mask
-            for k, plane in enumerate(self.value):
-                at &= plane if k in ks else ~plane
-            if at:
-                out.add(e)
-        return out
+        where = self._planes.where
+        return {e for e in range(len(self._planes.bits)) if where(self.value, e) & self.mask}
 
 
 def _lowest(positions: int) -> int:

@@ -39,9 +39,11 @@ JOBS = 2
 
 # argvs the benchmark never draws, {models} standing for its model directory:
 # comega negated compounds in separation and collection (several answer,
-# several trip ASSIGNMENT_CAP), a comega sequent walk over several parts, and
-# usage errors and --help, each followed by an ordinary check, so that a
-# parser that serves every call is compared right after an error exit
+# several trip ASSIGNMENT_CAP), comega sequent walks over several parts,
+# comega searches and the qcw audit whose negated compounds take occurrence
+# digits in the propositional walk, and usage errors and --help, each
+# followed by an ordinary check, so that a parser that serves every call is
+# compared right after an error exit
 _SEPARATION = 'axiom check --axiom separation --model {models}/%s_comega.fst --rank %d --formula "%s" --var x'
 _COLLECTION = 'axiom check --axiom collection --model {models}/%s_comega.fst --rank %d --formula "%s" --var x --var2 y'
 _CHECKS = [
@@ -63,6 +65,24 @@ _CHECKS = [
     _COLLECTION % ("chain3", 2, "~(x in y & y eq x)") + " --u 3",
     'counter search --goal refute_sequent --premise "~(p & q)" --premise p --formula "~(p & q) & p" --logic comega',
     'counter search --goal refute_sequent --premise "~~p" --premise "~(p | q)" --formula "~(~p & q)" --logic comega',
+    *(
+        f"counter search --logic comega --max-algebra {m} {goal}"
+        for m in (5, 6, 7)
+        for goal in (
+            '--goal refute_formula --formula "~~p -> p"',
+            '--goal refute_formula --formula "~(p & q) | (p & q)"',
+            '--goal refute_sequent --premise "~~(p | q)" --formula "p | q"',
+        )
+    ),
+    *(
+        f"counter search --logic comega --max-algebra 4 --families all {goal}"
+        for goal in (
+            '--goal refute_formula --formula "~~p -> p"',
+            '--goal refute_formula --formula "~(p & q) | (p & q)"',
+            '--goal refute_sequent --premise "~~(p | q)" --formula "p | q"',
+        )
+    ),
+    "prove audit --system qcw --max-algebra 6",
 ]
 _USAGE = [
     "algebra",

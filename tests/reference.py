@@ -41,6 +41,8 @@ testing every subset.
 
 ``reference_validate_lattice`` is the oracle for the bit-mask
 ``algebra.validate_lattice``: the loops over the order matrix it replaced.
+``reference_derive_heyting`` is the oracle for the bit-mask
+``algebra.derive_heyting``: the loops over every triple it replaced.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ from pst.algebra import (
     NoMeet,
     NotAPoset,
     NotBounded,
+    NotDistributive,
     canonical_key,
     derive_heyting,
     enumerate_heyting,
@@ -1015,4 +1018,38 @@ def reference_validate_lattice(leq_rows) -> FiniteLattice:
         join=tuple(tuple(row) for row in join),
         top=tops[0],
         bottom=bottoms[0],
+    )
+
+
+def reference_derive_heyting(lat: FiniteLattice) -> FiniteHeytingAlgebra:
+    """The oracle for ``algebra.derive_heyting``: distributivity over every
+    triple, the implication as the join of its candidates, and residuation
+    over every triple, in that order."""
+    n = lat.size
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if lat.meet[x][lat.join[y][z]] != lat.join[lat.meet[x][y]][lat.meet[x][z]]:
+                    raise NotDistributive((x, y, z))
+
+    imp = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            candidates = [z for z in range(n) if lat.leq[lat.meet[x][z]][y]]
+            best = lat.bottom
+            for z in candidates:
+                best = lat.join[best][z]
+            # distributivity guarantees the join of candidates is a candidate
+            assert lat.leq[lat.meet[x][best]][y]
+            imp[x][y] = best
+
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                assert (lat.leq[lat.meet[x][y]][z]) == (lat.leq[x][imp[y][z]])
+    flag = all(lat.join[x][imp[x][lat.bottom]] == lat.top for x in range(n))
+    return FiniteHeytingAlgebra(
+        lattice=lat,
+        imp=tuple(tuple(row) for row in imp),
+        boolean_flag=flag,
     )

@@ -1,11 +1,12 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pst.algebra import (
     CapExceeded,
+    FiniteLattice,
     NoJoin,
     NotAPoset,
     NotDistributive,
@@ -21,7 +22,7 @@ from pst.algebra import (
     parse_algebra_text,
     validate_lattice,
 )
-from reference import enumerated_heyting, reference_validate_lattice
+from reference import enumerated_heyting, reference_derive_heyting, reference_validate_lattice
 
 
 def brute_imp(lat, x, y):
@@ -132,6 +133,44 @@ def order_matrices(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_validate_lattice_matches_the_loops_on_drawn_orders(leq):
     assert _outcome(validate_lattice, leq) == _outcome(reference_validate_lattice, leq)
+
+
+def test_derive_heyting_matches_the_loops_on_enumerated_algebras():
+    for alg in enumerate_heyting(7):
+        assert derive_heyting(alg.lattice) == reference_derive_heyting(alg.lattice) == alg
+
+
+_M3 = [[1, 1, 1, 1, 1], [0, 1, 0, 0, 1], [0, 0, 1, 0, 1], [0, 0, 0, 1, 1], [0, 0, 0, 0, 1]]
+# 0 < 1 < 2 < 4 and 0 < 3 < 4, 3 incomparable with 1 and 2
+_N5 = [[1, 1, 1, 1, 1], [0, 1, 1, 0, 1], [0, 0, 1, 0, 1], [0, 0, 0, 1, 1], [0, 0, 0, 0, 1]]
+
+
+@pytest.mark.parametrize("leq", [_M3, _N5], ids=["M3", "N5"])
+def test_derive_heyting_names_the_first_undistributed_triple(leq):
+    lat = validate_lattice(leq)
+    want = _outcome(reference_derive_heyting, lat)
+    assert want[0] is NotDistributive
+    assert _outcome(derive_heyting, lat) == want
+
+
+@st.composite
+def lattice_orders(draw):
+    """A bounded, transitively closed order on 4-7 elements, permuted: a
+    lattice when ``validate_lattice`` accepts it, distributive or not."""
+    n = draw(st.integers(4, 7))
+    leq = [[i == j or i == 0 or j == n - 1 or (i < j and draw(st.booleans())) for j in range(n)] for i in range(n)]
+    for k, i, j in itertools.product(range(n), repeat=3):
+        leq[i][j] = leq[i][j] or (leq[i][k] and leq[k][j])
+    perm = draw(st.permutations(range(n)))
+    return [[leq[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+
+
+@given(lattice_orders())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_derive_heyting_matches_the_loops_on_drawn_lattices(leq):
+    lat = _outcome(validate_lattice, leq)
+    assume(isinstance(lat, FiniteLattice))
+    assert _outcome(derive_heyting, lat) == _outcome(reference_derive_heyting, lat)
 
 
 def test_diamond_m3_not_distributive():

@@ -278,6 +278,39 @@ def test_quantified_audit_matches_the_per_table_loop():
         assert got == want, (formula_to_text(inst), max_domain)
 
 
+def _padded_builds(structures, cell_counts):
+    """The indexes a plan builds that pads every negation digit to the
+    longest N_v: the outer cells' tables, per structure and domain size."""
+    total = 0
+    for fs in structures:
+        n, longest = fs.algebra.size, max(map(len, fs.negs))
+        for cells in cell_counts:
+            inner = cells
+            while inner and n**inner * longest**cells > proofs_mod._SWEEP_SIZE:
+                inner -= 1
+            total += n ** (cells - inner)
+    return total
+
+
+def test_quantified_runs_fix_outer_cells_at_their_actual_radices():
+    """Six cells at domain size 2 (R on 4 pairs, P on 2 names): an outer
+    cell's negation digit takes the radix of its N_v, so the runs hold more
+    tables than under padding and fewer indexes are built, with the same
+    count and failures as the per-table loop, over the saturated n4
+    families of size <= 3.  The instance holds; its converse fails."""
+    sig = Signature(functions={"c": 0})
+    structures = [saturate(alg, "n4") for alg in enumerate_heyting(3)]
+    for text in ("(forall x . R(x, c) & P(x)) -> R(c, c)", "R(c, c) -> (forall x . R(x, c) & P(x))"):
+        inst = parse_formula(text, sig)
+        got, want = [], []
+        with mock.patch.object(proofs_mod, "AssignmentIndex", wraps=proofs_mod.AssignmentIndex) as index:
+            count = _audit_quantified("A2", inst, structures, 2, got, 10**9)
+        assert count == table_audit_quantified("A2", inst, structures, 2, want, 10**9)
+        assert got == want
+        assert index.call_count < _padded_builds(structures, (2, 6))
+    assert got and len(got) < count
+
+
 def _trip(audit, inst, structures, budget):
     with pytest.raises(CapExceeded) as exc:
         audit("A1", inst, structures, 3, [], budget)

@@ -82,8 +82,18 @@ def test_audit_eval_cap_trips_alike():
 
 
 _SEARCH_FORMULAS = {
-    "refute_formula": [(f, ()) for f in ("~~p -> p", "p | ~p", "~(p & q) -> (~p | ~q)", "(p -> q) -> (~q -> ~p)")],
-    "refute_sequent": [("~p", ("p -> q", "~q")), ("p", ("~~p",)), ("~(p & q)", ("~p | ~q",))],
+    "refute_formula": [
+        (f, ())
+        for f in ("~~p -> p", "p | ~p", "~(p & q) -> (~p | ~q)", "(p -> q) -> (~q -> ~p)")
+        + ("~~~~p", "~~(p & q)", "~(~p | ~~q)")
+    ],
+    "refute_sequent": [
+        ("~p", ("p -> q", "~q")),
+        ("p", ("~~p",)),
+        ("~(p & q)", ("~p | ~q",)),
+        ("p | q", ("~~(p | q)",)),
+        ("~(p & ~q)", ("~~(p | q)", "~(~p & q) | ~p")),
+    ],
     "non_explosion": [(None, ())],
     "separate_n4_n3": [(None, ())],
 }
@@ -139,6 +149,64 @@ def test_walk_cap_trips_under_every_family():
     assert len(trips) > 5
 
 
+_COMEGA_FAMILIES_TO_4 = [fs for alg in enumerate_heyting(4) for fs in search_mod._families(alg, "all", "comega")]
+
+# comega negated compounds: alone, nested, under a double negation, and in
+# premises and conclusion at once
+_COMPOUND_SEQUENTS = [
+    ("~~p -> p", ()),
+    ("~(p & q) | (p & q)", ()),
+    ("~~~~p", ()),
+    ("~~(p & q)", ()),
+    ("~(~p | ~~q)", ()),
+    ("p | q", ("~~(p | q)",)),
+    ("~(p & ~q)", ("~~(p | q)", "~(~p & q) | ~p")),
+]
+
+
+def _compound_sequent(conclusion, premises):
+    goal = SearchGoal("refute_sequent", formula=parse_formula(conclusion), premises=tuple(map(parse_formula, premises)))
+    return _sequent(goal)
+
+
+@pytest.mark.parametrize("conclusion, premises", _COMPOUND_SEQUENTS)
+def test_walk_matches_on_comega_compounds_over_every_family(conclusion, premises):
+    """Every comega family of size <= 4: the occurrence digits give each
+    table's assignments in the per-table order, with the same part
+    values."""
+    joint, parts = _compound_sequent(conclusion, premises)
+    positions, trip = _assert_same_walk(joint, parts, _COMEGA_FAMILIES_TO_4)
+    assert trip is None and positions
+
+
+@pytest.mark.parametrize("sweep_size", [search_mod._SWEEP_SIZE, 4])
+def test_walk_cap_trips_on_comega_compounds(sweep_size):
+    """Low caps trip on negated atoms, on one atom combination's occurrence
+    choices, and on a table's running count of assignments, on the same
+    table and with the same fields as the per-table walk, over the
+    saturated structures of size <= 4.  At sweep size 4 the tables are
+    listed one at a time where their occurrence digits alone pass it."""
+    messages = set()
+    with mock.patch.object(search_mod, "_SWEEP_SIZE", sweep_size):
+        for (conclusion, premises), cap in itertools.product(_COMPOUND_SEQUENTS, (1, 2, 3, 5)):
+            joint, parts = _compound_sequent(conclusion, premises)
+            _, trip = _assert_same_walk(joint, parts, _STRUCTURES_TO_4, cap)
+            if trip is not None:
+                messages.add(trip[0].split(" ", 3)[3])
+    assert messages == {"atom assignments", "occurrence choices", "assignments"}
+
+
+def test_walk_lists_tables_past_the_sweep_size():
+    """A table whose padded occurrence digits alone pass the sweep size is
+    listed by ``_instance_values``; the rest of the walk still sweeps."""
+    joint, parts = _compound_sequent("~(p & ~q)", ("~~(p | q)", "~(~p & q) | ~p"))
+    with mock.patch.object(search_mod, "_SWEEP_SIZE", 64), mock.patch.object(
+        search_mod, "_instance_values", wraps=search_mod._instance_values
+    ) as listed, mock.patch.object(search_mod, "AssignmentIndex", wraps=search_mod.AssignmentIndex) as swept:
+        _assert_same_walk(joint, parts, _STRUCTURES_TO_4)
+    assert listed.called and swept.called
+
+
 def _formulas():
     leaves = st.sampled_from([Pred(a, ()) for a in "pqrs"])
 
@@ -174,8 +242,9 @@ def test_walk_matches_on_propositional_formulas(conclusion, premises, cap, sweep
 def test_walk_in_runs_over_six_atoms():
     """Six atoms over 5-element algebras: the sweep covers the innermost
     atom digits and every negation digit per run, and the outer atom digits
-    loop; with six negated atoms each run is one table.  The compared
-    positions span more than one run."""
+    loop.  With six negated atoms a run fixes the outer atoms' choice digits
+    at their actual radices: the first run, at p = q = r = 0 (N_0 = {1}),
+    holds 125 tables.  The compared positions span more than one run."""
     atoms = [Pred(a, ()) for a in "pqrstu"]
     two = Imp(And(Neg(atoms[2]), Neg(atoms[5])), Or(*atoms[:2]))
     for rest in atoms[2:]:
@@ -185,8 +254,8 @@ def test_walk_in_runs_over_six_atoms():
         six = Or(six, Neg(a))
     # 0 < a < b, c < 1: the saturated N_b = {c, 1} and N_c = {b, 1}
     diamond_on_a = [alg for alg in enumerate_heyting(5) if alg.size == 5][1]
-    # runs of 2025 positions, and of one table each
-    for joint, fs, limit in ((two, saturate(chain(5), "comega"), 2100), (six, saturate(diamond_on_a, "n4"), 600)):
+    # runs of 2025 and of 1331 valid positions
+    for joint, fs, limit in ((two, saturate(chain(5), "comega"), 2100), (six, saturate(diamond_on_a, "n4"), 1400)):
         runs = list(itertools.islice(_table_walk(joint, [(joint, ())], [fs], ASSIGNMENT_CAP), 8))
         assert len(runs) == 8
         positions, trip = _assert_same_walk(joint, [(joint, ())], [fs], limit=limit)
