@@ -209,7 +209,7 @@ def check_separation(
     names = list(dict.fromkeys([*model.scope, *children]))
     options = _atom_options(Forall(var, phi), model, ctx, cap)
     instances = [(phi, {var: x}, (x,), (0,), (i,)) for i, x in enumerate(names)]
-    values, code, size = _instance_values(instances, options, model, ctx, cap)
+    values, code = _instance_values(instances, options, model, ctx, cap)
     phi_at = dict(zip(names, values))
     need = ctx.domain(model.scope).need
     # per child x, ||x = z|| for each z, by the position of z in the scope
@@ -218,13 +218,13 @@ def check_separation(
     witnesses = []
     for uu in targets:
         w = [(x, p.meet(ctx.eval_mem(x, uu), phi_at[x])) for x, _ in store.get(uu).entries]
-        if not witnesses and size:
+        if not witnesses and code.size:
             witnesses.append(("w", store.mk_name([(x, p.decode(wx, 0)) for x, wx in w])))
         for i, z in enumerate(model.scope):
             lhs = functools.reduce(p.join, (p.meet(wx, eq[x][i]) for x, wx in w), p.bottom)
             rhs = p.meet(ctx.eval_mem(z, uu), phi_at[z])
             value = p.meet(value, p.meet(p.imp(lhs, rhs), p.imp(rhs, lhs)))
-    return _quantified_report(model, "separation", Sweep(value, size, code, p), quantification, witnesses)
+    return _quantified_report(model, "separation", Sweep(value, code, p), quantification, witnesses)
 
 
 def _children(model: SetModel, targets: Sequence[int]) -> list[int]:
@@ -411,7 +411,7 @@ def check_collection(
     pairs = [(x, y) for x in dict.fromkeys([*model.scope, *children]) for y in model.scope]
     options = _atom_options(Forall(var_x, Forall(var_y, phi)), model, ctx, cap)
     instances = [(phi, {var_x: x, var_y: y}, (x, y), (0, 0), (i,)) for i, (x, y) in enumerate(pairs)]
-    values, code, size = _instance_values(instances, options, model, ctx, cap)
+    values, code = _instance_values(instances, options, model, ctx, cap)
     phi_at = dict(zip(pairs, values))
     v_entries = store.get(v_name).entries
     ex_scope = {x: functools.reduce(p.join, (phi_at[x, y] for y in model.scope), p.bottom) for x in children}
@@ -427,7 +427,7 @@ def check_collection(
     return _quantified_report(
         model,
         "collection",
-        Sweep(value, size, code, p),
+        Sweep(value, code, p),
         quantification,
         witnesses=[("v", v_name)],
         notes=("scope-wide constant-top witness stands in for the class level",),

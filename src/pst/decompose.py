@@ -38,6 +38,7 @@ from .valuation import (
     OccKey,
     SetModel,
     Sweep,
+    _bits,
     _cap_exceeded,
     _component,
     _Deferred,
@@ -248,18 +249,6 @@ def _classes(mask: int, reads: Sequence[Vector], bounds: Sequence[int]) -> list[
         below = (1 << b) - 1
         classes = [m for c in classes for m in (c & below, c & ~below) if m]
     return classes
-
-
-_BYTE_BITS = [tuple(i for i in range(8) if b >> i & 1) for b in range(256)]
-
-
-def _bits(mask: int) -> list[int]:
-    """The positions of the bits set in mask, lowest first, a byte at a time."""
-    out: list[int] = []
-    for k, byte in enumerate(mask.to_bytes((mask.bit_length() + 7) // 8, "little")):
-        if byte:
-            out += map((8 * k).__add__, _BYTE_BITS[byte])
-    return out
 
 
 class _Grid:
@@ -615,7 +604,7 @@ class _Split:
         if consts:
             combine = model.algebra.meet_ if self.meet else model.algebra.join_
             value = functools.reduce(combine, consts)
-            groups.append(_Group(Sweep(value, 1, AssignmentIndex({}, ctx.planes), ctx.planes)))
+            groups.append(_Group(Sweep(value, AssignmentIndex({}, ctx.planes), ctx.planes)))
         return groups
 
 

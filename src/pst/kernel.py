@@ -34,7 +34,7 @@ children, so reading a fresh witness name recomputes no older row.
 from __future__ import annotations
 
 import sys
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from .algebra import FiniteHeytingAlgebra
 from .names import NameStore
@@ -67,8 +67,6 @@ class Planes:
         self.below = tuple(
             tuple(k2 for k2, j2 in enumerate(irr) if leq[j2][j]) for j in irr
         )
-        # per plane, a byte table from each element e to "1" if j_k <= e, else "0"
-        self._digits = [bytes(b"01"[k in ks] for ks in self.bits).ljust(256, b"0") for k in range(self.width)]
 
     def _planes(self, a: Vector) -> tuple:
         return self.const[a] if a.__class__ is int else a
@@ -160,12 +158,6 @@ class Planes:
         """The vector holding element e at id i for each (i, e) pair and
         bottom elsewhere."""
         return self.from_masks((1 << i, e) for i, e in pairs)
-
-    def from_column(self, column: Sequence[int]) -> tuple:
-        """The vector holding column[i] at id i for every i < len(column),
-        read as one binary numeral per plane."""
-        text = bytes(reversed(column))
-        return tuple(int(text.translate(table) or b"0", 2) for table in self._digits)
 
     def from_masks(self, pairs: Iterable[tuple[int, int]]) -> tuple:
         """The vector holding element e at the ids in mask for each

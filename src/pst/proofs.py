@@ -42,8 +42,8 @@ from .syntax import (
     substitute,
     subformulas,
 )
-from .search import _SWEEP_SIZE, _runs, _table_walk
-from .valuation import AssignmentIndex, EvalContext, eval_sentence, make_model
+from .search import _table_walk
+from .valuation import AssignmentIndex, EvalContext, _runs, eval_sentence, make_model
 
 
 class ProofError(PstError):
@@ -554,7 +554,7 @@ def _audit_quantified(
     most significant), and each cell's negation choices are a digit of it
     too: one vector evaluation per function table covers every predicate
     and negation table of a run, and the outer cell digits loop, as in
-    ``search._index_walk`` (``search._runs`` plans the runs).  Each
+    ``search._index_walk`` (``valuation._runs`` plans the runs).  Each
     function table's instance is grounded once per domain size."""
     text = formula_to_text(inst)
     preds: dict[str, int] = {}
@@ -604,11 +604,12 @@ def _quantified_runs(
     longest = max(len(negs) for negs in fs.negs)
 
     def span(outer: tuple[int, ...]) -> int:
-        """An outer cell's negation digit has its actual radix, an inner
-        cell's is padded to the longest N_v."""
-        return longest ** (len(cells) - len(outer)) * math.prod(len(fs.negs[v]) for v in outer)
+        """The positions of a run that fixes the outer cells: an outer
+        cell's negation digit has its actual radix, an inner cell takes a
+        value digit and a negation digit padded to the longest N_v."""
+        return (n * longest) ** (len(cells) - len(outer)) * math.prod(len(fs.negs[v]) for v in outer)
 
-    for outer in _runs(len(cells), n, span, _SWEEP_SIZE):
+    for outer in _runs(lambda prefix: range(n) if len(prefix) < len(cells) else (), span):
         n_outer = len(outer)
         inner = len(cells) - n_outer
         options = {key: fs.negs[v] for key, v in zip(keys, outer)}

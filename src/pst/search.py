@@ -30,6 +30,7 @@ from .fidel import FidelError, FStructure, saturate, validate_comega, validate_n
 from .names import NameStore
 from .kernel import Planes, Vector
 from .syntax import And, Formula, Neg, Pred, formula_to_text, prop_atoms
+from . import valuation
 from .valuation import (
     ASSIGNMENT_CAP,
     Assignment,
@@ -39,9 +40,12 @@ from .valuation import (
     OccKey,
     SetModel,
     _atom_options,
+    _blocks,
     _cap_exceeded,
     _choice_keys,
-    _instance_values,
+    _first_trip,
+    _Group,
+    _runs,
     enumerate_assignments,
     eval_sentence,
     make_model,
@@ -175,30 +179,9 @@ def _prop_model(fs: FStructure, values: Mapping[str, int]) -> SetModel:
     return make_model(fs, NameStore(), 0, scope=(), prop_values=values)
 
 
-# positions of one vector evaluation: a run sweeps as many of the innermost
-# atom digits as fit beside the choice digits (``_runs``); a table whose
-# choice digits alone pass it is listed on its own (``_instance_values``)
-_SWEEP_SIZE = 1 << 16
-
 # (structure, planes, part values, valid positions, decode): decode(i) is the
 # atom table and the negation assignment at position i
 _Run = tuple[FStructure, Planes, list[Vector], int, Callable[[int], tuple[dict[str, int], Assignment]]]
-
-
-def _runs(count: int, n: int, span: Callable[[tuple[int, ...]], int], size: int) -> Iterator[tuple[int, ...]]:
-    """The runs that cover the tables of count value digits of radix n, in
-    lexicographic order: each run fixes a prefix of the digits and sweeps
-    the rest.  span(prefix) is the number of choice positions per table
-    once prefix is fixed, the digits it fixes taking their actual radices.
-    A prefix is extended by one digit, over every value, until its run
-    fits in size or it fixes every digit."""
-    stack = [()]
-    while stack:
-        prefix = stack.pop()
-        if len(prefix) == count or n ** (count - len(prefix)) * span(prefix) <= size:
-            yield prefix
-        else:
-            stack.extend(prefix + (v,) for v in reversed(range(n)))
 
 
 def _table_walk(
@@ -250,20 +233,22 @@ def _index_walk(
         return table.get(key[1]) if key[0] == "pred" else alg.bottom
 
     def span(prefix: tuple[int, ...]) -> int:
+        """The positions of a run that fixes the atom values of prefix."""
         fixed = dict(zip(atoms, prefix))
         values = (value_of(key, fixed) for key in keys)
-        return longest ** len(occs) * math.prod(longest if v is None else len(negs[v]) for v in values)
+        per = longest ** len(occs) * math.prod(longest if v is None else len(negs[v]) for v in values)
+        return n ** (len(atoms) - len(prefix)) * per
 
-    for outer in _runs(len(atoms), n, span, _SWEEP_SIZE):
+    for outer in _runs(lambda prefix: range(n) if len(prefix) < len(atoms) else (), span):
         fixed = dict(zip(atoms, outer))
         inner_atoms = atoms[len(outer) :]
-        if not inner_atoms and span(outer) > _SWEEP_SIZE:
-            yield _listed_table(joint, parts, fs, fixed, cap)
+        if not inner_atoms and span(outer) > valuation._SWEEP_SIZE:
+            yield from _swept_table(joint, parts, fs, fixed, cap)
             continue
         values = {key: value_of(key, fixed) for key in keys}
         options = {key: () if v is None else negs[v] for key, v in values.items()}
         inner_keys = [("pred", a) for a in inner_atoms]
-        index = AssignmentIndex(options, alg.planes, inner_keys, negs, occs)
+        index = AssignmentIndex(options, alg.planes, inner_keys, negs, [(key, range(longest)) for key in occs])
 
         def decode(i: int, index: AssignmentIndex = index, outer: tuple[int, ...] = outer):
             return dict(zip(atoms, outer + index.table(i))), index.decode(i)
@@ -275,7 +260,7 @@ def _index_walk(
         per = index.size // n ** len(inner_atoms)  # positions per table
         trip = None
         if per > cap:
-            trip = _first_trip(keys, value_of, fs, fixed, inner_atoms, valid, per, longest ** len(occs), cap)
+            trip = _table_trip(keys, value_of, fs, fixed, inner_atoms, valid, per, longest ** len(occs), cap)
         if trip is not None:
             valid &= (1 << trip[0] * per) - 1
         if valid:
@@ -284,7 +269,7 @@ def _index_walk(
             raise trip[1]
 
 
-def _first_trip(
+def _table_trip(
     keys: list[AtomKey],
     value_of: Callable[[AtomKey, Mapping[str, int]], int | None],
     fs: FStructure,
@@ -298,10 +283,11 @@ def _first_trip(
     """(table number in the run, error) for the first table whose
     assignments pass the cap, or None, checked as a per-table enumeration
     checks them: the negated atoms' option counts multiplied in reading
-    order, then the count of each atom combination's occurrence choices
-    (a block of positions each) and the running count of assignments.
-    Under a comega family every choice extends, so a combination's count
-    is the largest of the counts such an enumeration builds for it."""
+    order, then the count of each atom combination's occurrence choices (a
+    block of positions each) and the running count of assignments
+    (``_first_trip``).  Under a comega family every choice extends, so a
+    combination's count is the largest of the counts such an enumeration
+    builds for it."""
     negs = fs.negs
     for t, values in enumerate(itertools.product(range(fs.algebra.size), repeat=len(inner_atoms))):
         table = {**fixed, **dict(zip(inner_atoms, values))}
@@ -311,41 +297,38 @@ def _first_trip(
             if total > cap:
                 return t, _cap_exceeded("atom assignments", cap, total)
         rows = valid >> t * per & (1 << per) - 1
-        if rows.bit_count() <= cap:
-            continue
-        total = 0
-        for at in range(0, per, block):
-            count = (rows >> at & (1 << block) - 1).bit_count()
-            if count > cap:
-                return t, _cap_exceeded("occurrence choices", cap, cap + 1)
-            total += count
-            if total > cap:
-                return t, _cap_exceeded("assignments", cap, cap + 1)
+        trip = _first_trip(_blocks(rows, per, block), cap) if rows.bit_count() > cap else None
+        if trip is not None:
+            return t, trip
     return None
 
 
-def _listed_table(
+def _swept_table(
     joint: Formula,
     parts: Sequence[tuple[Formula, tuple[int, ...]]],
     fs: FStructure,
     table: dict[str, int],
     cap: int,
-) -> _Run:
-    """One table whose padded choice digits pass the sweep size: its
-    assignments listed with each part's values (``_instance_values``), the
-    parts being joint's instances, taken in evaluation order: the order of
-    their paths."""
+) -> Iterator[_Run]:
+    """One table whose padded choice digits alone pass the sweep size,
+    swept in runs of its own (``valuation._Group``): the parts are joint's
+    instances, taken in evaluation order, the order of their paths.  The
+    cap trips before any of the table's positions is yielded."""
     order = sorted(range(len(parts)), key=lambda k: parts[k][1])
-    instances = [(parts[k][0], {}, (), parts[k][1], (k,)) for k in order]
     model = _prop_model(fs, table)
     ctx = EvalContext(model)
-    vectors, code, size = _instance_values(instances, _atom_options(joint, model, ctx, cap), model, ctx, cap)
-    by_part = dict(zip(order, vectors))
+    instances = [(parts[k][0], {}, (), parts[k][1], (k,)) for k in order]
+    group = _Group(instances, _atom_options(joint, model, ctx, cap), model, ctx, cap)
+    trip = _first_trip(group.counts, cap)
+    if trip is not None:
+        raise trip
+    for index, values in group.runs:
 
-    def decode(i: int) -> tuple[dict[str, int], Assignment]:
-        return table, code.decode(i)
+        def decode(i: int, index: AssignmentIndex = index) -> tuple[dict[str, int], Assignment]:
+            return table, index.decode(i)
 
-    return fs, fs.algebra.planes, [by_part[k] for k in range(len(parts))], (1 << size) - 1, decode
+        by_part = dict(zip(order, values))
+        yield fs, fs.algebra.planes, [by_part[k] for k in range(len(parts))], index.valid, decode
 
 
 def search(goal: SearchGoal) -> Finding | Exhausted:

@@ -21,8 +21,9 @@ import functools
 import hashlib
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .algebra import FiniteHeytingAlgebra, check_refinable
 from .errors import CapExceeded, PstError
@@ -236,6 +237,25 @@ class _Deferred(Assignment):
         return repr(Assignment(self.atoms, self.occs))
 
 
+def _digit_masks(stride: int, radix: int, size: int) -> list[int]:
+    """The positions, of size, whose digit of the given stride and radix is
+    d, for each d: runs of stride positions, one every period (the run at
+    digit 0 repeated by doubling, shifted by d strides)."""
+    zero = (1 << stride) - 1
+    period = stride * radix
+    while period < size:
+        zero |= zero << period
+        period *= 2
+    zero &= (1 << size) - 1
+    return [zero << d * stride for d in range(radix)]
+
+
+class _Expand(Exception):
+    """A new occurrence whose valid positions use more than one choice: its
+    entry for ``occs`` (key, choice numbers used), and the number of valid
+    positions an index with that digit would have."""
+
+
 class AssignmentIndex:
     """Every negation assignment of a sentence, numbered as
     ``enumerate_assignments`` lists them: a mixed-radix index over the
@@ -251,12 +271,17 @@ class AssignmentIndex:
     range.
 
     A comega negated compound takes a digit after the atom keys' too, one
-    per key in ``occs``, in the order evaluation reaches them, padded to the
-    longest negs[v] as well.  Its choice is read when evaluation reaches it
-    (``choose``): it is negs[v][d] where its body's value is v and its digit
-    is d, and the positions out of range, or past the double-negation
-    bound, leave ``valid`` then.  Each table's valid positions are then its
-    assignments in ``_comega_rows`` order.
+    per entry (key, digits) of ``occs``, in the order evaluation reaches
+    them: its digit d stands for the choice number digits[d].  Its choice
+    is read when evaluation reaches it (``choose``): it is negs[v][n] where
+    its body's value is v and its choice number is n, and the positions out
+    of range, or past the double-negation bound, leave ``valid`` then.
+    Under ``discover``, an occurrence that ``occs`` does not name takes no
+    digit if the valid positions use one choice number there; if they use
+    more, evaluation stops with ``_Expand``.  Each table's valid positions
+    are then its assignments in enumeration order.  ``met`` lists the
+    occurrences in the order evaluation reached them, with their choice
+    numbers.
 
     Evaluated under the index, every value is a vector over it
     (``kernel.Planes``): an atom in ``values`` reads as the vector of its
@@ -270,40 +295,30 @@ class AssignmentIndex:
         planes: Planes,
         values: Sequence[AtomKey] = (),
         negs: Sequence[tuple[int, ...]] = (),
-        occs: Sequence[OccKey] = (),
+        occs: Sequence[tuple[OccKey, Sequence[int]]] = (),
+        discover: bool = False,
     ):
         n = planes.alg.size
         self.values = tuple(values)
         self.keys = sorted(options)
         self._planes = planes
         self._negs = negs
+        self._discover = discover
         digit = {key: j for j, key in enumerate(self.values)}
         # the digit of each key's value (None: one value), and its choices at each value
         self._governor = [digit.get(key) for key in self.keys]
         self._choices = [
             (options[key],) if j is None else negs for key, j in zip(self.keys, self._governor)
         ]
-        longest = max(map(len, negs), default=1)
-        self._radices = [n] * len(self.values) + [max(map(len, c)) for c in self._choices] + [longest] * len(occs)
+        self._radices = [n] * len(self.values) + [max(map(len, c)) for c in self._choices] + [len(d) for _, d in occs]
         self.size = math.prod(self._radices)
         self.ops = (planes.meet, planes.join, planes.imp)
-        full = (1 << self.size) - 1
         strides = [1] * len(self._radices)  # the last digit varies fastest
         for j in range(len(strides) - 2, -1, -1):
             strides[j] = strides[j + 1] * self._radices[j + 1]
 
         def masks(j: int) -> list[int]:
-            """The positions whose digit j is d, for each d: runs of stride
-            positions, one every period (the run at digit 0 repeated by
-            doubling, shifted by d strides)."""
-            stride = strides[j]
-            zero = (1 << stride) - 1
-            period = stride * self._radices[j]
-            while period < self.size:
-                zero |= zero << period
-                period *= 2
-            zero &= full
-            return [zero << d * stride for d in range(self._radices[j])]
+            return _digit_masks(strides[j], self._radices[j], self.size)
 
         value_masks = [masks(j) for j in range(len(self.values))]
         self._values = {key: planes.from_masks(zip(m, range(n))) for key, m in zip(self.values, value_masks)}
@@ -321,38 +336,60 @@ class AssignmentIndex:
                 for m in choice_masks[len(opts) :]:
                     invalid |= at & m
             self._vectors[key] = planes.from_masks(pairs)
-        self.valid = full & ~invalid
+        self.valid = (1 << self.size) - 1 & ~invalid
         first = len(self.values) + len(self.keys)
-        self._occ_masks = {key: masks(c) for c, key in enumerate(occs, first)}
+        # per occurrence: (choice number, positions) for each of its digits
+        self._occ_masks = {key: list(zip(d, masks(c))) for c, (key, d) in enumerate(occs, first)}
         self._occ_vectors: dict[OccKey, Vector] = {}
-        self.orders: tuple = ()  # no instance alternatives
+        self.met: list[tuple[OccKey, tuple[int, ...]]] = []
+        self.orders: tuple = ()  # per occurrence in met: the rank of its instance
 
     def atom(self, key: AtomKey) -> Vector | None:
         return self._vectors.get(key)
 
     def choose(self, key: OccKey, base: Vector, bound: Vector | None) -> Vector:
         """The choices at occurrence key, whose body has the values base:
-        negs[v][d] where base is v and the digit is d.  The positions whose
-        digit is past negs[v], or (under a double negation) whose choice is
-        not below bound, leave ``valid``."""
-        masks = self._occ_masks.get(key)
-        if masks is None:
-            raise UncoveredNegation(f"occurrence at path {key[1]}, bindings {key[2]}")
+        negs[v][n] where base is v and the choice number is n.  The
+        positions whose choice number is past negs[v], or (under a double
+        negation) whose choice is not below bound, leave ``valid``."""
+        numbers = self._occ_masks.get(key)
+        if numbers is None:
+            if not self._discover:
+                raise UncoveredNegation(f"occurrence at path {key[1]}, bindings {key[2]}")
+            numbers = self._occ_masks[key] = [(self._used(key, base, bound), -1)]
+        self.met.append((key, tuple(d for d, _ in numbers)))
         planes = self._planes
         pairs = []
         invalid = 0
         for v, opts in enumerate(self._negs):
             at = planes.where(base, v)
             if at:
-                pairs += ((at & m, choice) for m, choice in zip(masks, opts))
-                for m in masks[len(opts) :]:
-                    invalid |= at & m
+                for d, m in numbers:
+                    if d < len(opts):
+                        pairs.append((at & m, opts[d]))
+                    else:
+                        invalid |= at & m
         choice = planes.from_masks(pairs)
         if bound is not None:
             invalid |= planes.exceeds(choice, bound)
         self.valid &= ~invalid
         self._occ_vectors[key] = choice
         return choice
+
+    def _used(self, key: OccKey, base: Vector, bound: Vector | None) -> int:
+        """The one choice number that the valid positions use at a new
+        occurrence; ``_Expand`` if they use more."""
+        planes = self._planes
+        used: dict[int, int] = {}  # choice number -> the valid positions that may take it
+        for v, opts in enumerate(self._negs):
+            at = planes.where(base, v) & self.valid
+            for d, c in enumerate(opts if at else ()):
+                hits = (at if bound is None else at & ~planes.exceeds(c, bound)).bit_count()
+                if hits:
+                    used[d] = used.get(d, 0) + hits
+        if len(used) > 1:
+            raise _Expand((key, tuple(sorted(used))), sum(used.values()))
+        return min(used, default=0)
 
     def value(self, key: AtomKey) -> Vector:
         """The values of an atom in ``values``, position by position."""
@@ -367,9 +404,10 @@ class AssignmentIndex:
         return out
 
     def digits(self, i: int) -> tuple[int, ...]:
-        """The choice digits of position i: one per key, then one per
-        occurrence."""
-        return tuple(self._digits(i)[len(self.values) :])
+        """The choices at position i: one per key, then one per occurrence
+        in ``met``.  Each N_v is sorted, so they order as choice numbers."""
+        decode = self._planes.decode
+        return (*(c for _, c in self.decode(i).atoms), *(decode(self._occ_vectors[key], i) for key, _ in self.met))
 
     def table(self, i: int) -> tuple[int, ...]:
         """The values of the atoms in ``values`` at position i."""
@@ -384,6 +422,64 @@ class AssignmentIndex:
         decode = self._planes.decode
         occs = tuple(sorted((key, decode(choice, i)) for key, choice in self._occ_vectors.items()))
         return Assignment(atoms=atoms, occs=occs)
+
+
+
+# positions of one vector evaluation: an enumeration past it is swept in
+# runs over its outer digits (``_runs``)
+_SWEEP_SIZE = 1 << 16
+# a run of comega occurrence digits grows past one _DENSITY-th of the sweep
+# size only while one in _DENSITY of its positions stays valid (``_Group``)
+_DENSITY = 8
+
+
+def _runs(digits: Callable[[tuple[int, ...]], Sequence[int]], span: Callable[[tuple[int, ...]], float]) -> Iterator[tuple[int, ...]]:
+    """The runs that cover the positions of an enumeration in order: each
+    run fixes a prefix of its digits and sweeps the rest.  span(prefix) is
+    the number of positions of the run that fixes prefix, and digits(prefix)
+    the values of the digit after prefix (none once prefix fixes every
+    digit).  A prefix is extended by one digit, over every value, until its
+    run fits in ``_SWEEP_SIZE`` or it fixes every digit."""
+    stack = [()]
+    while stack:
+        prefix = stack.pop()
+        more = span(prefix) > _SWEEP_SIZE and digits(prefix)
+        if more:
+            stack.extend(prefix + (v,) for v in reversed(more))
+        else:
+            yield prefix
+
+
+def _blocks(valid: int, size: int, block: int) -> list[int]:
+    """The valid positions in each block of block positions, in order."""
+    return [(valid >> at & (1 << block) - 1).bit_count() for at in range(0, size, block)]
+
+
+def _first_trip(counts: Iterable[int], cap: int) -> CapExceeded | None:
+    """The cap trip of an enumeration that lists the occurrence choices of
+    each atom combination in turn, counts[k] of them at the k-th: on the
+    first combination with more than cap, or where the running count of
+    assignments passes cap; None if neither happens."""
+    total = 0
+    for count in counts:
+        if count > cap:
+            return _cap_exceeded("occurrence choices", cap, cap + 1)
+        total += count
+        if total > cap:
+            return _cap_exceeded("assignments", cap, cap + 1)
+    return None
+
+
+_BYTE_BITS = [tuple(i for i in range(8) if b >> i & 1) for b in range(256)]
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of the bits set in mask, lowest first, a byte at a time."""
+    out: list[int] = []
+    for k, byte in enumerate(mask.to_bytes((mask.bit_length() + 7) // 8, "little")):
+        if byte:
+            out += map((8 * k).__add__, _BYTE_BITS[byte])
+    return out
 
 
 def _atom_key(node: Formula, env: Mapping[str, int]) -> AtomKey:
@@ -655,14 +751,13 @@ def _eval(
     trail: tuple[int, ...],
     path: tuple[int, ...],
     model: SetModel,
-    asg: Assignment | AssignmentIndex | _Probe | _Alternatives | _Fold,
+    asg: Assignment | AssignmentIndex | _Probe | _Fold,
     ctx: EvalContext,
 ) -> Vector:
     """The value of node under a concrete assignment (an element), under
     an ``AssignmentIndex`` (a vector over the index), under a ``_Probe``
-    (which records the negated atoms read), under ``_Alternatives`` (an
-    element or a list of comega occurrence alternatives), or under a
-    ``_Fold`` (a vector over the folded variable)."""
+    (which records the negated atoms read), or under a ``_Fold`` (a vector
+    over the folded variable)."""
     alg = model.algebra
     if asg.__class__ is _Fold:
         mentions = asg.var in ctx._free_vars(node)
@@ -749,7 +844,7 @@ def _neg_choice(
     trail: tuple[int, ...],
     path: tuple[int, ...],
     model: SetModel,
-    asg: Assignment | AssignmentIndex | _Probe | _Alternatives,
+    asg: Assignment | AssignmentIndex | _Probe,
     ctx: EvalContext,
 ) -> tuple[Vector, Vector]:
     """The chosen value of a negation and the value of its body, the choice
@@ -758,8 +853,7 @@ def _neg_choice(
     index, the vector of its admissible choices); comega compound bodies
     take the choice of this occurrence, read after the body is evaluated,
     since its options depend on the body's value (under an index, from the
-    occurrence's digit; under ``_Alternatives``, each alternative of the
-    body is extended by each of its options)."""
+    occurrence's digit)."""
     body = node.body
     if isinstance(body, _ATOMIC):
         if asg.__class__ is _Fold:  # a probing fold; body mentions its variable
@@ -782,8 +876,6 @@ def _neg_choice(
     key = ("occ", path, trail)
     if asg.__class__ is AssignmentIndex:
         return asg.choose(key, base, inner), base
-    if asg.__class__ is _Alternatives:
-        return asg.expand(key, base, inner)
     if asg.__class__ is _Probe:
         asg.occs.append(key)
         return base, base
@@ -835,57 +927,6 @@ class _Probe:
         return value
 
 
-class _Alternatives:
-    """comega only, the atom choices fixed: every combination of occurrence
-    choices at once.  A value is an element (no occurrence read yet) or a
-    list of (occurrence choices, element) pairs, in enumeration order: a
-    connective forms the product of its sides' lists, the left side more
-    significant, and a quantifier folds its instances' lists in range
-    order."""
-
-    def __init__(self, atoms: Sequence[tuple[AtomKey, int]], model: SetModel, cap: int):
-        self._atoms = dict(atoms)
-        self.model = model
-        self.cap = cap
-        alg = model.algebra
-        self.ops = tuple(self._lift(op) for op in (alg.meet_, alg.join_, alg.imp_))
-
-    def atom(self, key: AtomKey) -> int | None:
-        return self._atoms.get(key)
-
-    def _lift(self, op: Callable[[int, int], int]) -> Callable[[int | list, int | list], int | list]:
-        def lifted(a: int | list, b: int | list) -> int | list:
-            if a.__class__ is int and b.__class__ is int:
-                return op(a, b)
-            a, b = _pairs(a), _pairs(b)
-            if len(a) * len(b) > self.cap:
-                raise _cap_exceeded("occurrence choices", self.cap, self.cap + 1)
-            return [(oa + ob, op(va, vb)) for oa, va in a for ob, vb in b]
-
-        return lifted
-
-    def expand(self, key: OccKey, base: int | list, limit: int | list | None) -> tuple[list, list]:
-        """Each alternative of a negated compound's body extended by each
-        choice in N_body at occurrence key: the negation's values, and the
-        body's values aligned with them.  Under a double negation, limit
-        holds each alternative's bound, the value of the body's body."""
-        choices, bases = [], []
-        limits = _pairs(limit) if limit is not None else itertools.repeat(((), None))
-        for (occs, value), (_, bound) in zip(_pairs(base), limits):
-            for c in self.model.neg_options(value):
-                if bound is None or self.model.algebra.le(c, bound):
-                    extended = occs + ((key, c),)
-                    choices.append((extended, c))
-                    bases.append((extended, value))
-        if len(choices) > self.cap:
-            raise _cap_exceeded("occurrence choices", self.cap, self.cap + 1)
-        return choices, bases
-
-
-def _pairs(value: int | list) -> list:
-    return [((), value)] if value.__class__ is int else value
-
-
 def _atom_options(
     phi: Formula,
     model: SetModel,
@@ -916,85 +957,223 @@ def _choice_keys(phi: Formula, model: SetModel, ctx: EvalContext) -> tuple[list[
 _Instance = tuple[Formula, dict, tuple, tuple, tuple]
 
 
-def _comega_rows(
+class _Group:
+    """comega instances joined by the negated atoms they read, under one
+    enumeration: their assignments in enumeration order, as the valid
+    positions of ``AssignmentIndex`` runs (``runs``, each with its
+    instances' values).  An occurrence takes a digit only where its valid
+    positions use more than one choice (``discover``), over the choices
+    they use, so that a forced occurrence adds no positions.  A run fixes
+    a prefix of the digits (``_runs``): the atom keys' in sorted order,
+    then those of the occurrences, in evaluation order."""
+
+    def __init__(
+        self,
+        instances: Sequence[_Instance],
+        options: Mapping[AtomKey, tuple[int, ...]],
+        model: SetModel,
+        ctx: EvalContext,
+        cap: int,
+    ):
+        self.instances = instances
+        self.options = options
+        self.model = model
+        self.ctx = ctx
+        self.cap = cap
+        self.keys = sorted(options)
+        self.radices = [len(options[key]) for key in self.keys]
+        self.runs: list[tuple[AssignmentIndex, list[Vector]]] = []
+        # per prefix: its occurrence digits, fixed where the prefix fixes
+        # them, and its run once found to fit
+        self._occs: dict[tuple[int, ...], list] = {(): []}
+        self._fits: dict[tuple[int, ...], tuple] = {}
+        self._past: set[tuple[int, ...]] = set()  # runs of one combination past the cap
+
+    @functools.cached_property
+    def counts(self) -> list[int]:
+        """The assignments at each atom combination, the runs swept in
+        order until the combinations they complete pass the cap, or one
+        combination alone does (an enumeration trips by then, so the later
+        combinations are left at 0)."""
+        counts = [0] * math.prod(self.radices)
+        total = 0
+        for prefix in _runs(self._digits, self._span):
+            first = 0  # the first combination the run covers
+            for d, radix in itertools.zip_longest(prefix[: len(self.keys)], self.radices, fillvalue=0):
+                first = first * radix + d
+            if total - counts[first] > self.cap or counts[first] > self.cap:
+                break
+            if prefix in self._past:
+                counts[first] = self.cap + 1
+                break
+            index, values = self._fits.pop(prefix)
+            self.runs.append((index, values))
+            for k, count in enumerate(_blocks(index.valid, index.size, index.size // math.prod(self.radices[len(prefix) :])), first):
+                counts[k] += count
+                total += count
+        return counts
+
+    def _digits(self, prefix: tuple[int, ...]) -> Sequence[int]:
+        """The values of the digit after prefix: an atom key's option
+        numbers, or the choice numbers of the first occurrence that takes
+        more than one; each child prefix fixes it."""
+        occs = self._occs[prefix]
+        if len(prefix) < len(self.keys):
+            values = range(self.radices[len(prefix)])
+            self._occs.update((prefix + (d,), []) for d in values)
+            return values
+        j, (key, values) = next((j, occ) for j, occ in enumerate(occs) if len(occ[1]) > 1)
+        self._occs.update((prefix + (d,), [*occs[:j], (key, (d,))]) for d in values)
+        return values
+
+    def _span(self, prefix: tuple[int, ...]) -> float:
+        """The positions of the run that fixes prefix, its instances
+        evaluated once more for each occurrence that takes a digit.  Past
+        the sweep size, or past a ``_DENSITY``-th of it with fewer than one
+        in ``_DENSITY`` positions valid, the run does not fit, and its
+        occurrence digits so far pass to its children."""
+        occs = self._occs[prefix]
+        negs = self.model.structure.negs
+        options = {**self.options, **{key: (self.options[key][d],) for key, d in zip(self.keys, prefix)}}
+        while True:
+            index = AssignmentIndex(options, self.ctx.planes, (), negs, occs, discover=True)
+            if index.size > _SWEEP_SIZE:
+                break
+            values, orders = [], []
+            try:
+                for inst in self.instances:
+                    met = len(index.met)
+                    values.append(_eval(*inst[:4], self.model, index, self.ctx))
+                    orders += [inst[4]] * (len(index.met) - met)
+            except _Expand as grow:
+                occ, valid = grow.args
+                occs = [*index.met, occ]
+                if valid > self.cap and len(prefix) >= len(self.keys):
+                    self._past.add(prefix)  # one combination, past the cap already
+                    return 0
+                grown = index.size * len(occ[1])
+                if grown * _DENSITY > _SWEEP_SIZE and valid * _DENSITY < grown:
+                    break
+                continue
+            index.orders = tuple(orders)
+            self._fits[prefix] = index, values
+            return index.size
+        self._occs[prefix] = occs
+        return math.inf
+
+
+def _groups(
     instances: Sequence[_Instance],
     options: Mapping[AtomKey, tuple[int, ...]],
     model: SetModel,
     ctx: EvalContext,
     cap: int,
-) -> list[tuple[tuple, tuple]]:
-    """Every assignment of instances that read only the atoms of options,
-    with each instance's value under it, in enumeration order: the atom
-    choices as a product over the sorted keys, the first most significant;
-    under each, one evaluation per instance under ``_Alternatives`` lists
-    its occurrence choices, and their product runs the first instance most
-    significant.  A row is (atom choices, picks), with one pick per
-    instance: the number of its alternative and the alternative,
-    (occurrence choices, value).  The cap trips where one atom
-    combination's product passes it, as a quantifier's product over its
-    instances does, and where the count of rows would, before any row is
-    built."""
-    keys = sorted(options)
-    combos = []
-    total = 0
-    for combo in itertools.product(*(options[key] for key in keys)):
-        atoms = tuple(zip(keys, combo))
-        alternatives = _Alternatives(atoms, model, cap)
-        lists = []
-        count = 1
-        for inst in instances:
-            lists.append(list(enumerate(_pairs(_eval(*inst[:4], model, alternatives, ctx)))))
-            count *= len(lists[-1])
-            if count > cap:
-                raise _cap_exceeded("occurrence choices", cap, cap + 1)
-        total += count
-        if total > cap:
-            raise _cap_exceeded("assignments", cap, cap + 1)
-        combos.append((atoms, lists))
-    return [(atoms, picks) for atoms, lists in combos for picks in itertools.product(*lists)]
+) -> list[_Group]:
+    """The instances joined where they read a common negated atom (each
+    probed once), the groups in the order of their first instances."""
+    if len(instances) == 1:
+        return [_Group(instances, options, model, ctx, cap)]
+    members: dict[int, list[_Instance]] = {}
+    keys: dict[int, set[AtomKey]] = {}
+    owner: dict[AtomKey, int] = {}
+    for g, inst in enumerate(instances):
+        probe = _Probe(model, ctx, math.inf)
+        _eval(*inst[:4], model, probe, ctx)
+        members[g], keys[g] = [inst], set(probe.options)
+        for other in {owner[key] for key in keys[g] if key in owner}:
+            members[g] += members.pop(other)
+            keys[g] |= keys.pop(other)
+        owner.update(dict.fromkeys(keys[g], g))
+    return [
+        _Group(
+            sorted(members[g], key=lambda inst: inst[4]),
+            {key: options[key] for key in keys[g] if key in options},
+            model,
+            ctx,
+            cap,
+        )
+        for g in sorted(members, key=lambda g: min(inst[4] for inst in members[g]))
+    ]
 
 
-class _Rows:
-    """The positions of ``_comega_rows``: decoded to assignments, and to
-    digits (each atom's option number, then each instance's alternative)."""
+class _Product:
+    """The assignments of groups that read no negated atom in common: one
+    digit per group over the group's assignments, the first group most
+    significant.  Position 0 is the first assignment in enumeration order,
+    and with one group every position is in enumeration order (``keys``,
+    ``orders`` and ``digits`` read the first group).  ``values`` holds each
+    instance's vector by its rank."""
 
-    def __init__(self, options: Mapping[AtomKey, tuple[int, ...]], rows: list, orders: tuple):
-        self.keys = sorted(options)
-        self.orders = orders
-        self.rows = rows
-        self._number = [{c: j for j, c in enumerate(options[key])} for key in self.keys]
+    def __init__(self, groups: Sequence[_Group], planes: Planes):
+        # per group: its runs with the positions of their assignments, and
+        # the (run, position) of each assignment
+        swept = [[(index, values, _bits(index.valid)) for index, values in group.runs] for group in groups]
+        self._picks = [[(index, j) for index, _, js in runs for j in js] for runs in swept]
+        radices = [len(picks) for picks in self._picks]
+        self.size = math.prod(radices)
+        self._strides = [math.prod(radices[g + 1 :]) for g in range(len(groups))]
+        first = groups[0].runs[0][0]
+        self.keys, self.orders = first.keys, first.orders
+        full = (1 << self.size) - 1
+        self.values: dict[tuple, Vector] = {}
+        for group, runs, radix, stride in zip(groups, swept, radices, self._strides):
+            for k, inst in enumerate(group.instances):
+                # each plane's bits at the group's assignments, each repeated
+                # stride times, the whole repeated up to the size
+                vector = tuple(
+                    int(("".join(bit * stride for bit in bits) * (self.size // (radix * stride)))[::-1], 2)
+                    for bits in _column(planes, runs, k)
+                )
+                self.values[inst[4]] = planes.decode(vector, 0) if all(v in (0, full) for v in vector) else vector
+
+    def _at(self, i: int) -> list[tuple[AssignmentIndex, int]]:
+        return [picks[i // stride % len(picks)] for picks, stride in zip(self._picks, self._strides)]
 
     def decode(self, i: int) -> Assignment:
-        return _comega_assignment(self.rows[i])
+        atoms: list = []
+        occs: list = []
+        for index, j in self._at(i):
+            asg = index.decode(j)
+            atoms += asg.atoms
+            occs += asg.occs
+        return Assignment(atoms=tuple(sorted(atoms)), occs=tuple(sorted(occs)))
 
     def digits(self, i: int) -> tuple[int, ...]:
-        atoms, picks = self.rows[i]
-        return tuple(number[c] for number, (_, c) in zip(self._number, atoms)) + tuple(j for j, _ in picks)
+        index, j = self._at(i)[0]
+        return index.digits(j)
 
 
-def _comega_assignment(row: tuple[tuple, tuple]) -> Assignment:
-    atoms, picks = row
-    return Assignment(atoms=atoms, occs=tuple(sorted(occ for _, (occs, _) in picks for occ in occs)))
+def _column(planes: Planes, runs: Sequence[tuple[AssignmentIndex, list[Vector], list[int]]], k: int) -> list[str]:
+    """Per plane, the bits of the k-th instance's values at the given
+    positions of each run, in order, as text."""
+    out: list[list[str]] = [[] for _ in range(planes.width)]
+    for index, values, positions in runs:
+        if positions:
+            take = operator.itemgetter(*(index.size - 1 - j for j in positions))
+            value = values[k]
+            for text, plane in zip(out, planes.const[value] if value.__class__ is int else value):
+                text.append("".join(take(format(plane & (1 << index.size) - 1, f"0{index.size}b"))))
+    return ["".join(text) for text in out]
 
 
-def enumerate_assignments(
-    phi: Formula,
-    model: SetModel,
-    ctx: EvalContext | None = None,
-    cap: int = ASSIGNMENT_CAP,
-) -> list[Assignment]:
-    """All admissible negation assignments for a closed formula, in a
-    deterministic order.  The same ground atom receives one value across
-    the whole formula; comega compound occurrences are enumerated
-    per-occurrence with the double-negation bound enforced."""
-    ctx = ctx or EvalContext(model)
-    if ctx.choice_free(phi, model.mode):
-        return [EMPTY_ASSIGNMENT]
-    options = _atom_options(phi, model, ctx, cap)
-    if model.mode == "comega" and not ctx.compound_free(phi):
-        return [_comega_assignment(row) for row in _comega_rows([(phi, {}, (), (), ())], options, model, ctx, cap)]
-    option_lists = [[(key, c) for c in options[key]] for key in sorted(options)]
-    return [Assignment(atoms=combo) for combo in itertools.product(*option_lists)]
+def _combination_counts(
+    groups: Sequence[_Group], options: Mapping[AtomKey, tuple[int, ...]], cap: int
+) -> Iterator[int]:
+    """The assignments at each atom combination, in order: the product of
+    each group's count at its share of the combination, cut short once it
+    passes cap."""
+    keys = sorted(options)
+    for combo in itertools.product(*(range(len(options[key])) for key in keys)):
+        number = dict(zip(keys, combo))
+        count = 1
+        for group in groups:
+            j = 0
+            for key, radix in zip(group.keys, group.radices):
+                j = j * radix + number[key]
+            count *= group.counts[j]
+            if count > cap:
+                break
+        yield count
 
 
 # --- verdicts -----------------------------------------------------------------------
@@ -1034,19 +1213,19 @@ QUANTIFICATIONS = ("all_assignments", "some_assignment")
 
 class Sweep:
     """A value under every negation assignment: one vector over the
-    assignments' positions in enumeration order.  ``code`` decodes a
-    position to its assignment (``decode``); for a component of the
-    instance decomposition it also gives the position's digits
-    (``digits``), the atom keys of its first digits (``keys``, sorted) and
-    the evaluation rank of each instance whose occurrence alternative the
-    remaining digits count (``orders``)."""
+    assignments' positions.  ``code`` decodes a position to its assignment
+    (``decode``); for a component of the instance decomposition, whose
+    positions are in enumeration order, it also gives the position's
+    choices (``digits``), the atom keys of its first digits
+    (``keys``, sorted) and, for each remaining digit, the evaluation rank of
+    the instance whose occurrence it chooses (``orders``)."""
 
-    def __init__(self, value: Vector, size: int, code, planes: Planes):
+    def __init__(self, value: Vector, code, planes: Planes):
         self.value = value
-        self.size = size
+        self.size = code.size
         self.code = code
         self.decode = code.decode
-        self.mask = (1 << size) - 1
+        self.mask = (1 << self.size) - 1
         self.lo = planes.meet_over(value, self.mask)
         self.hi = planes.join_over(value, self.mask)
         self.failing = planes.exceeds(planes.top, value) & self.mask  # value not top
@@ -1080,23 +1259,32 @@ def _instance_values(
     model: SetModel,
     ctx: EvalContext,
     cap: int,
-) -> tuple[list[Vector], AssignmentIndex | _Rows, int]:
+) -> tuple[list[Vector], AssignmentIndex | _Product]:
     """Each instance's value under every assignment of instances that read
     only the negated atoms of options: one vector per instance over the
-    assignments' positions in enumeration order, the positions' code and
-    their number.  When every choice sits at a ground atom (outside comega
-    mode always, in comega mode when no negation has a compound body), each
-    instance is evaluated once, under the ``AssignmentIndex``.  A comega
-    negated compound has options that depend on its body's value, so its
-    assignments do not form a product; they are listed with the instances'
-    values by ``_comega_rows``."""
+    assignments' positions, and the positions' code.  When every choice
+    sits at a ground atom (outside comega mode always, in comega mode when
+    no negation has a compound body), each instance is evaluated once,
+    under the ``AssignmentIndex``.  A comega negated compound has options
+    that depend on its body's value: the instances are swept in groups that
+    share no negated atom (``_Group``), and the groups' assignments are
+    combined (``_Product``).  The cap trips as a listing of the assignments
+    would trip it, before the positions past it are built: on one atom
+    combination's occurrence choices, or on the running count of
+    assignments."""
     planes = ctx.planes
-    if model.mode == "comega" and not all(ctx.compound_free(inst[0]) for inst in instances):
-        rows = _comega_rows(instances, options, model, ctx, cap)
-        values = [planes.from_column([picks[k][1][1] for _, picks in rows]) for k in range(len(instances))]
-        return values, _Rows(options, rows, tuple(inst[4] for inst in instances)), len(rows)
-    index = AssignmentIndex(options, planes)
-    return [_eval(*inst[:4], model, index, ctx) for inst in instances], index, index.size
+    if model.mode != "comega" or all(ctx.compound_free(inst[0]) for inst in instances):
+        index = AssignmentIndex(options, planes)
+        return [_eval(*inst[:4], model, index, ctx) for inst in instances], index
+    groups = _groups(instances, options, model, ctx, cap)
+    # no combination passes the cap while the groups' assignments stay within it
+    total = 1
+    for group in groups:
+        total *= sum(group.counts)
+        if total > cap:
+            raise _first_trip(_combination_counts(groups, options, cap), cap)
+    code = _Product(groups, planes)
+    return [code.values[inst[4]] for inst in instances], code
 
 
 def _component(
@@ -1109,9 +1297,9 @@ def _component(
 ) -> Sweep:
     """The meet (or join) of instances that read only the negated atoms of
     options, under every assignment of them."""
-    values, code, size = _instance_values(instances, options, model, ctx, cap)
+    values, code = _instance_values(instances, options, model, ctx, cap)
     planes = ctx.planes
-    return Sweep(functools.reduce(planes.meet if meet else planes.join, values), size, code, planes)
+    return Sweep(functools.reduce(planes.meet if meet else planes.join, values), code, planes)
 
 
 def sweep_assignments(
@@ -1123,6 +1311,21 @@ def sweep_assignments(
     """The value of a closed formula under every negation assignment, as
     one vector: phi taken as a single instance (``check_valid`` splits it)."""
     return _component([(phi, {}, (), (), ())], _atom_options(phi, model, ctx, cap), True, model, ctx, cap)
+
+
+def enumerate_assignments(
+    phi: Formula,
+    model: SetModel,
+    ctx: EvalContext | None = None,
+    cap: int = ASSIGNMENT_CAP,
+) -> list[Assignment]:
+    """All admissible negation assignments for a closed formula, in
+    enumeration order: the positions of its sweep.  The same ground atom
+    receives one value across the whole formula; comega compound
+    occurrences are enumerated per-occurrence with the double-negation
+    bound enforced."""
+    sweep = sweep_assignments(phi, model, ctx or EvalContext(model), cap)
+    return [sweep.decode(i) for i in range(sweep.size)]
 
 
 def check_valid(

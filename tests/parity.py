@@ -38,8 +38,8 @@ WORKLOADS = ("rank3-dense", "witness-negation", "search-audit")
 JOBS = 2
 
 # argvs the benchmark never draws, {models} standing for its model directory:
-# comega negated compounds in separation and collection (several answer,
-# several trip ASSIGNMENT_CAP), comega sequent walks over several parts,
+# comega negated compounds in separation, collection and leibniz (several
+# answer, several trip ASSIGNMENT_CAP), comega sequent walks over several parts,
 # comega searches and the qcw audit whose negated compounds take occurrence
 # digits in the propositional walk, and usage errors and --help, each
 # followed by an ordinary check, so that a parser that serves every call is
@@ -55,6 +55,8 @@ _CHECKS = [
     ),
     _SEPARATION % ("chain3", 2, "~~(x eq x)") + " --u 2",
     _SEPARATION % ("chain3", 3, "~(x eq x & x eq x)"),
+    _SEPARATION % ("chain3", 3, "~~(x in x)"),
+    _SEPARATION % ("chain3", 3, "~(x in x & x eq x)") + " --quant some",
     _SEPARATION % ("chain3", 3, "~(x eq x)") + " --u 3",
     *(
         _COLLECTION % (stem, 2, f) + quant
@@ -63,6 +65,8 @@ _CHECKS = [
         for quant in ("", " --quant some")
     ),
     _COLLECTION % ("chain3", 2, "~(x in y & y eq x)") + " --u 3",
+    _COLLECTION % ("chain4", 2, "~~(x in y)"),
+    *(f'leibniz --model {{models}}/{stem}_comega.fst --rank 2 --formula "~~(x eq x)" --var x' for stem in ("chain3", "chain4")),
     'counter search --goal refute_sequent --premise "~(p & q)" --premise p --formula "~(p & q) & p" --logic comega',
     'counter search --goal refute_sequent --premise "~~p" --premise "~(p | q)" --formula "~(~p & q)" --logic comega',
     *(

@@ -12,7 +12,7 @@ bound.
 
 ``enumerated_verdicts``, ``enumerated_leibniz``, ``enumerated_induction``,
 ``enumerated_separation`` and ``enumerated_collection`` are the oracle for
-the assignment index and the comega alternatives: they list every
+the assignment index and its comega occurrence digits: they list every
 assignment with ``reference_assignments`` and evaluate the sentence (or
 the axiom's instances) under each one.  ``reference_assignments`` is the enumerator the
 evaluator replaced: it finds the negated atoms and the comega occurrences
@@ -28,8 +28,9 @@ instance over each one by the textbook n4 clauses (``eval_qn4``).
 product of non-empty subsets.
 
 ``table_walk`` is the oracle for the sweep of ``search._table_walk``: it
-builds a model, an ``EvalContext`` and an assignment list for every table
-of atom values and evaluates each part once per assignment.
+builds a model, an ``EvalContext`` and an assignment list
+(``reference_assignments``) for every table of atom values and evaluates
+each part once per assignment.
 ``walk_search`` and ``walk_audit`` run a search and the soundness audit
 through it; ``walk_audit`` runs the quantified instances through
 ``table_audit_quantified``, the per-predicate-table loop the quantified
@@ -119,7 +120,6 @@ from pst.valuation import (
     Verdict,
     _atom_key,
     _eval,
-    enumerate_assignments,
     eval_sentence,
     make_model,
 )
@@ -246,8 +246,10 @@ def reference_assignments(phi, model: SetModel, ctx: EvalContext, cap: int = ASS
 
 def _collect_atom_keys(node, env, model: SetModel, ctx: EvalContext, visit) -> None:
     """Call visit on the key of every negated ground atom, instance by
-    instance over the whole scope."""
+    instance over the whole scope.  Every atom on the way is read, so that
+    of two faults the walk meets the one evaluation meets first."""
     if isinstance(node, _ATOMIC):
+        ctx.atom_value(_atom_key(node, env))
         return
     if isinstance(node, (And, Or, Imp)):
         if iff_sides(node) is not None:
@@ -750,7 +752,7 @@ def table_walk(joint, parts, structures, cap: int = ASSIGNMENT_CAP):
             table = dict(zip(atoms, values))
             model = make_model(fs, NameStore(), 0, scope=(), prop_values=table)
             ctx = EvalContext(model)
-            for asg in enumerate_assignments(joint, model, ctx, cap):
+            for asg in reference_assignments(joint, model, ctx, cap):
                 yield fs, table, asg, [eval_sentence(f, model, asg, ctx, path) for f, path in parts]
 
 

@@ -1,9 +1,12 @@
+import contextlib
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pst import valuation as valuation_mod
 from pst.algebra import chain, enumerate_heyting
 from pst.axioms import (
     CHECKS,
@@ -282,31 +285,65 @@ _SEPARATION_FORMULAS = [
     "~(x in x & x eq x)",
     "~~(x eq x)",
     "~(x eq x & x eq x)",
+    "~~(x in x)",
 ]
 _COLLECTION_FORMULAS = ["~(x in y)", "~(x eq y) -> y in x", "~(x in y & y eq x)", "~~(x eq y)", "~(x eq x & y eq y)"]
+
+
+@contextlib.contextmanager
+def _sweep_size(size):
+    """Runs of at most size positions; yields the prefixes of the runs
+    that the comega groups sweep (a non-empty one fixes some digits)."""
+    plain = valuation_mod._runs
+    prefixes = []
+
+    def runs(digits, span):
+        for prefix in plain(digits, span):
+            prefixes.append(prefix)
+            yield prefix
+
+    with mock.patch.object(valuation_mod, "_SWEEP_SIZE", size), mock.patch.object(valuation_mod, "_runs", runs):
+        yield prefixes
 
 
 @pytest.mark.parametrize("rank", [1, 2])
 def test_separation_matches_the_per_assignment_loop(rank):
     """Every saturated structure and plain algebra of size <= 5: the whole
     report (value, validity, assignment count, witness id) under both
-    quantifications, or the same cap trip."""
-    outcomes = set()
-    for structure, text in itertools.product(_STRUCTURES_TO_5, _SEPARATION_FORMULAS):
-        outcomes.add(_separation(structure, rank, parse_formula(text)))
-    assert len(outcomes) > 5
-    if rank == 2:
-        assert "tripped" in outcomes
+    quantifications, or the same cap trip; at the default sweep size and
+    at one so small that the comega groups split into runs."""
+    for size in (valuation_mod._SWEEP_SIZE, 2):
+        outcomes = set()
+        with _sweep_size(size) as prefixes:
+            for structure, text in itertools.product(_STRUCTURES_TO_5, _SEPARATION_FORMULAS):
+                outcomes.add(_separation(structure, rank, parse_formula(text)))
+        assert len(outcomes) > 5
+        if rank == 2:
+            assert "tripped" in outcomes
+        assert any(prefixes) == (size == 2)
 
 
 @pytest.mark.parametrize("rank", [1, 2])
 def test_collection_matches_the_per_assignment_loop(rank):
-    outcomes = set()
-    for structure, text in itertools.product(_STRUCTURES_TO_5, _COLLECTION_FORMULAS):
-        outcomes.add(_collection(structure, rank, parse_formula(text)))
-    assert len(outcomes) > 3
-    if rank == 2:
-        assert "tripped" in outcomes
+    for size in (valuation_mod._SWEEP_SIZE, 2):
+        outcomes = set()
+        with _sweep_size(size) as prefixes:
+            for structure, text in itertools.product(_STRUCTURES_TO_5, _COLLECTION_FORMULAS):
+                outcomes.add(_collection(structure, rank, parse_formula(text)))
+        assert len(outcomes) > 3
+        if rank == 2:
+            assert "tripped" in outcomes
+        assert any(prefixes) == (size == 2)
+
+
+def test_separation_matches_at_rank_three():
+    """The 3-chain at rank 3 (256 names): a forced occurrence per name,
+    under both quantifications, and three choices per name, which trip the
+    cap on the occurrence choices."""
+    structure = saturate(chain(3), "comega")
+    outcomes = [_separation(structure, 3, parse_formula(text)) for text in ("~~(x in x)", "~(x in x & x eq x)")]
+    assert outcomes == [1, 1]
+    assert _separation(structure, 3, parse_formula("~(x eq x & x eq x)")) == "tripped"
 
 
 def test_one_target_matches():

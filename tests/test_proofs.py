@@ -6,6 +6,7 @@ from pst.algebra import enumerate_heyting
 from pst.errors import CapExceeded
 from pst.fidel import saturate
 from pst import proofs as proofs_mod
+from pst import valuation as valuation_mod
 from pst.proofs import (
     _QUANT_INSTANCES,
     SYSTEMS,
@@ -286,7 +287,7 @@ def _padded_builds(structures, cell_counts):
         n, longest = fs.algebra.size, max(map(len, fs.negs))
         for cells in cell_counts:
             inner = cells
-            while inner and n**inner * longest**cells > proofs_mod._SWEEP_SIZE:
+            while inner and n**inner * longest**cells > valuation_mod._SWEEP_SIZE:
                 inner -= 1
             total += n ** (cells - inner)
     return total
@@ -331,13 +332,16 @@ def test_quantified_audit_budget():
         evaluated.append(index.valid.bit_count())
         return eval_sentence(phi, model, index, ctx)
 
+    builds = dict.fromkeys((valuation_mod._SWEEP_SIZE, 256), 0)
     for budget in range(401):
         want = _trip(table_audit_quantified, inst, structures, budget)
         assert want[:2] == ("eval_cap", budget) and want[2] > budget
-        for sweep_size in (proofs_mod._SWEEP_SIZE, 256):
+        for sweep_size in builds:
             evaluated.clear()
-            with mock.patch.object(proofs_mod, "_SWEEP_SIZE", sweep_size), mock.patch.object(
+            with mock.patch.object(valuation_mod, "_SWEEP_SIZE", sweep_size), mock.patch.object(
                 proofs_mod, "eval_sentence", counting
-            ):
+            ), mock.patch.object(proofs_mod, "AssignmentIndex", wraps=proofs_mod.AssignmentIndex) as index:
                 assert _trip(_audit_quantified, inst, structures, budget) == want
             assert sum(evaluated) <= budget
+            builds[sweep_size] += index.call_count
+    assert builds[256] > builds[valuation_mod._SWEEP_SIZE]

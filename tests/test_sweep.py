@@ -3,6 +3,7 @@ replaced (``reference.table_walk``): the same positions, in the same order,
 with the same atom tables, assignments and part values; the same audit
 reports and search results; and the same cap trips."""
 
+import contextlib
 import itertools
 from unittest import mock
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pst import search as search_mod
+from pst import valuation as valuation_mod
 from pst.algebra import chain, enumerate_heyting
 from pst.errors import CapExceeded
 from pst.fidel import saturate
@@ -22,6 +24,23 @@ from pst.valuation import ASSIGNMENT_CAP, AssignmentIndex, EvalContext, eval_sen
 from reference import table_walk, walk_audit, walk_search
 
 _STRUCTURES_TO_4 = [saturate(alg, kind) for alg in enumerate_heyting(4) for kind in ("n4", "comega")]
+
+
+@contextlib.contextmanager
+def _sweep_size(size):
+    """Runs of at most size positions; yields the list of the indexes that
+    the walk builds for runs of several tables, each of which keeps to the
+    size (a table past it is swept on its own, by ``_swept_table``)."""
+    built = []
+
+    def build(*args):
+        built.append(AssignmentIndex(*args))
+        return built[-1]
+
+    with mock.patch.object(valuation_mod, "_SWEEP_SIZE", size), mock.patch.object(
+        search_mod, "AssignmentIndex", side_effect=build
+    ):
+        yield built
 
 
 def _positions(joint, parts, structures, cap):
@@ -179,32 +198,41 @@ def test_walk_matches_on_comega_compounds_over_every_family(conclusion, premises
     assert trip is None and positions
 
 
-@pytest.mark.parametrize("sweep_size", [search_mod._SWEEP_SIZE, 4])
+@pytest.mark.parametrize("sweep_size", [valuation_mod._SWEEP_SIZE, 4])
 def test_walk_cap_trips_on_comega_compounds(sweep_size):
     """Low caps trip on negated atoms, on one atom combination's occurrence
     choices, and on a table's running count of assignments, on the same
     table and with the same fields as the per-table walk, over the
-    saturated structures of size <= 4.  At sweep size 4 the tables are
-    listed one at a time where their occurrence digits alone pass it."""
+    saturated structures of size <= 4.  At sweep size 4 the walk splits
+    into runs of a table or less, and the tables whose choice digits alone
+    pass it are swept in runs of their own."""
     messages = set()
-    with mock.patch.object(search_mod, "_SWEEP_SIZE", sweep_size):
+    with _sweep_size(sweep_size) as built:
         for (conclusion, premises), cap in itertools.product(_COMPOUND_SEQUENTS, (1, 2, 3, 5)):
             joint, parts = _compound_sequent(conclusion, premises)
             _, trip = _assert_same_walk(joint, parts, _STRUCTURES_TO_4, cap)
             if trip is not None:
                 messages.add(trip[0].split(" ", 3)[3])
     assert messages == {"atom assignments", "occurrence choices", "assignments"}
+    assert len(built) > 1 and all(index.size <= sweep_size for index in built)
 
 
-def test_walk_lists_tables_past_the_sweep_size():
+def test_walk_sweeps_tables_past_the_sweep_size_in_runs():
     """A table whose padded occurrence digits alone pass the sweep size is
-    listed by ``_instance_values``; the rest of the walk still sweeps."""
+    swept in runs of its own (``_swept_table``, a ``valuation._Group``),
+    more than one for some table; the rest of the walk still sweeps several
+    tables at once."""
     joint, parts = _compound_sequent("~(p & ~q)", ("~~(p | q)", "~(~p & q) | ~p"))
-    with mock.patch.object(search_mod, "_SWEEP_SIZE", 64), mock.patch.object(
-        search_mod, "_instance_values", wraps=search_mod._instance_values
-    ) as listed, mock.patch.object(search_mod, "AssignmentIndex", wraps=search_mod.AssignmentIndex) as swept:
+    plain = search_mod._swept_table
+    tables = []
+
+    def swept(*args):
+        tables.append(list(plain(*args)))
+        yield from tables[-1]
+
+    with _sweep_size(64) as built, mock.patch.object(search_mod, "_swept_table", swept):
         _assert_same_walk(joint, parts, _STRUCTURES_TO_4)
-    assert listed.called and swept.called
+    assert built and any(len(runs) > 1 for runs in tables)
 
 
 def _formulas():
@@ -226,7 +254,7 @@ def _formulas():
     _formulas(),
     st.lists(_formulas(), max_size=2),
     st.sampled_from([ASSIGNMENT_CAP, 2, 6]),
-    st.sampled_from([search_mod._SWEEP_SIZE, 8]),
+    st.sampled_from([valuation_mod._SWEEP_SIZE, 8]),
 )
 @settings(max_examples=30, deadline=None, derandomize=True)
 def test_walk_matches_on_propositional_formulas(conclusion, premises, cap, sweep_size):
@@ -235,8 +263,9 @@ def test_walk_matches_on_propositional_formulas(conclusion, premises, cap, sweep
     small sweep size splits the tables into runs, and a small cap trips."""
     goal = SearchGoal("refute_sequent", formula=conclusion, premises=tuple(premises))
     joint, parts = _sequent(goal)
-    with mock.patch.object(search_mod, "_SWEEP_SIZE", sweep_size):
+    with _sweep_size(sweep_size) as built:
         _assert_same_walk(joint, parts, _STRUCTURES_TO_4, cap)
+    assert all(index.size <= sweep_size for index in built)
 
 
 def test_walk_in_runs_over_six_atoms():

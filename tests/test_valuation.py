@@ -19,7 +19,7 @@ from pst.algebra import chain, enumerate_heyting
 from pst.axioms import check_induction
 from pst.errors import CapExceeded, PstError
 from pst.fidel import saturate
-from pst.names import NameStore, enumerate_universe
+from pst.names import NameStore, UnknownChild, enumerate_universe
 from pst.syntax import (
     And,
     Bot,
@@ -773,6 +773,17 @@ def test_compound_negations_match_the_replaced_enumerator():
                 lambda: enumerate_assignments(phi, model, cap=cap),
             )
             _agrees_with_enumeration(phi, model, cap, raised=3000)
+
+
+def test_the_oracle_meets_faults_in_evaluation_order():
+    """A sentence with two faults: the name #9 is in no store at rank 1, and
+    n4 defines no negation over a quantifier.  Evaluation reads the atom
+    on the left first, and so does the oracle's walk for negated atoms."""
+    model = make_model(saturate(chain(3), "n4"), NameStore(), 1)
+    phi = parse_formula("#9 in #0 & ~(forall x . x eq x)")
+    with pytest.raises(UnknownChild):
+        check_valid(phi, model)
+    _agrees_with_enumeration(phi, model)
 
 
 def test_bounded_quantifiers_choose_only_the_atoms_they_read():
