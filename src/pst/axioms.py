@@ -35,8 +35,7 @@ from .valuation import (
     SetModel,
     Sweep,
     Vector,
-    _atom_options,
-    _instance_values,
+    _joined_values,
     hat_transfer,
     sweep_assignments,
 )
@@ -195,7 +194,7 @@ def check_separation(
     z in w <-> (z in u & phi(z)), per negation assignment.
 
     The assignments are those of forall var . phi, and phi at each name is
-    one vector over them (``_instance_values``).  ||z in w|| is read as
+    one vector over them (``_joined_values``).  ||z in w|| is read as
     the join over x in dom(u) of w(x) ^ ||x = z||, the definition of
     membership; the witness name is made for the first target under the
     first assignment only."""
@@ -207,10 +206,9 @@ def check_separation(
     targets = _targets(model, u)
     children = _children(model, targets)
     names = list(dict.fromkeys([*model.scope, *children]))
-    options = _atom_options(Forall(var, phi), model, ctx, cap)
     instances = [(phi, {var: x}, (x,), (0,), (i,)) for i, x in enumerate(names)]
-    values, code = _instance_values(instances, options, model, ctx, cap)
-    phi_at = dict(zip(names, values))
+    values, code = _joined_values(Forall(var, phi), instances, model, ctx, cap)
+    phi_at = {x: values[(i,)] for i, x in enumerate(names)}
     need = ctx.domain(model.scope).need
     # per child x, ||x = z|| for each z, by the position of z in the scope
     eq = {x: [p.decode(row, z) for z in model.scope] for x, row in ((x, ctx.kernel.eqrow(x, need)) for x in children)}
@@ -395,7 +393,7 @@ def check_collection(
 
     The assignments are those of forall var_x . forall var_y . phi, and
     phi at each pair of names is one vector over them
-    (``_instance_values``).  Since v holds every scope name at value top,
+    (``_joined_values``).  Since v holds every scope name at value top,
     the join over v equals the join over the scope term by term, so the
     value is top whenever the check finishes; both sides are computed all
     the same."""
@@ -409,10 +407,9 @@ def check_collection(
     targets = _targets(model, u)
     children = _children(model, targets)
     pairs = [(x, y) for x in dict.fromkeys([*model.scope, *children]) for y in model.scope]
-    options = _atom_options(Forall(var_x, Forall(var_y, phi)), model, ctx, cap)
     instances = [(phi, {var_x: x, var_y: y}, (x, y), (0, 0), (i,)) for i, (x, y) in enumerate(pairs)]
-    values, code = _instance_values(instances, options, model, ctx, cap)
-    phi_at = dict(zip(pairs, values))
+    values, code = _joined_values(Forall(var_x, Forall(var_y, phi)), instances, model, ctx, cap)
+    phi_at = {pair: values[(i,)] for i, pair in enumerate(pairs)}
     v_entries = store.get(v_name).entries
     ex_scope = {x: functools.reduce(p.join, (phi_at[x, y] for y in model.scope), p.bottom) for x in children}
     ex_v = {x: functools.reduce(p.join, (p.meet(vy, phi_at[x, y]) for y, vy in v_entries), p.bottom) for x in children}

@@ -45,8 +45,10 @@ from .valuation import (
     _eval,
     _Fold,
     _Instance,
+    _Join,
     _lowest,
     _Probe,
+    _probe,
 )
 
 
@@ -503,14 +505,10 @@ class _Split:
             return self._instances(node.left) + self._instances(node.right)
         return len(self.model.scope) * self._instances(node.body)
 
-    def _probe(self, inst: _Instance) -> dict[AtomKey, tuple[int, ...]]:
-        probe = _Probe(self.model, self.ctx, self.cap)
-        _eval(inst[0], inst[1], inst[2], inst[3], self.model, probe, self.ctx)
-        return probe.options
-
     def sweep(self, instances: Sequence[_Instance]) -> Sweep:
         """The sweep of a component: its instances probed, in order."""
-        options = {key: opts for inst in instances for key, opts in self._probe(inst).items()}
+        probes = [_probe(inst, self.model, self.ctx, self.cap) for inst in instances]
+        options = {key: opts for probe in probes for key, opts in probe.options.items()}
         return self._component(sorted(instances, key=lambda inst: inst[4]), options)
 
     def _component(self, instances: Sequence[_Instance], options: Mapping[AtomKey, tuple[int, ...]]) -> Sweep:
@@ -526,37 +524,7 @@ class _Split:
         evaluation order, so that an error is the one evaluation meets
         first."""
         model, ctx = self.model, self.ctx
-        # union-find over the scalar instances on shared keys, each root
-        # holding its component's number of atom assignments, so that the
-        # cap trips as soon as a component passes it
-        probed: list[tuple[_Instance, dict]] = []
-        parent: list[int] = []
-        total: list[int] = []
-        owner: dict[AtomKey, int] = {}
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        def add(inst: _Instance) -> None:
-            i = len(probed)
-            probed.append((inst, self._probe(inst)))
-            parent.append(i)
-            total.append(1)
-            for key, opts in probed[i][1].items():
-                j = owner.setdefault(key, i)
-                ri, rj = find(i), find(j)
-                if j == i:  # a key no other instance read
-                    total[ri] *= len(opts)
-                elif ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-                    total[min(ri, rj)] = total[ri] * total[rj]
-                    ri = min(ri, rj)
-                if total[ri] > self.cap:
-                    raise _cap_exceeded("atom assignments", self.cap, total[ri])
-
+        join = _Join(model, ctx, self.cap)
         consts = []
         grids = []
         for leaf in self._leaves(self.phi, {}, (), ()):
@@ -566,8 +534,7 @@ class _Split:
             elif ctx.choice_free(leaf[0], model.mode):
                 consts.append(_eval(leaf[0], leaf[1], leaf[2], leaf[3], model, EMPTY_ASSIGNMENT, ctx))
             else:
-                add(leaf)
-                self.count(len(probed[-1][1]) - 1)
+                self.count(len(join.add(leaf)) - 1)
         live = [grid for grid in grids if grid.live]
         for i, grid in enumerate(live):
             for other in live[i + 1 :]:
@@ -584,21 +551,14 @@ class _Split:
         # a key that a clean grid position reads sends that position to the
         # scalar instances too
         i = 0
-        while i < len(probed) or pending:
-            if i == len(probed):
-                add(pending.pop())
-            for key in probed[i][1]:
+        while i < len(join.probes) or pending:
+            if i == len(join.probes):
+                join.add(pending.pop())
+            for key in join.probes[i][1]:
                 for grid in live:
                     pending += map(grid.instance, grid.claim(key))
             i += 1
-        components: dict[int, list[int]] = {}
-        for i in range(len(probed)):
-            components.setdefault(find(i), []).append(i)
-        groups = []
-        for members in components.values():
-            instances = sorted((probed[i][0] for i in members), key=lambda inst: inst[4])
-            merged = {key: opts for i in members for key, opts in probed[i][1].items()}
-            groups.append(_Group(self._component(instances, merged)))
+        groups = [_Group(self._component(*group)) for group in join.groups()]
         for grid in live:
             groups += grid.classes()
         if consts:

@@ -43,7 +43,7 @@ from .syntax import (
     subformulas,
 )
 from .search import _table_walk
-from .valuation import AssignmentIndex, EvalContext, _runs, eval_sentence, make_model
+from .valuation import AssignmentIndex, EvalContext, _bits, _runs, eval_sentence, make_model
 
 
 class ProofError(PstError):
@@ -201,37 +201,24 @@ def match_schema(phi: Formula, schema: AxiomSchema | str) -> Mapping[str, object
         if not _unify(schema.template, phi, binds):
             raise NoMatch(f"{formula_to_text(phi)} does not instantiate {schema.sid}")
         return binds
-    if schema.sid == "A1":
-        if not (isinstance(phi, Imp) and isinstance(phi.right, Exists)):
-            raise NoMatch("A1 needs the shape phi(x/t) -> exists x phi")
-        x = phi.right.var
-        body = phi.right.body
+    if schema.sid in ("A1", "A2"):  # the quantifier on the right (A1) or on the left (A2)
+        a1 = schema.sid == "A1"
+        shape = "phi(x/t) -> exists x phi" if a1 else "forall x phi -> phi(x/t)"
+        if not (isinstance(phi, Imp) and isinstance(phi.right if a1 else phi.left, Exists if a1 else Forall)):
+            raise NoMatch(f"{schema.sid} needs the shape {shape}")
+        q, instance, side = (phi.right, phi.left, "left") if a1 else (phi.left, phi.right, "right")
+        x = q.var
+        body = q.body
         try:
-            t = _anti_unify(body, phi.left, x)
+            t = _anti_unify(body, instance, x)
         except _Conflict as exc:
-            raise NoMatch("left side is not a substitution instance") from exc
+            raise NoMatch(f"{side} side is not a substitution instance") from exc
         if t is None:
             t = Var(x)
         if not free_for(t, x, body):
             raise SideConditionViolated(f"term not free for {x!r}")
-        if substitute(body, x, t) != phi.left:
-            raise NoMatch("left side is not a substitution instance")
-        return {"phi": body, "x": x, "t": t}
-    if schema.sid == "A2":
-        if not (isinstance(phi, Imp) and isinstance(phi.left, Forall)):
-            raise NoMatch("A2 needs the shape forall x phi -> phi(x/t)")
-        x = phi.left.var
-        body = phi.left.body
-        try:
-            t = _anti_unify(body, phi.right, x)
-        except _Conflict as exc:
-            raise NoMatch("right side is not a substitution instance") from exc
-        if t is None:
-            t = Var(x)
-        if not free_for(t, x, body):
-            raise SideConditionViolated(f"term not free for {x!r}")
-        if substitute(body, x, t) != phi.right:
-            raise NoMatch("right side is not a substitution instance")
+        if substitute(body, x, t) != instance:
+            raise NoMatch(f"{side} side is not a substitution instance")
         return {"phi": body, "x": x, "t": t}
     raise NoMatch(f"unhandled schema {schema.sid}")
 
@@ -499,11 +486,7 @@ def _audit_propositional(
         count += valid.bit_count()
         # one at a time, the count would have stopped one past the budget
         _check_budget(min(count, budget + 1), budget)
-        failing = p.exceeds(p.top, value) & valid
-        while failing:
-            low = failing & -failing
-            failing ^= low
-            i = low.bit_length() - 1
+        for i in _bits(p.exceeds(p.top, value) & valid):
             table, asg = decode(i)
             failures.append(
                 AuditFailure(
@@ -633,12 +616,7 @@ def _quantified_runs(
         hits = []
         for f, inst in enumerate(grounded):
             value = eval_sentence(inst, model, index, ctx)
-            failing = p.exceeds(p.top, value) & valid
-            while failing:
-                low = failing & -failing
-                failing ^= low
-                i = low.bit_length() - 1
-                hits.append((i // per, f, i, p.decode(value, i)))
+            hits += ((i // per, f, i, p.decode(value, i)) for i in _bits(p.exceeds(p.top, value) & valid))
         for _, _, i, value in sorted(hits):
             ptab: dict[str, dict] = {}
             for (sym, args), v in zip(cells, outer + index.table(i)):

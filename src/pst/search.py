@@ -39,12 +39,12 @@ from .valuation import (
     EvalContext,
     OccKey,
     SetModel,
-    _atom_options,
     _blocks,
     _cap_exceeded,
-    _choice_keys,
     _first_trip,
     _Group,
+    _lowest,
+    _probe,
     _runs,
     enumerate_assignments,
     eval_sentence,
@@ -205,7 +205,8 @@ def _table_walk(
     for fs in structures:
         if fs.kind not in probed:
             first = _prop_model(fs, dict.fromkeys(atoms, 0))
-            probed[fs.kind] = _choice_keys(joint, first, EvalContext(first))
+            probe = _probe((joint, {}, (), (), ()), first, EvalContext(first))
+            probed[fs.kind] = list(probe.options), probe.occs
         yield from _index_walk(joint, parts, fs, atoms, *probed[fs.kind], cap)
 
 
@@ -318,7 +319,7 @@ def _swept_table(
     model = _prop_model(fs, table)
     ctx = EvalContext(model)
     instances = [(parts[k][0], {}, (), parts[k][1], (k,)) for k in order]
-    group = _Group(instances, _atom_options(joint, model, ctx, cap), model, ctx, cap)
+    group = _Group(instances, _probe((joint, {}, (), (), ()), model, ctx, cap).options, model, ctx, cap)
     trip = _first_trip(group.counts, cap)
     if trip is not None:
         raise trip
@@ -392,7 +393,7 @@ def _search_sequent(goal: SearchGoal) -> Finding | Exhausted:
         if not hits:
             evaluations += valid.bit_count()
             continue
-        i = (hits & -hits).bit_length() - 1
+        i = _lowest(hits)
         table, asg = decode(i)
         top = fs.algebra.top
         concl = p.decode(concl, i)

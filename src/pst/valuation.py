@@ -25,7 +25,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .algebra import FiniteHeytingAlgebra, check_refinable
+from .algebra import FiniteHeytingAlgebra, _lowest, check_refinable
 from .errors import CapExceeded, PstError
 from .fidel import FStructure, find_algebra_embedding
 from .kernel import EqMemKernel, Planes, Vector
@@ -927,34 +927,97 @@ class _Probe:
         return value
 
 
-def _atom_options(
-    phi: Formula,
-    model: SetModel,
-    ctx: EvalContext,
-    cap: int,
-) -> dict[AtomKey, tuple[int, ...]]:
-    """The admissible choices at every negated ground atom that evaluating
-    phi reads, from one evaluation under a ``_Probe``."""
-    if ctx.choice_free(phi, model.mode):
-        return {}
-    probe = _Probe(model, ctx, cap)
-    _eval(phi, {}, (), (), model, probe, ctx)
-    return probe.options
-
-
-def _choice_keys(phi: Formula, model: SetModel, ctx: EvalContext) -> tuple[list[AtomKey], list[OccKey]]:
-    """The negated ground atoms that evaluating phi reads, in reading order,
-    and its comega occurrences, in evaluation order, from one evaluation
-    under a ``_Probe`` without a cap."""
-    if ctx.choice_free(phi, model.mode):
-        return [], []
-    probe = _Probe(model, ctx, math.inf)
-    _eval(phi, {}, (), (), model, probe, ctx)
-    return list(probe.options), probe.occs
-
-
 # an instance: a node, its bindings, trail and path, and its rank in evaluation order
 _Instance = tuple[Formula, dict, tuple, tuple, tuple]
+
+
+def _probe(inst: _Instance, model: SetModel, ctx: EvalContext, cap: float = math.inf) -> _Probe:
+    """The negated ground atoms that evaluating an instance reads, with
+    their options, in reading order, and its comega occurrences, in
+    evaluation order: one evaluation under a ``_Probe``, none where the
+    instance has no negation choice."""
+    probe = _Probe(model, ctx, cap)
+    if not ctx.choice_free(inst[0], model.mode):
+        _eval(*inst[:4], model, probe, ctx)
+    return probe
+
+
+class _Join:
+    """Instances joined where they read a common negated atom: a
+    union-find over the instances, each probed once as it is added
+    (``probes``, its instance and options), each root holding its group's
+    number of atom assignments, so that the cap trips as soon as a group
+    passes it."""
+
+    def __init__(self, model: SetModel, ctx: EvalContext, cap: float):
+        self.model = model
+        self.ctx = ctx
+        self.cap = cap
+        self.probes: list[tuple[_Instance, dict[AtomKey, tuple[int, ...]]]] = []
+        self._parent: list[int] = []
+        self._total: list[int] = []
+        self._owner: dict[AtomKey, int] = {}
+
+    def _find(self, i: int) -> int:
+        parent = self._parent
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def add(self, inst: _Instance) -> dict[AtomKey, tuple[int, ...]]:
+        """Probe inst and join it to every group that reads one of its keys;
+        its options."""
+        i = len(self.probes)
+        options = _probe(inst, self.model, self.ctx, self.cap).options
+        self.probes.append((inst, options))
+        parent, total = self._parent, self._total
+        parent.append(i)
+        total.append(1)
+        for key, opts in options.items():
+            j = self._owner.setdefault(key, i)
+            ri, rj = self._find(i), self._find(j)
+            if j == i:  # a key no other instance read
+                total[ri] *= len(opts)
+            elif ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
+                total[min(ri, rj)] = total[ri] * total[rj]
+                ri = min(ri, rj)
+            if total[ri] > self.cap:
+                raise _cap_exceeded("atom assignments", self.cap, total[ri])
+        return options
+
+    def groups(self) -> list[tuple[list[_Instance], dict[AtomKey, tuple[int, ...]]]]:
+        """The groups in the order of their first instances added, each as
+        its instances in rank order and the options of the keys they read."""
+        members: dict[int, list[int]] = {}
+        for i in range(len(self.probes)):
+            members.setdefault(self._find(i), []).append(i)
+        return [
+            (
+                sorted((self.probes[i][0] for i in group), key=lambda inst: inst[4]),
+                {key: opts for i in group for key, opts in self.probes[i][1].items()},
+            )
+            for group in members.values()
+        ]
+
+
+def _joined_values(
+    sentence: Formula, instances: Sequence[_Instance], model: SetModel, ctx: EvalContext, cap: int
+) -> tuple[dict[tuple, Vector], AssignmentIndex | _Product]:
+    """``_instance_values`` of a sentence's instances, which read only its
+    negated atoms.  The sentence is probed once, the cap tripping on its
+    atom assignments.  Where a comega occurrence is chosen, the instances
+    are joined by a ``_Join`` into groups that share no negated atom; else
+    they are one group, swept by one index."""
+    options = _probe((sentence, {}, (), (), ()), model, ctx, cap).options
+    if model.mode != "comega" or ctx.compound_free(sentence):
+        return _instance_values([(instances, options)], model, ctx, cap)
+    join = _Join(model, ctx, math.inf)
+    for inst in instances:
+        join.add(inst)
+    groups = [(group, {key: options[key] for key in keys if key in options}) for group, keys in join.groups()]
+    return _instance_values(groups, model, ctx, cap)
 
 
 class _Group:
@@ -1062,40 +1125,6 @@ class _Group:
         return math.inf
 
 
-def _groups(
-    instances: Sequence[_Instance],
-    options: Mapping[AtomKey, tuple[int, ...]],
-    model: SetModel,
-    ctx: EvalContext,
-    cap: int,
-) -> list[_Group]:
-    """The instances joined where they read a common negated atom (each
-    probed once), the groups in the order of their first instances."""
-    if len(instances) == 1:
-        return [_Group(instances, options, model, ctx, cap)]
-    members: dict[int, list[_Instance]] = {}
-    keys: dict[int, set[AtomKey]] = {}
-    owner: dict[AtomKey, int] = {}
-    for g, inst in enumerate(instances):
-        probe = _Probe(model, ctx, math.inf)
-        _eval(*inst[:4], model, probe, ctx)
-        members[g], keys[g] = [inst], set(probe.options)
-        for other in {owner[key] for key in keys[g] if key in owner}:
-            members[g] += members.pop(other)
-            keys[g] |= keys.pop(other)
-        owner.update(dict.fromkeys(keys[g], g))
-    return [
-        _Group(
-            sorted(members[g], key=lambda inst: inst[4]),
-            {key: options[key] for key in keys[g] if key in options},
-            model,
-            ctx,
-            cap,
-        )
-        for g in sorted(members, key=lambda g: min(inst[4] for inst in members[g]))
-    ]
-
-
 class _Product:
     """The assignments of groups that read no negated atom in common: one
     digit per group over the group's assignments, the first group most
@@ -1156,14 +1185,13 @@ def _column(planes: Planes, runs: Sequence[tuple[AssignmentIndex, list[Vector], 
     return ["".join(text) for text in out]
 
 
-def _combination_counts(
-    groups: Sequence[_Group], options: Mapping[AtomKey, tuple[int, ...]], cap: int
-) -> Iterator[int]:
+def _combination_counts(groups: Sequence[_Group], cap: int) -> Iterator[int]:
     """The assignments at each atom combination, in order: the product of
     each group's count at its share of the combination, cut short once it
     passes cap."""
-    keys = sorted(options)
-    for combo in itertools.product(*(range(len(options[key])) for key in keys)):
+    radices = {key: radix for group in groups for key, radix in zip(group.keys, group.radices)}
+    keys = sorted(radices)
+    for combo in itertools.product(*(range(radices[key]) for key in keys)):
         number = dict(zip(keys, combo))
         count = 1
         for group in groups:
@@ -1249,42 +1277,39 @@ class Sweep:
         return {e for e in range(len(self._planes.bits)) if where(self.value, e) & self.mask}
 
 
-def _lowest(positions: int) -> int:
-    return (positions & -positions).bit_length() - 1
-
-
 def _instance_values(
-    instances: Sequence[_Instance],
-    options: Mapping[AtomKey, tuple[int, ...]],
+    groups: Sequence[tuple[Sequence[_Instance], Mapping[AtomKey, tuple[int, ...]]]],
     model: SetModel,
     ctx: EvalContext,
     cap: int,
-) -> tuple[list[Vector], AssignmentIndex | _Product]:
-    """Each instance's value under every assignment of instances that read
-    only the negated atoms of options: one vector per instance over the
-    assignments' positions, and the positions' code.  When every choice
-    sits at a ground atom (outside comega mode always, in comega mode when
-    no negation has a compound body), each instance is evaluated once,
-    under the ``AssignmentIndex``.  A comega negated compound has options
-    that depend on its body's value: the instances are swept in groups that
-    share no negated atom (``_Group``), and the groups' assignments are
+) -> tuple[dict[tuple, Vector], AssignmentIndex | _Product]:
+    """Each instance's value, by its rank, under every assignment of groups
+    of instances, each group (instances, options) reading only the negated
+    atoms of its options and no two groups a common one: one vector per
+    instance over the assignments' positions, and the positions' code.
+    When every choice sits at a ground atom (outside comega mode always,
+    in comega mode when no negation has a compound body), each instance is
+    evaluated once, under the ``AssignmentIndex`` of every group's options.  A comega
+    negated compound has options that depend on its body's value: each
+    group is swept on its own (``_Group``), and the groups' assignments are
     combined (``_Product``).  The cap trips as a listing of the assignments
     would trip it, before the positions past it are built: on one atom
     combination's occurrence choices, or on the running count of
     assignments."""
     planes = ctx.planes
+    instances = [inst for group, _ in groups for inst in group]
     if model.mode != "comega" or all(ctx.compound_free(inst[0]) for inst in instances):
-        index = AssignmentIndex(options, planes)
-        return [_eval(*inst[:4], model, index, ctx) for inst in instances], index
-    groups = _groups(instances, options, model, ctx, cap)
+        index = AssignmentIndex({key: opts for _, options in groups for key, opts in options.items()}, planes)
+        return {inst[4]: _eval(*inst[:4], model, index, ctx) for inst in instances}, index
+    swept = [_Group(group, options, model, ctx, cap) for group, options in groups]
     # no combination passes the cap while the groups' assignments stay within it
     total = 1
-    for group in groups:
+    for group in swept:
         total *= sum(group.counts)
         if total > cap:
-            raise _first_trip(_combination_counts(groups, options, cap), cap)
-    code = _Product(groups, planes)
-    return [code.values[inst[4]] for inst in instances], code
+            raise _first_trip(_combination_counts(swept, cap), cap)
+    code = _Product(swept, planes)
+    return code.values, code
 
 
 def _component(
@@ -1296,10 +1321,10 @@ def _component(
     cap: int,
 ) -> Sweep:
     """The meet (or join) of instances that read only the negated atoms of
-    options, under every assignment of them."""
-    values, code = _instance_values(instances, options, model, ctx, cap)
+    options, under every assignment of them, the instances one group."""
+    values, code = _instance_values([(instances, options)], model, ctx, cap)
     planes = ctx.planes
-    return Sweep(functools.reduce(planes.meet if meet else planes.join, values), code, planes)
+    return Sweep(functools.reduce(planes.meet if meet else planes.join, values.values()), code, planes)
 
 
 def sweep_assignments(
@@ -1310,7 +1335,8 @@ def sweep_assignments(
 ) -> Sweep:
     """The value of a closed formula under every negation assignment, as
     one vector: phi taken as a single instance (``check_valid`` splits it)."""
-    return _component([(phi, {}, (), (), ())], _atom_options(phi, model, ctx, cap), True, model, ctx, cap)
+    inst = (phi, {}, (), (), ())
+    return _component([inst], _probe(inst, model, ctx, cap).options, True, model, ctx, cap)
 
 
 def enumerate_assignments(

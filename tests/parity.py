@@ -39,7 +39,9 @@ JOBS = 2
 
 # argvs the benchmark never draws, {models} standing for its model directory:
 # comega negated compounds in separation, collection and leibniz (several
-# answer, several trip ASSIGNMENT_CAP), comega sequent walks over several parts,
+# answer, several trip ASSIGNMENT_CAP), comega checks whose instances join
+# in linked grids and in scalar components (one of them trips the cap in
+# the join), comega sequent walks over several parts,
 # comega searches and the qcw audit whose negated compounds take occurrence
 # digits in the propositional walk, and usage errors and --help, each
 # followed by an ordinary check, so that a parser that serves every call is
@@ -67,6 +69,16 @@ _CHECKS = [
     _COLLECTION % ("chain3", 2, "~(x in y & y eq x)") + " --u 3",
     _COLLECTION % ("chain4", 2, "~~(x in y)"),
     *(f'leibniz --model {{models}}/{stem}_comega.fst --rank 2 --formula "~~(x eq x)" --var x' for stem in ("chain3", "chain4")),
+    *(
+        f'eval --model {{models}}/{stem}_comega.fst --rank 2 --formula "{f}"{flag}{quant}'
+        for stem in ("chain3", "b4")
+        for f, flag in (
+            ("forall x . forall y . (~~(x eq y) -> x eq y)", ""),
+            ("forall x . forall y . (~~(x eq y) | (exists z . (z in y & ~(z eq x))))", " --bounded-opt"),
+            ("forall x . (~~(x eq #1) | ~~(#1 eq x))", ""),
+        )
+        for quant in ("", " --quant some")
+    ),
     'counter search --goal refute_sequent --premise "~(p & q)" --premise p --formula "~(p & q) & p" --logic comega',
     'counter search --goal refute_sequent --premise "~~p" --premise "~(p | q)" --formula "~(~p & q)" --logic comega',
     *(

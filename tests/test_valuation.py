@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import re
@@ -16,7 +17,7 @@ from reference import (
 )
 
 from pst.algebra import chain, enumerate_heyting
-from pst.axioms import check_induction
+from pst.axioms import check_induction, check_separation
 from pst.errors import CapExceeded, PstError
 from pst.fidel import saturate
 from pst.names import NameStore, UnknownChild, enumerate_universe
@@ -679,22 +680,64 @@ def test_component_cap_trips_as_its_instances_join(monkeypatch):
     ~(#0 eq #0), so the 256 instances at rank 3 form one component; with
     three choices at ~(#0 eq #0) and at each ~(x eq x), nine instances
     pass the cap (3 ** 10 > 50000), and no more are probed."""
-    import pst.decompose as decompose_mod
+    import pst.valuation as valuation_mod
 
     probed = 0
-    plain = decompose_mod._Split._probe
+    plain = valuation_mod._probe
 
-    def counting(self, inst):
+    def counting(*args):
         nonlocal probed
         probed += 1
-        return plain(self, inst)
+        return plain(*args)
 
-    monkeypatch.setattr(decompose_mod._Split, "_probe", counting)
+    monkeypatch.setattr(valuation_mod, "_probe", counting)
     model = make_model(saturate(chain(3), "comega"), NameStore(), 3)
     with pytest.raises(CapExceeded) as exc:
         check_valid(parse_formula("forall x . (~(#0 eq #0) | ~(x eq x))"), model)
     assert (exc.value.cap, exc.value.limit) == ("ASSIGNMENT_CAP", ASSIGNMENT_CAP)
     assert exc.value.predicted == 3**10 and probed == 9
+
+
+def test_each_instance_of_a_component_is_probed_once(monkeypatch):
+    """A linked comega grid sweeps each representative with its mirror, and
+    under bounded_opt the scalar instances join into one component; every
+    instance handed to a group sweep is probed once, by one ``_Probe``
+    evaluation at its node, trail and path.  Separation joins its
+    instances too: by ~~(x eq x) on the 4-chain, one group per name."""
+    import pst.decompose as decompose_mod
+    import pst.valuation as valuation_mod
+
+    probes = collections.Counter()
+    groups = []
+    plain_eval = valuation_mod._eval
+    plain_group = valuation_mod._Group.__init__
+
+    def counting(node, env, trail, path, model, asg, ctx):
+        if asg.__class__ is valuation_mod._Probe:
+            probes[id(node), trail, path] += 1
+        return plain_eval(node, env, trail, path, model, asg, ctx)
+
+    def recording(self, instances, *args):
+        groups.append(instances)
+        plain_group(self, instances, *args)
+
+    monkeypatch.setattr(valuation_mod, "_eval", counting)
+    monkeypatch.setattr(decompose_mod, "_eval", counting)
+    monkeypatch.setattr(valuation_mod._Group, "__init__", recording)
+    model = make_model(saturate(chain(3), "comega"), NameStore(), 2)
+    for flagged, text in (
+        (model, "forall x . forall y . (~~(x eq y) -> x eq y)"),
+        (model.with_flags(bounded_opt=True), "forall x . forall y . (~~(x eq y) | (exists z . (z in y & ~(z eq x))))"),
+    ):
+        probes.clear()
+        groups.clear()
+        check_valid(parse_formula(text), flagged)
+        assert max(map(len, groups)) > 1, text
+        assert {probes[id(inst[0]), inst[2], inst[3]] for group in groups for inst in group} == {1}, text
+    groups.clear()
+    chain4 = make_model(saturate(chain(4), "comega"), NameStore(), 2)
+    report = check_separation(chain4, parse_formula("~~(x eq x)"), "x")
+    assert len(groups) == 5 and report.n_assignments == 16807
 
 
 def test_grid_keys_keep_their_order_across_a_constant():
