@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import CapExceeded
-from .names import all_hf_sets, enumerate_universe, hat_embed
+from .names import all_hf_sets, hat_embed
 from .syntax import (
     And,
     Exists,
@@ -35,6 +35,7 @@ from .valuation import (
     SetModel,
     Sweep,
     Vector,
+    _Domain,
     _joined_values,
     hat_transfer,
     sweep_assignments,
@@ -167,13 +168,8 @@ def check_union(
         if len(witnesses) < 1:
             witnesses.append(("w", w))
         lhs = ctx.kernel.memcol(w, scope.need)  # y -> ||y in w||
-        rhs = ctx.vector(
-            Exists("t", And(Mem(Var("t"), NameConst(uu)), Mem(Var("y"), Var("t")))),
-            {},
-            "y",
-            scope,
-            model,
-        )
+        union = Exists("t", And(Mem(Var("t"), NameConst(uu)), Mem(Var("y"), Var("t"))))
+        rhs = ctx.vector(union, {}, "y", scope, model)
         value = alg.meet_(value, _scope_bicond(ctx, model, lhs, rhs))
     return _report(model, "union", value, value == alg.top, witnesses=witnesses)
 
@@ -262,50 +258,50 @@ def check_powerset(
     """dom(w) enumerates every function dom(u) -> A with
     w(f) = ||forall y in f (y in u)||; the candidate a(z) = ||z in u|| ^
     ||z in v||, itself one of those functions, realises the converse
-    inequality."""
+    inequality.
+
+    Both sides read u only through dom(u) and its column z -> ||z in u||
+    over the children of the scope: each distinct pair is verified once."""
     ctx = ctx or EvalContext(model)
     alg = model.algebra
     store = model.store
     scope = ctx.domain(model.scope)
+    children = _Domain(ctx._children(scope))
     # v -> ||forall y in v (y in u)||, folded over dom(v) for every v at once
     bounded = model.with_flags(bounded_opt=True)
     value = alg.top
     witnesses = []
-    funcs_by_dom: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
+    funcs_by_dom: dict[tuple[int, ...], list[int]] = {}
+    subsets: dict[tuple[int, ...], Vector] = {}
+    done = set()
     for uu in _targets(model, u):
         dom_u = tuple(c for c, _ in store.get(uu).entries)
         n_funcs = alg.size ** len(dom_u)
         if n_funcs > cap:
-            raise CapExceeded(
-                f"powerset would need {n_funcs} candidate functions",
-                cap="POWERSET_CAP",
-                limit=cap,
-                predicted=n_funcs,
-            )
+            msg = f"powerset would need {n_funcs} candidate functions"
+            raise CapExceeded(msg, cap="POWERSET_CAP", limit=cap, predicted=n_funcs)
+        column = tuple(plane & children.mask for plane in ctx.kernel.memcol(uu, children.need))
+        if (dom_u, column) in done:
+            continue
+        done.add((dom_u, column))
         funcs = funcs_by_dom.get(dom_u)
         if funcs is None:
-            funcs = [
-                (store.mk_name(list(zip(dom_u, vals))), vals)
-                for vals in itertools.product(range(alg.size), repeat=len(dom_u))
+            funcs = funcs_by_dom[dom_u] = [
+                store.mk_name(list(zip(dom_u, vals))) for vals in itertools.product(range(alg.size), repeat=len(dom_u))
             ]
-            funcs_by_dom[dom_u] = funcs
-        in_u = [ctx.eval_mem(z, uu) for z in dom_u]
-        w_entries = [
-            (f, alg.meet_all(alg.imp_(fv, m) for fv, m in zip(vals, in_u)))
-            for f, vals in funcs
-        ]
-        w = store.mk_name(w_entries)
+        # w(f) for every f, in the order of itertools.product
+        w_values = [alg.top]
+        for z in dom_u:
+            imps = [alg.imp_(a, ctx.eval_mem(z, uu)) for a in range(alg.size)]
+            w_values = [alg.meet_(acc, i) for acc in w_values for i in imps]
+        w = store.mk_name(zip(funcs, w_values))
         if not witnesses:
             witnesses.append(("w", w))
         lhs = ctx.kernel.memcol(w, scope.need)  # v -> ||v in w||
-        subset = ctx.vector(
-            Forall("y", Imp(Mem(Var("y"), Var("v")), Mem(Var("y"), NameConst(uu)))),
-            {},
-            "v",
-            scope,
-            bounded,
-        )
-        value = alg.meet_(value, _scope_bicond(ctx, model, lhs, subset))
+        if column not in subsets:
+            subset = Forall("y", Imp(Mem(Var("y"), Var("v")), Mem(Var("y"), NameConst(uu))))
+            subsets[column] = ctx.vector(subset, {}, "v", scope, bounded)
+        value = alg.meet_(value, _scope_bicond(ctx, model, lhs, subsets[column]))
     return _report(model, "powerset", value, value == alg.top, witnesses=witnesses)
 
 
@@ -453,16 +449,8 @@ def check_induction(
     while fresh_y in free_vars(phi):
         fresh_y += "_"
     phi_y = substitute(phi, var, Var(fresh_y))
-    schema = Imp(
-        Forall(
-            fresh_x,
-            Imp(
-                Forall(fresh_y, Imp(Mem(Var(fresh_y), Var(fresh_x)), phi_y)),
-                phi,
-            ),
-        ),
-        Forall(fresh_x, phi),
-    )
+    below = Forall(fresh_y, Imp(Mem(Var(fresh_y), Var(fresh_x)), phi_y))
+    schema = Imp(Forall(fresh_x, Imp(below, phi)), Forall(fresh_x, phi))
     sweep = sweep_assignments(schema, model, ctx, cap)
     return _quantified_report(model, "induction", sweep, quantification)
 
@@ -473,25 +461,21 @@ def check_induction(
 def check_comprehension_refuted(model: SetModel, ctx: EvalContext | None = None) -> AxiomReport:
     """||exists x forall y (y in x)|| is bottom when the member variable
     ranges one rank higher than the set variable; the stratified scope is
-    the finite surrogate for the class quantifier."""
+    the finite surrogate for the class quantifier.
+
+    With U_k the names of rank <= k, the value is the join over x in the
+    scope U_r of the meet over y in U_{r+1} of ||y in x||.  One such y,
+    F_{r+1} = {t: top | t in U_r}, bounds it: the join over x of
+    ||F_{r+1} in x||, read from that one name.  The bound is bottom, by
+    induction on k: ||F_2 in {}|| = bottom, and for z of rank < k,
+    ||F_{k+1} = z|| <= meet over t in U_k of ||t in z|| <= ||F_k in z||."""
     ctx = ctx or EvalContext(model)
     alg = model.algebra
-    y_scope = ctx.domain(enumerate_universe(model.store, alg, model.rank_bound + 1))
-    value = alg.bottom
-    for x in model.scope:
-        inner = ctx.planes.meet_over(ctx.kernel.memcol(x, y_scope.need), y_scope.mask)
-        value = alg.join_(value, inner)
-    notes = []
-    if alg.top == alg.bottom:
-        notes.append("degenerate one-element algebra: top equals bottom")
-    return _report(
-        model,
-        "comprehension-refuted",
-        value,
-        value == alg.bottom,
-        notes=tuple(notes)
-        + (f"member scope rank {model.rank_bound + 1} strictly above set scope",),
-    )
+    f = model.store.mk_name([(t, alg.top) for t in model.scope])
+    value = alg.join_all(ctx.eval_mem(f, x) for x in model.scope)
+    notes = ("degenerate one-element algebra: top equals bottom",) if alg.top == alg.bottom else ()
+    notes += (f"member scope rank {model.rank_bound + 1} strictly above set scope",)
+    return _report(model, "comprehension-refuted", value, value == alg.bottom, notes=notes)
 
 
 # --- infinity (reflection only) -------------------------------------------------------

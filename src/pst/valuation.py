@@ -23,7 +23,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
 from .algebra import FiniteHeytingAlgebra, _lowest, check_refinable
 from .errors import CapExceeded, PstError
@@ -906,24 +906,27 @@ class _Probe:
     evaluates (the scope, or a bounded quantifier's domain), and the keys of
     the comega occurrences in the order it reaches them.  Its values are
     never read, so every negation answers with its body's value.  The cap
-    trips as soon as the product of the option counts passes it."""
+    trips as soon as the product of the option counts passes it: of total
+    and the keys not in known, when a caller counts keys before it."""
 
-    def __init__(self, model: SetModel, ctx: EvalContext, cap: float):
+    def __init__(self, model: SetModel, ctx: EvalContext, cap: float, known: Container = (), total: int = 1):
         self.model = model
         self.ctx = ctx
         self.cap = cap
         self.ops = ctx.element_ops
         self.options: dict[AtomKey, tuple[int, ...]] = {}
         self.occs: list[OccKey] = []
-        self.total = 1
+        self.known = known
+        self.total = total
 
     def atom(self, key: AtomKey) -> int:
         value = self.ctx.atom_value(key)
         if key not in self.options:
             self.options[key] = self.model.neg_options(value)
-            self.total *= len(self.options[key])
-            if self.total > self.cap:
-                raise _cap_exceeded("atom assignments", self.cap, self.total)
+            if key not in self.known:
+                self.total *= len(self.options[key])
+                if self.total > self.cap:
+                    raise _cap_exceeded("atom assignments", self.cap, self.total)
         return value
 
 
@@ -931,12 +934,12 @@ class _Probe:
 _Instance = tuple[Formula, dict, tuple, tuple, tuple]
 
 
-def _probe(inst: _Instance, model: SetModel, ctx: EvalContext, cap: float = math.inf) -> _Probe:
+def _probe(inst: _Instance, model: SetModel, ctx: EvalContext, cap: float = math.inf, known: Container = (), total: int = 1) -> _Probe:
     """The negated ground atoms that evaluating an instance reads, with
     their options, in reading order, and its comega occurrences, in
     evaluation order: one evaluation under a ``_Probe``, none where the
     instance has no negation choice."""
-    probe = _Probe(model, ctx, cap)
+    probe = _Probe(model, ctx, cap, known, total)
     if not ctx.choice_free(inst[0], model.mode):
         _eval(*inst[:4], model, probe, ctx)
     return probe
@@ -947,12 +950,16 @@ class _Join:
     union-find over the instances, each probed once as it is added
     (``probes``, its instance and options), each root holding its group's
     number of atom assignments, so that the cap trips as soon as a group
-    passes it."""
+    passes it.  With ``whole``, the cap bounds the atom assignments of all
+    the instances instead, counted in reading order (``total``), so that
+    it trips where one probe of the sentence they instantiate would."""
 
-    def __init__(self, model: SetModel, ctx: EvalContext, cap: float):
+    def __init__(self, model: SetModel, ctx: EvalContext, cap: float, whole: bool = False):
         self.model = model
         self.ctx = ctx
         self.cap = cap
+        self.whole = whole
+        self.total = 1
         self.probes: list[tuple[_Instance, dict[AtomKey, tuple[int, ...]]]] = []
         self._parent: list[int] = []
         self._total: list[int] = []
@@ -969,7 +976,12 @@ class _Join:
         """Probe inst and join it to every group that reads one of its keys;
         its options."""
         i = len(self.probes)
-        options = _probe(inst, self.model, self.ctx, self.cap).options
+        if self.whole:
+            probe = _probe(inst, self.model, self.ctx, self.cap, self._owner, self.total)
+            self.total = probe.total
+        else:
+            probe = _probe(inst, self.model, self.ctx, self.cap)
+        options = probe.options
         self.probes.append((inst, options))
         parent, total = self._parent, self._total
         parent.append(i)
@@ -1005,19 +1017,19 @@ class _Join:
 def _joined_values(
     sentence: Formula, instances: Sequence[_Instance], model: SetModel, ctx: EvalContext, cap: int
 ) -> tuple[dict[tuple, Vector], AssignmentIndex | _Product]:
-    """``_instance_values`` of a sentence's instances, which read only its
-    negated atoms.  The sentence is probed once, the cap tripping on its
-    atom assignments.  Where a comega occurrence is chosen, the instances
-    are joined by a ``_Join`` into groups that share no negated atom; else
-    they are one group, swept by one index."""
-    options = _probe((sentence, {}, (), (), ()), model, ctx, cap).options
+    """``_instance_values`` of a sentence's instances, in its evaluation
+    order, which read only its negated atoms; the cap trips on their atom
+    assignments.  Where a comega occurrence is chosen, each instance is
+    probed once, and a ``_Join`` joins them into groups that share no
+    negated atom; else the sentence is probed once, and they are one
+    group, swept by one index."""
     if model.mode != "comega" or ctx.compound_free(sentence):
+        options = _probe((sentence, {}, (), (), ()), model, ctx, cap).options
         return _instance_values([(instances, options)], model, ctx, cap)
-    join = _Join(model, ctx, math.inf)
+    join = _Join(model, ctx, cap, whole=True)
     for inst in instances:
         join.add(inst)
-    groups = [(group, {key: options[key] for key in keys if key in options}) for group, keys in join.groups()]
-    return _instance_values(groups, model, ctx, cap)
+    return _instance_values(join.groups(), model, ctx, cap)
 
 
 class _Group:

@@ -43,9 +43,10 @@ JOBS = 2
 # in linked grids and in scalar components (one of them trips the cap in
 # the join), comega sequent walks over several parts,
 # comega searches and the qcw audit whose negated compounds take occurrence
-# digits in the propositional walk, and usage errors and --help, each
-# followed by an ordinary check, so that a parser that serves every call is
-# compared right after an error exit
+# digits in the propositional walk, comprehension at rank 3, powerset at
+# single rank-3 targets and over every B4 target, and usage errors and
+# --help, each followed by an ordinary check, so that a parser that serves
+# every call is compared right after an error exit
 _SEPARATION = 'axiom check --axiom separation --model {models}/%s_comega.fst --rank %d --formula "%s" --var x'
 _COLLECTION = 'axiom check --axiom collection --model {models}/%s_comega.fst --rank %d --formula "%s" --var x --var2 y'
 _CHECKS = [
@@ -99,6 +100,9 @@ _CHECKS = [
         )
     ),
     "prove audit --system qcw --max-algebra 6",
+    *(f"axiom check --axiom comprehension --model {{models}}/{stem}.alg --rank 3" for stem in ("chain2", "chain3")),
+    *(f"axiom check --axiom powerset --model {{models}}/chain3.alg --rank 3 --u {u}" for u in (0, 7, 100, 255)),
+    "axiom check --axiom powerset --model {models}/b4.alg --rank 2",
 ]
 _USAGE = [
     "algebra",

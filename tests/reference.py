@@ -19,6 +19,13 @@ evaluator replaced: it finds the negated atoms and the comega occurrences
 by walks of its own (``_collect_atom_keys``, ``_occ_space``) over the whole
 scope, so it serves as the oracle outside ``bounded_opt`` only.
 
+``enumerated_comprehension`` is the oracle for
+``axioms.check_comprehension_refuted``, which reads one member name: it
+takes the meet over the enumerated rank-(r + 1) universe.
+``pointwise_powerset`` is the oracle for ``axioms.check_powerset``, which
+verifies each distinct pair of domain and member column once: it verifies
+every target.
+
 ``theta_audit`` is the oracle for the quantified soundness audit: it
 enumerates every table of negated-predicate values and evaluates the
 instance over each one by the textbook n4 clauses (``eval_qn4``).
@@ -67,7 +74,7 @@ from pst.algebra import (
     validate_lattice,
 )
 from pst.fidel import FidelError, FStructure, saturate, validate_comega, validate_n4
-from pst.names import NameStore
+from pst.names import NameStore, enumerate_universe
 from pst.proofs import (
     _QUANT_INSTANCES,
     SCHEMAS,
@@ -105,7 +112,7 @@ from pst.syntax import (
     subformulas,
     substitute,
 )
-from pst.axioms import AxiomReport, _report
+from pst.axioms import POWERSET_CAP, AxiomReport, _report, _scope_bicond
 from pst.errors import CapExceeded
 from pst.valuation import (
     ASSIGNMENT_CAP,
@@ -475,6 +482,58 @@ def enumerated_collection(
         values.append(val)
     notes = ("scope-wide constant-top witness stands in for the class level",)
     return _enumerated_reports(model, "collection", values, [("v", v_name)], notes)
+
+
+def enumerated_comprehension(model: SetModel) -> AxiomReport:
+    """check_comprehension_refuted by its definition: the join over the
+    scope of the meet of ||y in x|| over every y of the enumerated
+    rank-(r + 1) universe."""
+    ctx = EvalContext(model)
+    alg = model.algebra
+    y_scope = ctx.domain(enumerate_universe(model.store, alg, model.rank_bound + 1))
+    value = alg.bottom
+    for x in model.scope:
+        value = alg.join_(value, ctx.planes.meet_over(ctx.kernel.memcol(x, y_scope.need), y_scope.mask))
+    notes = ("degenerate one-element algebra: top equals bottom",) if alg.top == alg.bottom else ()
+    notes += (f"member scope rank {model.rank_bound + 1} strictly above set scope",)
+    return _report(model, "comprehension-refuted", value, value == alg.bottom, notes=notes)
+
+
+def pointwise_powerset(model: SetModel, u=None, cap: int = POWERSET_CAP) -> AxiomReport:
+    """check_powerset one target at a time: the candidate functions'
+    values each a meet of its own, the witness name, its member column and
+    the subset vector built for every target."""
+    ctx = EvalContext(model)
+    alg = model.algebra
+    store = model.store
+    scope = ctx.domain(model.scope)
+    bounded = model.with_flags(bounded_opt=True)
+    value = alg.top
+    witnesses = []
+    funcs_by_dom = {}
+    for uu in model.scope if u is None else [u]:
+        dom_u = tuple(c for c, _ in store.get(uu).entries)
+        n_funcs = alg.size ** len(dom_u)
+        if n_funcs > cap:
+            raise CapExceeded(
+                f"powerset would need {n_funcs} candidate functions", cap="POWERSET_CAP", limit=cap, predicted=n_funcs
+            )
+        funcs = funcs_by_dom.get(dom_u)
+        if funcs is None:
+            funcs = funcs_by_dom[dom_u] = [
+                (store.mk_name(list(zip(dom_u, vals))), vals)
+                for vals in itertools.product(range(alg.size), repeat=len(dom_u))
+            ]
+        in_u = [ctx.eval_mem(z, uu) for z in dom_u]
+        w = store.mk_name([(f, alg.meet_all(alg.imp_(fv, m) for fv, m in zip(vals, in_u))) for f, vals in funcs])
+        if not witnesses:
+            witnesses.append(("w", w))
+        lhs = ctx.kernel.memcol(w, scope.need)
+        subset = ctx.vector(
+            Forall("y", Imp(Mem(Var("y"), Var("v")), Mem(Var("y"), NameConst(uu)))), {}, "v", scope, bounded
+        )
+        value = alg.meet_(value, _scope_bicond(ctx, model, lhs, subset))
+    return _report(model, "powerset", value, value == alg.top, witnesses=witnesses)
 
 
 # --- the instance decomposition, by brute force ----------------------------------------

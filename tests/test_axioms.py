@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import itertools
 from unittest import mock
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pst import valuation as valuation_mod
-from pst.algebra import chain, enumerate_heyting
+from pst.algebra import boolean_algebra, chain, enumerate_heyting
 from pst.axioms import (
     CHECKS,
     check_collection,
@@ -27,7 +28,7 @@ from pst.fidel import format_fstructure_text, saturate
 from pst.names import NameStore
 from pst.syntax import And, Eq, Forall, Imp, Mem, NameConst, Neg, Or, Var, free_vars, iff, parse_formula
 from pst.valuation import ASSIGNMENT_CAP, EvalContext, EvalError, eval_sentence, make_model
-from reference import enumerated_collection, enumerated_separation
+from reference import enumerated_collection, enumerated_comprehension, enumerated_separation, pointwise_powerset
 
 x, y, z = Var("x"), Var("y"), Var("z")
 
@@ -415,3 +416,76 @@ def test_assignment_cap_trips_in_separation_and_collection(tmp_path, capsys):
         assert str(exc.value) == f"more than {ASSIGNMENT_CAP} {what}"
         assert (exc.value.cap, exc.value.limit) == ("ASSIGNMENT_CAP", ASSIGNMENT_CAP)
         assert exc.value.predicted == (predicted or ASSIGNMENT_CAP + 1)
+
+
+# --- comprehension by one member name, powerset once per distinct column ------------
+
+_ORACLE_MODELS = [(alg, rank) for rank in (1, 2) for alg in enumerate_heyting(5)]
+_ORACLE_MODELS += [(saturate(alg, kind), 2) for alg in enumerate_heyting(4) for kind in ("comega", "n4")]
+
+
+@pytest.mark.parametrize(
+    "check, oracle", [(check_comprehension_refuted, enumerated_comprehension), (check_powerset, pointwise_powerset)]
+)
+def test_comprehension_and_powerset_match_the_replaced_loops(check, oracle):
+    """Every algebra of size <= 5 at ranks 1 and 2 and every saturated
+    structure of size <= 4 at rank 2: the whole report, witness id
+    included, each on a model of its own."""
+    for structure, rank in _ORACLE_MODELS:
+        assert check(make_model(structure, NameStore(), rank)) == oracle(make_model(structure, NameStore(), rank))
+
+
+@pytest.mark.parametrize("alg", [chain(2), chain(3)], ids=["chain2", "chain3"])
+def test_powerset_matches_the_pointwise_loop_at_rank_three(alg):
+    """Over every target, where targets share their domain and column, and
+    at each target alone."""
+    for u in [None, *make_model(alg, NameStore(), 3).scope]:
+        got, want = (check(make_model(alg, NameStore(), 3), u) for check in (check_powerset, pointwise_powerset))
+        assert got == want, u
+
+
+@pytest.mark.parametrize(
+    "alg", [chain(2), chain(3), boolean_algebra(2), chain(4)], ids=["chain2", "chain3", "b4", "chain4"]
+)
+def test_comprehension_bound_is_bottom_at_rank_three(alg):
+    """Where the rank-4 universe is out of reach, the one member name's
+    bound is still bottom, as the induction in the docstring says."""
+    model = make_model(alg, NameStore(), 3)
+    ctx = EvalContext(model)
+    f = model.store.mk_name([(t, alg.top) for t in model.scope])
+    assert [ctx.eval_mem(f, x) for x in model.scope] == [alg.bottom] * len(model.scope)
+    rep = check_comprehension_refuted(model, ctx)
+    assert (rep.value, rep.valid) == (alg.bottom, True)
+
+
+@pytest.mark.parametrize(
+    "axiom, text, variables",
+    [("separation", "~(x eq x) | ~~(x in x)", ("x",)), ("collection", "~(x eq y) | ~~(x in y)", ("x", "y"))],
+)
+def test_joined_instances_trip_the_cap_where_the_sentence_probe_does(axiom, text, variables):
+    """A comega compound next to a negated atom with three options at
+    most names, on the 3-chain at rank 3: the instances, probed one by
+    one, trip ASSIGNMENT_CAP at the key where one probe of the sentence
+    they instantiate trips it."""
+    model = make_model(saturate(chain(3), "comega"), NameStore(), 3)
+    phi = parse_formula(text)
+    sentence = functools.reduce(lambda body, var: Forall(var, body), reversed(variables), phi)
+    with pytest.raises(CapExceeded) as want:
+        valuation_mod._probe((sentence, {}, (), (), ()), model, EvalContext(model), ASSIGNMENT_CAP)
+    with pytest.raises(CapExceeded) as got:
+        CHECKS[axiom](model, phi, *variables)
+    fields = [(str(e.value), e.value.cap, e.value.limit, e.value.predicted) for e in (got, want)]
+    assert fields[0] == fields[1]
+
+
+def test_bounded_separation_reads_every_instance_key():
+    """Under --bounded-opt the sentence forall x . (x in t -> psi) reads
+    psi at the children of t only, yet every instance reads its own keys:
+    the report is the one without the flag."""
+    structure = saturate(chain(3), "comega")
+    for text in ("x in #3 -> ~~(x eq x)", "x in #1 -> ~~(x in #2)"):
+        plain, bounded = (
+            check_separation(make_model(structure, NameStore(), 2, bounded_opt=flag), parse_formula(text), "x")
+            for flag in (False, True)
+        )
+        assert plain == bounded

@@ -329,6 +329,13 @@ def test_axiom_check_separation(files, capsys):
     assert code == 0
 
 
+def test_axiom_check_comprehension_at_rank_three(files, capsys):
+    """Decided by one member name, with no rank-4 universe to build."""
+    argv = ["axiom", "check", "--axiom", "comprehension", "--model", files["chain3.alg"], "--rank", "3"]
+    code, out, err = run(capsys, "--format", "machine", *argv)
+    assert (code, out, err) == (0, "RESULT axiom=comprehension-refuted rank=3 quant=none value=0 valid=yes\n", "")
+
+
 def test_prove_check_good_and_bad(files, capsys):
     code, out, _ = run(capsys, "prove", "check", files["good.drv"])
     assert code == 0 and "RESULT ok=yes" in out

@@ -703,7 +703,9 @@ def test_each_instance_of_a_component_is_probed_once(monkeypatch):
     under bounded_opt the scalar instances join into one component; every
     instance handed to a group sweep is probed once, by one ``_Probe``
     evaluation at its node, trail and path.  Separation joins its
-    instances too: by ~~(x eq x) on the 4-chain, one group per name."""
+    instances too, with no probe of forall x . phi besides: by ~~(x in x)
+    on the 3-chain, each instance probed once; by ~~(x eq x) on the
+    4-chain, one group per name."""
     import pst.decompose as decompose_mod
     import pst.valuation as valuation_mod
 
@@ -734,6 +736,11 @@ def test_each_instance_of_a_component_is_probed_once(monkeypatch):
         check_valid(parse_formula(text), flagged)
         assert max(map(len, groups)) > 1, text
         assert {probes[id(inst[0]), inst[2], inst[3]] for group in groups for inst in group} == {1}, text
+    probes.clear()
+    groups.clear()
+    check_separation(model, parse_formula("~~(x in x)"), "x")
+    assert sum(map(len, groups)) == len(model.scope)
+    assert {probes[id(inst[0]), inst[2], inst[3]] for group in groups for inst in group} == {1}
     groups.clear()
     chain4 = make_model(saturate(chain(4), "comega"), NameStore(), 2)
     report = check_separation(chain4, parse_formula("~~(x eq x)"), "x")
