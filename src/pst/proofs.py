@@ -39,11 +39,12 @@ from .syntax import (
     free_vars,
     iff,
     map_terms,
+    prop_atoms,
     substitute,
     subformulas,
 )
-from .search import _table_walk
-from .valuation import AssignmentIndex, EvalContext, _bits, _runs, eval_sentence, make_model
+from .search import _prop_model, _table_walk
+from .valuation import AssignmentIndex, EvalContext, _bits, _probe, _runs, eval_sentence, make_model
 
 
 class ProofError(PstError):
@@ -443,16 +444,25 @@ def audit_soundness(
     algebras = list(enumerate_heyting(max_algebra))
     n4 = [saturate(alg, "n4") for alg in algebras]
     own = [saturate(alg, "comega") for alg in algebras] if system == "qcw" else n4
-    for sid in SYSTEMS[system]:
-        schema = SCHEMAS[sid]
-        if schema.template is not None:
-            for inst in _propositional_instances(sid):
-                n_inst += 1
-                n_eval += _audit_propositional(sid, inst, own, failures, eval_cap - n_eval)
-        else:
-            for inst in _QUANT_INSTANCES[sid]:
-                n_inst += 1
-                n_eval += _audit_quantified(sid, inst, n4, max_domain, failures, eval_cap - n_eval)
+    instances = [
+        (sid, inst)
+        for sid in SYSTEMS[system]
+        for inst in (_QUANT_INSTANCES[sid] if SCHEMAS[sid].template is None else _propositional_instances(sid))
+    ]
+    walks = _propositional_walks([(sid, inst) for sid, inst in instances if SCHEMAS[sid].template], own)
+    for sid, inst in instances:
+        n_inst += 1
+        if SCHEMAS[sid].template is None:
+            n_eval += _audit_quantified(sid, inst, n4, max_domain, failures, eval_cap - n_eval)
+            continue
+        budget = eval_cap - n_eval
+        count = 0
+        for valid, found in next(walks):
+            count += valid
+            # one at a time, the count would have stopped one past the budget
+            _check_budget(min(count, budget + 1), budget)
+            failures += found
+        n_eval += count
     return AuditReport(
         system=system,
         max_algebra=max_algebra,
@@ -470,35 +480,47 @@ def _check_budget(count: int, budget: int) -> None:
         )
 
 
-def _audit_propositional(
-    sid: str,
-    inst: Formula,
-    structures: list[FStructure],
-    failures: list[AuditFailure],
-    budget: int,
-) -> int:
-    """Evaluate inst at every table of atom values and every negation
-    assignment over each structure, counting one evaluation per assignment,
-    and list the ones below top in that order."""
-    count = 0
-    text = formula_to_text(inst)
-    for fs, p, (value,), valid, decode in _table_walk(inst, [(inst, ())], structures):
-        count += valid.bit_count()
-        # one at a time, the count would have stopped one past the budget
-        _check_budget(min(count, budget + 1), budget)
-        for i in _bits(p.exceeds(p.top, value) & valid):
-            table, asg = decode(i)
-            failures.append(
-                AuditFailure(
-                    schema=sid,
-                    instance=text,
-                    algebra_size=fs.algebra.size,
-                    domain_size=0,
-                    tables=f"atoms={table} negs={asg.fingerprint()}",
-                    value=p.decode(value, i),
-                )
-            )
-    return count
+def _propositional_walks(
+    props: list[tuple[str, Formula]], structures: list[FStructure]
+) -> Iterator[list[tuple[int, list[AuditFailure]]]]:
+    """For each (schema, instance) of props in order, its runs over the
+    structures: each run's number of assignments (one evaluation each) and
+    the ones below top, by position.
+
+    Instances with the same sorted atoms, the same negated atom keys and no
+    comega occurrence are walked as a group, each at its path in one joint
+    sentence (``_table_walk``): its index, positions and decoding are each
+    member's own.  A group is walked when its first member comes up.  An
+    instance with occurrence digits is walked alone, since
+    ``AssignmentIndex.choose`` narrows ``valid`` per occurrence."""
+    groups: dict[object, list[int]] = {}
+    for k, (_, inst) in enumerate(props):
+        atoms = sorted(prop_atoms(inst))
+        model = _prop_model(structures[0], dict.fromkeys(atoms, 0))
+        probe = _probe((inst, {}, (), (), ()), model, EvalContext(model))
+        # an instance with occurrence digits is a group of its own
+        groups.setdefault(k if probe.occs else (tuple(atoms), tuple(sorted(probe.options))), []).append(k)
+    group_of = {k: members for members in groups.values() for k in members}
+    walked: dict[int, list[tuple[int, list[AuditFailure]]]] = {}
+    for k in range(len(props)):
+        if k not in walked:
+            members = group_of[k]
+            insts = [props[m][1] for m in members]
+            joint, parts = insts[-1], [(insts[-1], ())]
+            for inst in reversed(insts[:-1]):
+                joint = And(inst, joint)
+                parts = [(inst, (0,))] + [(f, (1,) + path) for f, path in parts]
+            texts = [formula_to_text(inst) for inst in insts]
+            walked.update((m, []) for m in members)
+            for fs, p, vectors, valid, decode in _table_walk(joint, parts, structures):
+                for m, text, value in zip(members, texts, vectors):
+                    found = []
+                    for i in _bits(p.exceeds(p.top, value) & valid):
+                        table, asg = decode(i)
+                        tables = f"atoms={table} negs={asg.fingerprint()}"
+                        found.append(AuditFailure(props[m][0], text, fs.algebra.size, 0, tables, p.decode(value, i)))
+                    walked[m].append((valid.bit_count(), found))
+        yield walked.pop(k)
 
 
 def _collect_term_funcs(t: Term, funcs: dict[str, int]) -> None:

@@ -86,18 +86,39 @@ def test_audit_matches_the_per_table_walk(system):
         assert len(report.failures) == 1037
 
 
+def test_audit_walks_each_group_once():
+    """Instances with the same atoms and negated atom keys and no comega
+    occurrence share one walk, one index per (group, structure), and the
+    report is unchanged: qn4's 68 propositional instances fall into 10
+    groups, and qcw's 50 into 7 groups and 7 instances with occurrence
+    digits, each walked alone (one index per instance and structure before:
+    204 and 400)."""
+    for system, max_algebra, indexes in (("qn4", 3, 10 * 3), ("qcw", 5, 14 * 8)):
+        with _sweep_size(valuation_mod._SWEEP_SIZE) as built:
+            report = audit_soundness(system, max_domain=1, max_algebra=max_algebra)
+        assert len(built) == indexes
+        assert report == walk_audit(system, max_domain=1, max_algebra=max_algebra)
+
+
 def test_audit_eval_cap_trips_alike():
     """A lowered eval_cap trips where one evaluation at a time would, with
-    the same fields: inside the first instance, inside a later one, and
-    inside the quantified half."""
-    full = audit_soundness("qn3", max_domain=1, max_algebra=3).n_evaluations
-    for eval_cap in (0, 5, 200, 1000, full - 1):
-        trips = []
-        for audit in (audit_soundness, walk_audit):
-            with pytest.raises(CapExceeded) as exc:
-                audit("qn3", max_domain=1, max_algebra=3, eval_cap=eval_cap)
-            trips.append((str(exc.value), exc.value.cap, exc.value.limit, exc.value.predicted))
-        assert trips[0] == trips[1]
+    the same fields: inside the first instance, inside a later one, inside
+    a later member of a group walked when its first member came up (the
+    second N1 instance q -> p -> q, after p -> q -> p), and inside the
+    quantified half; under qcw, 1000 lands inside ~~(p & q) -> p & q, an
+    instance walked alone."""
+    for system, logic in (("qn3", "n4"), ("qcw", "comega")):
+        full = audit_soundness(system, max_domain=1, max_algebra=3).n_evaluations
+        structures = [saturate(alg, logic) for alg in enumerate_heyting(3)]
+        inst = parse_formula("p -> q -> p")
+        first = sum(1 for _ in table_walk(inst, [(inst, ())], structures))
+        for eval_cap in (0, 5, 200, 1000, first, first + 7, full - 1):
+            trips = []
+            for audit in (audit_soundness, walk_audit):
+                with pytest.raises(CapExceeded) as exc:
+                    audit(system, max_domain=1, max_algebra=3, eval_cap=eval_cap)
+                trips.append((str(exc.value), exc.value.cap, exc.value.limit, exc.value.predicted))
+            assert trips[0] == trips[1]
 
 
 _SEARCH_FORMULAS = {
