@@ -482,6 +482,9 @@ def main(argv: list[str] | None = None) -> int:
     except (PstError, SyntaxIssue, CliError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:  # exit 1 would read as "invalid"
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ from typing import Iterator, Mapping
 from .algebra import enumerate_heyting
 from .errors import CapExceeded, PstError
 from .fidel import FStructure, saturate
-from .names import NameStore
 from .syntax import (
     And,
     Derivation,
@@ -43,8 +42,8 @@ from .syntax import (
     substitute,
     subformulas,
 )
-from .search import _prop_model, _table_walk
-from .valuation import AssignmentIndex, EvalContext, _bits, _probe, _runs, eval_sentence, make_model
+from .search import _index_walk, _prop_model
+from .valuation import ASSIGNMENT_CAP, EvalContext, _bits, _probe
 
 
 class ProofError(PstError):
@@ -488,16 +487,19 @@ def _propositional_walks(
     the ones below top, by position.
 
     Instances with the same sorted atoms, the same negated atom keys and no
-    comega occurrence are walked as a group, each at its path in one joint
-    sentence (``_table_walk``): its index, positions and decoding are each
-    member's own.  A group is walked when its first member comes up.  An
-    instance with occurrence digits is walked alone, since
-    ``AssignmentIndex.choose`` narrows ``valid`` per occurrence."""
+    comega occurrence are walked as a group, the parts of one
+    ``search._index_walk`` per structure, with the first member's probe:
+    its index, positions and decoding are each member's own.  A group is
+    walked when its first member comes up.  An instance with occurrence
+    digits is walked alone, since ``AssignmentIndex.choose`` narrows
+    ``valid`` per occurrence."""
     groups: dict[object, list[int]] = {}
+    probes = []
     for k, (_, inst) in enumerate(props):
         atoms = sorted(prop_atoms(inst))
         model = _prop_model(structures[0], dict.fromkeys(atoms, 0))
         probe = _probe((inst, {}, (), (), ()), model, EvalContext(model))
+        probes.append(([("pred", a) for a in atoms], list(probe.options), probe.occs))
         # an instance with occurrence digits is a group of its own
         groups.setdefault(k if probe.occs else (tuple(atoms), tuple(sorted(probe.options))), []).append(k)
     group_of = {k: members for members in groups.values() for k in members}
@@ -505,21 +507,19 @@ def _propositional_walks(
     for k in range(len(props)):
         if k not in walked:
             members = group_of[k]
-            insts = [props[m][1] for m in members]
-            joint, parts = insts[-1], [(insts[-1], ())]
-            for inst in reversed(insts[:-1]):
-                joint = And(inst, joint)
-                parts = [(inst, (0,))] + [(f, (1,) + path) for f, path in parts]
-            texts = [formula_to_text(inst) for inst in insts]
+            # paths key comega occurrences only, and a group has none
+            parts = [(props[m][1], ()) for m in members]
+            texts = [formula_to_text(inst) for inst, _ in parts]
             walked.update((m, []) for m in members)
-            for fs, p, vectors, valid, decode in _table_walk(joint, parts, structures):
-                for m, text, value in zip(members, texts, vectors):
-                    found = []
-                    for i in _bits(p.exceeds(p.top, value) & valid):
-                        table, asg = decode(i)
-                        tables = f"atoms={table} negs={asg.fingerprint()}"
-                        found.append(AuditFailure(props[m][0], text, fs.algebra.size, 0, tables, p.decode(value, i)))
-                    walked[m].append((valid.bit_count(), found))
+            for fs in structures:
+                for _, p, vectors, valid, decode in _index_walk(parts, fs, *probes[k], ASSIGNMENT_CAP, ()):
+                    for m, text, value in zip(members, texts, vectors):
+                        found = []
+                        for i in _bits(p.exceeds(p.top, value) & valid):
+                            table, asg = decode(i)
+                            tables = f"atoms={table} negs={asg.fingerprint()}"
+                            found.append(AuditFailure(props[m][0], text, fs.algebra.size, 0, tables, p.decode(value, i)))
+                        walked[m].append((valid.bit_count(), found))
         yield walked.pop(k)
 
 
@@ -554,13 +554,15 @@ def _audit_quantified(
     per negation table and listing the ones below top by (predicate table,
     function table, negation table).
 
-    The domain is the quantifier scope.  The predicate cells are the value
-    digits of an ``AssignmentIndex``, in ``_all_tables`` order (first cell
-    most significant), and each cell's negation choices are a digit of it
-    too: one vector evaluation per function table covers every predicate
-    and negation table of a run, and the outer cell digits loop, as in
-    ``search._index_walk`` (``valuation._runs`` plans the runs).  Each
-    function table's instance is grounded once per domain size."""
+    The domain is the quantifier scope.  The predicate cells are the atoms
+    and the negated keys of ``search._index_walk``, in ``_all_tables``
+    order (first cell most significant), and each function table's
+    grounded instance is a part of it: one vector evaluation per function
+    table covers every predicate and negation table of a run.  Each
+    function table's instance is grounded once per domain size.  The
+    budget trips where one evaluation per (predicate table, function
+    table) would, before the structure and domain size that hold it are
+    walked."""
     text = formula_to_text(inst)
     preds: dict[str, int] = {}
     funcs: dict[str, int] = {}
@@ -572,87 +574,34 @@ def _audit_quantified(
     domains = []
     for dsize in range(1, max_domain + 1):
         domain = tuple(range(dsize))
-        cells = [
-            (sym, args)
-            for sym, arity in sorted(preds.items())
-            for args in itertools.product(domain, repeat=arity)
-        ]
-        grounded = [map_terms(inst, lambda t: _ground(t, ftab)) for ftab in _all_tables(funcs, domain, domain)]
-        domains.append((domain, cells, grounded))
+        cells = [(sym, args) for sym, arity in sorted(preds.items()) for args in itertools.product(domain, repeat=arity)]
+        keys = [("pred", sym, args) if args else ("pred", sym) for sym, args in cells]
+        grounded = [(map_terms(inst, lambda t: _ground(t, ftab)), ()) for ftab in _all_tables(funcs, domain, domain)]
+        domains.append((domain, cells, keys, grounded))
     count = 0
     for fs in structures:
-        for domain, cells, grounded in domains:
-            count = _quantified_runs(sid, text, fs, domain, cells, grounded, failures, budget, count)
-    return count
-
-
-def _quantified_runs(
-    sid: str,
-    text: str,
-    fs: FStructure,
-    domain: tuple[int, ...],
-    cells: list[tuple[str, tuple[int, ...]]],
-    grounded: list[Formula],
-    failures: list[AuditFailure],
-    budget: int,
-    count: int,
-) -> int:
-    """The audit of one structure and domain, run by run; count is the
-    evaluations so far, and the new count is returned.  The budget trips
-    where one evaluation per (predicate table, function table) would, before
-    the run that holds it is evaluated."""
-    alg = fs.algebra
-    n = alg.size
-    p = alg.planes
-    keys = [("pred", sym, args) if args else ("pred", sym) for sym, args in cells]
-    names = [(sym, args) if args else sym for sym, args in cells]  # prop_values keys
-    longest = max(len(negs) for negs in fs.negs)
-
-    def span(outer: tuple[int, ...]) -> int:
-        """The positions of a run that fixes the outer cells: an outer
-        cell's negation digit has its actual radix, an inner cell takes a
-        value digit and a negation digit padded to the longest N_v."""
-        return (n * longest) ** (len(cells) - len(outer)) * math.prod(len(fs.negs[v]) for v in outer)
-
-    for outer in _runs(lambda prefix: range(n) if len(prefix) < len(cells) else (), span):
-        n_outer = len(outer)
-        inner = len(cells) - n_outer
-        options = {key: fs.negs[v] for key, v in zip(keys, outer)}
-        options.update(dict.fromkeys(keys[n_outer:], ()))
-        index = AssignmentIndex(options, p, keys[n_outer:], fs.negs)
-        valid = index.valid
-        per = index.size // n**inner  # positions per predicate table
-        total = valid.bit_count() * len(grounded)
-        if count + total > budget:  # trip where one table at a time would
-            at = count
-            for t in range(n**inner):
-                size = (valid >> t * per & (1 << per) - 1).bit_count()
-                for _ in grounded:
-                    at += size
-                    _check_budget(at, budget)
-        count += total
-        values = dict(zip(names, outer))
-        values.update((name, index.value(key)) for name, key in zip(names[n_outer:], keys[n_outer:]))
-        model = make_model(fs, NameStore(), 0, scope=domain, prop_values=values)
-        ctx = EvalContext(model)
-        hits = []
-        for f, inst in enumerate(grounded):
-            value = eval_sentence(inst, model, index, ctx)
-            hits += ((i // per, f, i, p.decode(value, i)) for i in _bits(p.exceeds(p.top, value) & valid))
-        for _, _, i, value in sorted(hits):
-            ptab: dict[str, dict] = {}
-            for (sym, args), v in zip(cells, outer + index.table(i)):
-                ptab.setdefault(sym, {})[args] = v
-            failures.append(
-                AuditFailure(
-                    schema=sid,
-                    instance=text,
-                    algebra_size=n,
-                    domain_size=len(domain),
-                    tables=repr(ptab),
-                    value=value,
-                )
-            )
+        n = fs.algebra.size
+        for domain, cells, keys, grounded in domains:
+            total = sum(map(len, fs.negs)) ** len(cells) * len(grounded)
+            if count + total > budget:  # trip where one table at a time would
+                for table in itertools.product(range(n), repeat=len(cells)):
+                    size = math.prod(len(fs.negs[v]) for v in table)
+                    for _ in grounded:
+                        count += size
+                        _check_budget(count, budget)
+            count += total
+            hits = []
+            runs = _index_walk(grounded, fs, keys, keys, [], math.inf, domain)
+            for run, (_, p, vectors, valid, decode) in enumerate(runs):
+                for f, value in enumerate(vectors):
+                    # (run, i) orders the positions of a table swept in runs of its own
+                    for i in _bits(p.exceeds(p.top, value) & valid):
+                        hits.append((tuple(decode(i)[0].values()), f, run, i, p.decode(value, i)))
+            for table, *_, value in sorted(hits):
+                ptab: dict[str, dict] = {}
+                for (sym, args), v in zip(cells, table):
+                    ptab.setdefault(sym, {})[args] = v
+                failures.append(AuditFailure(sid, text, n, len(domain), repr(ptab), value))
     return count
 
 

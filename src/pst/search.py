@@ -175,13 +175,38 @@ def _algebras(budget: Budget) -> list[FiniteHeytingAlgebra]:
     return list(enumerate_heyting(budget.max_algebra))
 
 
-def _prop_model(fs: FStructure, values: Mapping[str, int]) -> SetModel:
-    return make_model(fs, NameStore(), 0, scope=(), prop_values=values)
+def _prop_model(fs: FStructure, values: Mapping[str | tuple, Vector], scope: Sequence[int] = ()) -> SetModel:
+    return make_model(fs, NameStore(), 0, scope=scope, prop_values=values)
+
+
+def _cell(key: AtomKey) -> str | tuple:
+    """The model's table entry of a predicate key: sym, or (sym, args)."""
+    return key[1] if len(key) == 2 else key[1:]
+
+
+def _value(fs: FStructure, key: AtomKey, table: Mapping[str | tuple, int]) -> int | None:
+    """The value of a negated key where table fixes it, else None; a key
+    that is no predicate is bot."""
+    return table.get(_cell(key)) if key[0] == "pred" else fs.algebra.bottom
+
+
+def _options(fs: FStructure, keys: list[AtomKey], table: Mapping[str | tuple, int], cap: float) -> dict[AtomKey, tuple[int, ...]]:
+    """The choices of each negated key at a table that fixes every atom.
+    The cap trips as a probe's does: on the option counts multiplied in
+    reading order."""
+    options: dict[AtomKey, tuple[int, ...]] = {}
+    total = 1
+    for key in keys:
+        options[key] = fs.negs[_value(fs, key, table)]
+        total *= len(options[key])
+        if total > cap:
+            raise _cap_exceeded("atom assignments", cap, total)
+    return options
 
 
 # (structure, planes, part values, valid positions, decode): decode(i) is the
 # atom table and the negation assignment at position i
-_Run = tuple[FStructure, Planes, list[Vector], int, Callable[[int], tuple[dict[str, int], Assignment]]]
+_Run = tuple[FStructure, Planes, list[Vector], int, Callable[[int], tuple[dict, Assignment]]]
 
 
 def _table_walk(
@@ -200,68 +225,67 @@ def _table_walk(
     not depend on the structure or the table: one probe per logic finds
     them.  The cap bounds each table's assignments: it trips on the first
     table over it, after the positions before that table."""
-    atoms = sorted(prop_atoms(joint))
+    names = sorted(prop_atoms(joint))
+    atoms = [("pred", a) for a in names]
     probed: dict[str, tuple[list[AtomKey], list[OccKey]]] = {}
     for fs in structures:
         if fs.kind not in probed:
-            first = _prop_model(fs, dict.fromkeys(atoms, 0))
+            first = _prop_model(fs, dict.fromkeys(names, 0))
             probe = _probe((joint, {}, (), (), ()), first, EvalContext(first))
             probed[fs.kind] = list(probe.options), probe.occs
-        yield from _index_walk(joint, parts, fs, atoms, *probed[fs.kind], cap)
+        yield from _index_walk(parts, fs, atoms, *probed[fs.kind], cap, ())
 
 
 def _index_walk(
-    joint: Formula,
     parts: Sequence[tuple[Formula, tuple[int, ...]]],
     fs: FStructure,
-    atoms: list[str],
+    atoms: list[AtomKey],
     keys: list[AtomKey],
     occs: list[OccKey],
-    cap: int,
+    cap: float,
+    scope: Sequence[int],
 ) -> Iterator[_Run]:
-    """One ``AssignmentIndex`` per run: the digits of its atom values, then
-    of the negated atoms' choices (keys, in reading order) and of the comega
-    occurrences' choices (occs, in evaluation order); one vector evaluation
-    of each part covers the run.  A negated key that is no atom of the
-    table is bot."""
+    """The walk over every table of the atoms (predicate keys, the first
+    most significant) in runs, one ``AssignmentIndex`` per run: the digits
+    of its atom values, then of the negated keys' choices (keys, in reading
+    order) and of the comega occurrences' choices (occs, in evaluation
+    order); one vector evaluation of each part at its path, with the
+    quantifiers ranging over scope, covers the run.  A run's decode names
+    each atom by its table entry (``_cell``)."""
     alg = fs.algebra
     n = alg.size
     negs = fs.negs
     longest = max(map(len, negs))
-
-    def value_of(key: AtomKey, table: Mapping[str, int]) -> int | None:
-        """The value of a negated key where table fixes it, else None."""
-        return table.get(key[1]) if key[0] == "pred" else alg.bottom
+    cells = [_cell(key) for key in atoms]
 
     def span(prefix: tuple[int, ...]) -> int:
         """The positions of a run that fixes the atom values of prefix."""
-        fixed = dict(zip(atoms, prefix))
-        values = (value_of(key, fixed) for key in keys)
+        fixed = dict(zip(cells, prefix))
+        values = (_value(fs, key, fixed) for key in keys)
         per = longest ** len(occs) * math.prod(longest if v is None else len(negs[v]) for v in values)
         return n ** (len(atoms) - len(prefix)) * per
 
     for outer in _runs(lambda prefix: range(n) if len(prefix) < len(atoms) else (), span):
-        fixed = dict(zip(atoms, outer))
-        inner_atoms = atoms[len(outer) :]
-        if not inner_atoms and span(outer) > valuation._SWEEP_SIZE:
-            yield from _swept_table(joint, parts, fs, fixed, cap)
+        fixed = dict(zip(cells, outer))
+        inner_keys = atoms[len(outer) :]
+        if not inner_keys and span(outer) > valuation._SWEEP_SIZE:
+            yield from _swept_table(parts, fs, keys, fixed, cap, scope)
             continue
-        values = {key: value_of(key, fixed) for key in keys}
+        values = {key: _value(fs, key, fixed) for key in keys}
         options = {key: () if v is None else negs[v] for key, v in values.items()}
-        inner_keys = [("pred", a) for a in inner_atoms]
         index = AssignmentIndex(options, alg.planes, inner_keys, negs, [(key, range(longest)) for key in occs])
 
         def decode(i: int, index: AssignmentIndex = index, outer: tuple[int, ...] = outer):
-            return dict(zip(atoms, outer + index.table(i))), index.decode(i)
+            return dict(zip(cells, outer + index.table(i))), index.decode(i)
 
-        model = _prop_model(fs, {**fixed, **{key[1]: index.value(key) for key in inner_keys}})
+        model = _prop_model(fs, {**fixed, **{_cell(key): index.value(key) for key in inner_keys}}, scope)
         ctx = EvalContext(model)
         vectors = [eval_sentence(f, model, index, ctx, path) for f, path in parts]
         valid = index.valid
-        per = index.size // n ** len(inner_atoms)  # positions per table
+        per = index.size // n ** len(inner_keys)  # positions per table
         trip = None
         if per > cap:
-            trip = _table_trip(keys, value_of, fs, fixed, inner_atoms, valid, per, longest ** len(occs), cap)
+            trip = _table_trip(keys, fs, fixed, cells[len(outer) :], valid, per, longest ** len(occs), cap)
         if trip is not None:
             valid &= (1 << trip[0] * per) - 1
         if valid:
@@ -272,31 +296,27 @@ def _index_walk(
 
 def _table_trip(
     keys: list[AtomKey],
-    value_of: Callable[[AtomKey, Mapping[str, int]], int | None],
     fs: FStructure,
-    fixed: Mapping[str, int],
-    inner_atoms: list[str],
+    fixed: Mapping[str | tuple, int],
+    inner_cells: list[str | tuple],
     valid: int,
     per: int,
     block: int,
-    cap: int,
+    cap: float,
 ) -> tuple[int, CapExceeded] | None:
     """(table number in the run, error) for the first table whose
     assignments pass the cap, or None, checked as a per-table enumeration
     checks them: the negated atoms' option counts multiplied in reading
-    order, then the count of each atom combination's occurrence choices (a
-    block of positions each) and the running count of assignments
-    (``_first_trip``).  Under a comega family every choice extends, so a
-    combination's count is the largest of the counts such an enumeration
-    builds for it."""
-    negs = fs.negs
-    for t, values in enumerate(itertools.product(range(fs.algebra.size), repeat=len(inner_atoms))):
-        table = {**fixed, **dict(zip(inner_atoms, values))}
-        total = 1
-        for key in keys:
-            total *= len(negs[value_of(key, table)])
-            if total > cap:
-                return t, _cap_exceeded("atom assignments", cap, total)
+    order (``_options``), then the count of each atom combination's
+    occurrence choices (a block of positions each) and the running count of
+    assignments (``_first_trip``).  Under a comega family every choice
+    extends, so a combination's count is the largest of the counts such an
+    enumeration builds for it."""
+    for t, values in enumerate(itertools.product(range(fs.algebra.size), repeat=len(inner_cells))):
+        try:
+            _options(fs, keys, {**fixed, **dict(zip(inner_cells, values))}, cap)
+        except CapExceeded as trip:
+            return t, trip
         rows = valid >> t * per & (1 << per) - 1
         trip = _first_trip(_blocks(rows, per, block), cap) if rows.bit_count() > cap else None
         if trip is not None:
@@ -305,27 +325,28 @@ def _table_trip(
 
 
 def _swept_table(
-    joint: Formula,
     parts: Sequence[tuple[Formula, tuple[int, ...]]],
     fs: FStructure,
-    table: dict[str, int],
-    cap: int,
+    keys: list[AtomKey],
+    table: dict[str | tuple, int],
+    cap: float,
+    scope: Sequence[int],
 ) -> Iterator[_Run]:
     """One table whose padded choice digits alone pass the sweep size,
-    swept in runs of its own (``valuation._Group``): the parts are joint's
+    swept in runs of its own (``valuation._Group``): the parts are its
     instances, taken in evaluation order, the order of their paths.  The
     cap trips before any of the table's positions is yielded."""
     order = sorted(range(len(parts)), key=lambda k: parts[k][1])
-    model = _prop_model(fs, table)
+    model = _prop_model(fs, table, scope)
     ctx = EvalContext(model)
     instances = [(parts[k][0], {}, (), parts[k][1], (k,)) for k in order]
-    group = _Group(instances, _probe((joint, {}, (), (), ()), model, ctx, cap).options, model, ctx, cap)
+    group = _Group(instances, _options(fs, keys, table, cap), model, ctx, cap)
     trip = _first_trip(group.counts, cap)
     if trip is not None:
         raise trip
     for index, values in group.runs:
 
-        def decode(i: int, index: AssignmentIndex = index) -> tuple[dict[str, int], Assignment]:
+        def decode(i: int, index: AssignmentIndex = index) -> tuple[dict, Assignment]:
             return table, index.decode(i)
 
         by_part = dict(zip(order, values))

@@ -105,6 +105,9 @@ _CHECKS = [
     "prove audit --system qn3 --max-algebra 5",
     "prove audit --system qn4 --max-algebra 6 --max-domain 1",
     "prove audit --system qcw --max-algebra 5 --max-domain 1",
+    # the quantified instances at domain size 3; qn3 lists its failures
+    "prove audit --system qn4 --max-algebra 4 --max-domain 3",
+    "prove audit --system qn3 --max-algebra 3 --max-domain 3",
     *(f"axiom check --axiom comprehension --model {{models}}/{stem}.alg --rank 3" for stem in ("chain2", "chain3")),
     *(f"axiom check --axiom powerset --model {{models}}/chain3.alg --rank 3 --u {u}" for u in (0, 7, 100, 255)),
     "axiom check --axiom powerset --model {models}/b4.alg --rank 2",

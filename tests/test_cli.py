@@ -690,3 +690,76 @@ def test_seed_echoed(files, capsys):
         "non_explosion",
     )
     assert code == 0 and "seed=42" in out
+
+
+def test_out_of_memory_is_an_error_line_with_exit_two(tmp_path):
+    """A check that runs out of memory exits 2 with one ``error:`` line, not
+    a traceback with exit 1 (which reads as "invalid"): pairing over B4 at
+    rank 3 under a 400 MB address-space limit, set in the child only."""
+    from pst.algebra import boolean_algebra, format_algebra_text
+
+    path = tmp_path / "b4.alg"
+    path.write_text(format_algebra_text("b4", boolean_algebra(2)))
+    argv = ["axiom", "check", "--axiom", "pairing", "--model", str(path), "--rank", "3"]
+    child = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))\n"
+        "from pst.cli import main\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(pst.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: out of memory\n")
+
+
+def test_key_cap_trips_on_its_prediction(tmp_path, capsys):
+    """Three nested quantifiers over the 256 rank-3 names of the comega
+    3-chain read 256^3 negated eq atoms: KEY_CAP trips on the prediction,
+    before the instances are built, in process and through the CLI."""
+    import time
+
+    from pst.algebra import chain
+    from pst.errors import CapExceeded
+    from pst.fidel import saturate
+    from pst.names import NameStore
+    from pst.syntax import parse_formula
+    from pst.valuation import check_valid, make_model
+
+    text = "forall x . forall y . forall z . (~(x eq y) | ~(y eq z))"
+    model = make_model(saturate(chain(3), "comega"), NameStore(), 3)
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded) as exc:
+        check_valid(parse_formula(text), model)
+    assert time.perf_counter() - start < 1.0
+    assert (exc.value.cap, exc.value.limit, exc.value.predicted) == ("KEY_CAP", 262144, 16777216)
+    path = _saturated(tmp_path, chain(3), "comega")
+    code, out, err = run(capsys, "--format", "machine", "eval", "--model", path, "--rank", "3", "--formula", text)
+    assert (code, out, err) == (2, "", "error: more than 262144 negated ground atoms\n")
+
+
+def test_axiom_check_argument_branches(files, capsys):
+    """An unknown axiom and collection without --formula are usage errors;
+    collection with a formula prints its RESULT line; pairing with --u and
+    no --v checks v = u."""
+    from unittest import mock
+
+    from pst import axioms
+
+    base = ["--format", "machine", "axiom", "check", "--model", files["sat3.fst"], "--rank", "2"]
+    code, out, err = run(capsys, *base, "--axiom", "bogus")
+    assert (code, out) == (2, "") and err.startswith("error: unknown axiom 'bogus'")
+    code, out, err = run(capsys, *base, "--axiom", "collection")
+    assert (code, out, err) == (2, "", "error: --formula required for collection\n")
+    code, out, _ = run(capsys, *base, "--axiom", "collection", "--formula", "y eq x")
+    assert (code, out) == (0, "RESULT axiom=collection rank=2 quant=all_assignments value=2 valid=yes\n")
+    calls = []
+
+    def pairing(model, **kwargs):
+        calls.append(kwargs)
+        return axioms.check_pairing(model, **kwargs)
+
+    with mock.patch.dict(axioms.CHECKS, pairing=pairing):
+        alone = run(capsys, *base, "--axiom", "pairing", "--u", "3")
+        both = run(capsys, *base, "--axiom", "pairing", "--u", "3", "--v", "3")
+    assert calls == [{"u": 3, "v": 3}] * 2
+    assert alone == both == (0, "RESULT axiom=pairing rank=2 quant=none value=2 valid=yes\n", "")

@@ -5,7 +5,7 @@ import pytest
 from pst.algebra import enumerate_heyting
 from pst.errors import CapExceeded
 from pst.fidel import saturate
-from pst import proofs as proofs_mod
+from pst import search as search_mod
 from pst import valuation as valuation_mod
 from pst.proofs import (
     _QUANT_INSTANCES,
@@ -173,6 +173,48 @@ def test_a2_side_condition_violated():
         match_schema(phi, "A2")
 
 
+_QSIG = Signature(functions={"c": 0, "d": 0, "f": 1, "g": 1, "h": 2})
+
+
+@pytest.mark.parametrize(
+    "sid, text",
+    [
+        # another function symbol, or another arity
+        ("A2", "(forall x . P(f(x))) -> P(g(c))"),
+        ("A1", "P(h(c, c)) -> (exists x . P(f(x)))"),
+        # another free variable
+        ("A2", "(forall x . P(x, y)) -> P(c, z)"),
+        # a different connective
+        ("A2", "(forall x . P(x) & q) -> (P(c) | q)"),
+        ("A1", "~(c in c) -> (exists x . (x in c))"),
+        # an inner quantifier over another variable
+        ("A2", "(forall x . exists y . P(x, y)) -> (exists z . P(c, z))"),
+        # in / eq atoms, & and ~ with one side off
+        ("A2", "(forall x . (x in c & ~(x eq c))) -> (f(c) in c & ~(f(c) eq d))"),
+        ("A1", "(c in d & ~(d eq c)) -> (exists x . (x in c & ~(x eq c)))"),
+        ("A1", "(f(c) eq c & ~(f(c) in c)) -> (exists x . (x eq c & ~(x in d)))"),
+        ("A2", "(forall x . (x in c & ~(x eq x))) -> (c in c & ~(c eq d))"),
+    ],
+)
+def test_quantifier_schemas_reject_near_instances(sid, text):
+    with pytest.raises(NoMatch, match="side is not a substitution instance"):
+        match_schema(parse_formula(text, _QSIG), sid)
+
+
+@pytest.mark.parametrize(
+    "sid, text, t",
+    [
+        ("A2", "(forall x . (x in c & ~(x eq c))) -> (f(c) in c & ~(f(c) eq c))", FuncApp("f", (FuncApp("c", ()),))),
+        ("A1", "(d in c & ~(d eq c)) -> (exists x . (x in c & ~(x eq c)))", FuncApp("d", ())),
+        ("A1", "(c eq d & ~(c in c)) -> (exists x . (x eq d & ~(x in x)))", FuncApp("c", ())),
+        ("A2", "(forall x . ~(y in x) & x eq y) -> (~(y in g(y)) & g(y) eq y)", FuncApp("g", (Var("y"),))),
+    ],
+)
+def test_quantifier_schemas_match_atom_bodies(sid, text, t):
+    binds = match_schema(parse_formula(text, _QSIG), sid)
+    assert binds["x"] == "x" and binds["t"] == t
+
+
 def test_systems_fixed():
     assert set(SYSTEMS) == {"qn4", "qn3", "qcw"}
     assert "N14" in SYSTEMS["qn3"] and "N14" not in SYSTEMS["qn4"]
@@ -304,12 +346,30 @@ def test_quantified_runs_fix_outer_cells_at_their_actual_radices():
     for text in ("(forall x . R(x, c) & P(x)) -> R(c, c)", "R(c, c) -> (forall x . R(x, c) & P(x))"):
         inst = parse_formula(text, sig)
         got, want = [], []
-        with mock.patch.object(proofs_mod, "AssignmentIndex", wraps=proofs_mod.AssignmentIndex) as index:
+        with mock.patch.object(search_mod, "AssignmentIndex", wraps=search_mod.AssignmentIndex) as index:
             count = _audit_quantified("A2", inst, structures, 2, got, 10**9)
         assert count == table_audit_quantified("A2", inst, structures, 2, want, 10**9)
         assert got == want
         assert index.call_count < _padded_builds(structures, (2, 6))
     assert got and len(got) < count
+
+
+def test_quantified_tables_past_the_sweep_size_are_swept_alone():
+    """A predicate table whose negation digits alone pass the sweep size is
+    swept in runs of its own (``search._swept_table``), and the failures
+    keep their order: by predicate table, then function table, then
+    negation table across the table's runs."""
+    sig = Signature(functions={"c": 0})
+    inst = parse_formula("R(c, c) -> (forall x . R(x, c) & P(x))", sig)
+    structures = [saturate(alg, "n4") for alg in enumerate_heyting(3)]
+    got, want = [], []
+    with mock.patch.object(valuation_mod, "_SWEEP_SIZE", 4), mock.patch.object(
+        search_mod, "_swept_table", wraps=search_mod._swept_table
+    ) as swept:
+        count = _audit_quantified("A2", inst, structures, 2, got, 10**9)
+    assert count == table_audit_quantified("A2", inst, structures, 2, want, 10**9)
+    assert got == want and len(got) > 1000
+    assert swept.call_count > 0
 
 
 def _trip(audit, inst, structures, budget):
@@ -321,27 +381,32 @@ def _trip(audit, inst, structures, budget):
 def test_quantified_audit_budget():
     """Every budget trips where one evaluation per (predicate table,
     function table) would, with the same fields, in runs of the default
-    size and in runs of a few tables; and no run past the trip is
-    evaluated: the positions evaluated stay within the budget."""
+    size and in runs of a few tables; and nothing of the structure and
+    domain size that hold the trip is evaluated: the positions evaluated
+    are those of the (structure, domain size) pairs wholly before it."""
     inst = _QUANT_INSTANCES["A1"][1]
     structures = [saturate(alg, "n4") for alg in enumerate_heyting(3)]
     assert _audit_quantified("A1", inst, structures, 3, [], 10**9) > 400
+    # the evaluations up to the end of each (structure, domain size) pair
+    ends = [0]
+    for fs in structures:
+        for dsize in (1, 2, 3):
+            pair = _audit_quantified("A1", inst, [fs], dsize, [], 10**9)
+            pair -= _audit_quantified("A1", inst, [fs], dsize - 1, [], 10**9)
+            ends.append(ends[-1] + pair)
     evaluated = []
 
-    def counting(phi, model, index, ctx):
+    def counting(phi, model, index, ctx, path=()):
         evaluated.append(index.valid.bit_count())
-        return eval_sentence(phi, model, index, ctx)
+        return eval_sentence(phi, model, index, ctx, path)
 
-    builds = dict.fromkeys((valuation_mod._SWEEP_SIZE, 256), 0)
     for budget in range(401):
         want = _trip(table_audit_quantified, inst, structures, budget)
         assert want[:2] == ("eval_cap", budget) and want[2] > budget
-        for sweep_size in builds:
+        for sweep_size in (valuation_mod._SWEEP_SIZE, 256):
             evaluated.clear()
             with mock.patch.object(valuation_mod, "_SWEEP_SIZE", sweep_size), mock.patch.object(
-                proofs_mod, "eval_sentence", counting
-            ), mock.patch.object(proofs_mod, "AssignmentIndex", wraps=proofs_mod.AssignmentIndex) as index:
+                search_mod, "eval_sentence", counting
+            ):
                 assert _trip(_audit_quantified, inst, structures, budget) == want
-            assert sum(evaluated) <= budget
-            builds[sweep_size] += index.call_count
-    assert builds[256] > builds[valuation_mod._SWEEP_SIZE]
+            assert sum(evaluated) == max(end for end in ends if end <= budget), (budget, sweep_size)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pst import proofs as proofs_mod
 from pst import search as search_mod
 from pst import valuation as valuation_mod
 from pst.algebra import chain, enumerate_heyting
@@ -92,12 +93,24 @@ def test_audit_walks_each_group_once():
     report is unchanged: qn4's 68 propositional instances fall into 10
     groups, and qcw's 50 into 7 groups and 7 instances with occurrence
     digits, each walked alone (one index per instance and structure before:
-    204 and 400)."""
-    for system, max_algebra, indexes in (("qn4", 3, 10 * 3), ("qcw", 5, 14 * 8)):
+    204 and 400).  The four quantified instances take one index each per
+    structure at domain size 1.  Each propositional instance is probed
+    once, and no group again as a whole: qn4 at max-algebra 5 makes 68
+    probes."""
+    for system, max_algebra, indexes in (("qn4", 3, (10 + 4) * 3), ("qcw", 5, (14 + 4) * 8)):
         with _sweep_size(valuation_mod._SWEEP_SIZE) as built:
             report = audit_soundness(system, max_domain=1, max_algebra=max_algebra)
         assert len(built) == indexes
         assert report == walk_audit(system, max_domain=1, max_algebra=max_algebra)
+    probes = []
+
+    def probe(*args, **kwargs):
+        probes.append(args[0])
+        return valuation_mod._probe(*args, **kwargs)
+
+    with mock.patch.object(proofs_mod, "_probe", probe), mock.patch.object(search_mod, "_probe", probe):
+        audit_soundness("qn4", max_domain=1, max_algebra=5)
+    assert len(probes) == 68
 
 
 def test_audit_eval_cap_trips_alike():
