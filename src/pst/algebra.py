@@ -73,9 +73,6 @@ class FiniteLattice:
     top: int
     bottom: int
 
-    def le(self, x: int, y: int) -> bool:
-        return self.leq[x][y]
-
 
 @dataclass(frozen=True)
 class FiniteHeytingAlgebra:
@@ -221,47 +218,68 @@ def validate_lattice(leq_rows: Sequence[Sequence[object]]) -> FiniteLattice:
     )
 
 
+def _birkhoff(lat: FiniteLattice) -> tuple[list[int], list[int]]:
+    """The join-irreducibles in element order, and each element's code: the
+    mask of the irreducibles below it, bit k for the k-th.  An element is
+    join-irreducible iff its strict down-set is the down-set of an element
+    (the largest below it); the bottom's is empty, which none is."""
+    down = [sum(1 << x for x, le in enumerate(col) if le) for col in zip(*lat.leq)]
+    principal = set(down)
+    irr = [e for e, d in enumerate(down) if d & ~(1 << e) in principal]
+    codes = [sum(1 << k for k, j in enumerate(irr) if d >> j & 1) for d in down]
+    return irr, codes
+
+
+def _heyting(lat: FiniteLattice, codes: Sequence[int]) -> FiniteHeytingAlgebra:
+    """The Heyting algebra of a distributive lattice whose element e is the
+    down-set ``codes[e]``: x -> y is the union of the codes d with d & x
+    inside y, itself such a code, so the first one from the largest down."""
+    largest = sorted(zip(codes, range(len(codes))), key=lambda ce: -ce[0].bit_count())
+    imp = []
+    for cx in codes:
+        row = []
+        for cy in codes:
+            outside = cx & ~cy
+            for c, e in largest:
+                if not c & outside:
+                    row.append(e)
+                    break
+        imp.append(tuple(row))
+    flag = all(lat.join[x][row[lat.bottom]] == lat.top for x, row in enumerate(imp))
+    return FiniteHeytingAlgebra(lattice=lat, imp=tuple(imp), boolean_flag=flag)
+
+
+def _from_codes(codes: Sequence[int]) -> FiniteHeytingAlgebra:
+    """The Heyting algebra whose element e is the down-set ``codes[e]`` of
+    a poset: the codes are distinct, closed under ``&`` and ``|``, and hold
+    0.  Order is inclusion, meet is ``&``, join is ``|``, and the top is the
+    largest code, the union of all."""
+    elem = {c: e for e, c in enumerate(codes)}
+    lat = FiniteLattice(
+        size=len(codes),
+        leq=tuple(tuple([not a & ~b for b in codes]) for a in codes),
+        meet=tuple(tuple([elem[a & b] for b in codes]) for a in codes),
+        join=tuple(tuple([elem[a | b] for b in codes]) for a in codes),
+        top=elem[max(codes, key=int.bit_count)],
+        bottom=elem[0],
+    )
+    return _heyting(lat, codes)
+
+
 def derive_heyting(lat: FiniteLattice) -> FiniteHeytingAlgebra:
     """Compute the implication table x -> y = max { z : x /\\ z <= y }.
 
     Fails with the offending triple when meet does not distribute over
-    join; residuation is then unsatisfiable.  The tables are read as bit
-    masks: ``meets[x][e]`` holds the z with x /\\ z = e, and ``down[e]``
-    the z <= e.
+    join; residuation is then unsatisfiable.  The lattice is distributive
+    iff its Birkhoff code maps every join to the union of the two codes (it
+    maps every meet to the intersection in any lattice).
     """
-    n = lat.size
-    bits = [1 << z for z in range(n)]
-    meets = []
-    for x in range(n):
-        m, j = [0] * n, [0] * n
-        row = list(zip(bits, lat.meet[x], lat.join[x]))
-        for bit, a, b in row:
-            m[a] |= bit
-            j[b] |= bit
-        # distributive iff x /\ y = x /\ z and x \/ y = x \/ z imply y = z;
-        # the first failing triple is then found by the definition
-        for bit, a, b in row:
-            if m[a] & j[b] != bit:
+    _, codes = _birkhoff(lat)
+    for cx, row in zip(codes, lat.join):
+        for cy, j in zip(codes, row):
+            if codes[j] != cx | cy:
                 _raise_first_undistributed(lat)
-        meets.append(m)
-    columns = list(zip(*lat.leq))
-    down = [sum(bit for bit, le in zip(bits, col) if le) for col in columns]
-    below_of = [[z for z, le in enumerate(col) if le] for col in columns]
-    largest = {mask: e for e, mask in enumerate(down)}
-
-    imp = []
-    for m in meets:
-        row = []
-        for members in below_of:
-            below = 0  # the z with x /\ z <= y
-            for e in members:
-                below |= m[e]
-            # distributivity makes below the down-set of its largest
-            # element, so residuation holds: z /\ x <= y iff z <= x -> y
-            row.append(largest[below])
-        imp.append(tuple(row))
-    flag = all(lat.join[x][imp[x][lat.bottom]] == lat.top for x in range(n))
-    return FiniteHeytingAlgebra(lattice=lat, imp=tuple(imp), boolean_flag=flag)
+    return _heyting(lat, codes)
 
 
 def _raise_first_undistributed(lat: FiniteLattice) -> None:
@@ -285,13 +303,12 @@ def heyting_from_leq(leq_rows: Sequence[Sequence[object]]) -> FiniteHeytingAlgeb
 
 def chain(n: int) -> FiniteHeytingAlgebra:
     """The n-element chain 0 < 1 < ... < n-1 as a Heyting algebra."""
-    return heyting_from_leq([[i <= j for j in range(n)] for i in range(n)])
+    return _from_codes([(1 << i) - 1 for i in range(n)])
 
 
 def boolean_algebra(n_atoms: int) -> FiniteHeytingAlgebra:
     """The Boolean algebra of subsets of an n_atoms-element set."""
-    size = 1 << n_atoms
-    return heyting_from_leq([[(i & j) == i for j in range(size)] for i in range(size)])
+    return _from_codes(range(1 << n_atoms))
 
 
 # ---------------------------------------------------------------------------
@@ -336,18 +353,9 @@ def canonical_key(h: FiniteHeytingAlgebra) -> bytes:
     """
     n = h.size
     leq = h.lattice.leq
-    inv = []
-    for i in range(n):
-        d = sum(1 for j in range(n) if leq[j][i])
-        u = sum(1 for j in range(n) if leq[i][j])
-        inv.append((d, u))
-    order = sorted(range(n), key=lambda i: inv[i])
-    classes: list[list[int]] = []
-    for i in order:
-        if classes and inv[classes[-1][0]] == inv[i]:
-            classes[-1].append(i)
-        else:
-            classes.append([i])
+    inv = [(sum(col), sum(row)) for row, col in zip(leq, zip(*leq))]
+    order = sorted(range(n), key=inv.__getitem__)
+    classes = [list(c) for _, c in itertools.groupby(order, key=inv.__getitem__)]
     best: bytes | None = None
     for parts in itertools.product(*(itertools.permutations(c) for c in classes)):
         seq = [i for part in parts for i in part]  # seq[new] = old
@@ -380,8 +388,7 @@ def enumerate_heyting(max_size: int, hard_cap: int = ENUM_HARD_CAP) -> Iterator[
     for k in range(0, max_size):
         for _, downs in _posets(k, max_size):
             downs.sort(key=lambda s: (bin(s).count("1"), s))
-            leq = [[(a & b) == a for b in downs] for a in downs]
-            alg = derive_heyting(validate_lattice(leq))
+            alg = _from_codes(downs)
             key = canonical_key(alg)
             if key not in found:
                 found[key] = alg

@@ -178,7 +178,8 @@ def _cmd_universe_hat(args) -> int:
     _, structure = _load_model_file(args.model)
     h = structure.algebra if isinstance(structure, fid_mod.FStructure) else structure
     store = names_mod.NameStore()
-    s = names_mod.parse_hf(args.set)
+    # argparse before Python 3.12 reads the option value "--" as []
+    s = names_mod.parse_hf(args.set if isinstance(args.set, str) else "--")
     nid = names_mod.hat_embed(s, store, h)
     lines = [store.dump()]
     _emit(args, lines, f"RESULT hat={nid} rank={store.get(nid).rank}")

@@ -589,7 +589,7 @@ def _combine(groups: Sequence[_Group], meet: bool, alg: FiniteHeytingAlgebra):
     # meet = top iff every component's value is top; in a join that holds
     # for "not top" when top is join-irreducible (a join of smaller
     # elements stays below it); otherwise the lowest position is searched
-    irreducible = meet or all(op(a, b) != top for a in range(alg.size) for b in range(alg.size) if top not in (a, b))
+    irreducible = meet or top in alg.planes.irreducibles
     witness = falsifier = None
     if top in values:
         find = _product if meet else _union if irreducible else _descend

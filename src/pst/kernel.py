@@ -36,7 +36,7 @@ from __future__ import annotations
 import sys
 from typing import Iterable, Union
 
-from .algebra import FiniteHeytingAlgebra
+from .algebra import FiniteHeytingAlgebra, _birkhoff
 from .names import NameStore
 
 Vector = Union[int, tuple]  # an element (the same for every name) or planes
@@ -47,26 +47,17 @@ class Planes:
     lattice operations on vectors."""
 
     def __init__(self, alg: FiniteHeytingAlgebra):
-        n = alg.size
-        leq = alg.lattice.leq
-        irr = [
-            e
-            for e in range(n)
-            if e != alg.bottom
-            and alg.join_all(x for x in range(n) if x != e and leq[x][e]) != e
-        ]
+        irr, down = _birkhoff(alg.lattice)
         self.alg = alg
         self.top = alg.top
         self.bottom = alg.bottom
+        self.irreducibles = tuple(irr)
         self.width = len(irr)
-        down = [sum(1 << k for k, j in enumerate(irr) if leq[j][e]) for e in range(n)]
         self._elem = {d: e for e, d in enumerate(down)}
         # bits[e]: the plane indices k with j_k <= e
         self.bits = tuple(tuple(k for k in range(self.width) if d >> k & 1) for d in down)
         self.const = tuple(tuple(-1 if d >> k & 1 else 0 for k in range(self.width)) for d in down)
-        self.below = tuple(
-            tuple(k2 for k2, j2 in enumerate(irr) if leq[j2][j]) for j in irr
-        )
+        self.below = tuple(self.bits[j] for j in irr)
 
     def _planes(self, a: Vector) -> tuple:
         return self.const[a] if a.__class__ is int else a

@@ -49,13 +49,11 @@ class Name:
 
 class NameStore:
     """Interning table for names.  Append-only: ids never change, so a
-    store may keep growing (witness construction) after enumeration; the
-    ``freeze`` flag just marks the enumerated rank indices as complete."""
+    store may keep growing (witness construction) after enumeration."""
 
     def __init__(self) -> None:
         self._names: list[Name] = []
         self._ids: dict[tuple[tuple[int, int], ...], int] = {}
-        self.frozen = False
 
     def __len__(self) -> int:
         return len(self._names)
@@ -90,9 +88,6 @@ class NameStore:
 
     def empty_name(self) -> int:
         return self.mk_name(())
-
-    def freeze(self) -> None:
-        self.frozen = True
 
     def dump(self) -> str:
         lines = []

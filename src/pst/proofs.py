@@ -452,14 +452,18 @@ def audit_soundness(
     for sid, inst in instances:
         n_inst += 1
         if SCHEMAS[sid].template is None:
-            n_eval += _audit_quantified(sid, inst, n4, max_domain, failures, eval_cap - n_eval)
+            try:
+                n_eval += _audit_quantified(sid, inst, n4, max_domain, failures, eval_cap - n_eval)
+            except CapExceeded as exc:  # reported against the whole audit
+                if exc.cap == "eval_cap":
+                    _check_budget(n_eval + exc.predicted, eval_cap)
+                raise
             continue
-        budget = eval_cap - n_eval
         count = 0
         for valid, found in next(walks):
             count += valid
-            # one at a time, the count would have stopped one past the budget
-            _check_budget(min(count, budget + 1), budget)
+            # one at a time, the total would have stopped one past the cap
+            _check_budget(min(n_eval + count, eval_cap + 1), eval_cap)
             failures += found
         n_eval += count
     return AuditReport(

@@ -44,9 +44,10 @@ JOBS = 2
 # the join), comega sequent walks over several parts,
 # comega searches and the qcw audit whose negated compounds take occurrence
 # digits in the propositional walk, comprehension at rank 3, powerset at
-# single rank-3 targets and over every B4 target, and usage errors and
-# --help, each followed by an ordinary check, so that a parser that serves
-# every call is compared right after an error exit
+# single rank-3 targets and over every B4 target, the check and the
+# saturated families of each model algebra, and usage errors and --help,
+# each followed by an ordinary check, so that a parser that serves every
+# call is compared right after an error exit
 _SEPARATION = 'axiom check --axiom separation --model {models}/%s_comega.fst --rank %d --formula "%s" --var x'
 _COLLECTION = 'axiom check --axiom collection --model {models}/%s_comega.fst --rank %d --formula "%s" --var x --var2 y'
 _CHECKS = [
@@ -111,6 +112,16 @@ _CHECKS = [
     *(f"axiom check --axiom comprehension --model {{models}}/{stem}.alg --rank 3" for stem in ("chain2", "chain3")),
     *(f"axiom check --axiom powerset --model {{models}}/chain3.alg --rank 3 --u {u}" for u in (0, 7, 100, 255)),
     "axiom check --axiom powerset --model {models}/b4.alg --rank 2",
+    # the tables each model algebra is built with: the implication table,
+    # and the saturated families read from them
+    *(
+        text
+        for stem in ("chain2", "chain3", "chain4", "b4")
+        for text in (
+            f"algebra check {{models}}/{stem}.alg",
+            *(f"fstructure saturate {{models}}/{stem}.alg --kind {kind}" for kind in ("n4", "comega")),
+        )
+    ),
 ]
 _USAGE = [
     "algebra",

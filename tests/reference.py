@@ -864,16 +864,20 @@ def walk_audit(system: str, max_domain: int = 2, max_algebra: int = 4, eval_cap:
         if SCHEMAS[sid].template is None:
             for inst in _QUANT_INSTANCES[sid]:
                 n_inst += 1
-                n_eval += table_audit_quantified(sid, inst, n4, max_domain, failures, eval_cap - n_eval)
+                try:
+                    n_eval += table_audit_quantified(sid, inst, n4, max_domain, failures, eval_cap - n_eval)
+                except CapExceeded as exc:  # reported against the whole audit
+                    if exc.cap == "eval_cap":
+                        _check_budget(n_eval + exc.predicted, eval_cap)
+                    raise
             continue
         for inst in _propositional_instances(sid):
             n_inst += 1
-            budget = eval_cap - n_eval
             count = 0
             structures = (saturate(alg, logic) for alg in algebras)
             for fs, table, asg, (val,) in table_walk(inst, [(inst, ())], structures):
                 count += 1
-                _check_budget(count, budget)
+                _check_budget(n_eval + count, eval_cap)
                 if val != fs.algebra.top:
                     failures.append(
                         AuditFailure(
@@ -1018,6 +1022,26 @@ def enumerated_heyting(max_size: int) -> list[FiniteHeytingAlgebra]:
             alg = derive_heyting(validate_lattice(leq))
             found.setdefault(canonical_key(alg), alg)
     return [alg for _, alg in sorted(found.items(), key=lambda kv: (kv[1].size, kv[0]))]
+
+
+# --- join-irreducibles by the join of the elements below ------------------------------
+
+
+def reference_birkhoff(lat: FiniteLattice) -> tuple[list[int], list[int]]:
+    """The oracle for ``algebra._birkhoff``: the elements other than the
+    bottom that are not the join of the elements strictly below them, in
+    element order, and each element's mask of the irreducibles below it."""
+    n = lat.size
+    irr = []
+    for e in range(n):
+        below = lat.bottom
+        for x in range(n):
+            if x != e and lat.leq[x][e]:
+                below = lat.join[below][x]
+        if e != lat.bottom and below != e:
+            irr.append(e)
+    codes = [sum(1 << k for k, j in enumerate(irr) if lat.leq[j][e]) for e in range(n)]
+    return irr, codes
 
 
 # --- lattice validation by loops over the order matrix ------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,6 +12,7 @@ from pst.algebra import (
     NotAPoset,
     NotDistributive,
     RefinabilityReport,
+    _birkhoff,
     boolean_algebra,
     canonical_key,
     chain,
@@ -22,7 +24,8 @@ from pst.algebra import (
     parse_algebra_text,
     validate_lattice,
 )
-from reference import enumerated_heyting, reference_derive_heyting, reference_validate_lattice
+from pst.kernel import Planes
+from reference import enumerated_heyting, reference_birkhoff, reference_derive_heyting, reference_validate_lattice
 
 
 def brute_imp(lat, x, y):
@@ -171,6 +174,59 @@ def test_derive_heyting_matches_the_loops_on_drawn_lattices(leq):
     lat = _outcome(validate_lattice, leq)
     assume(isinstance(lat, FiniteLattice))
     assert _outcome(derive_heyting, lat) == _outcome(reference_derive_heyting, lat)
+
+
+@given(lattice_orders())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_birkhoff_matches_the_join_search_on_drawn_lattices(leq):
+    lat = _outcome(validate_lattice, leq)
+    assume(isinstance(lat, FiniteLattice))
+    assert _birkhoff(lat) == reference_birkhoff(lat)
+
+
+def test_named_algebras_match_the_loops():
+    """The chains and Boolean algebras, built from their down-set codes,
+    are the algebras the loops derive from their order matrices."""
+    for n in range(1, 8):
+        assert chain(n) == reference_derive_heyting(reference_validate_lattice([[i <= j for j in range(n)] for i in range(n)]))
+    for k in range(4):
+        size = 1 << k
+        leq = [[i & j == i for j in range(size)] for i in range(size)]
+        assert boolean_algebra(k) == reference_derive_heyting(reference_validate_lattice(leq))
+
+
+_TABLED = [*enumerate_heyting(7), *(chain(n) for n in range(1, 8)), *(boolean_algebra(k) for k in range(4))]
+
+
+@pytest.mark.parametrize("alg", _TABLED, ids=lambda alg: f"size{alg.size}")
+def test_planes_agree_with_the_tables(alg):
+    """Planes reads the irreducibles and codes of the join search, and every
+    vector operation agrees, id by id over 64 ids, with the tables."""
+    irr, codes = reference_birkhoff(alg.lattice)
+    assert _birkhoff(alg.lattice) == (irr, codes)
+    p = Planes(alg)
+    assert p.irreducibles == tuple(irr)
+    assert p.bits == tuple(tuple(k for k in range(len(irr)) if c >> k & 1) for c in codes)
+    ids = range(64)
+    every = (1 << 64) - 1
+    rng = random.Random(alg.size * 1000 + len(irr))
+    values = [[rng.randrange(alg.size) for _ in ids] for _ in range(3)]
+    values += [[e] * 64 for e in (alg.top, alg.bottom, rng.randrange(alg.size))]
+    vectors = [p.from_values(enumerate(vs)) for vs in values[:3]] + [vs[0] for vs in values[3:]]
+    masks = [0, 1, every, *(rng.getrandbits(64) for _ in range(3))]
+    for a, va in zip(values, vectors):
+        assert [p.decode(va, i) for i in ids] == a
+        for mask in masks:
+            chosen = [a[i] for i in ids if mask >> i & 1]
+            assert p.meet_over(va, mask) == alg.meet_all(chosen)
+            assert p.join_over(va, mask) == alg.join_all(chosen)
+        for e in alg.elements():
+            assert p.where(va, e) & every == sum(1 << i for i in ids if a[i] == e)
+        for b, vb in zip(values, vectors):
+            for op, table in ((p.meet, alg.meet_), (p.join, alg.join_), (p.imp, alg.imp_)):
+                out = op(va, vb)
+                assert [p.decode(out, i) for i in ids] == [table(x, y) for x, y in zip(a, b)]
+            assert p.exceeds(va, vb) & every == sum(1 << i for i in ids if not alg.le(a[i], b[i]))
 
 
 def test_diamond_m3_not_distributive():

@@ -179,6 +179,14 @@ def test_universe_hat(files, capsys):
     assert "RESULT hat=2 rank=3" in out
 
 
+def test_universe_hat_set_dashes_is_a_typed_error(files, capsys):
+    """argparse may hand the value "--" over as an empty list; it is still
+    read as text and rejected with one error line."""
+    code, out, err = run(capsys, "universe", "hat", "--model", files["bool2.alg"], "--set=--")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_eval_valid_formula(files, capsys):
     code, out, _ = run(
         capsys,

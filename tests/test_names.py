@@ -123,13 +123,13 @@ def test_enumerate_caps_and_policies():
     assert len(restricted) <= 27
 
 
-def test_freeze_is_advisory_append_only():
+def test_ids_stay_stable_after_appends():
     store = NameStore()
     ids = enumerate_universe(store, chain(2), 2)
-    store.freeze()
-    assert store.frozen
-    extra = store.mk_name([(ids[0], 1)])
-    assert store.get(extra).nid == extra  # ids remain stable
+    before = [store.get(nid) for nid in ids]
+    extra = store.mk_name([(ids[-1], 1)])  # rank 3: a new name
+    assert store.get(extra).nid == extra == len(before)
+    assert [store.get(nid) for nid in ids] == before  # ids remain stable
 
 
 # --- hereditarily finite sets -----------------------------------------------------

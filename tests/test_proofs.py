@@ -264,6 +264,15 @@ def test_audit_rejects_an_empty_budget():
             audit_soundness(system, max_domain=0, max_algebra=2)
 
 
+def test_audit_eval_cap_reports_the_whole_audit():
+    """A trip names the caller's eval_cap and the audit's running total,
+    not the budget left for the instance that holds it: the full qn4 audit
+    at these bounds makes 1 179 848 evaluations."""
+    with pytest.raises(CapExceeded) as exc:
+        audit_soundness("qn4", max_domain=3, max_algebra=6, eval_cap=1_179_847)
+    assert (exc.value.cap, exc.value.limit, exc.value.predicted) == ("eval_cap", 1_179_847, 1_179_848)
+
+
 _SIG = Signature(functions={"c": 0, "f": 1})
 
 # instances below top somewhere: negated ones, and positive non-theorems

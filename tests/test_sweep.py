@@ -132,6 +132,8 @@ def test_audit_eval_cap_trips_alike():
                     audit(system, max_domain=1, max_algebra=3, eval_cap=eval_cap)
                 trips.append((str(exc.value), exc.value.cap, exc.value.limit, exc.value.predicted))
             assert trips[0] == trips[1]
+            # the fields are the whole audit's: the cap, and the total at the trip
+            assert trips[0][2] == eval_cap and trips[0][3] > eval_cap
 
 
 _SEARCH_FORMULAS = {
