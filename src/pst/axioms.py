@@ -74,11 +74,11 @@ def _bicond(model: SetModel, a: int, b: int) -> int:
     return alg.meet_(alg.imp_(a, b), alg.imp_(b, a))
 
 
-def _scope_bicond(ctx: EvalContext, model: SetModel, lhs: Vector, rhs: Vector) -> int:
-    """Meet over the scope names z of lhs(z) <-> rhs(z), for two vectors."""
+def _scope_bicond(ctx: EvalContext, dom: _Domain, lhs: Vector, rhs: Vector) -> int:
+    """Meet over the names z of dom of lhs(z) <-> rhs(z), for two vectors."""
     p = ctx.planes
     both = p.meet(p.imp(lhs, rhs), p.imp(rhs, lhs))
-    return p.meet_over(both, ctx.domain(model.scope).mask)
+    return p.meet_over(both, dom.mask)
 
 
 def _report(
@@ -104,8 +104,14 @@ def _report(
     )
 
 
-def _targets(model: SetModel, u: int | None) -> list[int]:
-    return list(model.scope) if u is None else [u]
+def _targets(model: SetModel, u: int | None, ctx: EvalContext) -> tuple[list[int], _Domain]:
+    """The targets, and the names a side that takes one value on a class of
+    indiscernible names is read at: u and the whole scope, or every scope
+    name and one per class (computing the classes, so that the kernel
+    reads every target by its class's rows)."""
+    if u is None:
+        return list(model.scope), ctx.classes(model)
+    return [u], ctx.domain(model.scope)
 
 
 # --- pairing -------------------------------------------------------------------
@@ -117,26 +123,29 @@ def check_pairing(
     v: int | None = None,
     ctx: EvalContext | None = None,
 ) -> AxiomReport:
-    """The two-element name {<u,1>, <v,1>} realises z in w <-> (z=u | z=v)."""
+    """The two-element name {<u,1>, <v,1>} realises z in w <-> (z=u | z=v).
+
+    Both sides read u and v only through their eq rows, which the kernel
+    shares by class, so over every target pair one pair per pair of
+    classes stands for all of them (the first is scope[0] twice)."""
     ctx = ctx or EvalContext(model)
     alg = model.algebra
     store = model.store
     value = alg.top
     witnesses = []
-    pairs = (
-        [(u, v)]
-        if u is not None and v is not None
-        else list(itertools.product(model.scope, repeat=2))
-    )
-    need = ctx.domain(model.scope).need
+    if u is not None and v is not None:
+        pairs, dom = [(u, v)], ctx.domain(model.scope)
+    else:
+        dom = ctx.classes(model)
+        pairs = itertools.product(dom.ids, repeat=2)
     kernel = ctx.kernel
     for uu, vv in pairs:
         w = store.mk_name([(uu, alg.top), (vv, alg.top)])
         if len(witnesses) < 1:
             witnesses.append(("w", w))
-        lhs = kernel.memcol(w, need)  # z -> ||z in w||
-        rhs = ctx.planes.join(kernel.eqrow(uu, need), kernel.eqrow(vv, need))
-        value = alg.meet_(value, _scope_bicond(ctx, model, lhs, rhs))
+        lhs = kernel.memcol(w, dom.need)  # z -> ||z in w||
+        rhs = ctx.planes.join(kernel.eqrow(uu, dom.need), kernel.eqrow(vv, dom.need))
+        value = alg.meet_(value, _scope_bicond(ctx, dom, lhs, rhs))
     return _report(model, "pairing", value, value == alg.top, witnesses=witnesses)
 
 
@@ -154,10 +163,10 @@ def check_union(
     ctx = ctx or EvalContext(model)
     alg = model.algebra
     store = model.store
-    scope = ctx.domain(model.scope)
+    targets, scope = _targets(model, u, ctx)
     value = alg.top
     witnesses = []
-    for uu in _targets(model, u):
+    for uu in targets:
         entries = store.get(uu).entries
         dom: dict[int, int] = {}
         for child, weight in entries:
@@ -170,7 +179,7 @@ def check_union(
         lhs = ctx.kernel.memcol(w, scope.need)  # y -> ||y in w||
         union = Exists("t", And(Mem(Var("t"), NameConst(uu)), Mem(Var("y"), Var("t"))))
         rhs = ctx.vector(union, {}, "y", scope, model)
-        value = alg.meet_(value, _scope_bicond(ctx, model, lhs, rhs))
+        value = alg.meet_(value, _scope_bicond(ctx, scope, lhs, rhs))
     return _report(model, "union", value, value == alg.top, witnesses=witnesses)
 
 
@@ -199,7 +208,7 @@ def check_separation(
     ctx = ctx or EvalContext(model)
     store = model.store
     p = ctx.planes
-    targets = _targets(model, u)
+    targets, _ = _targets(model, u, ctx)
     children = _children(model, targets)
     names = list(dict.fromkeys([*model.scope, *children]))
     instances = [(phi, {var: x}, (x,), (0,), (i,)) for i, x in enumerate(names)]
@@ -265,8 +274,8 @@ def check_powerset(
     ctx = ctx or EvalContext(model)
     alg = model.algebra
     store = model.store
-    scope = ctx.domain(model.scope)
-    children = _Domain(ctx._children(scope))
+    targets, scope = _targets(model, u, ctx)
+    children = _Domain(ctx._children(ctx.domain(model.scope)))
     # v -> ||forall y in v (y in u)||, folded over dom(v) for every v at once
     bounded = model.with_flags(bounded_opt=True)
     value = alg.top
@@ -274,7 +283,7 @@ def check_powerset(
     funcs_by_dom: dict[tuple[int, ...], list[int]] = {}
     subsets: dict[tuple[int, ...], Vector] = {}
     done = set()
-    for uu in _targets(model, u):
+    for uu in targets:
         dom_u = tuple(c for c, _ in store.get(uu).entries)
         n_funcs = alg.size ** len(dom_u)
         if n_funcs > cap:
@@ -301,7 +310,7 @@ def check_powerset(
         if column not in subsets:
             subset = Forall("y", Imp(Mem(Var("y"), Var("v")), Mem(Var("y"), NameConst(uu))))
             subsets[column] = ctx.vector(subset, {}, "v", scope, bounded)
-        value = alg.meet_(value, _scope_bicond(ctx, model, lhs, subsets[column]))
+        value = alg.meet_(value, _scope_bicond(ctx, scope, lhs, subsets[column]))
     return _report(model, "powerset", value, value == alg.top, witnesses=witnesses)
 
 
@@ -346,10 +355,11 @@ def check_emptyset(model: SetModel, ctx: EvalContext | None = None) -> AxiomRepo
     alg = model.algebra
     store = model.store
     choices = model.neg_options(alg.top)
+    targets, _ = _targets(model, None, ctx)
     value = alg.top
     n = 0
     witnesses = []
-    for uu in model.scope:
+    for uu in targets:
         for nprime in choices:
             w = store.mk_name([(uu, nprime)])
             if not witnesses:
@@ -400,7 +410,7 @@ def check_collection(
     store = model.store
     p = ctx.planes
     v_name = store.mk_name([(nid, alg.top) for nid in model.scope])
-    targets = _targets(model, u)
+    targets, _ = _targets(model, u, ctx)
     children = _children(model, targets)
     pairs = [(x, y) for x in dict.fromkeys([*model.scope, *children]) for y in model.scope]
     instances = [(phi, {var_x: x, var_y: y}, (x, y), (0, 0), (i,)) for i, (x, y) in enumerate(pairs)]

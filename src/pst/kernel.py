@@ -29,12 +29,19 @@ computed, or less where it reused an older child row that a reader's need
 allowed), and is recomputed only when a reader needs a later id.  A scalar
 ||u in v|| is read from the column of v, which needs only the rows of v's
 children, so reading a fresh witness name recomputes no older row.
+
+Names u, v are *indiscernible* when ||u = v|| = top.  Then ||u = w|| =
+||v = w|| by transitivity, and ||x in u|| = ||x in v||, ||u in w|| =
+||v in w|| by the substitution lemmas of Heyting-valued models (Bell,
+*Set Theory: Boolean-Valued Models and Independence Proofs*, ch. 1).
+``EqMemKernel.classes`` splits a set of names into its classes, after
+which every row of a name is its class's first name's row.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .algebra import FiniteHeytingAlgebra, _birkhoff
 from .names import NameStore
@@ -162,6 +169,17 @@ class Planes:
 
 _ALWAYS = sys.maxsize  # coverage of a row that no later name can change
 
+_BYTE_BITS = [tuple(i for i in range(8) if b >> i & 1) for b in range(256)]
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of the bits set in mask, lowest first, a byte at a time."""
+    out: list[int] = []
+    for k, byte in enumerate(mask.to_bytes((mask.bit_length() + 7) // 8, "little")):
+        if byte:
+            out += map((8 * k).__add__, _BYTE_BITS[byte])
+    return out
+
 
 class EqMemKernel:
     """Lazily filled rows of ||u = v|| and ||u in v|| over one name store."""
@@ -176,6 +194,7 @@ class EqMemKernel:
         self._eqrow: dict[int, tuple[tuple, int]] = {}
         self._memrow: dict[int, tuple[tuple, int]] = {}
         self._memcol: dict[int, tuple[tuple, int]] = {}
+        self._rep: dict[int, int] = {}  # name id -> an indiscernible name whose rows it reads
 
     def _sync(self) -> int:
         """Add the entries of names created since the last call."""
@@ -200,6 +219,7 @@ class EqMemKernel:
 
     def eqrow(self, u: int, need: int) -> tuple:
         """The vector v -> ||u = v||, exact at least for the ids below need."""
+        u = self._rep.get(u, u)
         hit = self._eqrow.get(u)
         if hit is not None and hit[1] >= need:
             return hit[0]
@@ -214,7 +234,7 @@ class EqMemKernel:
             if not ks:
                 continue
             mrow = self.memrow(x, need)  # an older row that covers need serves
-            cover = min(cover, self._memrow[x][1])
+            cover = min(cover, self._memrow[self._rep.get(x, x)][1])
             erow = self.eqrow(x, self._child_bound)
             for k in ks:
                 inner[k] &= mrow[k]
@@ -240,6 +260,7 @@ class EqMemKernel:
 
     def memrow(self, x: int, need: int) -> tuple:
         """The vector v -> ||x in v||, exact at least for the ids below need."""
+        x = self._rep.get(x, x)
         hit = self._memrow.get(x)
         if hit is not None and hit[1] >= need:
             return hit[0]
@@ -259,6 +280,7 @@ class EqMemKernel:
 
     def memcol(self, w: int, need: int) -> tuple:
         """The vector y -> ||y in w||, exact at least for the ids below need."""
+        w = self._rep.get(w, w)
         hit = self._memcol.get(w)
         if hit is not None and hit[1] >= need:
             return hit[0]
@@ -270,12 +292,40 @@ class EqMemKernel:
             if not ks:
                 continue
             erow = self.eqrow(c, need)
-            cover = min(cover, self._eqrow[c][1])
+            cover = min(cover, self._eqrow[self._rep.get(c, c)][1])
             for k in ks:
                 col[k] |= erow[k]
         out = tuple(col)
         self._memcol[w] = (out, cover)
         return out
+
+    def classes(self, ids: Sequence[int]) -> list[int]:
+        """The first name of each class of indiscernible names among ids,
+        in the order of ids; from then on every row of a name in ids is its
+        class's first name's row.
+
+        The domain of every name in ids lies in C, the children of them
+        all, so u and v are indiscernible iff ||x in u|| = ||x in v|| for
+        every x in C: if the columns agree, u(x) <= ||x in u|| = ||x in v||
+        on dom(u), and symmetrically, so ||u = v|| = top; the converse is
+        the substitution lemma.  The planes of the member rows of C split
+        the ids into their classes."""
+        mask = 0
+        for i in ids:
+            mask |= 1 << i
+        need = mask.bit_length()
+        parts = [mask] if mask else []
+        for x in sorted({c for i in ids for c, _ in self.store.get(i).entries}):
+            for plane in self.memrow(x, need):
+                parts = [q for part in parts for q in (part & plane, part & ~plane) if q]
+        order = {i: k for k, i in reversed(list(enumerate(ids)))}
+        reps = []
+        for part in parts:
+            members = _bits(part)
+            first = min(members, key=order.__getitem__)
+            reps.append(first)
+            self._rep.update(dict.fromkeys(members, first))
+        return sorted(reps, key=order.__getitem__)
 
     def eq(self, u: int, v: int) -> int:
         """||u = v||, read from the row of the later name, which always

@@ -28,7 +28,7 @@ from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 from .algebra import FiniteHeytingAlgebra, _lowest, check_refinable
 from .errors import CapExceeded, PstError
 from .fidel import FStructure, find_algebra_embedding
-from .kernel import EqMemKernel, Planes, Vector
+from .kernel import EqMemKernel, Planes, Vector, _bits
 from .names import HFSet, NameStore, all_hf_sets, enumerate_universe, hat_embed
 from .syntax import (
     And,
@@ -54,6 +54,7 @@ from .syntax import (
     map_terms,
     negates_atoms_only,
     nnf_n4,
+    subformulas,
     substitute,
 )
 
@@ -470,18 +471,6 @@ def _first_trip(counts: Iterable[int], cap: int) -> CapExceeded | None:
     return None
 
 
-_BYTE_BITS = [tuple(i for i in range(8) if b >> i & 1) for b in range(256)]
-
-
-def _bits(mask: int) -> list[int]:
-    """The positions of the bits set in mask, lowest first, a byte at a time."""
-    out: list[int] = []
-    for k, byte in enumerate(mask.to_bytes((mask.bit_length() + 7) // 8, "little")):
-        if byte:
-            out += map((8 * k).__add__, _BYTE_BITS[byte])
-    return out
-
-
 def _atom_key(node: Formula, env: Mapping[str, int]) -> AtomKey:
     if isinstance(node, Bot):
         return ("bot",)
@@ -512,18 +501,24 @@ def _resolve(t: Term, env: Mapping[str, int]) -> int:
 _ATOMIC = (Bot, Mem, Eq, Pred)
 
 
+def _reads_pred(node: Formula) -> bool:
+    return any(sub.__class__ is Pred for sub in subformulas(node))
+
+
 # --- the evaluation context ------------------------------------------------------
 
 
 class _Domain:
     """The name ids a vector is read at: their mask, and one more than the
-    largest (the row coverage a read needs)."""
+    largest (the row coverage a read needs); for the scope, once a fold has
+    asked for them, its classes (``EvalContext.classes``)."""
 
-    __slots__ = ("ids", "mask", "need", "children")
+    __slots__ = ("ids", "mask", "need", "children", "classes")
 
     def __init__(self, ids: Sequence[int]):
         self.ids = tuple(ids)
         self.children: list[int] | None = None
+        self.classes: _Domain | None = None
         self.mask = 0
         for i in self.ids:
             self.mask |= 1 << i
@@ -594,6 +589,7 @@ class EvalContext:
         self._atoms_only: dict[int, tuple[Formula, bool]] = {}
         self._nnf: dict[int, tuple[Formula, Formula]] = {}
         self._domains: dict[int, tuple[Sequence[int], _Domain]] = {}
+        self._preds: dict[int, tuple[Formula, bool]] = {}
 
     @property
     def kernel(self) -> EqMemKernel:
@@ -659,6 +655,29 @@ class EvalContext:
         """The domain of a sequence of ids, cached while the sequence lives."""
         return _memo(self._domains, _Domain, ids)
 
+    def classes(self, model: SetModel) -> _Domain:
+        """One name per class of indiscernible scope names (||u = v|| =
+        top), the first in scope order; the whole scope when its ids are
+        not names of the store.  A choice-free node without predicate
+        atoms takes one value on a class, by the substitution lemmas, so a
+        fold over the scope reads the classes (``fold_domain``); computed
+        on the first such read, after which the kernel reads every scope
+        name by its class's rows."""
+        dom = self.domain(model.scope)
+        if dom.classes is None:
+            n = len(model.store)
+            names = all(0 <= i < n for i in dom.ids)
+            dom.classes = _Domain(self.kernel.classes(dom.ids)) if names else dom
+        return dom.classes
+
+    def fold_domain(self, node: Formula, model: SetModel) -> _Domain:
+        """The names a choice-free fold of node over the scope ranges over:
+        its classes, unless node reads a predicate atom, whose table need
+        not respect them."""
+        if _memo(self._preds, _reads_pred, node):
+            return self.domain(model.scope)
+        return self.classes(model)
+
     def fold(self, node: Forall | Exists, env: Mapping[str, int], model: SetModel) -> int:
         """A choice-free quantifier as one vector over its variable."""
         forall = isinstance(node, Forall)
@@ -667,7 +686,7 @@ class EvalContext:
             env = {k: v for k, v in env.items() if k != var}
         bounded = bounded_parts(node) if model.bounded_opt else None
         if bounded is None:
-            dom = self.domain(model.scope)
+            dom = self.fold_domain(node.body, model)
             vec = self.vector(node.body, env, var, dom, model)
             p = self.planes
             return p.meet_over(vec, dom.mask) if forall else p.join_over(vec, dom.mask)
@@ -831,7 +850,8 @@ def _eval(
                 acc = meet(acc, imp(a, sub)) if forall else join(acc, meet(a, sub))
             return acc
         combine = meet if forall else join
-        for nid in model.scope:
+        plain = folding and asg.probe is None
+        for nid in ctx.fold_domain(node.body, model).ids if plain else model.scope:
             env2[node.var] = nid
             acc = combine(acc, _eval(node.body, env2, trail + (nid,), path + (0,), model, asg, ctx))
         return acc

@@ -45,7 +45,8 @@ JOBS = 2
 # comega searches and the qcw audit whose negated compounds take occurrence
 # digits in the propositional walk, comprehension at rank 3, powerset at
 # single rank-3 targets and over every B4 target, the check and the
-# saturated families of each model algebra, and usage errors and --help,
+# saturated families of each model algebra, rank-3 checks whose folds and
+# all-target loops read classes of indiscernible names, and usage errors and --help,
 # each followed by an ordinary check, so that a parser that serves every
 # call is compared right after an error exit
 _SEPARATION = 'axiom check --axiom separation --model {models}/%s_comega.fst --rank %d --formula "%s" --var x'
@@ -112,6 +113,15 @@ _CHECKS = [
     *(f"axiom check --axiom comprehension --model {{models}}/{stem}.alg --rank 3" for stem in ("chain2", "chain3")),
     *(f"axiom check --axiom powerset --model {{models}}/chain3.alg --rank 3 --u {u}" for u in (0, 7, 100, 255)),
     "axiom check --axiom powerset --model {models}/b4.alg --rank 2",
+    # folds and all-target checks over the classes of the 3-chain at rank 3
+    "axiom check --axiom extensionality --model {models}/chain3.alg --rank 3",
+    'eval --model {models}/chain3.alg --rank 3 --formula "forall x . forall y . forall z . ((x eq y & y eq z) -> x eq z)"',
+    *(
+        f"axiom check --axiom {axiom} --model {{models}}/{model} --rank 3"
+        for axiom in ("union", "pairing")
+        for model in ("chain3.alg", "chain3_comega.fst", "chain3_n4.fst")
+    ),
+    'eval --model {models}/chain3_n4.fst --rank 3 --formula "forall x . forall y . (x eq y | ~(x eq y) | (exists z . (z in y & z eq x)))"',
     # the tables each model algebra is built with: the implication table,
     # and the saturated families read from them
     *(

@@ -43,6 +43,11 @@ through it; ``walk_audit`` runs the quantified instances through
 ``table_audit_quantified``, the per-predicate-table loop the quantified
 audit's index over the predicate cells replaced.
 
+``name_level`` is the oracle for the classes of indiscernible names
+(``EvalContext.classes``): while it runs, every scope name is a class of
+its own, so each choice-free fold and each all-target axiom check ranges
+over every name, as before the classes.
+
 ``enumerated_heyting`` is the oracle for ``algebra.enumerate_heyting``: it
 lists every labelled poset by its pair bitmask and its down-sets by
 testing every subset.
@@ -55,9 +60,11 @@ testing every subset.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 from dataclasses import dataclass
+from unittest import mock
 from typing import Mapping
 
 from pst.algebra import (
@@ -209,6 +216,14 @@ class Reference:
 
         return walk(phi)
 
+
+
+@contextlib.contextmanager
+def name_level():
+    """Every scope name a class of its own while the block runs: the
+    name-level folds and target loops that the classes replaced."""
+    with mock.patch.object(EvalContext, "classes", lambda self, model: self.domain(model.scope)):
+        yield
 
 
 # --- the replaced enumerator: negated atoms and comega occurrences by own walks ---------
@@ -532,7 +547,7 @@ def pointwise_powerset(model: SetModel, u=None, cap: int = POWERSET_CAP) -> Axio
         subset = ctx.vector(
             Forall("y", Imp(Mem(Var("y"), Var("v")), Mem(Var("y"), NameConst(uu)))), {}, "v", scope, bounded
         )
-        value = alg.meet_(value, _scope_bicond(ctx, model, lhs, subset))
+        value = alg.meet_(value, _scope_bicond(ctx, scope, lhs, subset))
     return _report(model, "powerset", value, value == alg.top, witnesses=witnesses)
 
 

@@ -702,13 +702,16 @@ def test_seed_echoed(files, capsys):
 
 def test_out_of_memory_is_an_error_line_with_exit_two(tmp_path):
     """A check that runs out of memory exits 2 with one ``error:`` line, not
-    a traceback with exit 1 (which reads as "invalid"): pairing over B4 at
-    rank 3 under a 400 MB address-space limit, set in the child only."""
+    a traceback with exit 1 (which reads as "invalid"): collection by
+    ``y eq x`` over B4 at rank 3, whose instance list holds every pair of
+    the 3125 names, under a 400 MB address-space limit, set in the child
+    only."""
     from pst.algebra import boolean_algebra, format_algebra_text
 
     path = tmp_path / "b4.alg"
     path.write_text(format_algebra_text("b4", boolean_algebra(2)))
-    argv = ["axiom", "check", "--axiom", "pairing", "--model", str(path), "--rank", "3"]
+    argv = ["axiom", "check", "--axiom", "collection", "--model", str(path), "--rank", "3"]
+    argv += ["--formula", "y eq x", "--var", "x", "--var2", "y"]
     child = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))\n"

@@ -48,7 +48,7 @@ def texts():
 
 
 @given(texts())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True)
 def test_parsers_return_or_raise_typed_errors(text):
     for parse in PARSERS:
         try:
@@ -82,7 +82,7 @@ def _assert_contract(argv):
 
 
 @given(st.one_of(st.binary(max_size=200), nestings().map(str.encode)))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 def test_cli_input_files(model_dir, blob):
     text = blob.decode("utf-8", "replace").replace("\n", " ")
     for i, (command, content) in enumerate((
@@ -98,7 +98,7 @@ def test_cli_input_files(model_dir, blob):
 
 
 @given(texts(), st.sampled_from(("chain2.alg", "c3.fst")))
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120, deadline=None, derandomize=True)
 def test_cli_formulas_and_sets(model_dir, text, model):
     path = str(model_dir / model)
     for argv in (
