@@ -30,13 +30,16 @@ from .syntax import (
 )
 from .valuation import (
     ASSIGNMENT_CAP,
+    AssignmentIndex,
     EvalContext,
     EvalError,
+    Planes,
     SetModel,
     Sweep,
     Vector,
     _Domain,
     _joined_values,
+    _reads_pred,
     hat_transfer,
     sweep_assignments,
 )
@@ -159,11 +162,19 @@ def check_union(
 ) -> AxiomReport:
     """The union name has dom(w) the union of child domains and
     w(x) = join over children v of u(v) ^ v(x); pointwise it matches
-    'exists v in u (y in v)'."""
+    'exists v in u (y in v)'.
+
+    The right side exists t . (t in u & y in t) is folded as a bounded
+    quantifier, the join over x in dom(u) of u(x) ^ ||y in x||, which is
+    equal by the bounded lemma: t = x gives >=, and ||t in u|| ^ ||y in t||
+    <= join over x of u(x) ^ ||x = t|| ^ ||y in t|| <= the same join by
+    substitution (dom(u) lies in the scope, which is closed under
+    children)."""
     ctx = ctx or EvalContext(model)
     alg = model.algebra
     store = model.store
     targets, scope = _targets(model, u, ctx)
+    bounded = model.with_flags(bounded_opt=True)
     value = alg.top
     witnesses = []
     for uu in targets:
@@ -178,7 +189,7 @@ def check_union(
             witnesses.append(("w", w))
         lhs = ctx.kernel.memcol(w, scope.need)  # y -> ||y in w||
         union = Exists("t", And(Mem(Var("t"), NameConst(uu)), Mem(Var("y"), Var("t"))))
-        rhs = ctx.vector(union, {}, "y", scope, model)
+        rhs = ctx.vector(union, {}, "y", scope, bounded)
         value = alg.meet_(value, _scope_bicond(ctx, scope, lhs, rhs))
     return _report(model, "union", value, value == alg.top, witnesses=witnesses)
 
@@ -199,10 +210,20 @@ def check_separation(
     z in w <-> (z in u & phi(z)), per negation assignment.
 
     The assignments are those of forall var . phi, and phi at each name is
-    one vector over them (``_joined_values``).  ||z in w|| is read as
-    the join over x in dom(u) of w(x) ^ ||x = z||, the definition of
-    membership; the witness name is made for the first target under the
-    first assignment only."""
+    one vector over them (``_joined_values``); a choice-free phi without
+    predicates is one vector over the names.  ||z in w|| is read as the
+    join over x in dom(u) of w(x) ^ ||x = z||, the definition of
+    membership.  Both sides are read for every assignment position p and
+    scope name z at once, as planes of bit p * width + z (``_Blocks``), a
+    run of positions at a time so that a plane stays within
+    ``_BLOCK_BITS``:
+
+        lhs(p, z) = join over x in dom(u) of ||x in u|| ^ phi(x)(p) ^ ||x = z||,
+        rhs(p, z) = ||z in u|| ^ phi(z)(p),
+
+    the biconditional is met over the targets plane by plane, and over z
+    once at the end.  The witness name is made for the first target under
+    the first assignment only."""
     if free_vars(phi) != {var}:
         raise EvalError("separation needs a one-free-variable formula")
     ctx = ctx or EvalContext(model)
@@ -211,23 +232,106 @@ def check_separation(
     targets, _ = _targets(model, u, ctx)
     children = _children(model, targets)
     names = list(dict.fromkeys([*model.scope, *children]))
-    instances = [(phi, {var: x}, (x,), (0,), (i,)) for i, x in enumerate(names)]
-    values, code = _joined_values(Forall(var, phi), instances, model, ctx, cap)
-    phi_at = {x: values[(i,)] for i, x in enumerate(names)}
-    need = ctx.domain(model.scope).need
-    # per child x, ||x = z|| for each z, by the position of z in the scope
-    eq = {x: [p.decode(row, z) for z in model.scope] for x, row in ((x, ctx.kernel.eqrow(x, need)) for x in children)}
-    value: Vector = p.top
+    if ctx.choice_free(phi, model.mode) and not _reads_pred(phi):
+        code = AssignmentIndex({}, p)
+        table = ctx.vector(phi, {}, var, _Domain(names), model)
+        phi_at = {x: p.decode(table, x) for x in children}
+    else:
+        instances = [(phi, {var: x}, (x,), (0,), (i,)) for i, x in enumerate(names)]
+        values, code = _joined_values(Forall(var, phi), instances, model, ctx, cap)
+        phi_at = {x: values[(i,)] for i, x in enumerate(names)}
+        table = None
+    scope = ctx.domain(model.scope)
+    width = 8 * (max(names, default=0) // 8 + 1)  # bits per block: whole bytes, every name
+    step = max(1, _BLOCK_BITS // width)
+    value = [0] * p.width
+    for lo in range(0, code.size, step):
+        blocks = _Blocks(p, width, lo, min(step, code.size - lo))
+        # per child x: (p, z) -> phi(x)(p) ^ ||x = z||
+        grid = {x: p.meet(blocks.spread(phi_at[x]), blocks.tile(ctx.kernel.eqrow(x, scope.need))) for x in children}
+        phi_z = table if table is not None else blocks.transpose({z: phi_at[z] for z in model.scope})
+        acc: Vector = p.top
+        for uu in targets:
+            lhs: Vector = p.bottom
+            for x, _ in store.get(uu).entries:
+                lhs = p.join(lhs, p.meet(ctx.eval_mem(x, uu), grid[x]))
+            rhs = p.meet(blocks.tile(ctx.kernel.memcol(uu, scope.need)), phi_z)
+            acc = p.meet(acc, p.meet(p.imp(lhs, rhs), p.imp(rhs, lhs)))
+        for k, plane in enumerate(p._planes(acc)):
+            value[k] |= blocks.holding(plane, scope.mask) << lo
     witnesses = []
-    for uu in targets:
-        w = [(x, p.meet(ctx.eval_mem(x, uu), phi_at[x])) for x, _ in store.get(uu).entries]
-        if not witnesses and code.size:
-            witnesses.append(("w", store.mk_name([(x, p.decode(wx, 0)) for x, wx in w])))
-        for i, z in enumerate(model.scope):
-            lhs = functools.reduce(p.join, (p.meet(wx, eq[x][i]) for x, wx in w), p.bottom)
-            rhs = p.meet(ctx.eval_mem(z, uu), phi_at[z])
-            value = p.meet(value, p.meet(p.imp(lhs, rhs), p.imp(rhs, lhs)))
-    return _quantified_report(model, "separation", Sweep(value, code, p), quantification, witnesses)
+    if code.size and targets:
+        w = [(x, p.decode(p.meet(ctx.eval_mem(x, targets[0]), phi_at[x]), 0)) for x, _ in store.get(targets[0]).entries]
+        witnesses.append(("w", store.mk_name(w)))
+    return _quantified_report(model, "separation", Sweep(tuple(value), code, p), quantification, witnesses)
+
+
+class _Blocks:
+    """Vectors over (assignment position, name) pairs for the positions
+    lo .. lo + n - 1: one block of width bits per position, a whole number
+    of bytes, bit (p - lo) * width + z holding name z at position p."""
+
+    def __init__(self, planes: Planes, width: int, lo: int, n: int):
+        self.planes = planes
+        self.width = width
+        self.size = width // 8  # bytes per block
+        self.lo = lo
+        self.n = n
+        self.ones = (1 << self.width) - 1
+        self.repeat = self.deposit(-1)  # bit 0 of every block
+
+    def deposit(self, mask: int) -> int:
+        """Bit p of mask moved to bit p * width, for p < n: the first byte
+        of block p holds it."""
+        blocks = bytearray(self.n * self.size)
+        blocks[:: self.size] = format(mask & (1 << self.n) - 1, f"0{self.n}b")[::-1].encode().translate(_BIT_BYTES)
+        return int.from_bytes(blocks, "little")
+
+    def spread(self, v: Vector) -> Vector:
+        """A vector over the positions, the same at every name."""
+        if v.__class__ is int:
+            return v
+        return tuple(self.deposit(plane >> self.lo) * self.ones for plane in v)
+
+    def tile(self, row: tuple) -> tuple:
+        """A vector over the names, the same at every position."""
+        return tuple((plane & self.ones) * self.repeat for plane in row)
+
+    def transpose(self, at: dict[int, Vector]) -> tuple:
+        """The vector whose name z holds the vector over the positions
+        at[z], built once per distinct plane."""
+        out = []
+        for k in range(self.planes.width):
+            names: dict[int, int] = {}
+            for z, v in at.items():
+                plane = self.planes._planes(v)[k] >> self.lo & (1 << self.n) - 1
+                if plane:
+                    names[plane] = names.get(plane, 0) | 1 << z
+            out.append(sum(self.deposit(plane) * mask for plane, mask in names.items()))
+        return tuple(out)
+
+    def holding(self, plane: int, mask: int) -> int:
+        """The positions whose block of plane holds every name of mask, as
+        a mask over the positions from lo."""
+        bad = ~plane & mask * self.repeat
+        # windows[t], at bit i: the OR of bits i .. i + 2^t - 1 of bad
+        windows = [bad]
+        while 1 << len(windows) <= self.width:
+            last = windows[-1]
+            windows.append(last | last >> (1 << len(windows) - 1))
+        acc, at = 0, 0
+        for t in reversed(range(len(windows))):
+            if self.width >> t & 1:
+                acc |= windows[t] >> at
+                at += 1 << t
+        # bit 0 of each block, from the first byte of each
+        firsts = acc.to_bytes(self.n * self.size, "little")[:: self.size].translate(_LOW_BITS)
+        return ~int(firsts[::-1], 2) & (1 << self.n) - 1
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+_LOW_BITS = bytes(ord("0") + (b & 1) for b in range(256))
+_BLOCK_BITS = 1 << 22
 
 
 def _children(model: SetModel, targets: Sequence[int]) -> list[int]:
@@ -274,8 +378,17 @@ def check_powerset(
     ctx = ctx or EvalContext(model)
     alg = model.algebra
     store = model.store
-    targets, scope = _targets(model, u, ctx)
     children = _Domain(ctx._children(ctx.domain(model.scope)))
+    # the first target past the cap trips it before any work; no scope name
+    # has more children than the scope has, so it is sought only then
+    widest = len(children.ids) if u is None else len(store.get(u).entries)
+    if alg.size**widest > cap:
+        for uu in model.scope if u is None else [u]:
+            n_funcs = alg.size ** len(store.get(uu).entries)
+            if n_funcs > cap:
+                msg = f"powerset would need {n_funcs} candidate functions"
+                raise CapExceeded(msg, cap="POWERSET_CAP", limit=cap, predicted=n_funcs)
+    targets, scope = _targets(model, u, ctx)
     # v -> ||forall y in v (y in u)||, folded over dom(v) for every v at once
     bounded = model.with_flags(bounded_opt=True)
     value = alg.top
@@ -285,10 +398,6 @@ def check_powerset(
     done = set()
     for uu in targets:
         dom_u = tuple(c for c, _ in store.get(uu).entries)
-        n_funcs = alg.size ** len(dom_u)
-        if n_funcs > cap:
-            msg = f"powerset would need {n_funcs} candidate functions"
-            raise CapExceeded(msg, cap="POWERSET_CAP", limit=cap, predicted=n_funcs)
         column = tuple(plane & children.mask for plane in ctx.kernel.memcol(uu, children.need))
         if (dom_u, column) in done:
             continue
@@ -350,21 +459,22 @@ def check_emptyset(model: SetModel, ctx: EvalContext | None = None) -> AxiomRepo
 
     In boolean/heyting mode the pseudo-complement forces the single choice
     n' = 0 and the witness is the empty-behaving name.
+
+    ||u in {u: n'}|| takes one value on a class of indiscernible names, by
+    substitution, so one target per class is checked (the first is
+    scope[0]); every target and choice counts as an assignment.
     """
     ctx = ctx or EvalContext(model)
     alg = model.algebra
     store = model.store
     choices = model.neg_options(alg.top)
-    targets, _ = _targets(model, None, ctx)
     value = alg.top
-    n = 0
     witnesses = []
-    for uu in targets:
+    for uu in ctx.classes(model).ids:
         for nprime in choices:
             w = store.mk_name([(uu, nprime)])
             if not witnesses:
                 witnesses.append(("w", w))
-            n += 1
             got = ctx.eval_mem(uu, w)
             value = alg.meet_(value, _bicond(model, got, nprime))
     return _report(
@@ -374,7 +484,7 @@ def check_emptyset(model: SetModel, ctx: EvalContext | None = None) -> AxiomRepo
         value == alg.top,
         quantification="all_assignments",
         witnesses=witnesses,
-        n_assignments=n,
+        n_assignments=len(model.scope) * len(choices),
         notes=("witness adapts to each admissible choice of ~(u = u)",),
     )
 

@@ -28,7 +28,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 from .algebra import FiniteHeytingAlgebra
 from .errors import CapExceeded
 from .kernel import Vector
-from .syntax import And, Exists, Forall, Formula, Or, bounded_parts, iff_sides, subformulas
+from .syntax import And, Eq, Exists, Forall, Formula, Mem, NameConst, Or, bounded_parts, iff_sides, subformulas
 from .valuation import (
     EMPTY_ASSIGNMENT,
     KEY_CAP,
@@ -49,6 +49,7 @@ from .valuation import (
     _lowest,
     _Probe,
     _probe,
+    _reads_pred,
 )
 
 
@@ -88,6 +89,17 @@ def _rebuild(key: AtomKey, slots: Sequence[int]) -> AtomKey:
     if key[0] == "mem":
         return ("mem", *slots)
     return ("pred", key[1], tuple(slots)) if len(key) == 3 else key
+
+
+def _constants(node: Formula) -> set[int]:
+    """The names node's eq and mem atoms hold as constants."""
+    return {
+        t.ref
+        for sub in subformulas(node)
+        if sub.__class__ is Eq or sub.__class__ is Mem
+        for t in (sub.left, sub.right)
+        if t.__class__ is NameConst
+    }
 
 
 _X, _Y = -2, -1  # the row's and the position's name in a shape
@@ -236,9 +248,9 @@ class _Group:
                 occs += ((self.place.occ(key, (a, y)), choice) for y in positions)
 
 
-def _classes(mask: int, reads: Sequence[Vector], bounds: Sequence[int]) -> list[int]:
+def _classes(mask: int, reads: Sequence[Vector]) -> list[int]:
     """mask split into the positions that read one value at every read
-    vector and lie between the same two bounds."""
+    vector."""
     classes = [mask]
     seen = set()
     for vec in reads:
@@ -247,9 +259,6 @@ def _classes(mask: int, reads: Sequence[Vector], bounds: Sequence[int]) -> list[
         seen.add(id(vec))
         for plane in vec:
             classes = [m for c in classes for m in (c & plane, c & ~plane) if m]
-    for b in bounds:
-        below = (1 << b) - 1
-        classes = [m for c in classes for m in (c & below, c & ~below) if m]
     return classes
 
 
@@ -290,7 +299,8 @@ class _Grid:
         self.index = {nid: i for i, nid in enumerate(split.model.scope)}
         self.rows = list(split.model.scope) if outer is not None else [None]
         self.dom = split.ctx.domain(split.model.scope).mask
-        self.folds: dict[int | None, _Fold] = {}
+        self.folds: dict[int | None, _Fold] = {}  # per class of rows: its first row's fold
+        self.serve: dict[int | None, int | None] = {}  # row -> the row whose folds serve it
         self.live = True
         self.star: tuple[AtomKey, ...] = ()
         self.consts: set[int] = set()
@@ -320,28 +330,46 @@ class _Grid:
         return fold
 
     def probe(self) -> None:
-        """Probe every row and find the common shapes; a row with a key
-        that every position reads, or rows without common shapes that name
-        both the row and the position, make the grid scalar."""
-        size = len(self.split.model.scope)
+        """Probe one row per class of indiscernible names and find the
+        common shapes; a row with a key that every position reads, or rows
+        without common shapes that name both the row and the position, make
+        the grid scalar.
+
+        Rows a and a' of one class read equal eq/mem values at every
+        position (||a = y|| = ||a' = y||, and likewise for membership both
+        ways), so the fold of the class's first row serves every member, and
+        its shapes, with the row as -2, are theirs.  A body that reads a
+        predicate, whose table need not respect the classes, is folded row
+        by row, as is a row at a name the keys may hold as a constant (bound
+        outside the grid, or named in the body)."""
+        model, ctx = self.split.model, self.split.ctx
+        by_class = not _reads_pred(self.q.body)
+        if by_class:
+            ctx.classes(model)  # also shares the kernel's rows in a single-row grid
+        pinned = {*self.env.values(), *_constants(self.q.body)} if self.outer is not None else ()
+        first: dict[tuple, int | None] = {}
         for i, a in enumerate(self.rows):
+            own = a is None or not by_class or a in pinned  # a class of its own
+            r = self.serve[a] = first.setdefault((a, True) if own else (ctx.kernel.rep(a), False), a)
+            if r != a:
+                continue
             fold = self._fold(self.q.var, self.env if a is None else {**self.env, self.outer.var: a})
             if i == 0:
-                self.split.count(len(self.rows) * size * (len(fold.patterns) + len(fold.probe.options)))
+                self.split.count(len(self.rows) * len(model.scope) * (len(fold.patterns) + len(fold.probe.options)))
             if fold.probe.options:
                 self.live = False
                 return
             self.folds[a] = fold
-        shapes = {a: tuple(_shape(p, a) for p in fold.patterns) for a, fold in self.folds.items()}
+        shapes = {r: tuple(_shape(p, r) for p in fold.patterns) for r, fold in self.folds.items()}
         if self.outer is None:
             (self.star,) = shapes.values()
         else:
-            self.star, count = collections.Counter(shapes.values()).most_common(1)[0]
+            self.star, count = collections.Counter(shapes[r] for r in self.serve.values()).most_common(1)[0]
             if count < 2 or not all(_X in _slots(s) and _Y in _slots(s) for s in self.star):
                 self.live = False
                 return
             self.linked = any(_transpose(s) in self.star for s in self.star)
-        self.generic = {a for a, s in shapes.items() if s == self.star}
+        self.generic = {a for a, r in self.serve.items() if shapes[r] == self.star}
         self.shapes = set(self.star)
         self.consts = {i for s in self.shapes for i in _slots(s) if i >= 0}
 
@@ -383,12 +411,17 @@ class _Grid:
 
     def classes(self) -> list[_Group]:
         """The clean positions by class (a linked grid's from the row's
-        side only, the mirror's position being its partner)."""
+        side only, the mirror's position being its partner).  The
+        positions are split by the values they read once per class of
+        rows; each member row intersects those parts with its own clean
+        positions and bounds."""
         planes = self.split.ctx.planes
         out = []
+        parts: dict[int | None, tuple[list[tuple[int, tuple]], bool]] = {}
         for a in self.rows:
             mask = self.clean(a)
-            fold = self.folds[a]
+            r = self.serve[a]
+            fold = self.folds[r]
             if self.diagonal and mask >> a & 1:  # (a, a): the row's reads at a
                 key = ("diagonal", tuple(planes.decode(v, a) for v in fold.reads), a if fold.opaque else None)
                 group = self.memo.get(key)
@@ -400,27 +433,47 @@ class _Grid:
                 mask &= ~((2 << a) - 1) if self.linked else ~(1 << a)
             if not mask:
                 continue
-            reads, opaque = list(fold.reads), fold.opaque
-            if self.linked:
-                col = self._fold(self.outer.var, {**self.env, self.q.var: a})
-                reads += col.reads
-                opaque = opaque or col.opaque
+            if r not in parts:
+                parts[r] = self._parts(r)
+            split, opaque = parts[r]
             bounds = self.special if a is None else sorted({*self.special, a})
             row_type = () if a is None else tuple(a > c for c in self.special)
-            for m in _classes(mask, reads, bounds):
-                y0 = _lowest(m)
-                key = (
-                    tuple(planes.decode(v, y0) for v in reads),
-                    row_type,
-                    tuple(y0 > b for b in bounds),
-                    a if opaque else None,
-                )
-                group = self.memo.get(key)
-                if group is None:
-                    group = self.memo[key] = self._represent(a, y0)
-                    out.append(group)
-                group.spans.append((a, m))
+            # the positions between two bounds (none lies at one), each
+            # with the bounds it lies above
+            between = []
+            low = 0
+            for i, b in enumerate([*bounds, None]):
+                high = -1 if b is None else (1 << b) - 1
+                between.append((high & ~low, (True,) * i + (False,) * (len(bounds) - i)))
+                low = high
+            for part, values in split:
+                clean = part & mask
+                if not clean:
+                    continue
+                for span, above in between:
+                    m = clean & span
+                    if not m:
+                        continue
+                    key = (values, row_type, above, a if opaque else None)
+                    group = self.memo.get(key)
+                    if group is None:
+                        group = self.memo[key] = self._represent(a, _lowest(m))
+                        out.append(group)
+                    group.spans.append((a, m))
         return out
+
+    def _parts(self, r: int | None) -> tuple[list[tuple[int, tuple]], bool]:
+        """The positions split by the values that row r's folds (and, in a
+        linked grid, its column's) read there, each part with those values;
+        and whether a read is opaque."""
+        fold = self.folds[r]
+        reads, opaque = list(fold.reads), fold.opaque
+        if self.linked:
+            col = self._fold(self.outer.var, {**self.env, self.q.var: r})
+            reads += col.reads
+            opaque = opaque or col.opaque
+        planes = self.split.ctx.planes
+        return [(m, tuple(planes.decode(v, _lowest(m)) for v in reads)) for m in _classes(self.dom, reads)], opaque
 
     def _represent(self, a: int | None, y0: int) -> _Group:
         """The sweep of the component at (a, y0), and how its keys, ranks

@@ -327,6 +327,11 @@ class EqMemKernel:
             self._rep.update(dict.fromkeys(members, first))
         return sorted(reps, key=order.__getitem__)
 
+    def rep(self, u: int) -> int:
+        """The name whose rows u reads: its class's first name once
+        ``classes`` has split names that hold u, else u."""
+        return self._rep.get(u, u)
+
     def eq(self, u: int, v: int) -> int:
         """||u = v||, read from the row of the later name, which always
         covers the earlier one."""

@@ -727,8 +727,18 @@ class EvalContext:
         right = node.right.__class__ is Var and node.right.name == var
         kernel = self.kernel
         if left and right:
-            read = kernel.eq if cls is Eq else kernel.mem
-            return self.planes.from_values((i, read(i, i)) for i in dom.ids)
+            p = self.planes
+            if cls is Eq:
+                # ||x = x|| at each id, read from the row of its class
+                members: dict[int, int] = {}
+                for i in dom.ids:
+                    r = kernel.rep(i)
+                    members[r] = members.get(r, 0) | 1 << i
+                rows = (tuple(plane & m for plane in kernel.eqrow(r, dom.need)) for r, m in members.items())
+                return functools.reduce(p.join, rows, p.bottom)
+            # ||x in x|| = join over the child names z of x(z) ^ ||z = x||
+            rows = (p.meet(kernel.entry(z), kernel.eqrow(z, dom.need)) for z in self._children(dom))
+            return functools.reduce(p.join, rows, p.bottom)
         other = _resolve(node.right if left else node.left, env)
         if cls is Eq:
             return kernel.eqrow(other, dom.need)

@@ -46,7 +46,8 @@ JOBS = 2
 # digits in the propositional walk, comprehension at rank 3, powerset at
 # single rank-3 targets and over every B4 target, the check and the
 # saturated families of each model algebra, rank-3 checks whose folds and
-# all-target loops read classes of indiscernible names, and usage errors and --help,
+# all-target loops read classes of indiscernible names, rank-3 grids,
+# separation and union over B4 and the 4-chain, and usage errors and --help,
 # each followed by an ordinary check, so that a parser that serves every
 # call is compared right after an error exit
 _SEPARATION = 'axiom check --axiom separation --model {models}/%s_comega.fst --rank %d --formula "%s" --var x'
@@ -122,6 +123,12 @@ _CHECKS = [
         for model in ("chain3.alg", "chain3_comega.fst", "chain3_n4.fst")
     ),
     'eval --model {models}/chain3_n4.fst --rank 3 --formula "forall x . forall y . (x eq y | ~(x eq y) | (exists z . (z in y & z eq x)))"',
+    # grids probed by class of rows, separation read as vectors over names,
+    # and union's right side folded by the bounded lemma, at rank 3
+    *(f'eval --model {{models}}/chain3_{kind}.fst --rank 3 --formula "forall x . forall y . (x eq y | ~(x eq y))"' for kind in ("comega", "n4")),
+    'eval --model {models}/chain3_n4.fst --rank 3 --quant some --formula "exists x . (x eq x & ~(x eq x))"',
+    'axiom check --axiom separation --model {models}/b4_n4.fst --rank 3 --formula "~(x in x)" --var x',
+    *(f"axiom check --axiom union --model {{models}}/{stem}_n4.fst --rank 3" for stem in ("b4", "chain4")),
     # the tables each model algebra is built with: the implication table,
     # and the saturated families read from them
     *(

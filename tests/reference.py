@@ -19,6 +19,10 @@ evaluator replaced: it finds the negated atoms and the comega occurrences
 by walks of its own (``_collect_atom_keys``, ``_occ_space``) over the whole
 scope, so it serves as the oracle outside ``bounded_opt`` only.
 
+``separation`` is the oracle for ``axioms.check_separation``, which reads
+both sides as vectors over the assignment positions and the names at
+once: the loop over the targets and the scope names it replaced.
+
 ``enumerated_comprehension`` is the oracle for
 ``axioms.check_comprehension_refuted``, which reads one member name: it
 takes the meet over the enumerated rank-(r + 1) universe.
@@ -119,7 +123,7 @@ from pst.syntax import (
     subformulas,
     substitute,
 )
-from pst.axioms import POWERSET_CAP, AxiomReport, _report, _scope_bicond
+from pst.axioms import POWERSET_CAP, AxiomReport, _children, _quantified_report, _report, _scope_bicond, _targets
 from pst.errors import CapExceeded
 from pst.valuation import (
     ASSIGNMENT_CAP,
@@ -130,10 +134,12 @@ from pst.valuation import (
     EvalError,
     InvalidAssignment,
     SetModel,
+    Sweep,
     UncoveredNegation,
     Verdict,
     _atom_key,
     _eval,
+    _joined_values,
     eval_sentence,
     make_model,
 )
@@ -469,6 +475,37 @@ def enumerated_separation(model: SetModel, phi, var: str, u=None, cap: int = ASS
                 val = alg.meet_(val, alg.meet_(alg.imp_(lhs, rhs), alg.imp_(rhs, lhs)))
         values.append(val)
     return _enumerated_reports(model, "separation", values, witnesses)
+
+
+def separation(model: SetModel, phi, var: str, u=None, quantification: str = "all_assignments", ctx=None, cap: int = ASSIGNMENT_CAP) -> AxiomReport:
+    """``check_separation`` name by name: phi at each name one vector over
+    the assignments (``_joined_values``), and the biconditional met over a
+    loop over the targets and the scope names z, reading ||x = z|| from a
+    table of the children's eq rows."""
+    if free_vars(phi) != {var}:
+        raise EvalError("separation needs a one-free-variable formula")
+    ctx = ctx or EvalContext(model)
+    store = model.store
+    p = ctx.planes
+    targets, _ = _targets(model, u, ctx)
+    children = _children(model, targets)
+    names = list(dict.fromkeys([*model.scope, *children]))
+    instances = [(phi, {var: x}, (x,), (0,), (i,)) for i, x in enumerate(names)]
+    values, code = _joined_values(Forall(var, phi), instances, model, ctx, cap)
+    phi_at = {x: values[(i,)] for i, x in enumerate(names)}
+    need = ctx.domain(model.scope).need
+    eq = {x: [p.decode(ctx.kernel.eqrow(x, need), z) for z in model.scope] for x in children}
+    value = p.top
+    witnesses = []
+    for uu in targets:
+        w = [(x, p.meet(ctx.eval_mem(x, uu), phi_at[x])) for x, _ in store.get(uu).entries]
+        if not witnesses and code.size:
+            witnesses.append(("w", store.mk_name([(x, p.decode(wx, 0)) for x, wx in w])))
+        for i, z in enumerate(model.scope):
+            lhs = functools.reduce(p.join, (p.meet(wx, eq[x][i]) for x, wx in w), p.bottom)
+            rhs = p.meet(ctx.eval_mem(z, uu), phi_at[z])
+            value = p.meet(value, p.meet(p.imp(lhs, rhs), p.imp(rhs, lhs)))
+    return _quantified_report(model, "separation", Sweep(value, code, p), quantification, witnesses)
 
 
 def enumerated_collection(

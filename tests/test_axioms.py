@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pst import axioms as axioms_mod
+from pst import search as search_mod
 from pst import valuation as valuation_mod
 from pst.algebra import boolean_algebra, chain, enumerate_heyting
 from pst.axioms import (
@@ -28,7 +30,7 @@ from pst.fidel import format_fstructure_text, saturate
 from pst.names import NameStore
 from pst.syntax import And, Eq, Forall, Imp, Mem, NameConst, Neg, Or, Var, free_vars, iff, parse_formula
 from pst.valuation import ASSIGNMENT_CAP, EvalContext, EvalError, eval_sentence, make_model
-from reference import enumerated_collection, enumerated_comprehension, enumerated_separation, pointwise_powerset
+from reference import enumerated_collection, enumerated_comprehension, enumerated_separation, name_level, pointwise_powerset, separation
 
 x, y, z = Var("x"), Var("y"), Var("z")
 
@@ -489,3 +491,102 @@ def test_bounded_separation_reads_every_instance_key():
             for flag in (False, True)
         )
         assert plain == bounded
+
+
+# --- separation as vectors over names, against the loop over the scope ----------------------
+
+_VECTOR_FORMULAS = ["~(x in x)", "~(x eq x)", "~~(x eq x)", "exists y . (y in x & ~(y in x))", "~(x in #1)"]
+
+
+def _separation_both(structure, rank, text, u=None):
+    """check_separation and the loop over targets and scope names
+    (``reference.separation``), each on a model of its own, under both
+    quantifications: whole reports, or the same cap trip."""
+    out = []
+    for quant in ("all_assignments", "some_assignment"):
+        pair = []
+        for check in (check_separation, separation):
+            model = make_model(structure, NameStore(), rank)
+            try:
+                pair.append(check(model, parse_formula(text), "x", u=u, quantification=quant))
+            except CapExceeded as exc:
+                pair.append((str(exc), exc.cap, exc.limit, exc.predicted))
+        out.append(pair)
+    return out
+
+
+_FAMILIES_TO_4 = [
+    *enumerate_heyting(4),
+    *(fs for alg in enumerate_heyting(4) for kind in ("comega", "n4") for fs in search_mod._families(alg, "all", kind)),
+]
+
+
+def test_separation_vectors_match_the_scope_loop_at_rank_two():
+    """Every algebra and every valid family of size <= 4."""
+    answered = 0
+    for structure, text in itertools.product(_FAMILIES_TO_4, _VECTOR_FORMULAS):
+        for got, want in _separation_both(structure, 2, text):
+            assert got == want, (structure, text)
+            answered += not isinstance(got, tuple)
+    assert answered > 100
+
+
+@pytest.mark.parametrize("kind", ["algebra", "comega", "n4"])
+def test_separation_vectors_match_the_scope_loop_at_rank_three(kind):
+    structure = chain(3) if kind == "algebra" else saturate(chain(3), kind)
+    for text in _VECTOR_FORMULAS:
+        for got, want in _separation_both(structure, 3, text):
+            assert got == want, text
+
+
+def test_separation_vectors_split_the_positions_into_runs():
+    """Runs of a few positions at a time give the same reports as one run."""
+    runs = []
+    init = axioms_mod._Blocks.__init__
+
+    def spy(self, planes, width, lo, n):
+        runs.append(lo)
+        init(self, planes, width, lo, n)
+
+    with mock.patch("pst.axioms._BLOCK_BITS", 16), mock.patch.object(axioms_mod._Blocks, "__init__", spy):
+        for text in ("~(x eq #1 & x in x)", "~~(x eq x)", "~(x in #1)"):
+            for got, want in _separation_both(saturate(chain(3), "comega"), 2, text):
+                assert got == want, text
+    assert max(runs) > 0
+
+
+# --- union by the bounded lemma, emptyset by class, the powerset cap up front ----------------
+
+_RANK_THREE = [chain(3), saturate(chain(3), "comega"), saturate(chain(3), "n4")]
+
+
+def test_union_by_the_bounded_lemma_matches_the_scope_fold():
+    """The right side folded as a bounded quantifier gives the reports of
+    the fold over the whole scope, at every target and at one."""
+    unbounded = mock.patch.object(valuation_mod.SetModel, "with_flags", lambda self, bounded_opt=None: self)
+    for structure, rank in [*((s, 2) for s in _FAMILIES_TO_4[:40]), *((s, 3) for s in _RANK_THREE)]:
+        for u in (None, make_model(structure, NameStore(), rank).scope[-1]):
+            got = check_union(make_model(structure, NameStore(), rank), u=u)
+            with unbounded:
+                want = check_union(make_model(structure, NameStore(), rank), u=u)
+            assert got == want, (structure, rank, u)
+
+
+def test_emptyset_by_class_matches_every_target():
+    for structure, rank in [*((s, 2) for s in _STRUCTURES_TO_5), *((s, 3) for s in _RANK_THREE)]:
+        got = check_emptyset(make_model(structure, NameStore(), rank))
+        with name_level():
+            want = check_emptyset(make_model(structure, NameStore(), rank))
+        assert got == want, (structure, rank)
+
+
+def test_powerset_cap_trips_before_any_candidate_function():
+    """The first target past the cap, in scope order, trips it before a
+    candidate function is made: 3^4 = 81 functions on the 3-chain at rank 3."""
+    model = make_model(chain(3), NameStore(), 3)
+    size = len(model.store)
+    with pytest.raises(CapExceeded) as trip:
+        check_powerset(model, cap=80)
+    assert (trip.value.cap, trip.value.limit, trip.value.predicted) == ("POWERSET_CAP", 80, 81)
+    assert str(trip.value) == "powerset would need 81 candidate functions"
+    assert len(model.store) == size

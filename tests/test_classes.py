@@ -1,6 +1,7 @@
 """Classes of indiscernible names (||u = v|| = top): the substitution
-lemmas they rest on, the kernel's split into classes, and the class folds
-against the name-level folds they replaced (``reference.name_level``)."""
+lemmas they rest on, the kernel's split into classes, the class folds
+against the name-level folds they replaced (``reference.name_level``), and
+the grids probed by class of rows against the row-by-row probe."""
 
 import contextlib
 import io
@@ -8,20 +9,23 @@ import itertools
 import shlex
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import Reference, name_level
 
+from pst import decompose
 from pst.algebra import boolean_algebra, chain, enumerate_heyting, format_algebra_text
 from pst.axioms import check_pairing, check_powerset, check_separation
 from pst.cli import main
+from pst.errors import CapExceeded, PstError
 from pst.fidel import format_fstructure_text, saturate
 from pst.kernel import EqMemKernel
 from pst.names import NameStore
 from pst.syntax import And, Eq, Exists, Forall, Imp, Mem, NameConst, Neg, Or, Pred, Var, formula_to_text, parse_formula
-from pst.valuation import EvalContext, eval_sentence, make_model
+from pst.valuation import EvalContext, Verdict, check_valid, eval_sentence, make_model
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import checks  # noqa: E402  (the benchmark's templates, read only)
@@ -235,3 +239,86 @@ def test_class_folds_match_name_level_folds_on_drawn_formulas(model):
         assert eval_sentence(phi, model) == want, formula_to_text(phi)
 
     check()
+
+
+# --- grids probed by class of rows --------------------------------------------------------
+
+
+def _row_by_row():
+    """Every name a class of its own in the kernel while the block runs: each
+    grid row folded, and its positions split, on its own."""
+    return mock.patch.object(EqMemKernel, "classes", lambda self, ids: list(ids))
+
+
+# the eval sentences of the benchmark's witness-negation templates, and grids
+# whose keys or reads hold a constant or a name bound outside the grid
+_GRID_SENTENCES = [
+    checks.EQ_LEM,
+    checks.CONTRA,
+    checks.DNEG_EQ,
+    "forall x . (x eq x | ~(x eq x))",
+    "forall x . forall y . (~~(x in y) -> x in y)",
+    "forall x . forall y . (~(x in y & y in x) <-> (~(x in y) | ~(y in x)))",
+    "forall x . forall y . (x in y | ~(x in y))",
+    "forall x . forall y . (~(x in y) | y eq #1)",
+    "forall x . forall y . (~(y in x) | ~(x eq #0))",
+    "forall z . forall x . forall y . (~(x in y) | z in x)",
+    "forall x . forall y . (x in y | ~(y in #0))",
+    "forall z . forall x . forall y . (x in y | ~(y in z))",
+    "exists x . exists y . (x in y & ~(y eq x))",
+]
+_GRID_STRUCTURES = [saturate(alg, kind) for alg in enumerate_heyting(5) for kind in ("comega", "n4")]
+
+
+def _verdicts(structure, rank, texts):
+    out = []
+    for text in texts:
+        for quant in ("all_assignments", "some_assignment"):
+            try:
+                out.append(check_valid(parse_formula(text), make_model(structure, NameStore(), rank), quant))
+            except CapExceeded as exc:
+                out.append((str(exc), exc.cap, exc.limit, exc.predicted))
+            except PstError as exc:  # a constant past the names of a small scope
+                out.append((type(exc), str(exc)))
+    # the witnesses and falsifiers, collected while the patch (if any) holds
+    return [(v, v.witness and v.witness.atoms, v.falsifier and v.falsifier.atoms) if isinstance(v, Verdict) else v for v in out]
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_grids_by_class_match_the_row_by_row_probe(rank):
+    """Every saturated structure of size <= 5: whole verdicts (values,
+    assignment count, witness and falsifier) or the same cap trip."""
+    for structure in _GRID_STRUCTURES:
+        got = _verdicts(structure, rank, _GRID_SENTENCES)
+        with _row_by_row():
+            want = _verdicts(structure, rank, _GRID_SENTENCES)
+        assert got == want, (structure.kind, structure.algebra.size)
+
+
+@pytest.mark.parametrize("kind", ["comega", "n4"])
+def test_grids_by_class_match_the_row_by_row_probe_at_rank_three(kind):
+    structure = saturate(chain(3), kind)
+    texts = [checks.EQ_LEM, checks.CONTRA, "forall x . forall y . (~(x in y) | y eq #1)"]
+    got = _verdicts(structure, 3, texts)
+    with _row_by_row():
+        want = _verdicts(structure, 3, texts)
+    assert got == want
+    assert sum(isinstance(v, tuple) and isinstance(v[0], Verdict) for v in got) >= 4
+
+
+def test_a_grid_folds_each_class_of_rows_once():
+    """n4 eq-LEM on the saturated 3-chain at rank 3: one row fold and one
+    column fold per class of names, not one each per row (511)."""
+    model = make_model(saturate(chain(3), "n4"), NameStore(), 3)
+    classes = len(EvalContext(model).classes(model).ids)
+    fold = decompose._Grid._fold
+    calls = []
+
+    def counted(self, *args):
+        calls.append(args)
+        return fold(self, *args)
+
+    with mock.patch.object(decompose._Grid, "_fold", counted):
+        verdict = check_valid(parse_formula(checks.EQ_LEM), model)
+    assert verdict.valid and classes == 15
+    assert 0 < len(calls) <= 2 * classes
