@@ -23,7 +23,6 @@ from .syntax import (
     Formula,
     Imp,
     Mem,
-    NameConst,
     Var,
     free_vars,
     substitute,
@@ -175,6 +174,7 @@ def check_union(
     store = model.store
     targets, scope = _targets(model, u, ctx)
     bounded = model.with_flags(bounded_opt=True)
+    union = Exists("t", And(Mem(Var("t"), Var("u")), Mem(Var("y"), Var("t"))))
     value = alg.top
     witnesses = []
     for uu in targets:
@@ -188,8 +188,7 @@ def check_union(
         if len(witnesses) < 1:
             witnesses.append(("w", w))
         lhs = ctx.kernel.memcol(w, scope.need)  # y -> ||y in w||
-        union = Exists("t", And(Mem(Var("t"), NameConst(uu)), Mem(Var("y"), Var("t"))))
-        rhs = ctx.vector(union, {}, "y", scope, bounded)
+        rhs = ctx.vector(union, {"u": uu}, "y", scope, bounded)
         value = alg.meet_(value, _scope_bicond(ctx, scope, lhs, rhs))
     return _report(model, "union", value, value == alg.top, witnesses=witnesses)
 
@@ -391,6 +390,7 @@ def check_powerset(
     targets, scope = _targets(model, u, ctx)
     # v -> ||forall y in v (y in u)||, folded over dom(v) for every v at once
     bounded = model.with_flags(bounded_opt=True)
+    subset = Forall("y", Imp(Mem(Var("y"), Var("v")), Mem(Var("y"), Var("u"))))
     value = alg.top
     witnesses = []
     funcs_by_dom: dict[tuple[int, ...], list[int]] = {}
@@ -417,8 +417,7 @@ def check_powerset(
             witnesses.append(("w", w))
         lhs = ctx.kernel.memcol(w, scope.need)  # v -> ||v in w||
         if column not in subsets:
-            subset = Forall("y", Imp(Mem(Var("y"), Var("v")), Mem(Var("y"), NameConst(uu))))
-            subsets[column] = ctx.vector(subset, {}, "v", scope, bounded)
+            subsets[column] = ctx.vector(subset, {"u": uu}, "v", scope, bounded)
         value = alg.meet_(value, _scope_bicond(ctx, scope, lhs, subsets[column]))
     return _report(model, "powerset", value, value == alg.top, witnesses=witnesses)
 

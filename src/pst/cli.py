@@ -155,6 +155,8 @@ def _cmd_fstructure_sub(args) -> int:
 
 
 def _cmd_universe_enum(args) -> int:
+    if min(args.count, args.max_dom) < 0:
+        raise CliError("--count and --max-dom must be at least 0")
     _, structure = _load_model_file(args.model)
     h = structure.algebra if isinstance(structure, fid_mod.FStructure) else structure
     store = names_mod.NameStore()
@@ -231,31 +233,34 @@ def _cmd_leibniz(args) -> int:
     return 0 if verdict.valid else 1
 
 
+# the data flags each axiom check reads; the other checks read none
+_AXIOM_DATA = {
+    "pairing": ("u", "v"), "union": ("u",), "powerset": ("u",),
+    "separation": ("formula", "u"), "collection": ("formula", "u"), "induction": ("formula",),
+}
+
+
 def _cmd_axiom_check(args) -> int:
-    model = _build_model(args)
-    quant = "all_assignments" if args.quant == "all" else "some_assignment"
     name = args.axiom
     if name not in ax_mod.CHECKS:
         raise CliError(f"unknown axiom {name!r}; one of {sorted(ax_mod.CHECKS)}")
-    kwargs = {}
-    if name in ("separation", "induction"):
-        if not args.formula:
-            raise CliError(f"--formula required for {name}")
-        kwargs = dict(phi=parse_formula(args.formula), var=args.var, quantification=quant)
-    elif name == "collection":
-        if not args.formula:
-            raise CliError("--formula required for collection")
-        kwargs = dict(
-            phi=parse_formula(args.formula),
-            var_x=args.var,
-            var_y=args.var2,
-            quantification=quant,
-        )
-    if name in ("pairing",) and args.u is not None:
-        kwargs["u"] = args.u
-        kwargs["v"] = args.v if args.v is not None else args.u
-    elif name in ("union", "separation", "powerset", "collection") and args.u is not None:
-        kwargs["u"] = args.u
+    reads = _AXIOM_DATA.get(name, ())
+    for flag in ("formula", "u", "v"):
+        if getattr(args, flag) is not None and flag not in reads:
+            raise CliError(f"--{flag} is not read by the {name} check")
+    if args.v is not None and args.u is None:
+        raise CliError("--v needs --u")
+    if "formula" in reads and not args.formula:
+        raise CliError(f"--formula required for {name}")
+    model = _build_model(args)
+    quant = "all_assignments" if args.quant == "all" else "some_assignment"
+    kwargs = {} if args.u is None else {"u": args.u}
+    if name == "pairing" and args.u is not None:
+        kwargs["v"] = args.u if args.v is None else args.v
+    if name == "collection":
+        kwargs.update(phi=parse_formula(args.formula), var_x=args.var, var_y=args.var2, quantification=quant)
+    elif args.formula:
+        kwargs.update(phi=parse_formula(args.formula), var=args.var, quantification=quant)
     report = ax_mod.CHECKS[name](model, **kwargs)
     lines = [
         f"axiom {report.axiom} over {report.model_summary}, rank {report.rank_bound}",

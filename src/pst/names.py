@@ -138,7 +138,9 @@ def enumerate_universe(
             limit=RANK_HARD_CAP,
             predicted=rank_bound,
         )
-    if rank_bound <= 0:
+    if rank_bound < 0:
+        raise UniverseError(f"rank bound must be at least 0, got {rank_bound}")
+    if rank_bound == 0:
         return []
     m = algebra.size
     level: list[int] = [store.empty_name()]

@@ -55,7 +55,6 @@ from .syntax import (
     negates_atoms_only,
     nnf_n4,
     subformulas,
-    substitute,
 )
 
 MODES = ("boolean", "heyting", "comega", "n4")
@@ -1440,12 +1439,20 @@ def check_leibniz(
     <= rank and every family member.
 
     Family members are (variable, formula) pairs with exactly that one
-    free variable.  For formulas with negation the inequality is
-    quantified over assignments per the requested mode; the first
-    violating (u, v, phi, assignment) is reported.
+    free variable; phi(u) is phi with the variable bound to u.  For
+    formulas with negation the inequality is quantified over assignments
+    per the requested mode; the first violating (u, v, phi, assignment),
+    in that order, is reported.
+
+    One loop over u reads the row ||u = v|| for every v at once: a
+    choice-free member is one vector over the names, and a member with
+    choices is swept pair by pair (``_leibniz_pair``).
     """
+    if quantification not in QUANTIFICATIONS:
+        raise EvalError(f"unknown quantification {quantification!r}")
     ctx = ctx or EvalContext(model)
     alg = model.algebra
+    p = ctx.planes
     for var, phi in formula_family:
         if free_vars(phi) != {var}:
             raise EvalError(
@@ -1453,79 +1460,39 @@ def check_leibniz(
                 f"free variable {var!r}"
             )
     names = [nid for nid in model.scope if model.store.get(nid).rank <= rank]
-    if all(ctx.choice_free(phi, model.mode) for _, phi in formula_family):
-        return _leibniz_vectors(model, formula_family, names, rank, quantification, ctx)
-    p = ctx.planes
-    lo = alg.top
-    first_violation: tuple[str, ...] = ()
-    for u in names:
-        for v in names:
-            eq_uv = ctx.eval_eq(u, v)
-            for var, phi in formula_family:
-                test = Imp(
-                    substitute(phi, var, NameConst(u)),
-                    substitute(phi, var, NameConst(v)),
-                )
-                sweep = sweep_assignments(test, model, ctx, cap)
-                lo = alg.meet_(lo, p.meet_over(p.imp(eq_uv, sweep.value), sweep.mask))
-                failing = p.exceeds(eq_uv, sweep.value) & sweep.mask
-                if quantification == "all_assignments" and failing:
-                    fp = sweep.first(failing).fingerprint()
-                elif quantification == "some_assignment" and failing == sweep.mask:
-                    fp = "all-fail"
-                else:
-                    continue
-                if not first_violation:
-                    first_violation = (
-                        f"u=#{u}",
-                        f"v=#{v}",
-                        f"phi={formula_to_text(phi)}",
-                        f"assignment={fp}",
-                    )
-    return Verdict(
-        mode=model.mode,
-        quantification=quantification,
-        rank_bound=rank,
-        value_lo=lo,
-        value_hi=lo,
-        valid=not first_violation,
-        notes=("rank-relative",),
-        detail=first_violation,
-    )
-
-
-def _leibniz_vectors(
-    model: SetModel,
-    formula_family: Sequence[tuple[str, Formula]],
-    names: Sequence[int],
-    rank: int,
-    quantification: str,
-    ctx: EvalContext,
-) -> Verdict:
-    """check_leibniz without negation choices: each phi is evaluated once,
-    as a vector over its variable, and each u compares the row ||u = v||
-    with phi(u) -> phi(v) for every v at once."""
-    alg = model.algebra
-    p = ctx.planes
     dom = _Domain(names)
-    values = [ctx.vector(phi, {}, var, dom, model) for var, phi in formula_family]
+    vectors = [
+        ctx.vector(phi, {}, var, dom, model) if ctx.choice_free(phi, model.mode) else None
+        for var, phi in formula_family
+    ]
+    choosing = [k for k, vec in enumerate(vectors) if vec is None]
+    probes: list[dict[int, dict]] = [{} for _ in formula_family]  # per member, by name
+    every = quantification == "all_assignments"
     lo = alg.top
     first_violation: tuple[str, ...] = ()
     for u in names:
         row = ctx.kernel.eqrow(u, dom.need)
-        failing = []
-        for vec in values:
-            implied = p.imp(p.decode(vec, u), vec)
-            lo = alg.meet_(lo, p.meet_over(p.imp(row, implied), dom.mask))
-            failing.append(p.exceeds(row, implied) & dom.mask)
-        if not first_violation and any(failing):
-            v, (var, phi) = next(
-                (v, member)
-                for v in names
-                for member, bad in zip(formula_family, failing)
-                if bad >> v & 1
-            )
-            fp = EMPTY_ASSIGNMENT.fingerprint() if quantification == "all_assignments" else "all-fail"
+        bad = [0] * len(vectors)  # per member, the names v that fail with u
+        for k, vec in enumerate(vectors):
+            if vec is not None:
+                implied = p.imp(p.decode(vec, u), vec)
+                lo = alg.meet_(lo, p.meet_over(p.imp(row, implied), dom.mask))
+                bad[k] = p.exceeds(row, implied) & dom.mask
+        for v in names if choosing else ():
+            eq_uv = p.decode(row, v)
+            for k in choosing:
+                sweep = _leibniz_pair(formula_family[k], u, v, probes[k], model, ctx, cap)
+                lo = alg.meet_(lo, p.meet_over(p.imp(eq_uv, sweep.value), sweep.mask))
+                failing = p.exceeds(eq_uv, sweep.value) & sweep.mask
+                if failing if every else failing == sweep.mask:
+                    bad[k] |= 1 << v
+        if not first_violation and any(bad):
+            v, k = next((v, k) for v in names for k, mask in enumerate(bad) if mask >> v & 1)
+            fp = "all-fail"
+            if every:  # the one pair reported is swept once more for its assignment
+                sweep = _leibniz_pair(formula_family[k], u, v, probes[k], model, ctx, cap)
+                fp = sweep.first(p.exceeds(p.decode(row, v), sweep.value) & sweep.mask).fingerprint()
+            phi = formula_family[k][1]
             first_violation = (f"u=#{u}", f"v=#{v}", f"phi={formula_to_text(phi)}", f"assignment={fp}")
     return Verdict(
         mode=model.mode,
@@ -1537,6 +1504,32 @@ def _leibniz_vectors(
         notes=("rank-relative",),
         detail=first_violation,
     )
+
+
+def _leibniz_pair(
+    member: tuple[str, Formula], u: int, v: int, probes: dict[int, dict], model: SetModel, ctx: EvalContext, cap: int
+) -> Sweep:
+    """phi(u) -> phi(v) under every assignment of the negated atoms its two
+    instances read.  The instances sit where the sides of that sentence
+    do, so that keys, paths and evaluation order are the sentence's; each
+    is probed once, its options kept in probes by name.  The cap trips on
+    their options in reading order, where one probe of the sentence would."""
+    var, phi = member
+    insts = [(phi, {var: u}, (), (0,), (0,)), (phi, {var: v}, (), (1,), (1,))]
+    options: dict[AtomKey, tuple[int, ...]] = {}
+    total = 1
+    for inst, name in zip(insts, (u, v)):
+        read = probes.get(name)
+        if read is None:  # probed after the keys read so far, as the sentence reads it
+            read = probes[name] = _probe(inst, model, ctx, cap, options, total).options
+        for key, opts in read.items():
+            if key not in options:
+                options[key] = opts
+                total *= len(opts)
+                if total > cap:
+                    raise _cap_exceeded("atom assignments", cap, total)
+    values, code = _instance_values([(insts, options)], model, ctx, cap)
+    return Sweep(ctx.planes.imp(values[(0,)], values[(1,)]), code, ctx.planes)
 
 
 # --- subalgebra absoluteness -----------------------------------------------------------
@@ -1676,10 +1669,8 @@ def hat_transfer(
         for sx in small:
             for sy in small:
                 meta = hf_meta_eval(template, {"x": sx, "y": sy})
-                inst = substitute(
-                    substitute(template, "x", NameConst(hats[sx])), "y", NameConst(hats[sy])
-                )
-                val = eval_sentence(inst, eval_model, EMPTY_ASSIGNMENT, ctx)
+                env = {"x": hats[sx], "y": hats[sy]}
+                val = _eval(template, env, (), (), eval_model, EMPTY_ASSIGNMENT, ctx)
                 if meta != (val == alg.top):
                     mismatches.append(
                         f"{formula_to_text(template)} on {sx},{sy}: meta={meta} value={val}"
@@ -1767,10 +1758,8 @@ def check_maximum_principle(
         raise NotRefinable("algebra failed the refinability search")
     ctx = ctx or EvalContext(model)
     alg = model.algebra
-    values = {
-        nid: eval_sentence(substitute(phi, var, NameConst(nid)), model, EMPTY_ASSIGNMENT, ctx)
-        for nid in model.scope
-    }
+    vec = ctx.vector(phi, {}, var, ctx.domain(model.scope), model)
+    values = {nid: ctx.planes.decode(vec, nid) for nid in model.scope}
     total = alg.join_all(values.values())
     if total != alg.top:
         return Verdict(

@@ -47,7 +47,8 @@ JOBS = 2
 # single rank-3 targets and over every B4 target, the check and the
 # saturated families of each model algebra, rank-3 checks whose folds and
 # all-target loops read classes of indiscernible names, rank-3 grids,
-# separation and union over B4 and the 4-chain, and usage errors and --help,
+# separation and union over B4 and the 4-chain, negated Leibniz at rank 3
+# (one of them trips ASSIGNMENT_CAP at the first pair), and usage errors and --help,
 # each followed by an ordinary check, so that a parser that serves every
 # call is compared right after an error exit
 _SEPARATION = 'axiom check --axiom separation --model {models}/%s_comega.fst --rank %d --formula "%s" --var x'
@@ -129,6 +130,17 @@ _CHECKS = [
     'eval --model {models}/chain3_n4.fst --rank 3 --quant some --formula "exists x . (x eq x & ~(x eq x))"',
     'axiom check --axiom separation --model {models}/b4_n4.fst --rank 3 --formula "~(x in x)" --var x',
     *(f"axiom check --axiom union --model {{models}}/{stem}_n4.fst --rank 3" for stem in ("b4", "chain4")),
+    # Leibniz by one loop over the names: each name's instance probed once
+    *(
+        f'leibniz --model {{models}}/chain3_{kind}.fst --rank 3 --formula "{f}"{quant}'
+        for kind, f in (
+            ("comega", "~(x in x)"),
+            ("n4", "~(x in x)"),
+            ("n4", "~(x in #5) | x eq x"),
+            ("n4", "exists y . (y in x & ~(y in x))"),
+        )
+        for quant in ("", " --quant some")
+    ),
     # the tables each model algebra is built with: the implication table,
     # and the saturated families read from them
     *(

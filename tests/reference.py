@@ -386,8 +386,10 @@ def enumerated_verdicts(phi, model: SetModel, cap: int = ASSIGNMENT_CAP) -> dict
     }
 
 
-def enumerated_leibniz(model: SetModel, var: str, phi, rank: int, quantification: str, cap: int = ASSIGNMENT_CAP):
-    """(value, detail) of check_leibniz for one formula with negation."""
+def enumerated_leibniz(model: SetModel, family, rank: int, quantification: str, cap: int = ASSIGNMENT_CAP):
+    """(value, detail) of check_leibniz for a family of (variable, formula)
+    members: the sentence phi(u) -> phi(v) rebuilt for every pair and
+    member, in that order, and evaluated under each of its assignments."""
     ctx = EvalContext(model)
     alg = model.algebra
     names = [nid for nid in model.scope if model.store.get(nid).rank <= rank]
@@ -396,22 +398,23 @@ def enumerated_leibniz(model: SetModel, var: str, phi, rank: int, quantification
     for u in names:
         for v in names:
             eq_uv = ctx.eval_eq(u, v)
-            test = Imp(substitute(phi, var, NameConst(u)), substitute(phi, var, NameConst(v)))
-            ok_some = False
-            for asg in reference_assignments(test, model, ctx, cap):
-                val = eval_sentence(test, model, asg, ctx)
-                lo = alg.meet_(lo, alg.imp_(eq_uv, val))
-                if alg.le(eq_uv, val):
-                    ok_some = True
-                elif quantification == "all_assignments" and not first_violation:
-                    first_violation = (
-                        f"u=#{u}",
-                        f"v=#{v}",
-                        f"phi={formula_to_text(phi)}",
-                        f"assignment={asg.fingerprint()}",
-                    )
-            if quantification == "some_assignment" and not ok_some and not first_violation:
-                first_violation = (f"u=#{u}", f"v=#{v}", f"phi={formula_to_text(phi)}", "assignment=all-fail")
+            for var, phi in family:
+                test = Imp(substitute(phi, var, NameConst(u)), substitute(phi, var, NameConst(v)))
+                ok_some = False
+                for asg in reference_assignments(test, model, ctx, cap):
+                    val = eval_sentence(test, model, asg, ctx)
+                    lo = alg.meet_(lo, alg.imp_(eq_uv, val))
+                    if alg.le(eq_uv, val):
+                        ok_some = True
+                    elif quantification == "all_assignments" and not first_violation:
+                        first_violation = (
+                            f"u=#{u}",
+                            f"v=#{v}",
+                            f"phi={formula_to_text(phi)}",
+                            f"assignment={asg.fingerprint()}",
+                        )
+                if quantification == "some_assignment" and not ok_some and not first_violation:
+                    first_violation = (f"u=#{u}", f"v=#{v}", f"phi={formula_to_text(phi)}", "assignment=all-fail")
     return lo, first_violation
 
 

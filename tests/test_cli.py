@@ -774,3 +774,38 @@ def test_axiom_check_argument_branches(files, capsys):
         both = run(capsys, *base, "--axiom", "pairing", "--u", "3", "--v", "3")
     assert calls == [{"u": 3, "v": 3}] * 2
     assert alone == both == (0, "RESULT axiom=pairing rank=2 quant=none value=2 valid=yes\n", "")
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--axiom", "extensionality", "--u", "1"), "--u is not read by the extensionality check"),
+        (("--axiom", "union", "--formula", "x eq x"), "--formula is not read by the union check"),
+        (("--axiom", "separation", "--formula", "x eq x", "--v", "1"), "--v is not read by the separation check"),
+        (("--axiom", "pairing", "--v", "1"), "--v needs --u"),
+    ],
+    ids=["extensionality-u", "union-formula", "separation-v", "pairing-v-alone"],
+)
+def test_axiom_check_rejects_a_flag_it_does_not_read(files, capsys, flags, message):
+    """A data flag the axiom's check does not read is a usage error, not
+    ignored while some other check prints its RESULT line."""
+    base = ["--format", "machine", "axiom", "check", "--model", files["sat3.fst"], "--rank", "2"]
+    assert run(capsys, *base, *flags) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("universe", "enum", "--rank", "-2"), "rank bound must be at least 0, got -2"),
+        (("universe", "enum", "--rank", "3", "--policy", "sampled", "--count", "-1"), "--count and --max-dom must be at least 0"),
+        (("universe", "enum", "--rank", "3", "--policy", "domres", "--max-dom", "-1"), "--count and --max-dom must be at least 0"),
+        (("eval", "--rank", "-1", "--formula", "bot"), "rank bound must be at least 0, got -1"),
+    ],
+    ids=["rank", "count", "max-dom", "eval-rank"],
+)
+def test_negative_bounds_are_usage_errors(files, capsys, argv, message):
+    """A negative rank, sample count or domain cap is an error, where it
+    built an empty or a one-name universe; rank 0 keeps its empty scope."""
+    assert run(capsys, *argv, "--model", files["chain3.alg"]) == (2, "", f"error: {message}\n")
+    zero = run(capsys, "--format", "machine", "universe", "enum", "--model", files["chain3.alg"], "--rank", "0")
+    assert zero == (0, "RESULT count=0 rank=0 seed=0\n", "")

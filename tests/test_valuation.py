@@ -898,32 +898,62 @@ def test_assignment_index_matches_enumeration_on_generated_formulas(kind):
 
 
 def test_leibniz_and_induction_match_enumeration():
+    """check_leibniz against the pair loop it replaced: ground and
+    quantified members with negation, choice-free members and one mixed
+    family, under both quantifications and three caps; induction at one."""
     family = [
         ("x", parse_formula(text))
         for text in ("~(x eq x)", "~~(x in x)", "~(x in #0) | x eq x")
     ]
-    cap = 300  # the oracle evaluates the induction schema per assignment: 1.6 s at 1100
+    wider = family + [
+        ("x", parse_formula(text))
+        for text in ("x in #1", "exists y . (y in x)", "~(x in #1)", "exists y . (y in x & ~(y in x))", "~~(x eq x)")
+    ]
+    mixed = [("x", parse_formula("x in #1")), ("y", parse_formula("~(y in #0) | y eq y")), ("x", parse_formula("exists y . (y in x)"))]
+    families = [[member] for member in wider] + [mixed]
 
-    def leibniz(model, var, phi, quant):
-        verdict = check_leibniz(model, [(var, phi)], model.rank_bound, quant, cap=cap)
+    def leibniz(model, family, quant, cap):
+        verdict = check_leibniz(model, family, model.rank_bound, quant, cap=cap)
         assert verdict.valid == (not verdict.detail)
         return verdict.value_lo, verdict.detail
 
     def induction(model, phi, var, quant):
-        report = check_induction(model, phi, var, quant, cap=cap)
+        report = check_induction(model, phi, var, quant, cap=300)
         return report.value, report.valid, report.n_assignments
 
     for model in _saturated_models():
         for quant in QUANTIFICATIONS:
+            for cap in (3, 40, 300):
+                for members in families:
+                    _same_outcome(
+                        lambda: enumerated_leibniz(model, members, model.rank_bound, quant, cap),
+                        lambda: leibniz(model, members, quant, cap),
+                    )
+            # the oracle evaluates the induction schema per assignment: 1.6 s at cap 1100
             for var, phi in family:
                 _same_outcome(
-                    lambda: enumerated_leibniz(model, var, phi, model.rank_bound, quant, cap),
-                    lambda: leibniz(model, var, phi, quant),
-                )
-                _same_outcome(
-                    lambda: enumerated_induction(model, phi, var, quant, cap),
+                    lambda: enumerated_induction(model, phi, var, quant, 300),
                     lambda: induction(model, phi, var, quant),
                 )
+
+
+def test_leibniz_probes_each_instance_once(n43_model, monkeypatch):
+    """A member with choices is read pair by pair, from its instances at u
+    and v, but each name's instance is probed once: one probe per name and
+    member with choices, none for a choice-free member."""
+    import pst.valuation as val_mod
+
+    probed = []
+    probe = val_mod._probe
+
+    def counting(inst, *args):
+        probed.append((id(inst[0]), tuple(inst[1].items())))
+        return probe(inst, *args)
+
+    monkeypatch.setattr(val_mod, "_probe", counting)
+    family = [("x", parse_formula(text)) for text in ("~(x in x)", "x in #1", "exists y . (y in x & ~(y in x))")]
+    check_leibniz(n43_model, family, 2)
+    assert len(probed) == len(set(probed)) == 2 * len(n43_model.scope)
 
 
 def test_assignment_index_numbers_as_itertools_product(comega3_model):
