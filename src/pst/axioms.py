@@ -507,11 +507,12 @@ def check_collection(
     ordinal-indexed level of the class argument.
 
     The assignments are those of forall var_x . forall var_y . phi, and
-    phi at each pair of names is one vector over them
-    (``_joined_values``).  Since v holds every scope name at value top,
-    the join over v equals the join over the scope term by term, so the
-    value is top whenever the check finishes; both sides are computed all
-    the same."""
+    ||exists y phi|| at each child x is the join over the scope of phi at
+    each pair, a vector over them (``_joined_values``); a choice-free phi
+    without predicates is one vector over the names, as in separation.  v
+    holds every scope name at top, so its join is that join term by term:
+    each target's right side is its left, and the value is top wherever
+    phi evaluates."""
     if free_vars(phi) != {var_x, var_y}:
         raise EvalError("collection needs a two-free-variable formula")
     ctx = ctx or EvalContext(model)
@@ -521,21 +522,20 @@ def check_collection(
     v_name = store.mk_name([(nid, alg.top) for nid in model.scope])
     targets, _ = _targets(model, u, ctx)
     children = _children(model, targets)
-    pairs = [(x, y) for x in dict.fromkeys([*model.scope, *children]) for y in model.scope]
-    instances = [(phi, {var_x: x, var_y: y}, (x, y), (0, 0), (i,)) for i, (x, y) in enumerate(pairs)]
-    values, code = _joined_values(Forall(var_x, Forall(var_y, phi)), instances, model, ctx, cap)
-    phi_at = {pair: values[(i,)] for i, pair in enumerate(pairs)}
-    v_entries = store.get(v_name).entries
-    ex_scope = {x: functools.reduce(p.join, (phi_at[x, y] for y in model.scope), p.bottom) for x in children}
-    ex_v = {x: functools.reduce(p.join, (p.meet(vy, phi_at[x, y]) for y, vy in v_entries), p.bottom) for x in children}
+    if ctx.choice_free(phi, model.mode) and not _reads_pred(phi):
+        code = AssignmentIndex({}, p)
+        table = ctx.vector(Exists(var_y, phi), {}, var_x, _Domain(children), model)
+        ex = {x: p.decode(table, x) for x in children}
+    else:
+        pairs = [(x, y) for x in dict.fromkeys([*model.scope, *children]) for y in model.scope]
+        instances = [(phi, {var_x: x, var_y: y}, (x, y), (0, 0), (i,)) for i, (x, y) in enumerate(pairs)]
+        values, code = _joined_values(Forall(var_x, Forall(var_y, phi)), instances, model, ctx, cap)
+        phi_at = {pair: values[(i,)] for i, pair in enumerate(pairs)}
+        ex = {x: functools.reduce(p.join, (phi_at[x, y] for y in model.scope), p.bottom) for x in children}
     value: Vector = p.top
     for uu in targets:
-        lhs: Vector = p.top
-        rhs: Vector = p.top
-        for x, ux in store.get(uu).entries:
-            lhs = p.meet(lhs, p.imp(ux, ex_scope[x]))
-            rhs = p.meet(rhs, p.imp(ux, ex_v[x]))
-        value = p.meet(value, p.imp(lhs, rhs))
+        lhs = functools.reduce(p.meet, (p.imp(ux, ex[x]) for x, ux in store.get(uu).entries), p.top)
+        value = p.meet(value, p.imp(lhs, lhs))
     return _quantified_report(
         model,
         "collection",

@@ -155,7 +155,12 @@ def _cmd_fstructure_sub(args) -> int:
 
 
 def _cmd_universe_enum(args) -> int:
-    if min(args.count, args.max_dom) < 0:
+    for flag, reader in (("count", "sampled"), ("max_dom", "domres")):
+        if getattr(args, flag) is not None and args.policy != reader:
+            raise CliError(f"--{flag.replace('_', '-')} is not read by the {args.policy} policy")
+    count = 16 if args.count is None else args.count
+    max_dom = 2 if args.max_dom is None else args.max_dom
+    if min(count, max_dom) < 0:
         raise CliError("--count and --max-dom must be at least 0")
     _, structure = _load_model_file(args.model)
     h = structure.algebra if isinstance(structure, fid_mod.FStructure) else structure
@@ -163,9 +168,9 @@ def _cmd_universe_enum(args) -> int:
     if args.policy == "full":
         policy = names_mod.Full()
     elif args.policy == "sampled":
-        policy = names_mod.Sampled(seed=args.seed, count=args.count)
+        policy = names_mod.Sampled(seed=args.seed, count=count)
     else:
-        policy = names_mod.DomainsRestricted(max_dom=args.max_dom)
+        policy = names_mod.DomainsRestricted(max_dom=max_dom)
     ids = names_mod.enumerate_universe(store, h, args.rank, policy)
     lines = []
     for nid in ids:
@@ -235,8 +240,8 @@ def _cmd_leibniz(args) -> int:
 
 # the data flags each axiom check reads; the other checks read none
 _AXIOM_DATA = {
-    "pairing": ("u", "v"), "union": ("u",), "powerset": ("u",),
-    "separation": ("formula", "u"), "collection": ("formula", "u"), "induction": ("formula",),
+    "pairing": ("u", "v"), "union": ("u",), "powerset": ("u",), "induction": ("formula", "quant", "var"),
+    "separation": ("formula", "u", "quant", "var"), "collection": ("formula", "u", "quant", "var", "var2"),
 }
 
 
@@ -245,7 +250,7 @@ def _cmd_axiom_check(args) -> int:
     if name not in ax_mod.CHECKS:
         raise CliError(f"unknown axiom {name!r}; one of {sorted(ax_mod.CHECKS)}")
     reads = _AXIOM_DATA.get(name, ())
-    for flag in ("formula", "u", "v"):
+    for flag in ("formula", "u", "v", "quant", "var", "var2"):
         if getattr(args, flag) is not None and flag not in reads:
             raise CliError(f"--{flag} is not read by the {name} check")
     if args.v is not None and args.u is None:
@@ -253,14 +258,15 @@ def _cmd_axiom_check(args) -> int:
     if "formula" in reads and not args.formula:
         raise CliError(f"--formula required for {name}")
     model = _build_model(args)
-    quant = "all_assignments" if args.quant == "all" else "some_assignment"
+    quant = "some_assignment" if args.quant == "some" else "all_assignments"
+    var, var2 = ("x" if args.var is None else args.var), ("y" if args.var2 is None else args.var2)
     kwargs = {} if args.u is None else {"u": args.u}
     if name == "pairing" and args.u is not None:
         kwargs["v"] = args.u if args.v is None else args.v
     if name == "collection":
-        kwargs.update(phi=parse_formula(args.formula), var_x=args.var, var_y=args.var2, quantification=quant)
+        kwargs.update(phi=parse_formula(args.formula), var_x=var, var_y=var2, quantification=quant)
     elif args.formula:
-        kwargs.update(phi=parse_formula(args.formula), var=args.var, quantification=quant)
+        kwargs.update(phi=parse_formula(args.formula), var=var, quantification=quant)
     report = ax_mod.CHECKS[name](model, **kwargs)
     lines = [
         f"axiom {report.axiom} over {report.model_summary}, rank {report.rank_bound}",
@@ -391,8 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--policy", choices=("full", "sampled", "domres"), default="full")
-    p.add_argument("--count", type=int, default=16, help="samples per rank (sampled policy)")
-    p.add_argument("--max-dom", type=int, default=2, help="domain cap (domres policy)")
+    p.add_argument("--count", type=int, default=None, help="samples per rank (sampled policy; default 16)")
+    p.add_argument("--max-dom", type=int, default=None, help="domain cap (domres policy; default 2)")
     p.set_defaults(func=_cmd_universe_enum)
     p = u_sub.add_parser("hat", help="embed a hereditarily finite braces term", parents=[common])
     p.add_argument("--model", required=True)
@@ -423,10 +429,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axiom", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--quant", choices=("all", "some"), default="all")
+    p.add_argument("--quant", choices=("all", "some"), default=None, help="default: all")
     p.add_argument("--formula", default=None)
-    p.add_argument("--var", default="x")
-    p.add_argument("--var2", default="y")
+    p.add_argument("--var", default=None, help="default: x")
+    p.add_argument("--var2", default=None, help="default: y")
     p.add_argument("--u", type=int, default=None, help="name id (default: every scope name)")
     p.add_argument("--v", type=int, default=None)
     p.add_argument("--mode", choices=val_mod.MODES, default=None)

@@ -183,22 +183,16 @@ class _Placement:
         self.rep = rep  # the representative's names, as its trail holds them
         self.mirrors = mirrors  # per instance of the sweep: whether it is the mirror
 
-    def _names(self, member: tuple, mirror: bool) -> tuple:
+    def names(self, member: tuple, mirror: bool) -> tuple:
         a, y = member
         if self.grid.outer is None:
             return (y,)
         return (y, a) if mirror else (a, y)
 
-    def keys(self, member: tuple) -> list[AtomKey]:
-        return [place(*member) for place in self.placers]
-
-    def orders(self, member: tuple) -> list[tuple]:
-        return [self.grid.order(self._names(member, mirror)) for mirror in self.mirrors]
-
     def occ(self, key: OccKey, member: tuple) -> OccKey:
         _, path, trail = key
         n, width = len(self.grid.trail), len(self.rep)
-        names = self._names(member, trail[n : n + width] != self.rep)
+        names = self.names(member, trail[n : n + width] != self.rep)
         return ("occ", path, trail[:n] + names + trail[n + width :])
 
 
@@ -216,36 +210,44 @@ class _Group:
     def count(self) -> int:
         return sum(mask.bit_count() for _, mask in self.spans) if self.place is not None else 1
 
-    @property
+    @functools.cached_property
     def members(self) -> list:
         if self.place is None:
             return [None]
         return [(a, y) for a, mask in self.spans for y in _bits(mask)]
 
-    def keys(self, member) -> Sequence[AtomKey]:
-        return self.sweep.code.keys if self.place is None else self.place.keys(member)
-
-    def orders(self, member) -> Sequence[tuple]:
-        return self.sweep.code.orders if self.place is None else self.place.orders(member)
-
-    def collect(self, i: int, atoms: list, occs: list, members: Sequence | None = None) -> None:
-        """The choices at position i of members (of every member when
-        None), added to atoms and occs."""
-        if members is not None and not members:
-            return
-        asg = self.sweep.decode(i)
+    @functools.cached_property
+    def keys(self) -> list[list[AtomKey]]:
+        """Per key digit of the sweep, its atom key at each member."""
         if self.place is None:
-            atoms += asg.atoms
+            return [[key] for key in self.sweep.code.keys]
+        return [[at(a, y) for a, y in self.members] for at in self.place.placers]
+
+    def orders(self) -> list[list[tuple]]:
+        """Per occurrence digit of the sweep, the evaluation rank at each
+        member of the instance whose occurrence it chooses."""
+        place = self.place
+        if place is None:
+            return [[order] for order in self.sweep.code.orders]
+        return [[place.grid.order(place.names(m, mirror)) for m in self.members] for mirror in place.mirrors]
+
+    def prefix(self, alive: int, p: int, width: int) -> int:
+        """The positions of alive whose first width digits are position
+        p's."""
+        head = self.sweep.code.digits(p)[:width]
+        return sum(1 << i for i in _bits(alive) if self.sweep.code.digits(i)[:width] == head)
+
+    def collect(self, i: int, picked: Sequence[int], atoms: list, occs: list) -> None:
+        """The choices at position i of the members picked (their indices),
+        added to atoms and occs."""
+        asg = self.sweep.decode(i)
+        for column, (_, value) in zip(self.keys, asg.atoms):
+            atoms += zip(map(column.__getitem__, picked), itertools.repeat(value))
+        if self.place is None:
             occs += asg.occs
             return
-        spans = self.spans if members is None else [(a, 1 << y) for a, y in members]
-        for a, mask in spans:
-            positions = _bits(mask)
-            rows = [a] * len(positions)
-            for place, (_, value) in zip(self.place.placers, asg.atoms):
-                atoms += zip(map(place, rows, positions), itertools.repeat(value))
-            for key, choice in asg.occs:
-                occs += ((self.place.occ(key, (a, y)), choice) for y in positions)
+        for key, choice in asg.occs:
+            occs += ((self.place.occ(key, self.members[j]), choice) for j in picked)
 
 
 def _classes(mask: int, reads: Sequence[Vector]) -> list[int]:
@@ -621,124 +623,117 @@ class _Split:
         return groups
 
 
-def _combine(groups: Sequence[_Group], meet: bool, alg: FiniteHeytingAlgebra):
-    """The components combined: the set of values the sentence takes, the
-    number of its assignments, and its witness and falsifier, the lowest
-    positions in enumeration order whose value is top and is not."""
-    top = alg.top
-    op = alg.meet_ if meet else alg.join_
-    values = {top if meet else alg.bottom}
-    count = 1
+class _Reach:
+    """The values op combines from one value of each part, given the count
+    of parts with each value set (a mask over the elements).  op is
+    idempotent, so c copies of a set reach what min(c, |A|) copies do: the
+    reach is kept by those capped counts."""
+
+    def __init__(self, alg: FiniteHeytingAlgebra, meet: bool):
+        self.table = [[1 << v for v in row] for row in (alg.lattice.meet if meet else alg.lattice.join)]
+        self.unit = 1 << (alg.top if meet else alg.bottom)
+        self.most = alg.size
+        self.memo: dict[tuple, int] = {}
+
+    def __call__(self, counts: Mapping[int, int]) -> int:
+        key = tuple(sorted((s, min(c, self.most)) for s, c in counts.items() if c))
+        if key not in self.memo:
+            out, table = self.unit, self.table
+            for s, c in key:
+                ys = _bits(s)
+                for _ in range(c):  # a copy that adds nothing ends the growth
+                    last, out = out, functools.reduce(int.__or__, (table[x][y] for x in _bits(out) for y in ys))
+                    if out == last:
+                        break
+            self.memo[key] = out
+        return self.memo[key]
+
+
+def _taken(at: Sequence[int], positions: int) -> int:
+    """The values taken at some of the positions, as a mask."""
+    return sum(1 << e for e, m in enumerate(at) if m & positions)
+
+
+def _descend(groups: Sequence[_Group], wanted: int, reach: _Reach) -> tuple[tuple, tuple]:
+    """The lowest position whose value is in wanted (a mask): the digits of
+    every part (a component, or a grid member) in rank order, atom keys
+    first, each take the least value that still leaves such a position,
+    given the values the part can still take and what the others reach.
+    A part's positions are in the order of its own digits, so a run of its
+    digits takes those of its lowest position that still leaves one, and
+    the part keeps the positions that share them."""
+    # per part: its group, index there, digit count, positions left, their values; per digit: (rank, part)
+    owner, member, digits, alive, sets, keys, orders = [], [], [], [], [], [], []
     for group in groups:
-        taken = group.sweep.values()
-        count *= group.sweep.size**group.count
-        for _ in range(group.count):  # the achievable values grow to a fixed point
-            grown = {op(s, v) for s in values for v in taken}
-            if grown == values:
-                break
-            values = grown
-    if not count:
-        return set(), 0, None, None
-    # meet = top iff every component's value is top; in a join that holds
-    # for "not top" when top is join-irreducible (a join of smaller
-    # elements stays below it); otherwise the lowest position is searched
-    irreducible = meet or top in alg.planes.irreducibles
-    witness = falsifier = None
-    if top in values:
-        find = _product if meet else _union if irreducible else _descend
-        witness = _Deferred(functools.partial(find, groups, "holding", op, alg))
-    if values - {top}:
-        find = _union if meet else _product if irreducible else _descend
-        falsifier = _Deferred(functools.partial(find, groups, "failing", op, alg))
-    return values, count, witness, falsifier
-
-
-def _assignment(atoms: list, occs: list) -> tuple[tuple, tuple]:
+        n, k = len(group.members), len(owner)
+        columns = group.orders()
+        for column in group.keys:
+            keys += zip(column, range(k, k + n))
+        for column in columns:
+            orders += zip(column, range(k, k + n))
+        owner += [group] * n
+        member += range(n)
+        digits += [len(group.keys) + len(columns)] * n
+        alive += [group.sweep.mask] * n
+        sets += [_taken(group.sweep.at, group.sweep.mask)] * n
+    counts = collections.Counter(sets)
+    fixed = [0] * len(owner)
+    # per element x: the values v with op(x, v) in wanted; sure: those that fit whatever the others reach
+    fits = [sum(1 << v for v, value in enumerate(row) if value & wanted) for row in reach.table]
+    sure = functools.reduce(int.__and__, fits)
+    runs = [(k, len(list(run))) for k, run in itertools.groupby(k for _, k in [*sorted(keys), *sorted(orders)])]
+    i = 0
+    while i < len(runs):
+        k, width = runs[i]
+        fixed[k] += width
+        group, s, at = owner[k], sets[k], owner[k].sweep.at
+        counts[s] -= 1
+        p = _lowest(alive[k])
+        if not _taken(at, 1 << p) & sure:
+            fit = functools.reduce(int.__or__, map(fits.__getitem__, _bits(reach(counts))))
+            p = _lowest(alive[k] & sum(at[v] for v in _bits(s & fit)))
+        kept = 1 << p if fixed[k] == digits[k] else group.prefix(alive[k], p, fixed[k])
+        new = _taken(at, kept)
+        # the next runs of untouched whole parts of the group are at k's
+        # state, and take its step while the others' reach stays: while s
+        # keeps more than |A| copies and new has |A| already
+        repeats = len(runs) if new == s else counts[s] - reach.most if counts[new] >= reach.most else 0
+        done = i + 1
+        while done - i <= repeats and done < len(runs) and width == digits[k] == runs[done][1] and (
+            owner[runs[done][0]] is group
+        ):
+            done += 1
+        for j, _ in runs[i:done]:
+            alive[j], sets[j] = kept, new
+        counts[s] -= done - i - 1
+        counts[new] += done - i
+        i = done
+    picks: dict[tuple, list[int]] = {}  # (group, position) -> the members that take it
+    for group, j, mask in zip(owner, member, alive):
+        picks.setdefault((group, _lowest(mask)), []).append(j)
+    atoms, occs = [], []
+    for (group, i), picked in picks.items():
+        group.collect(i, picked, atoms, occs)
     return tuple(sorted(atoms)), tuple(sorted(occs))
-
-
-def _product(groups: Sequence[_Group], which: str, op, alg) -> tuple[tuple, tuple]:
-    """Every component at its own lowest position of the kind."""
-    atoms: list = []
-    occs: list = []
-    for group in groups:
-        group.collect(_lowest(getattr(group.sweep, which)), atoms, occs)
-    return _assignment(atoms, occs)
-
-
-def _union(groups: Sequence[_Group], which: str, op, alg) -> tuple[tuple, tuple]:
-    """One component at its lowest position of the kind, every other at its
-    first: the component whose position leaves the first digit unchanged
-    the longest, digits ranked by atom key and then by instance."""
-    best = None
-    for group in groups:
-        positions = getattr(group.sweep, which)
-        if not positions:
-            continue
-        p = _lowest(positions)
-        if p == 0:
-            best = None
-            break
-        code = group.sweep.code
-        j = next(j for j, (d, e) in enumerate(zip(code.digits(p), code.digits(0))) if d != e)
-        width = len(code.keys)
-        for m in group.members:
-            rank = (0, group.keys(m)[j]) if j < width else (1, group.orders(m)[j - width])
-            if best is None or rank > best[0]:
-                best = (rank, group, m, p)
-    atoms: list = []
-    occs: list = []
-    for group in groups:
-        if best is not None and group is best[1]:
-            group.collect(0, atoms, occs, [m for m in group.members if m != best[2]])
-            group.collect(best[3], atoms, occs, [best[2]])
-        else:
-            group.collect(0, atoms, occs)
-    return _assignment(atoms, occs)
-
-
-def _descend(groups: Sequence[_Group], which: str, op, alg) -> tuple[tuple, tuple]:
-    """The lowest position whose value is top (or not), digit by digit over
-    every component's digits in rank order: each digit takes the least
-    value that still leaves such a position."""
-    want = which == "holding"
-    parts = [(group, m) for group in groups for m in group.members]
-    planes = alg.planes
-    tables = [
-        [(group.sweep.code.digits(i), planes.decode(group.sweep.value, i)) for i in range(group.sweep.size)]
-        for group, _ in parts
-    ]
-    alive = [list(range(len(t))) for t in tables]
-    ranks = []
-    for k, (group, m) in enumerate(parts):
-        keys, orders = group.keys(m), group.orders(m)
-        ranks += [((0, key), k, j) for j, key in enumerate(keys)]
-        ranks += [((1, order), k, len(keys) + j) for j, order in enumerate(orders)]
-
-    def feasible(k: int, candidates: list[int]) -> bool:
-        reach = {alg.top if op == alg.meet_ else alg.bottom}
-        for other, table in enumerate(tables):
-            taken = {table[i][1] for i in (candidates if other == k else alive[other])}
-            reach = {op(s, v) for s in reach for v in taken}
-        return any((v == alg.top) == want for v in reach)
-
-    for _, k, j in sorted(ranks):
-        table = tables[k]
-        for d in sorted({table[i][0][j] for i in alive[k]}):
-            candidates = [i for i in alive[k] if table[i][0][j] == d]
-            if feasible(k, candidates):
-                alive[k] = candidates
-                break
-    atoms: list = []
-    occs: list = []
-    for (group, m), (i,) in zip(parts, alive):
-        group.collect(i, atoms, occs, [m])
-    return _assignment(atoms, occs)
 
 
 def split_values(phi: Formula, model: SetModel, ctx: EvalContext, cap: int) -> tuple[set[int], int, object, object]:
     """The values phi takes, its number of assignments, and its witness and
-    falsifier (or None), its prefix read as a meet unless it opens with
-    exists or |."""
+    falsifier (or None), the lowest positions in enumeration order whose
+    value is top and is not (``_descend``); its prefix is read as a meet
+    unless it opens with exists or |."""
     meet = not isinstance(phi, (Exists, Or))
-    return _combine(_Split(phi, model, ctx, meet, cap).groups(), meet, model.algebra)
+    groups = _Split(phi, model, ctx, meet, cap).groups()
+    reach = _Reach(model.algebra, meet)
+    counts: collections.Counter = collections.Counter()
+    count = 1
+    for group in groups:
+        counts[_taken(group.sweep.at, group.sweep.mask)] += group.count
+        count *= group.sweep.size**group.count
+    if not count:
+        return set(), 0, None, None
+    values = set(_bits(reach(counts)))
+    top = model.algebra.top
+    witness = _Deferred(functools.partial(_descend, groups, 1 << top, reach)) if top in values else None
+    falsifier = _Deferred(functools.partial(_descend, groups, ~(1 << top), reach)) if values - {top} else None
+    return values, count, witness, falsifier

@@ -1310,12 +1310,10 @@ class Sweep:
         """The assignment at the lowest position in the mask positions."""
         return self.decode(_lowest(positions)) if positions else None
 
-    def values(self) -> set[int]:
-        """The values taken at some position."""
-        if self.value.__class__ is int:
-            return {self.value} if self.size else set()
-        where = self._planes.where
-        return {e for e in range(len(self._planes.bits)) if where(self.value, e) & self.mask}
+    @functools.cached_property
+    def at(self) -> list[int]:
+        """Per element, the positions whose value it is."""
+        return [self._planes.where(self.value, e) & self.mask for e in range(len(self._planes.bits))]
 
 
 def _instance_values(

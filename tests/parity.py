@@ -48,7 +48,8 @@ JOBS = 2
 # saturated families of each model algebra, rank-3 checks whose folds and
 # all-target loops read classes of indiscernible names, rank-3 grids,
 # separation and union over B4 and the 4-chain, negated Leibniz at rank 3
-# (one of them trips ASSIGNMENT_CAP at the first pair), and usage errors and --help,
+# (one of them trips ASSIGNMENT_CAP at the first pair), the --quant some
+# witness of a contradiction over B4 at rank 3, and usage errors and --help,
 # each followed by an ordinary check, so that a parser that serves every
 # call is compared right after an error exit
 _SEPARATION = 'axiom check --axiom separation --model {models}/%s_comega.fst --rank %d --formula "%s" --var x'
@@ -141,6 +142,11 @@ _CHECKS = [
         )
         for quant in ("", " --quant some")
     ),
+    # the witness of a join prefix over B4 at rank 3, found digit by digit
+    # (top is join-reducible there), and collection by a choice-free formula
+    # read as one vector over the names
+    *(f'eval --model {{models}}/b4_{kind}.fst --rank 3 --quant some --formula "exists x . (x eq x & ~(x eq x))"' for kind in ("comega", "n4")),
+    'axiom check --axiom collection --model {models}/chain3.alg --rank 3 --formula "y eq x" --var x --var2 y',
     # the tables each model algebra is built with: the implication table,
     # and the saturated families read from them
     *(

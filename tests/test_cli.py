@@ -700,18 +700,9 @@ def test_seed_echoed(files, capsys):
     assert code == 0 and "seed=42" in out
 
 
-def test_out_of_memory_is_an_error_line_with_exit_two(tmp_path):
-    """A check that runs out of memory exits 2 with one ``error:`` line, not
-    a traceback with exit 1 (which reads as "invalid"): collection by
-    ``y eq x`` over B4 at rank 3, whose instance list holds every pair of
-    the 3125 names, under a 400 MB address-space limit, set in the child
-    only."""
-    from pst.algebra import boolean_algebra, format_algebra_text
-
-    path = tmp_path / "b4.alg"
-    path.write_text(format_algebra_text("b4", boolean_algebra(2)))
-    argv = ["axiom", "check", "--axiom", "collection", "--model", str(path), "--rank", "3"]
-    argv += ["--formula", "y eq x", "--var", "x", "--var2", "y"]
+def _under_400_mb(argv: list[str]) -> subprocess.CompletedProcess:
+    """cli.main(argv) in a child process under a 400 MB address-space
+    limit, set in the child only."""
     child = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))\n"
@@ -719,8 +710,33 @@ def test_out_of_memory_is_an_error_line_with_exit_two(tmp_path):
         f"sys.exit(main({argv!r}))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(pst.__file__).resolve().parent.parent))
-    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_out_of_memory_is_an_error_line_with_exit_two(tmp_path):
+    """A check that runs out of memory exits 2 with one ``error:`` line, not
+    a traceback with exit 1 (which reads as "invalid"): extensionality over
+    the 5-chain at rank 3, under a 400 MB address-space limit."""
+    from pst.algebra import chain, format_algebra_text
+
+    path = tmp_path / "chain5.alg"
+    path.write_text(format_algebra_text("chain5", chain(5)))
+    proc = _under_400_mb(["axiom", "check", "--axiom", "extensionality", "--model", str(path), "--rank", "3"])
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: out of memory\n")
+
+
+def test_collection_over_b4_at_rank_three_fits_in_400_mb(tmp_path):
+    """Collection by ``y eq x`` over the 3125 names of B4 at rank 3 reads
+    the choice-free phi as one vector over the names, not as an instance
+    per pair of names, and answers under a 400 MB address-space limit."""
+    from pst.algebra import boolean_algebra, format_algebra_text
+
+    path = tmp_path / "b4.alg"
+    path.write_text(format_algebra_text("b4", boolean_algebra(2)))
+    argv = ["--format", "machine", "axiom", "check", "--axiom", "collection", "--model", str(path), "--rank", "3"]
+    proc = _under_400_mb(argv + ["--formula", "y eq x", "--var", "x", "--var2", "y"])
+    line = "RESULT axiom=collection rank=3 quant=all_assignments value=3 valid=yes\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, line, "")
 
 
 def test_key_cap_trips_on_its_prediction(tmp_path, capsys):
@@ -783,14 +799,33 @@ def test_axiom_check_argument_branches(files, capsys):
         (("--axiom", "union", "--formula", "x eq x"), "--formula is not read by the union check"),
         (("--axiom", "separation", "--formula", "x eq x", "--v", "1"), "--v is not read by the separation check"),
         (("--axiom", "pairing", "--v", "1"), "--v needs --u"),
+        (("--axiom", "union", "--quant", "some"), "--quant is not read by the union check"),
+        (("--axiom", "union", "--var", "z"), "--var is not read by the union check"),
+        (("--axiom", "separation", "--formula", "x eq x", "--var2", "y"), "--var2 is not read by the separation check"),
     ],
-    ids=["extensionality-u", "union-formula", "separation-v", "pairing-v-alone"],
+    ids=["extensionality-u", "union-formula", "separation-v", "pairing-v-alone", "union-quant", "union-var", "separation-var2"],
 )
 def test_axiom_check_rejects_a_flag_it_does_not_read(files, capsys, flags, message):
     """A data flag the axiom's check does not read is a usage error, not
     ignored while some other check prints its RESULT line."""
     base = ["--format", "machine", "axiom", "check", "--model", files["sat3.fst"], "--rank", "2"]
     assert run(capsys, *base, *flags) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--policy", "full", "--count", "1"), "--count is not read by the full policy"),
+        (("--policy", "sampled", "--max-dom", "0"), "--max-dom is not read by the sampled policy"),
+    ],
+    ids=["full-count", "sampled-max-dom"],
+)
+def test_universe_enum_rejects_a_flag_its_policy_does_not_read(files, capsys, flags, message):
+    """--count is read by the sampled policy alone and --max-dom by the
+    domres policy alone; given to another policy, each is a usage error."""
+    argv = ["--format", "machine", "universe", "enum", "--model", files["chain3.alg"], "--rank", "2"]
+    assert run(capsys, *argv, *flags) == (2, "", f"error: {message}\n")
+    assert run(capsys, *argv, "--policy", "domres", "--max-dom", "0")[:2] == (0, "RESULT count=1 rank=2 seed=0\n")
 
 
 @pytest.mark.parametrize(

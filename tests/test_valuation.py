@@ -793,6 +793,24 @@ def test_reach_witnesses_re_verify():
     assert eval_sentence(lem, model, witness) == 2
 
 
+@pytest.mark.parametrize("kind", ["comega", "n4"])
+def test_join_prefix_witness_over_b4_at_rank_three(kind):
+    """The --quant some witness of the contradiction over the 3125 rank-3
+    names of B4, whose top is join-reducible (a join of two non-top values
+    is top): it names every ~(x eq x), chooses 0 at each but the last, the
+    latest key, which takes top, and evaluates to top under the assignment
+    it is."""
+    from pst.algebra import boolean_algebra
+
+    model = make_model(saturate(boolean_algebra(2), kind), NameStore(), 3)
+    contra = parse_formula("exists x . (x eq x & ~(x eq x))")
+    witness = check_valid(contra, model, "some_assignment").witness
+    assert [key for key, _ in witness.atoms] == [("eq", u, u) for u in model.scope]
+    assert [c for _, c in witness.atoms] == [0] * 3124 + [3] and not witness.occs
+    assert witness.fingerprint() == "0db2bbb68bb3"
+    assert eval_sentence(contra, model, witness) == 3
+
+
 # negated compounds: comega chooses per occurrence, with options read from the
 # body's value; n4 pushes them to the atoms
 _COMPOUND_SENTENCES = [
