@@ -163,8 +163,8 @@ def check_union(
     w(x) = join over children v of u(v) ^ v(x); pointwise it matches
     'exists v in u (y in v)'.
 
-    The right side exists t . (t in u & y in t) is folded as a bounded
-    quantifier, the join over x in dom(u) of u(x) ^ ||y in x||, which is
+    The right side exists t . (t in u & y in t) is read from the kernel's
+    columns as the join over x in dom(u) of u(x) ^ ||y in x||, which is
     equal by the bounded lemma: t = x gives >=, and ||t in u|| ^ ||y in t||
     <= join over x of u(x) ^ ||x = t|| ^ ||y in t|| <= the same join by
     substitution (dom(u) lies in the scope, which is closed under
@@ -172,9 +172,8 @@ def check_union(
     ctx = ctx or EvalContext(model)
     alg = model.algebra
     store = model.store
+    p = ctx.planes
     targets, scope = _targets(model, u, ctx)
-    bounded = model.with_flags(bounded_opt=True)
-    union = Exists("t", And(Mem(Var("t"), Var("u")), Mem(Var("y"), Var("t"))))
     value = alg.top
     witnesses = []
     for uu in targets:
@@ -188,7 +187,7 @@ def check_union(
         if len(witnesses) < 1:
             witnesses.append(("w", w))
         lhs = ctx.kernel.memcol(w, scope.need)  # y -> ||y in w||
-        rhs = ctx.vector(union, {"u": uu}, "y", scope, bounded)
+        rhs = functools.reduce(p.join, (p.meet(a, ctx.kernel.memcol(x, scope.need)) for x, a in entries), p.bottom)
         value = alg.meet_(value, _scope_bicond(ctx, scope, lhs, rhs))
     return _report(model, "union", value, value == alg.top, witnesses=witnesses)
 
@@ -237,7 +236,7 @@ def check_separation(
         phi_at = {x: p.decode(table, x) for x in children}
     else:
         instances = [(phi, {var: x}, (x,), (0,), (i,)) for i, x in enumerate(names)]
-        values, code = _joined_values(Forall(var, phi), instances, model, ctx, cap)
+        values, code = _joined_values(instances, model, ctx, cap)
         phi_at = {x: values[(i,)] for i, x in enumerate(names)}
         table = None
     scope = ctx.domain(model.scope)
@@ -373,7 +372,10 @@ def check_powerset(
     inequality.
 
     Both sides read u only through dom(u) and its column z -> ||z in u||
-    over the children of the scope: each distinct pair is verified once."""
+    over the children of the scope: each distinct pair is verified once.
+    The right side forall y (y in v -> y in u) is read as the meet over the
+    children z of the scope of v(z) -> ||z in u||, by the bounded lemma,
+    as union's right side is."""
     ctx = ctx or EvalContext(model)
     alg = model.algebra
     store = model.store
@@ -388,9 +390,8 @@ def check_powerset(
                 msg = f"powerset would need {n_funcs} candidate functions"
                 raise CapExceeded(msg, cap="POWERSET_CAP", limit=cap, predicted=n_funcs)
     targets, scope = _targets(model, u, ctx)
-    # v -> ||forall y in v (y in u)||, folded over dom(v) for every v at once
-    bounded = model.with_flags(bounded_opt=True)
-    subset = Forall("y", Imp(Mem(Var("y"), Var("v")), Mem(Var("y"), Var("u"))))
+    p = ctx.planes
+    entry = {z: ctx.kernel.entry(z) for z in children.ids}  # v -> v(z)
     value = alg.top
     witnesses = []
     funcs_by_dom: dict[tuple[int, ...], list[int]] = {}
@@ -417,7 +418,7 @@ def check_powerset(
             witnesses.append(("w", w))
         lhs = ctx.kernel.memcol(w, scope.need)  # v -> ||v in w||
         if column not in subsets:
-            subsets[column] = ctx.vector(subset, {"u": uu}, "v", scope, bounded)
+            subsets[column] = functools.reduce(p.meet, (p.imp(entry[z], ctx.eval_mem(z, uu)) for z in children.ids), p.top)
         value = alg.meet_(value, _scope_bicond(ctx, scope, lhs, subsets[column]))
     return _report(model, "powerset", value, value == alg.top, witnesses=witnesses)
 
@@ -433,17 +434,15 @@ def check_extensionality(model: SetModel, ctx: EvalContext | None = None) -> Axi
     scope = ctx.domain(model.scope)
     # j_k <= ||forall z (z in x <-> z in y)|| iff the columns z -> ||z in x||
     # and z -> ||z in y|| agree, over the scope, on every plane k' <= k
-    cols = {
-        x: [plane & scope.mask for plane in ctx.kernel.memcol(x, scope.need)]
-        for x in model.scope
-    }
     agree: list[dict[int, int]] = [{} for _ in range(p.width)]
-    for y, col in cols.items():
-        for k, plane in enumerate(col):
+    for y in model.scope:
+        for k, plane in enumerate(ctx.kernel.memcol(y, scope.need)):
+            plane &= scope.mask
             agree[k][plane] = agree[k].get(plane, 0) | 1 << y
     value = alg.top
     for x in model.scope:
-        same = p.meet_below([agree[k][plane] for k, plane in enumerate(cols[x])])
+        col = ctx.kernel.memcol(x, scope.need)
+        same = p.meet_below([agree[k][plane & scope.mask] for k, plane in enumerate(col)])
         bound = p.imp(same, ctx.kernel.eqrow(x, scope.need))
         value = alg.meet_(value, p.meet_over(bound, scope.mask))
     return _report(model, "extensionality", value, value == alg.top)
@@ -506,13 +505,13 @@ def check_collection(
     ||forall x in u exists y in v phi||.  The scope stands in for the
     ordinal-indexed level of the class argument.
 
-    The assignments are those of forall var_x . forall var_y . phi, and
-    ||exists y phi|| at each child x is the join over the scope of phi at
-    each pair, a vector over them (``_joined_values``); a choice-free phi
-    without predicates is one vector over the names, as in separation.  v
-    holds every scope name at top, so its join is that join term by term:
-    each target's right side is its left, and the value is top wherever
-    phi evaluates."""
+    The assignments are those of forall var_x . forall var_y . phi, phi at
+    each pair read as a vector over them (``_joined_values``); a
+    choice-free phi without predicates is one vector over the names, as in
+    separation.  v holds every scope name at top, so ||exists y in v phi||
+    is ||exists y phi|| term by term: each target's right side is its
+    left, and the value is top wherever phi evaluates.  phi is still
+    evaluated, for its assignments, its cap trips and its errors."""
     if free_vars(phi) != {var_x, var_y}:
         raise EvalError("collection needs a two-free-variable formula")
     ctx = ctx or EvalContext(model)
@@ -524,22 +523,15 @@ def check_collection(
     children = _children(model, targets)
     if ctx.choice_free(phi, model.mode) and not _reads_pred(phi):
         code = AssignmentIndex({}, p)
-        table = ctx.vector(Exists(var_y, phi), {}, var_x, _Domain(children), model)
-        ex = {x: p.decode(table, x) for x in children}
+        ctx.vector(Exists(var_y, phi), {}, var_x, _Domain(children), model)
     else:
         pairs = [(x, y) for x in dict.fromkeys([*model.scope, *children]) for y in model.scope]
         instances = [(phi, {var_x: x, var_y: y}, (x, y), (0, 0), (i,)) for i, (x, y) in enumerate(pairs)]
-        values, code = _joined_values(Forall(var_x, Forall(var_y, phi)), instances, model, ctx, cap)
-        phi_at = {pair: values[(i,)] for i, pair in enumerate(pairs)}
-        ex = {x: functools.reduce(p.join, (phi_at[x, y] for y in model.scope), p.bottom) for x in children}
-    value: Vector = p.top
-    for uu in targets:
-        lhs = functools.reduce(p.meet, (p.imp(ux, ex[x]) for x, ux in store.get(uu).entries), p.top)
-        value = p.meet(value, p.imp(lhs, lhs))
+        _, code = _joined_values(instances, model, ctx, cap)
     return _quantified_report(
         model,
         "collection",
-        Sweep(value, code, p),
+        Sweep(p.top, code, p),
         quantification,
         witnesses=[("v", v_name)],
         notes=("scope-wide constant-top witness stands in for the class level",),

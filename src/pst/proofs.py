@@ -17,15 +17,14 @@ from .algebra import enumerate_heyting
 from .errors import CapExceeded, PstError
 from .fidel import FStructure, saturate
 from .syntax import (
+    ATOMS,
     And,
     Derivation,
-    Eq,
     Exists,
     Forall,
     Formula,
     FuncApp,
     Imp,
-    Mem,
     Meta,
     NameConst,
     Neg,
@@ -33,13 +32,13 @@ from .syntax import (
     Pred,
     Term,
     Var,
+    _subst_term,
     formula_to_text,
     free_for,
     free_vars,
     iff,
     map_terms,
     prop_atoms,
-    substitute,
     subformulas,
 )
 from .search import _index_walk, _prop_model
@@ -121,67 +120,22 @@ def _unify(template: Formula, phi: Formula, binds: dict[str, Formula]) -> bool:
     return template == phi
 
 
-class _Conflict(Exception):
-    pass
-
-
-def _anti_unify(pattern: Formula, inst: Formula, x: str) -> Term | None:
-    """The term t with pattern[x := t] = inst, or None when x has no free
-    occurrence (then pattern must equal inst).  Raises _Conflict otherwise."""
-    slot: list[Term] = []
-
-    def terms(p: Term, i: Term, live: bool) -> None:
-        if live and isinstance(p, Var) and p.name == x:
-            if slot and slot[0] != i:
-                raise _Conflict
-            if not slot:
-                slot.append(i)
-            return
-        if type(p) is not type(i):
-            raise _Conflict
-        if isinstance(p, Var):
-            if p.name != i.name:
-                raise _Conflict
-            return
-        if isinstance(p, FuncApp):
-            if p.sym != i.sym or len(p.args) != len(i.args):
-                raise _Conflict
-            for pa, ia in zip(p.args, i.args):
-                terms(pa, ia, live)
-            return
-        if p != i:
-            raise _Conflict
-
-    def walk(p: Formula, i: Formula, live: bool) -> None:
-        if type(p) is not type(i):
-            raise _Conflict
-        if isinstance(p, (Mem, Eq)):
-            terms(p.left, i.left, live)
-            terms(p.right, i.right, live)
-            return
-        if isinstance(p, Pred):
-            if p.sym != i.sym or len(p.args) != len(i.args):
-                raise _Conflict
-            for pa, ia in zip(p.args, i.args):
-                terms(pa, ia, live)
-            return
-        if isinstance(p, (And, Or, Imp)):
-            walk(p.left, i.left, live)
-            walk(p.right, i.right, live)
-            return
-        if isinstance(p, Neg):
-            walk(p.body, i.body, live)
-            return
-        if isinstance(p, (Forall, Exists)):
-            if p.var != i.var:
-                raise _Conflict
-            walk(p.body, i.body, live and p.var != x)
-            return
-        if p != i:
-            raise _Conflict
-
-    walk(pattern, inst, True)
-    return slot[0] if slot else None
+def _candidates(x: str, body: Formula, instance: Formula) -> list[Term]:
+    """The terms of the first atom of the instance that differs from the
+    matrix's atom at its place (atoms in pre-order), then every argument
+    inside a function term among them, each once; Var(x) if none differs."""
+    pairs = zip(
+        (a for a in subformulas(body) if isinstance(a, ATOMS)),
+        (b for b in subformulas(instance) if isinstance(b, ATOMS)),
+    )
+    b = next((b for a, b in pairs if a != b), None)
+    if b is None:
+        return [Var(x)]
+    terms: list[Term] = list(b.args) if isinstance(b, Pred) else [b.left, b.right]
+    for t in terms:  # the list grows by the arguments of its function terms
+        if isinstance(t, FuncApp):
+            terms.extend(t.args)
+    return list(dict.fromkeys(terms))
 
 
 def match_schema(phi: Formula, schema: AxiomSchema | str) -> Mapping[str, object]:
@@ -190,6 +144,14 @@ def match_schema(phi: Formula, schema: AxiomSchema | str) -> Mapping[str, object
     For the quantifier schemas the bindings carry the matrix formula, the
     bound variable and the witness term, and the freeness side condition is
     enforced.  Raises NoMatch / SideConditionViolated.
+
+    The witness term t is the first candidate (``_candidates``) whose plain
+    replacement of the free occurrences of x in the matrix gives the
+    instance.  Every term that fits is a candidate: a replacement changes
+    only the atoms where x is free, so if it changes any, t stands in the
+    first of them where x stood free, and if it changes none, the instance
+    is the matrix and Var(x) fits.  If x occurs free, only one term can
+    fit, the term at such an occurrence; if it does not, only Var(x) can.
     """
     if isinstance(schema, str):
         try:
@@ -209,16 +171,13 @@ def match_schema(phi: Formula, schema: AxiomSchema | str) -> Mapping[str, object
         q, instance, side = (phi.right, phi.left, "left") if a1 else (phi.left, phi.right, "right")
         x = q.var
         body = q.body
-        try:
-            t = _anti_unify(body, instance, x)
-        except _Conflict as exc:
-            raise NoMatch(f"{side} side is not a substitution instance") from exc
-        if t is None:
-            t = Var(x)
+        for t in _candidates(x, body, instance):
+            if map_terms(body, lambda term: _subst_term(term, x, t), x) == instance:
+                break
+        else:
+            raise NoMatch(f"{side} side is not a substitution instance")
         if not free_for(t, x, body):
             raise SideConditionViolated(f"term not free for {x!r}")
-        if substitute(body, x, t) != instance:
-            raise NoMatch(f"{side} side is not a substitution instance")
         return {"phi": body, "x": x, "t": t}
     raise NoMatch(f"unhandled schema {schema.sid}")
 

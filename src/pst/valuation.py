@@ -1044,17 +1044,13 @@ class _Join:
 
 
 def _joined_values(
-    sentence: Formula, instances: Sequence[_Instance], model: SetModel, ctx: EvalContext, cap: int
+    instances: Sequence[_Instance], model: SetModel, ctx: EvalContext, cap: int
 ) -> tuple[dict[tuple, Vector], AssignmentIndex | _Product]:
     """``_instance_values`` of a sentence's instances, in its evaluation
-    order, which read only its negated atoms; the cap trips on their atom
-    assignments.  Where a comega occurrence is chosen, each instance is
-    probed once, and a ``_Join`` joins them into groups that share no
-    negated atom; else the sentence is probed once, and they are one
-    group, swept by one index."""
-    if model.mode != "comega" or ctx.compound_free(sentence):
-        options = _probe((sentence, {}, (), (), ()), model, ctx, cap).options
-        return _instance_values([(instances, options)], model, ctx, cap)
+    order: each instance is probed once, in that order, and a ``_Join``
+    joins them into groups that share no negated atom.  The probes read the
+    keys one probe of the sentence would, in the same order, so the cap
+    trips on their atom assignments where that probe would."""
     join = _Join(model, ctx, cap, whole=True)
     for inst in instances:
         join.add(inst)

@@ -4,7 +4,9 @@ Runs every check that the three workloads of ``perfbench/checks.py``
 (``rank3-dense``, ``witness-negation``, ``search-audit``) draw at the given
 seeds, and the fixed argvs of ``EXTRA``, through ``pst.cli.main``, once
 under each source tree, in machine and in human format, and compares exit
-code, stdout and stderr.  Each argv that differs is printed with both
+code, stdout and stderr.  The derivations of ``derivation_corpus.py`` are
+written beside the model files, and each is checked by ``prove check``
+(``DERIVATIONS``).  Each argv that differs is printed with both
 outputs; the exit status is 1 on any difference, 0 otherwise.
 
     python tests/parity.py PARENT_SRC [CHANGE_SRC] [--seeds 1-10] [--rounds 2]
@@ -32,6 +34,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+from derivation_corpus import CURATED, ID_ARROW, MUTATIONS
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("rank3-dense", "witness-negation", "search-audit")
@@ -164,7 +168,14 @@ _USAGE = [
     "eval --help",
     "counter search --goal refute_formula --formula p --premise p",
 ]
-EXTRA = [*(text for pair in zip(_USAGE, _CHECKS) for text in pair), *_CHECKS[len(_USAGE) :]]
+# the curated derivations and their single-line mutations, by file stem:
+# their A1/A2 lines run the proof kernel's schema matching
+DERIVATIONS = {"id_arrow": ID_ARROW, **CURATED, **{name: text for name, text, _ in MUTATIONS}}
+EXTRA = [
+    *(text for pair in zip(_USAGE, _CHECKS) for text in pair),
+    *_CHECKS[len(_USAGE) :],
+    *(f"prove check {{models}}/{name}.deriv" for name in DERIVATIONS),
+]
 
 
 def _seeds(text: str) -> list[int]:
@@ -251,6 +262,8 @@ def main() -> int:
         models_dir = str(Path(tmp) / "models")
         Path(models_dir).mkdir()
         subprocess.run([sys.executable, __file__, "--models", trees[1], models_dir], check=True)
+        for name, text in DERIVATIONS.items():
+            (Path(models_dir) / f"{name}.deriv").write_text(text)
         argvs = _argvs(_seeds(args.seeds), args.rounds, models_dir)
         argv_file = str(Path(tmp) / "argvs.json")
         Path(argv_file).write_text(json.dumps(argvs))

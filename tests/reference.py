@@ -28,7 +28,10 @@ once: the loop over the targets and the scope names it replaced.
 takes the meet over the enumerated rank-(r + 1) universe.
 ``pointwise_powerset`` is the oracle for ``axioms.check_powerset``, which
 verifies each distinct pair of domain and member column once: it verifies
-every target.
+every target.  ``pointwise_union`` is the oracle for ``axioms.check_union``,
+which reads the right side as a join of kernel columns over dom(u): it
+evaluates the axiom's formula exists t . (t in u & y in t) over the whole
+scope, outside ``bounded_opt``.
 
 ``theta_audit`` is the oracle for the quantified soundness audit: it
 enumerates every table of negated-predicate values and evaluates the
@@ -494,7 +497,7 @@ def separation(model: SetModel, phi, var: str, u=None, quantification: str = "al
     children = _children(model, targets)
     names = list(dict.fromkeys([*model.scope, *children]))
     instances = [(phi, {var: x}, (x,), (0,), (i,)) for i, x in enumerate(names)]
-    values, code = _joined_values(Forall(var, phi), instances, model, ctx, cap)
+    values, code = _joined_values(instances, model, ctx, cap)
     phi_at = {x: values[(i,)] for i, x in enumerate(names)}
     need = ctx.domain(model.scope).need
     eq = {x: [p.decode(ctx.kernel.eqrow(x, need), z) for z in model.scope] for x in children}
@@ -589,6 +592,32 @@ def pointwise_powerset(model: SetModel, u=None, cap: int = POWERSET_CAP) -> Axio
         )
         value = alg.meet_(value, _scope_bicond(ctx, scope, lhs, subset))
     return _report(model, "powerset", value, value == alg.top, witnesses=witnesses)
+
+
+def pointwise_union(model: SetModel, u=None) -> AxiomReport:
+    """check_union one target at a time, its right side the axiom's own
+    formula exists t . (t in u & y in t) with t ranging over the whole
+    scope."""
+    ctx = EvalContext(model)
+    alg = model.algebra
+    store = model.store
+    scope = ctx.domain(model.scope)
+    unbounded = model.with_flags(bounded_opt=False)
+    union = Exists("t", And(Mem(Var("t"), Var("u")), Mem(Var("y"), Var("t"))))
+    value = alg.top
+    witnesses = []
+    for uu in model.scope if u is None else [u]:
+        dom: dict[int, int] = {}
+        for child, weight in store.get(uu).entries:
+            for x, vx in store.get(child).entries:
+                dom[x] = alg.join_(dom.get(x, alg.bottom), alg.meet_(weight, vx))
+        w = store.mk_name(sorted(dom.items()))
+        if not witnesses:
+            witnesses.append(("w", w))
+        lhs = ctx.kernel.memcol(w, scope.need)
+        rhs = ctx.vector(union, {"u": uu}, "y", scope, unbounded)
+        value = alg.meet_(value, _scope_bicond(ctx, scope, lhs, rhs))
+    return _report(model, "union", value, value == alg.top, witnesses=witnesses)
 
 
 # --- the instance decomposition, by brute force ----------------------------------------

@@ -361,16 +361,19 @@ def test_refinable_trivial_algebra():
 
 
 def test_refinable_three_chain_certificates():
-    # outcome computed by the exhaustive search, not presumed
-    rep = check_refinable(chain(3))
-    assert isinstance(rep, RefinabilityReport)
-    assert rep.refinable
-    h = chain(3)
-    certs = dict(rep.certificates)
-    for subset, anti in rep.certificates:
-        assert h.join_all(anti) == h.join_all(subset)
-        for a, b in itertools.combinations(anti, 2):
-            assert not h.le(a, b) and not h.le(b, a)
+    # each certificate is verified here, not presumed: an antichain with
+    # its subset's join, made of the subset's maximal elements
+    for h in enumerate_heyting(6):
+        rep = check_refinable(h)
+        assert isinstance(rep, RefinabilityReport)
+        assert rep.refinable
+        assert len(rep.certificates) == 1 << h.size
+        for subset, anti in rep.certificates:
+            assert h.join_all(anti) == h.join_all(subset)
+            for a, b in itertools.combinations(anti, 2):
+                assert not h.le(a, b) and not h.le(b, a)
+            assert anti == tuple(a for a in subset if not any(b != a and h.le(a, b) for b in subset))
+    certs = dict(check_refinable(chain(3)).certificates)
     assert certs[(0, 1)] == (1,)  # max element refines a chain subset
 
 

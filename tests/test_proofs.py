@@ -194,6 +194,10 @@ _QSIG = Signature(functions={"c": 0, "d": 0, "f": 1, "g": 1, "h": 2})
         ("A1", "(c in d & ~(d eq c)) -> (exists x . (x in c & ~(x eq c)))"),
         ("A1", "(f(c) eq c & ~(f(c) in c)) -> (exists x . (x eq c & ~(x in d)))"),
         ("A2", "(forall x . (x in c & ~(x eq x))) -> (c in c & ~(c eq d))"),
+        # two occurrences of x met by two different terms, or one by a
+        # term that a constant of the matrix does not match
+        ("A2", "(forall x . P(h(x, x))) -> P(h(c, d))"),
+        ("A2", "(forall x . P(h(x, c))) -> P(h(d, d))"),
     ],
 )
 def test_quantifier_schemas_reject_near_instances(sid, text):
@@ -208,6 +212,10 @@ def test_quantifier_schemas_reject_near_instances(sid, text):
         ("A1", "(d in c & ~(d eq c)) -> (exists x . (x in c & ~(x eq c)))", FuncApp("d", ())),
         ("A1", "(c eq d & ~(c in c)) -> (exists x . (x eq d & ~(x in x)))", FuncApp("c", ())),
         ("A2", "(forall x . ~(y in x) & x eq y) -> (~(y in g(y)) & g(y) eq y)", FuncApp("g", (Var("y"),))),
+        # the witness term is an argument inside function terms
+        ("A1", "P(h(f(d), c)) -> (exists x . P(h(f(x), c)))", FuncApp("d", ())),
+        # x free only after atoms the substitution leaves as they are
+        ("A2", "(forall x . ((forall x . x in c) & x eq c)) -> ((forall x . x in c) & f(d) eq c)", FuncApp("f", (FuncApp("d", ()),))),
     ],
 )
 def test_quantifier_schemas_match_atom_bodies(sid, text, t):

@@ -16,7 +16,7 @@ from reference import (
     unshared,
 )
 
-from pst.algebra import chain, enumerate_heyting
+from pst.algebra import boolean_algebra, chain, enumerate_heyting
 from pst.axioms import check_induction, check_separation
 from pst.errors import CapExceeded, PstError
 from pst.fidel import saturate
@@ -35,6 +35,7 @@ from pst.syntax import (
     Or,
     Pred,
     MAX_FORMULA_DEPTH,
+    Signature,
     Var,
     formula_to_text,
     free_for,
@@ -763,6 +764,24 @@ def test_grid_keys_keep_their_order_across_a_constant():
     assert dict(want["all_assignments"].witness.atoms)[("pred", "P", (1, 2))] == 0
 
 
+@pytest.mark.parametrize("mode", ["comega", "n4"])
+@pytest.mark.parametrize(
+    "text",
+    ["forall x . forall y . ~P(x, y, #1)", "exists x . exists y . (P(y, x, #2) & ~P(x, y, #2))"],
+)
+def test_grid_scalar_rows_match_the_enumerator(mode, text):
+    """A two-row grid over a ternary predicate with a constant, which
+    reaches the scalar rows of ``decompose._Grid.clean``."""
+    store = NameStore()
+    structure = saturate(chain(3), mode)
+    scope = enumerate_universe(store, structure.algebra, 2)
+    table = {("P", (u, v, w)): (u + 2 * v + w) % 3 for u in scope for v in scope for w in scope}
+    model = make_model(structure, store, 2, prop_values=table)
+    phi = parse_formula(text, Signature(predicates={"P": 3}))
+    want = enumerated_verdicts(phi, model, 3000)
+    assert {quant: check_valid(phi, model, quant, cap=3000) for quant in QUANTIFICATIONS} == want
+
+
 def test_de_morgan_on_the_400_assignment_structure_matches_the_enumerator():
     """The comega De Morgan sentence over the saturated structure of the
     5-element algebra whose rank-2 instances have 400 assignments in all,
@@ -1270,6 +1289,22 @@ def test_maximum_principle_trivial_self_witness(bool_model):
     u = bool_model.scope[1]
     verdict = check_maximum_principle(bool_model, Eq(x, NameConst(u)), "x")
     assert verdict.valid
+
+
+def test_maximum_principle_unmet_hypothesis_and_exhausted_scope():
+    """Over B4, phi = #e in x takes 1 at {e: 1} and 2 at {e: 2}: their join
+    is top, which no single name reaches."""
+    store = NameStore()
+    e = store.empty_name()
+    a = store.mk_name([(e, 1)])
+    b = store.mk_name([(e, 2)])
+    phi = Mem(NameConst(e), x)
+    unmet = check_maximum_principle(make_model(boolean_algebra(2), store, 1, scope=[e, a]), phi, "x")
+    assert (unmet.valid, unmet.value_lo, unmet.value_hi) == (True, 1, 1)
+    assert unmet.notes == ("rank-relative", "existence hypothesis fails at this scope")
+    exhausted = check_maximum_principle(make_model(boolean_algebra(2), store, 1, scope=[e, a, b]), phi, "x")
+    assert (exhausted.valid, exhausted.value_lo, exhausted.value_hi) == (False, 3, 3)
+    assert exhausted.notes == ("rank-relative", "scope exhausted without a pointwise witness")
 
 
 def test_maximum_principle_guards(bool_model):
