@@ -53,7 +53,8 @@ JOBS = 2
 # all-target loops read classes of indiscernible names, rank-3 grids,
 # separation and union over B4 and the 4-chain, negated Leibniz at rank 3
 # (one of them trips ASSIGNMENT_CAP at the first pair), the --quant some
-# witness of a contradiction over B4 at rank 3, and usage errors and --help,
+# witness of a contradiction over B4 at rank 3, the four checks decided by
+# the definition of membership at rank 3, and usage errors and --help,
 # each followed by an ordinary check, so that a parser that serves every
 # call is compared right after an error exit
 _SEPARATION = 'axiom check --axiom separation --model {models}/%s_comega.fst --rank %d --formula "%s" --var x'
@@ -151,6 +152,18 @@ _CHECKS = [
     # read as one vector over the names
     *(f'eval --model {{models}}/b4_{kind}.fst --rank 3 --quant some --formula "exists x . (x eq x & ~(x eq x))"' for kind in ("comega", "n4")),
     'axiom check --axiom collection --model {models}/chain3.alg --rank 3 --formula "y eq x" --var x --var2 y',
+    # pairing, union, emptyset and extensionality, decided by the definition
+    # of membership: every target, single targets, and targets that name no
+    # name (an error line each)
+    *(
+        f"axiom check --axiom {axiom} --model {{models}}/{model} --rank 3"
+        for axiom in ("pairing", "union", "emptyset", "extensionality")
+        for model in ("b4_n4.fst", "chain3_comega.fst")
+    ),
+    *(
+        f"axiom check --axiom {target} --model {{models}}/chain3.alg --rank 3"
+        for target in ("pairing --u 0 --v 255", "union --u 255", "pairing --u 99999", "union --u 99999")
+    ),
     # the tables each model algebra is built with: the implication table,
     # and the saturated families read from them
     *(

@@ -28,10 +28,14 @@ once: the loop over the targets and the scope names it replaced.
 takes the meet over the enumerated rank-(r + 1) universe.
 ``pointwise_powerset`` is the oracle for ``axioms.check_powerset``, which
 verifies each distinct pair of domain and member column once: it verifies
-every target.  ``pointwise_union`` is the oracle for ``axioms.check_union``,
-which reads the right side as a join of kernel columns over dom(u): it
-evaluates the axiom's formula exists t . (t in u & y in t) over the whole
-scope, outside ``bounded_opt``.
+every target.  ``pointwise_pairing``, ``pointwise_union``,
+``pointwise_emptyset`` and ``pointwise_extensionality`` are the oracles
+for ``axioms.check_pairing``, ``check_union``, ``check_emptyset`` and
+``check_extensionality``, which compute nothing, since their witnesses
+satisfy the axiom by the definition of membership: they evaluate each
+axiom's own formula at every pair, target and choice (union's
+exists t . (t in u & y in t) over the whole scope, outside
+``bounded_opt``).
 
 ``theta_audit`` is the oracle for the quantified soundness audit: it
 enumerates every table of negated-predicate values and evaluates the
@@ -119,6 +123,7 @@ from pst.syntax import (
     bounded_parts,
     formula_to_text,
     free_vars,
+    iff,
     iff_sides,
     map_terms,
     nnf_n4,
@@ -618,6 +623,65 @@ def pointwise_union(model: SetModel, u=None) -> AxiomReport:
         rhs = ctx.vector(union, {"u": uu}, "y", scope, unbounded)
         value = alg.meet_(value, _scope_bicond(ctx, scope, lhs, rhs))
     return _report(model, "union", value, value == alg.top, witnesses=witnesses)
+
+
+def pointwise_pairing(model: SetModel, u=None, v=None) -> AxiomReport:
+    """check_pairing at the given pair, else at every pair of scope names:
+    the axiom's formula forall z . (z in w <-> (z eq u | z eq v)) folded
+    over the scope name by name, with no classes."""
+    ctx = EvalContext(model)
+    alg = model.algebra
+    store = model.store
+    scope = ctx.domain(model.scope)
+    z = Var("z")
+    pairing = iff(Mem(z, Var("w")), Or(Eq(z, Var("u")), Eq(z, Var("v"))))
+    value = alg.top
+    witnesses = []
+    with name_level():
+        for uu, vv in [(u, v)] if u is not None and v is not None else itertools.product(model.scope, repeat=2):
+            w = store.mk_name([(uu, alg.top), (vv, alg.top)])
+            if not witnesses:
+                witnesses.append(("w", w))
+            at = ctx.vector(pairing, {"u": uu, "v": vv, "w": w}, "z", scope, model)
+            value = alg.meet_(value, ctx.planes.meet_over(at, scope.mask))
+    return _report(model, "pairing", value, value == alg.top, witnesses=witnesses)
+
+
+def pointwise_emptyset(model: SetModel) -> AxiomReport:
+    """check_emptyset at every scope name u and every n' in N_top:
+    ||u in {u: n'}|| read from the kernel and compared with n'."""
+    ctx = EvalContext(model)
+    alg = model.algebra
+    choices = model.neg_options(alg.top)
+    value = alg.top
+    witnesses = []
+    for uu in model.scope:
+        for nprime in choices:
+            w = model.store.mk_name([(uu, nprime)])
+            if not witnesses:
+                witnesses.append(("w", w))
+            got = ctx.eval_mem(uu, w)
+            value = alg.meet_(value, alg.meet_(alg.imp_(got, nprime), alg.imp_(nprime, got)))
+    return _report(
+        model,
+        "emptyset",
+        value,
+        value == alg.top,
+        quantification="all_assignments",
+        witnesses=witnesses,
+        n_assignments=len(model.scope) * len(choices),
+        notes=("witness adapts to each admissible choice of ~(u = u)",),
+    )
+
+
+def pointwise_extensionality(model: SetModel) -> AxiomReport:
+    """check_extensionality as the axiom's sentence, evaluated over the
+    scope name by name."""
+    x, y, z = Var("x"), Var("y"), Var("z")
+    sentence = Forall("x", Forall("y", Imp(Forall("z", iff(Mem(z, x), Mem(z, y))), Eq(x, y))))
+    with name_level():
+        value = eval_sentence(sentence, model)
+    return _report(model, "extensionality", value, value == model.algebra.top)
 
 
 # --- the instance decomposition, by brute force ----------------------------------------

@@ -30,7 +30,17 @@ from pst.fidel import format_fstructure_text, saturate
 from pst.names import NameStore
 from pst.syntax import And, Eq, Forall, Imp, Mem, NameConst, Neg, Or, Var, free_vars, iff, parse_formula
 from pst.valuation import ASSIGNMENT_CAP, EvalContext, EvalError, eval_sentence, make_model
-from reference import enumerated_collection, enumerated_comprehension, enumerated_separation, name_level, pointwise_powerset, pointwise_union, separation
+from reference import (
+    enumerated_collection,
+    enumerated_comprehension,
+    enumerated_separation,
+    pointwise_emptyset,
+    pointwise_extensionality,
+    pointwise_pairing,
+    pointwise_powerset,
+    pointwise_union,
+    separation,
+)
 
 x, y, z = Var("x"), Var("y"), Var("z")
 
@@ -574,9 +584,67 @@ def test_union_by_the_bounded_lemma_matches_the_scope_fold():
 def test_emptyset_by_class_matches_every_target():
     for structure, rank in [*((s, 2) for s in _STRUCTURES_TO_5), *((s, 3) for s in _RANK_THREE)]:
         got = check_emptyset(make_model(structure, NameStore(), rank))
-        with name_level():
-            want = check_emptyset(make_model(structure, NameStore(), rank))
+        want = pointwise_emptyset(make_model(structure, NameStore(), rank))
         assert got == want, (structure, rank)
+
+
+# --- pairing, union, emptyset and extensionality by the definition of membership -----------
+
+_MEMBERSHIP_ORACLES = {
+    "pairing": (check_pairing, pointwise_pairing),
+    "union": (check_union, pointwise_union),
+    "emptyset": (check_emptyset, pointwise_emptyset),
+    "extensionality": (check_extensionality, pointwise_extensionality),
+}
+
+
+def _single_targets(axiom, scope):
+    """At rank 3, the first and last scope names as targets: one pair for
+    pairing, each name for union, none for the checks without targets."""
+    if axiom == "pairing":
+        return [{"u": scope[0], "v": scope[-1]}]
+    if axiom == "union":
+        return [{"u": scope[0]}, {"u": scope[-1]}]
+    return [{}]
+
+
+@pytest.mark.parametrize("axiom", sorted(_MEMBERSHIP_ORACLES))
+def test_membership_checks_match_their_formulas(axiom):
+    """Each check computes nothing, its witness satisfying the axiom by the
+    definition of membership; the oracle evaluates the axiom's own formula
+    at every pair, target and choice, and gives the same report."""
+    check, oracle = _MEMBERSHIP_ORACLES[axiom]
+    inputs = [*((s, r, [{}]) for s in _STRUCTURES_TO_5 for r in (1, 2)), *((s, 2, [{}]) for s in _FAMILIES_TO_4[:40])]
+    inputs += [(s, 3, _single_targets(axiom, make_model(s, NameStore(), 3).scope)) for s in _RANK_THREE]
+    for structure, rank, targets in inputs:
+        for kwargs in targets:
+            got = check(make_model(structure, NameStore(), rank), **kwargs)
+            want = oracle(make_model(structure, NameStore(), rank), **kwargs)
+            assert got == want, (structure, rank, kwargs)
+
+
+def test_extensionality_needs_a_scope_closed_under_children():
+    """z = {empty: top} is a child of x = {z: top} but not in the scope
+    [x, empty]: the sentence's value there is bottom, not top."""
+    alg = chain(3)
+    store = NameStore()
+    e = store.empty_name()
+    x_name = store.mk_name([(store.mk_name([(e, alg.top)]), alg.top)])
+    model = make_model(alg, store, 2, mode="heyting", scope=[x_name, e])
+    with pytest.raises(EvalError, match="extensionality needs a scope closed under children"):
+        check_extensionality(model)
+    assert pointwise_extensionality(model).value == alg.bottom
+
+
+def test_membership_checks_on_the_empty_scope():
+    """Rank 0 has no names: no witness, and emptyset counts no assignment."""
+    for structure in (chain(3), saturate(chain(3), "n4")):
+        model = make_model(structure, NameStore(), 0)
+        assert model.scope == ()
+        top = model.algebra.top
+        for check, n_assignments in ((check_pairing, 1), (check_union, 1), (check_extensionality, 1), (check_emptyset, 0)):
+            report = check(model)
+            assert (report.value, report.valid, report.witnesses, report.n_assignments) == (top, True, (), n_assignments)
 
 
 def test_powerset_cap_trips_before_any_candidate_function():

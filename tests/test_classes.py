@@ -125,13 +125,12 @@ def test_single_target_checks_compute_no_classes():
         assert ctx.domain(model.scope).classes is None and not ctx.kernel._rep
 
 
-def test_all_target_pairing_makes_one_witness_per_class_pair():
+def test_all_target_pairing_makes_at_most_one_name():
     model = make_model(saturate(boolean_algebra(2), "n4"), NameStore(), 3)
     size = len(model.store)
     report = check_pairing(model)
-    classes = len(EvalContext(model).classes(model).ids)
-    assert classes == 16 and report.valid
-    assert len(model.store) - size <= classes**2
+    assert report.valid
+    assert len(model.store) - size <= 1
     assert report.witnesses == (("w", model.store.mk_name([(0, 3)])),)
 
 

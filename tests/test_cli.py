@@ -715,13 +715,14 @@ def _under_400_mb(argv: list[str]) -> subprocess.CompletedProcess:
 
 def test_out_of_memory_is_an_error_line_with_exit_two(tmp_path):
     """A check that runs out of memory exits 2 with one ``error:`` line, not
-    a traceback with exit 1 (which reads as "invalid"): extensionality over
-    the 5-chain at rank 3, under a 400 MB address-space limit."""
-    from pst.algebra import chain, format_algebra_text
+    a traceback with exit 1 (which reads as "invalid"): n4 collection by
+    ``~(y eq x)`` over B4 at rank 3, which lists an instance per pair of
+    its 3125 names, under a 400 MB address-space limit."""
+    from pst.algebra import boolean_algebra
 
-    path = tmp_path / "chain5.alg"
-    path.write_text(format_algebra_text("chain5", chain(5)))
-    proc = _under_400_mb(["axiom", "check", "--axiom", "extensionality", "--model", str(path), "--rank", "3"])
+    path = _saturated(tmp_path, boolean_algebra(2), "n4")
+    argv = ["axiom", "check", "--axiom", "collection", "--model", path, "--rank", "3"]
+    proc = _under_400_mb(argv + ["--formula", "~(y eq x)", "--var", "x", "--var2", "y"])
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: out of memory\n")
 
 
