@@ -5,17 +5,16 @@ validity proof, rather than evaluating the raw prenex sentence; this
 mirrors the proofs and avoids scope-explosion artifacts.  Every report is
 rank-relative.
 
-Pairing, union, emptyset and extensionality read no negation choice, and
-their witnesses satisfy the axiom by the definition of membership,
-||z in w|| = join over x in dom(w) of w(x) ^ ||x = z||: each of them
-states that identity, makes its first witness name and reports top,
-computing neither side.  Separation, powerset, collection, induction,
-comprehension and infinity compute their values over the model scope.
+Pairing, union, emptyset, extensionality, powerset, the comprehension
+refutation and collection by a choice-free formula read no negation
+choice, and the definitions of membership and equality fix their values:
+each states its identity, makes its first witness name and reports that
+value, computing nothing.  Separation, induction, infinity and collection
+by a formula with negation choices compute their values over the scope.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Sequence
@@ -35,6 +34,7 @@ from .syntax import (
 )
 from .valuation import (
     ASSIGNMENT_CAP,
+    EMPTY_ASSIGNMENT,
     AssignmentIndex,
     EvalContext,
     EvalError,
@@ -43,6 +43,7 @@ from .valuation import (
     Sweep,
     Vector,
     _Domain,
+    _eval,
     _joined_values,
     _reads_pred,
     hat_transfer,
@@ -75,13 +76,6 @@ class AxiomReport:
 def _summary(model: SetModel) -> str:
     kind = model.structure.kind if model.structure is not None else "algebra"
     return f"{model.mode}/{kind} over {model.algebra.size} elements"
-
-
-def _scope_bicond(ctx: EvalContext, dom: _Domain, lhs: Vector, rhs: Vector) -> int:
-    """Meet over the names z of dom of lhs(z) <-> rhs(z), for two vectors."""
-    p = ctx.planes
-    both = p.meet(p.imp(lhs, rhs), p.imp(rhs, lhs))
-    return p.meet_over(both, dom.mask)
 
 
 def _report(
@@ -349,60 +343,45 @@ def check_powerset(
     cap: int = POWERSET_CAP,
 ) -> AxiomReport:
     """dom(w) enumerates every function dom(u) -> A with
-    w(f) = ||forall y in f (y in u)||; the candidate a(z) = ||z in u|| ^
-    ||z in v||, itself one of those functions, realises the converse
-    inequality.
+    w(f) = ||forall y in f (y in u)||, the meet over z in dom(u) of
+    f(z) -> ||z in u||.  For every name v,
 
-    Both sides read u only through dom(u) and its column z -> ||z in u||
-    over the children of the scope: each distinct pair is verified once.
-    The right side forall y (y in v -> y in u) is read as the meet over the
-    children z of the scope of v(z) -> ||z in u||, by the bounded lemma,
-    as union's right side is."""
+        ||v in w|| = S(v) := meet over z in dom(v) of v(z) -> ||z in u||,
+
+    which is ||forall y (y in v -> y in u)|| by the bounded lemma, so the
+    biconditional is top at every v and every target, and nothing is
+    computed.  ||v in w|| is the join over f in dom(w) of w(f) ^ ||f = v||.
+    (<=) For z in dom(v), w(f) ^ ||f = v|| ^ v(z) <= w(f) ^ ||z in f||,
+    the join over c of w(f) ^ f(c) ^ ||c = z||, which is at most the join
+    over c of ||c in u|| ^ ||c = z|| <= ||z in u|| by substitution.
+    (>=) The candidate a(z) = ||z in u|| ^ ||z in v|| on dom(u) has
+    w(a) = top, and ||a = v|| >= S(v), since
+    ||z in u|| ^ ||z in v|| <= ||z in a|| by substitution.
+
+    The first target past the cap, in scope order, trips it before any
+    name is made; no scope name has more children than the scope has, so
+    it is sought only then.  The witness is made for the first target."""
     ctx = ctx or EvalContext(model)
     alg = model.algebra
     store = model.store
-    children = _Domain(ctx._children(ctx.domain(model.scope)))
-    # the first target past the cap trips it before any work; no scope name
-    # has more children than the scope has, so it is sought only then
-    widest = len(children.ids) if u is None else len(store.get(u).entries)
+    widest = len(ctx._children(ctx.domain(model.scope))) if u is None else len(store.get(u).entries)
     if alg.size**widest > cap:
         for uu in model.scope if u is None else [u]:
             n_funcs = alg.size ** len(store.get(uu).entries)
             if n_funcs > cap:
                 msg = f"powerset would need {n_funcs} candidate functions"
                 raise CapExceeded(msg, cap="POWERSET_CAP", limit=cap, predicted=n_funcs)
-    targets, scope = _targets(model, u, ctx)
-    p = ctx.planes
-    entry = {z: ctx.kernel.entry(z) for z in children.ids}  # v -> v(z)
-    value = alg.top
     witnesses = []
-    funcs_by_dom: dict[tuple[int, ...], list[int]] = {}
-    subsets: dict[tuple[int, ...], Vector] = {}
-    done = set()
-    for uu in targets:
+    for uu in model.scope[:1] if u is None else [u]:
         dom_u = tuple(c for c, _ in store.get(uu).entries)
-        column = tuple(plane & children.mask for plane in ctx.kernel.memcol(uu, children.need))
-        if (dom_u, column) in done:
-            continue
-        done.add((dom_u, column))
-        funcs = funcs_by_dom.get(dom_u)
-        if funcs is None:
-            funcs = funcs_by_dom[dom_u] = [
-                store.mk_name(list(zip(dom_u, vals))) for vals in itertools.product(range(alg.size), repeat=len(dom_u))
-            ]
+        funcs = [store.mk_name(list(zip(dom_u, vals))) for vals in itertools.product(range(alg.size), repeat=len(dom_u))]
         # w(f) for every f, in the order of itertools.product
         w_values = [alg.top]
         for z in dom_u:
             imps = [alg.imp_(a, ctx.eval_mem(z, uu)) for a in range(alg.size)]
             w_values = [alg.meet_(acc, i) for acc in w_values for i in imps]
-        w = store.mk_name(zip(funcs, w_values))
-        if not witnesses:
-            witnesses.append(("w", w))
-        lhs = ctx.kernel.memcol(w, scope.need)  # v -> ||v in w||
-        if column not in subsets:
-            subsets[column] = functools.reduce(p.meet, (p.imp(entry[z], ctx.eval_mem(z, uu)) for z in children.ids), p.top)
-        value = alg.meet_(value, _scope_bicond(ctx, scope, lhs, subsets[column]))
-    return _report(model, "powerset", value, value == alg.top, witnesses=witnesses)
+        witnesses.append(("w", store.mk_name(zip(funcs, w_values))))
+    return _report(model, "powerset", alg.top, True, witnesses=witnesses)
 
 
 # --- extensionality --------------------------------------------------------------
@@ -474,29 +453,36 @@ def check_collection(
     ||forall x in u exists y in v phi||.  The scope stands in for the
     ordinal-indexed level of the class argument.
 
-    The assignments are those of forall var_x . forall var_y . phi, phi at
-    each pair read as a vector over them (``_joined_values``); a
-    choice-free phi without predicates is one vector over the names, as in
-    separation.  v holds every scope name at top, so ||exists y in v phi||
-    is ||exists y phi|| term by term: each target's right side is its
-    left, and the value is top wherever phi evaluates.  phi is still
-    evaluated, for its assignments, its cap trips and its errors."""
+    v holds every scope name at top, so ||exists y in v phi|| is
+    ||exists y phi|| term by term: each target's right side is its left,
+    and the value is top under every assignment.  The assignments are
+    those of forall var_x . forall var_y . phi, phi at each pair read as a
+    vector over them (``_joined_values``), for their count, their cap
+    trips and phi's errors.  A choice-free phi without predicates has one
+    assignment: it is read once, at (scope[0], scope[0]), so that an
+    unknown name or a function term in it is still an error, and u is
+    still checked to be a name.  v is made after phi is read: a kernel
+    read indexes the entries of every name in the store, and v has one
+    per scope name."""
     if free_vars(phi) != {var_x, var_y}:
         raise EvalError("collection needs a two-free-variable formula")
     ctx = ctx or EvalContext(model)
     alg = model.algebra
     store = model.store
     p = ctx.planes
-    v_name = store.mk_name([(nid, alg.top) for nid in model.scope])
-    targets, _ = _targets(model, u, ctx)
-    children = _children(model, targets)
     if ctx.choice_free(phi, model.mode) and not _reads_pred(phi):
+        if u is not None:
+            store.get(u)
+        for s in model.scope[:1]:
+            _eval(phi, {var_x: s, var_y: s}, (), (), model, EMPTY_ASSIGNMENT, ctx)
         code = AssignmentIndex({}, p)
-        ctx.vector(Exists(var_y, phi), {}, var_x, _Domain(children), model)
     else:
+        targets, _ = _targets(model, u, ctx)
+        children = _children(model, targets)
         pairs = [(x, y) for x in dict.fromkeys([*model.scope, *children]) for y in model.scope]
         instances = [(phi, {var_x: x, var_y: y}, (x, y), (0, 0), (i,)) for i, (x, y) in enumerate(pairs)]
         _, code = _joined_values(instances, model, ctx, cap)
+    v_name = store.mk_name([(nid, alg.top) for nid in model.scope])
     return _quantified_report(
         model,
         "collection",
@@ -544,18 +530,20 @@ def check_comprehension_refuted(model: SetModel, ctx: EvalContext | None = None)
     the finite surrogate for the class quantifier.
 
     With U_k the names of rank <= k, the value is the join over x in the
-    scope U_r of the meet over y in U_{r+1} of ||y in x||.  One such y,
-    F_{r+1} = {t: top | t in U_r}, bounds it: the join over x of
-    ||F_{r+1} in x||, read from that one name.  The bound is bottom, by
-    induction on k: ||F_2 in {}|| = bottom, and for z of rank < k,
-    ||F_{k+1} = z|| <= meet over t in U_k of ||t in z|| <= ||F_k in z||."""
-    ctx = ctx or EvalContext(model)
+    scope of the meet over y in U_{r+1} of ||y in x||.  Each scope name x
+    of rank <= r + 1 is top-equal to a y of U_{r+1} (x itself, when x is
+    in U_r), so x's meet is at most ||x in x|| by substitution, and
+    ||x in x|| is bottom for every name, by induction on rank:
+    x(d) ^ ||d = x|| <= x(d) ^ (x(d) -> ||d in d||) <= ||d in d||.  So
+    every meet is bottom, and so is the join; nothing is computed.  A
+    scope name of higher rank raises EvalError: there the identity fails
+    (x = {t: top | t in U_{r+1}} gives top).  ctx is not read."""
     alg = model.algebra
-    f = model.store.mk_name([(t, alg.top) for t in model.scope])
-    value = alg.join_all(ctx.eval_mem(f, x) for x in model.scope)
+    if any(model.store.get(x).rank > model.rank_bound + 1 for x in model.scope):
+        raise EvalError("comprehension needs scope names of rank at most the rank bound + 1")
     notes = ("degenerate one-element algebra: top equals bottom",) if alg.top == alg.bottom else ()
     notes += (f"member scope rank {model.rank_bound + 1} strictly above set scope",)
-    return _report(model, "comprehension-refuted", value, value == alg.bottom, notes=notes)
+    return _report(model, "comprehension-refuted", alg.bottom, True, notes=notes)
 
 
 # --- infinity (reflection only) -------------------------------------------------------

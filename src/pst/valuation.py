@@ -724,6 +724,8 @@ class EvalContext:
             return self.planes.from_values(values)
         left = node.left.__class__ is Var and node.left.name == var
         right = node.right.__class__ is Var and node.right.name == var
+        if not (left or right):  # var sits inside a function term
+            raise EvalError("function terms have no set-model interpretation")
         kernel = self.kernel
         if left and right:
             p = self.planes

@@ -54,9 +54,12 @@ JOBS = 2
 # separation and union over B4 and the 4-chain, negated Leibniz at rank 3
 # (one of them trips ASSIGNMENT_CAP at the first pair), the --quant some
 # witness of a contradiction over B4 at rank 3, the four checks decided by
-# the definition of membership at rank 3, and usage errors and --help,
-# each followed by an ordinary check, so that a parser that serves every
-# call is compared right after an error exit
+# the definition of membership at rank 3, powerset, comprehension and
+# choice-free collection decided by their identities at rank 3 (with
+# unknown names in phi and as the target), atoms whose variable sits inside
+# a function term, and usage errors and --help, each followed by an
+# ordinary check, so that a parser that serves every call is compared right
+# after an error exit
 _SEPARATION = 'axiom check --axiom separation --model {models}/%s_comega.fst --rank %d --formula "%s" --var x'
 _COLLECTION = 'axiom check --axiom collection --model {models}/%s_comega.fst --rank %d --formula "%s" --var x --var2 y'
 _CHECKS = [
@@ -164,6 +167,32 @@ _CHECKS = [
         f"axiom check --axiom {target} --model {{models}}/chain3.alg --rank 3"
         for target in ("pairing --u 0 --v 255", "union --u 255", "pairing --u 99999", "union --u 99999")
     ),
+    # powerset, comprehension and collection by a choice-free phi, decided
+    # by their identities: every target over B4 and the 4-chain (4^5
+    # candidate functions at most), unknown names in phi and as the target
+    *(f"axiom check --axiom comprehension --model {{models}}/{model} --rank 3" for model in ("b4_n4.fst", "chain4_comega.fst")),
+    *(f"axiom check --axiom powerset --model {{models}}/{model} --rank 3" for model in ("b4_n4.fst", "chain4.alg")),
+    *(
+        f'axiom check --axiom collection --model {{models}}/{model} --rank 3 --formula "y eq x" --var x --var2 y'
+        for model in ("chain4.alg", "b4_n4.fst")
+    ),
+    'axiom check --axiom collection --model {models}/chain3.alg --rank 1 --formula "y eq #99999 & x eq x" --var x --var2 y',
+    'axiom check --axiom collection --model {models}/chain3.alg --rank 2 --formula "y eq x" --var x --var2 y --u 99999',
+    "axiom check --axiom powerset --model {models}/chain3.alg --rank 2 --u 99999",
+    # a variable inside a function term: an error line in folds and scalar
+    # reads alike
+    *(
+        f'eval --model {{models}}/{model} --rank 2 --formula "{f}"'
+        for model, f in (
+            ("chain3.alg", "exists x . #0 in f(x)"),
+            ("chain3.alg", "forall x . exists y . y eq f(x)"),
+            ("chain3_n4.fst", "exists x . #0 in f(x)"),
+            ("chain3.alg", "forall x . x in g(x)"),
+            ("chain3_n4.fst", "forall x . forall y . ~(y eq f(x))"),
+        )
+    ),
+    'leibniz --model {models}/chain3.alg --rank 2 --formula "#0 in f(x)" --var x',
+    'axiom check --axiom collection --model {models}/chain3.alg --rank 2 --formula "y eq f(x)" --var x --var2 y',
     # the tables each model algebra is built with: the implication table,
     # and the saturated families read from them
     *(

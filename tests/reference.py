@@ -24,18 +24,18 @@ both sides as vectors over the assignment positions and the names at
 once: the loop over the targets and the scope names it replaced.
 
 ``enumerated_comprehension`` is the oracle for
-``axioms.check_comprehension_refuted``, which reads one member name: it
-takes the meet over the enumerated rank-(r + 1) universe.
-``pointwise_powerset`` is the oracle for ``axioms.check_powerset``, which
-verifies each distinct pair of domain and member column once: it verifies
-every target.  ``pointwise_pairing``, ``pointwise_union``,
-``pointwise_emptyset`` and ``pointwise_extensionality`` are the oracles
-for ``axioms.check_pairing``, ``check_union``, ``check_emptyset`` and
+``axioms.check_comprehension_refuted``, which computes nothing, since
+||x in x|| is bottom for every name: it takes the meet over the enumerated
+rank-(r + 1) universe.  ``pointwise_powerset``, ``pointwise_pairing``,
+``pointwise_union``, ``pointwise_emptyset`` and
+``pointwise_extensionality`` are the oracles for ``axioms.check_powerset``,
+``check_pairing``, ``check_union``, ``check_emptyset`` and
 ``check_extensionality``, which compute nothing, since their witnesses
 satisfy the axiom by the definition of membership: they evaluate each
 axiom's own formula at every pair, target and choice (union's
 exists t . (t in u & y in t) over the whole scope, outside
-``bounded_opt``).
+``bounded_opt``; powerset's candidate functions, witness and subset
+vector for every target).
 
 ``theta_audit`` is the oracle for the quantified soundness audit: it
 enumerates every table of negated-predicate values and evaluates the
@@ -131,7 +131,7 @@ from pst.syntax import (
     subformulas,
     substitute,
 )
-from pst.axioms import POWERSET_CAP, AxiomReport, _children, _quantified_report, _report, _scope_bicond, _targets
+from pst.axioms import POWERSET_CAP, AxiomReport, _children, _quantified_report, _report, _targets
 from pst.errors import CapExceeded
 from pst.valuation import (
     ASSIGNMENT_CAP,
@@ -560,6 +560,13 @@ def enumerated_comprehension(model: SetModel) -> AxiomReport:
     notes = ("degenerate one-element algebra: top equals bottom",) if alg.top == alg.bottom else ()
     notes += (f"member scope rank {model.rank_bound + 1} strictly above set scope",)
     return _report(model, "comprehension-refuted", value, value == alg.bottom, notes=notes)
+
+
+def _scope_bicond(ctx: EvalContext, dom, lhs, rhs) -> int:
+    """Meet over the names z of dom of lhs(z) <-> rhs(z), for two vectors."""
+    p = ctx.planes
+    both = p.meet(p.imp(lhs, rhs), p.imp(rhs, lhs))
+    return p.meet_over(both, dom.mask)
 
 
 def pointwise_powerset(model: SetModel, u=None, cap: int = POWERSET_CAP) -> AxiomReport:

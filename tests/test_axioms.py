@@ -140,7 +140,7 @@ def test_powerset_cases(bool_model, heyting3_model):
     rep = check_powerset(bool_model)
     assert rep.valid
     rep3 = check_powerset(heyting3_model)
-    assert rep3.valid and not rep3.notes[:-1]  # no escaped candidates
+    assert rep3.valid and not rep3.notes[:-1]
 
 
 def test_powerset_cap():
@@ -430,7 +430,7 @@ def test_assignment_cap_trips_in_separation_and_collection(tmp_path, capsys):
         assert exc.value.predicted == (predicted or ASSIGNMENT_CAP + 1)
 
 
-# --- comprehension by one member name, powerset once per distinct column ------------
+# --- comprehension and powerset decided by their identities -------------------------
 
 _ORACLE_MODELS = [(alg, rank) for rank in (1, 2) for alg in enumerate_heyting(5)]
 _ORACLE_MODELS += [(saturate(alg, kind), 2) for alg in enumerate_heyting(4) for kind in ("comega", "n4")]
@@ -449,25 +449,44 @@ def test_comprehension_and_powerset_match_the_replaced_loops(check, oracle):
 
 @pytest.mark.parametrize("alg", [chain(2), chain(3)], ids=["chain2", "chain3"])
 def test_powerset_matches_the_pointwise_loop_at_rank_three(alg):
-    """Over every target, where targets share their domain and column, and
-    at each target alone."""
+    """Over every target and at each target alone; the check makes only
+    the first target's candidate functions and its witness."""
     for u in [None, *make_model(alg, NameStore(), 3).scope]:
-        got, want = (check(make_model(alg, NameStore(), 3), u) for check in (check_powerset, pointwise_powerset))
-        assert got == want, u
+        model = make_model(alg, NameStore(), 3)
+        size = len(model.store)
+        got = check_powerset(model, u)
+        first = model.scope[0] if u is None else u
+        assert len(model.store) - size <= alg.size ** len(model.store.get(first).entries) + 1, u
+        assert got == pointwise_powerset(make_model(alg, NameStore(), 3), u), u
 
 
 @pytest.mark.parametrize(
     "alg", [chain(2), chain(3), boolean_algebra(2), chain(4)], ids=["chain2", "chain3", "b4", "chain4"]
 )
 def test_comprehension_bound_is_bottom_at_rank_three(alg):
-    """Where the rank-4 universe is out of reach, the one member name's
-    bound is still bottom, as the induction in the docstring says."""
+    """Where the rank-4 universe is out of reach, ||x in x|| is still
+    bottom at every scope name, as the induction in the docstring says,
+    and the check makes no name."""
     model = make_model(alg, NameStore(), 3)
     ctx = EvalContext(model)
-    f = model.store.mk_name([(t, alg.top) for t in model.scope])
-    assert [ctx.eval_mem(f, x) for x in model.scope] == [alg.bottom] * len(model.scope)
+    assert [ctx.eval_mem(x, x) for x in model.scope] == [alg.bottom] * len(model.scope)
+    size = len(model.store)
     rep = check_comprehension_refuted(model, ctx)
-    assert (rep.value, rep.valid) == (alg.bottom, True)
+    assert (rep.value, rep.valid, len(model.store)) == (alg.bottom, True, size)
+
+
+def test_comprehension_needs_scope_names_of_rank_at_most_the_bound_plus_one():
+    """x = {t: top | t in U_2} has rank 3 over rank bound 1: every member
+    name of U_2 is in x at top, so the identity fails, and the check raises
+    instead of reporting bottom."""
+    alg = chain(2)
+    store = NameStore()
+    x_name = store.mk_name([(t, alg.top) for t in make_model(alg, store, 2).scope])
+    model = make_model(alg, store, 1, scope=[x_name])
+    assert store.get(x_name).rank == 3
+    with pytest.raises(EvalError, match="rank at most the rank bound"):
+        check_comprehension_refuted(model)
+    assert enumerated_comprehension(model).value == alg.top
 
 
 @pytest.mark.parametrize(

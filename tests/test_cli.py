@@ -338,10 +338,45 @@ def test_axiom_check_separation(files, capsys):
 
 
 def test_axiom_check_comprehension_at_rank_three(files, capsys):
-    """Decided by one member name, with no rank-4 universe to build."""
+    """Decided by ||x in x|| = bottom, with no rank-4 universe to build."""
     argv = ["axiom", "check", "--axiom", "comprehension", "--model", files["chain3.alg"], "--rank", "3"]
     code, out, err = run(capsys, "--format", "machine", *argv)
     assert (code, out, err) == (0, "RESULT axiom=comprehension-refuted rank=3 quant=none value=0 valid=yes\n", "")
+
+
+@pytest.mark.parametrize(
+    "model, argv",
+    [
+        ("chain3.alg", ["eval", "--formula", "exists x . #0 in f(x)"]),
+        ("chain3.alg", ["eval", "--formula", "forall x . exists y . y eq f(x)"]),
+        ("sat3n4.fst", ["eval", "--formula", "exists x . #0 in f(x)"]),
+        ("chain3.alg", ["leibniz", "--formula", "#0 in f(x)", "--var", "x"]),
+        ("chain3.alg", ["axiom", "check", "--axiom", "collection", "--formula", "y eq f(x)"]),
+        ("chain3.alg", ["eval", "--formula", "forall x . x in g(x)"]),
+        ("sat3n4.fst", ["eval", "--formula", "forall x . forall y . ~(y eq f(x))"]),
+    ],
+)
+def test_a_variable_inside_a_function_term_is_an_error_line(files, capsys, model, argv):
+    """Folded over x, an atom whose only x sits inside a function term is
+    not read as the row of the atom without it: it is an error line, as on
+    the scalar path."""
+    code, out, err = run(capsys, "--format", "machine", *argv, "--model", files[model], "--rank", "2")
+    assert (code, out, err) == (2, "", "error: function terms have no set-model interpretation\n")
+
+
+def test_unknown_names_in_choice_free_collection_and_powerset_are_error_lines(files, capsys):
+    """Collection by a choice-free phi reads phi once, at the first scope
+    name: an unknown name in it is an error line from rank 1, where the
+    scope has a name; an unknown target is one in collection and powerset."""
+    base = ["--format", "machine", "axiom", "check", "--model", files["chain3.alg"]]
+    phi = ["--axiom", "collection", "--formula", "y eq #99999 & x eq x"]
+    line = "RESULT axiom=collection rank=0 quant=all_assignments value=2 valid=yes\n"
+    assert run(capsys, *base, "--rank", "0", *phi) == (0, line, "")
+    unknown = (2, "", "error: child name #99999 not in store\n")
+    for rank in ("1", "2"):
+        assert run(capsys, *base, "--rank", rank, *phi) == unknown
+    for axiom in (["--axiom", "collection", "--formula", "y eq x"], ["--axiom", "powerset"]):
+        assert run(capsys, *base, "--rank", "2", *axiom, "--u", "99999") == unknown
 
 
 def test_prove_check_good_and_bad(files, capsys):
