@@ -22,6 +22,12 @@ first read.  With ENTRY_k[z] the mask of the names v with j_k <= v(z):
   & ~OR { ENTRY_k'[y] : j_k' <= j_k, y a child name, j_k' not <= ||y in u|| },
   the vector v -> ||u = v||.
 
+The entry index ENTRY_k is brought up to date on read: the names made
+since the last read are walked once, collecting one bitmap over their ids
+(a bytearray) per (child, element) pair, and each bitmap, shifted to the
+first new id, is ORed into the planes of its element once.  A store-wide
+int is then built once per pair, not once per entry and plane.
+
 A row needs only the rows of the children of its name, so the recursion
 follows the (well-founded) child relation.  The name store is append-only:
 a row is exact for every id below its coverage (the store size when it was
@@ -197,18 +203,35 @@ class EqMemKernel:
         self._rep: dict[int, int] = {}  # name id -> an indiscernible name whose rows it reads
 
     def _sync(self) -> int:
-        """Add the entries of names created since the last call."""
+        """Add the entries of names created since the last call: one bitmap
+        over the new ids per (child, element), ORed into that element's
+        planes once."""
         n = len(self.store)
+        seen = self._seen
+        if seen == n:
+            return n
+        get = self.store.get
+        size = (n - seen + 7) // 8
+        maps: dict[tuple[int, int], bytearray] = {}
+        for i in range(n - seen):
+            byte, bit = i >> 3, 1 << (i & 7)
+            for pair in get(seen + i).entries:
+                bitmap = maps.get(pair)
+                if bitmap is None:
+                    bitmap = maps[pair] = bytearray(size)
+                bitmap[byte] |= bit
         bits = self.planes.bits
         entry = self._entry
-        for v in range(self._seen, n):
-            bit = 1 << v
-            for z, a in self.store.get(v).entries:
-                if bits[a] and z >= self._child_bound:
-                    self._child_bound = z + 1
-                for k in bits[a]:
-                    col = entry[k]
-                    col[z] = col.get(z, 0) | bit
+        for (z, a), bitmap in maps.items():
+            ks = bits[a]
+            if not ks:
+                continue
+            if z >= self._child_bound:
+                self._child_bound = z + 1
+            mask = int.from_bytes(bitmap, "little") << seen
+            for k in ks:
+                col = entry[k]
+                col[z] = col.get(z, 0) | mask
         self._seen = n
         return n
 

@@ -7,6 +7,13 @@ equal entry lists share one id, so evaluation can memoise on id pairs.
 Rank convention: the universe at rank 0 is empty and the empty-domain name
 is the sole inhabitant of rank 1; the rank of any other name is one more
 than the largest child rank.
+
+``mk_name`` validates, sorts and ranks an entry list before interning it.
+A level of the full universe skips that: ``_full_level`` grows its entry
+tuples child by child over the sorted base, so each lists known, distinct
+children in ascending order (canonical as built) and carries the largest
+rank of its children.  Both paths intern into the one table, so a later
+``mk_name`` of a universe name's entries returns its id.
 """
 
 from __future__ import annotations
@@ -77,10 +84,15 @@ class NameStore:
                 raise DuplicateChild(child)
             seen[child] = elem
         canon = tuple(sorted(seen.items()))
+        names = self._names
+        return self._intern(canon, 1 + max((names[c].rank for c, _ in canon), default=0))
+
+    def _intern(self, canon: tuple[tuple[int, int], ...], rank: int) -> int:
+        """The id of a canonical entry tuple (children known and distinct,
+        sorted by child) of the given rank, made if it is new."""
         existing = self._ids.get(canon)
         if existing is not None:
             return existing
-        rank = 1 + max((self._names[c].rank for c, _ in canon), default=0)
         nid = len(self._names)
         self._names.append(Name(nid, canon, rank))
         self._ids[canon] = nid
@@ -140,6 +152,10 @@ def enumerate_universe(
         )
     if rank_bound < 0:
         raise UniverseError(f"rank bound must be at least 0, got {rank_bound}")
+    if isinstance(policy, DomainsRestricted) and policy.max_dom < 0:
+        raise UniverseError(f"max_dom must be at least 0, got {policy.max_dom}")
+    if isinstance(policy, Sampled) and policy.count < 0:
+        raise UniverseError(f"sample count must be at least 0, got {policy.count}")
     if rank_bound == 0:
         return []
     m = algebra.size
@@ -169,13 +185,21 @@ def enumerate_universe(
 
 
 def _full_level(store: NameStore, base: Sequence[int], m: int) -> list[int]:
-    out = []
-    for choice in itertools.product(range(m + 1), repeat=len(base)):
-        entries = [
-            (child, elem - 1) for child, elem in zip(base, choice) if elem > 0
-        ]
-        out.append(store.mk_name(entries))
-    return out
+    """Every function from the base to the m elements or "absent", in
+    ``itertools.product`` order (the last child varying fastest), each
+    interned as built with the rank it carried (see the module docstring)."""
+    level: list[tuple[tuple[tuple[int, int], ...], int]] = [((), 0)]
+    for child in base:
+        rank = store.get(child).rank
+        pairs = [((child, elem),) for elem in range(m)]
+        grown = []
+        for entries, top in level:
+            grown.append((entries, top))
+            top = max(top, rank)
+            grown += [(entries + pair, top) for pair in pairs]
+        level = grown
+    intern = store._intern
+    return [intern(entries, top + 1) for entries, top in level]
 
 
 def _restricted_level(store: NameStore, base: Sequence[int], m: int, max_dom: int) -> list[int]:

@@ -57,7 +57,8 @@ JOBS = 2
 # the definition of membership at rank 3, powerset, comprehension and
 # choice-free collection decided by their identities at rank 3 (with
 # unknown names in phi and as the target), atoms whose variable sits inside
-# a function term, and usage errors and --help, each followed by an
+# a function term, the names of the universe under each enumeration
+# policy, and usage errors and --help, each followed by an
 # ordinary check, so that a parser that serves every call is compared right
 # after an error exit
 _SEPARATION = 'axiom check --axiom separation --model {models}/%s_comega.fst --rank %d --formula "%s" --var x'
@@ -193,6 +194,12 @@ _CHECKS = [
     ),
     'leibniz --model {models}/chain3.alg --rank 2 --formula "#0 in f(x)" --var x',
     'axiom check --axiom collection --model {models}/chain3.alg --rank 2 --formula "y eq f(x)" --var x --var2 y',
+    # every name's id, rank and entries under each enumeration policy
+    *(
+        f"universe enum --model {{models}}/{model} --rank {rank} --policy {policy}"
+        for model, rank in (("chain3.alg", 3), ("b4.alg", 2))
+        for policy in ("full", "sampled", "domres")
+    ),
     # the tables each model algebra is built with: the implication table,
     # and the saturated families read from them
     *(

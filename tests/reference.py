@@ -59,6 +59,11 @@ audit's index over the predicate cells replaced.
 its own, so each choice-free fold and each all-target axiom check ranges
 over every name, as before the classes.
 
+``product_universe`` is the oracle for the full universe build: every
+name through ``mk_name`` over ``itertools.product``, validated, sorted and
+ranked one at a time, as the builder made them before its levels were
+canonical tuples.
+
 ``enumerated_heyting`` is the oracle for ``algebra.enumerate_heyting``: it
 lists every labelled poset by its pair bitmask and its down-sets by
 testing every subset.
@@ -230,6 +235,22 @@ class Reference:
 
         return walk(phi)
 
+
+
+def product_universe(store: NameStore, algebra, rank_bound: int) -> list[int]:
+    """The full universe of rank <= rank_bound, every name made by
+    ``mk_name`` in ``itertools.product`` order, with no cap."""
+    if rank_bound == 0:
+        return []
+    out = [store.empty_name()]
+    for _ in range(2, rank_bound + 1):
+        base = sorted(out)
+        fresh = [
+            store.mk_name([(child, elem - 1) for child, elem in zip(base, choice) if elem > 0])
+            for choice in itertools.product(range(algebra.size + 1), repeat=len(base))
+        ]
+        out = sorted(set(out) | set(fresh))
+    return out
 
 
 @contextlib.contextmanager

@@ -1,8 +1,10 @@
 import itertools
+import random
 
 import pytest
+from reference import Reference, product_universe
 
-from pst.algebra import chain
+from pst.algebra import boolean_algebra, chain
 from pst.errors import CapExceeded
 from pst.names import (
     HF_EMPTY,
@@ -11,7 +13,9 @@ from pst.names import (
     Full,
     NameStore,
     Sampled,
+    UniverseError,
     UnknownChild,
+    _full_level,
     all_hf_sets,
     enumerate_universe,
     hat_embed,
@@ -20,6 +24,7 @@ from pst.names import (
     mixture,
     parse_hf,
 )
+from pst.kernel import EqMemKernel
 from pst.valuation import EvalContext, make_model
 
 
@@ -121,6 +126,93 @@ def test_enumerate_caps_and_policies():
     restricted = enumerate_universe(store_r, chain(2), 3, DomainsRestricted(max_dom=1))
     assert all(len(store_r.get(nid).entries) <= 1 for nid in restricted)
     assert len(restricted) <= 27
+
+
+@pytest.mark.parametrize("alg", [chain(1), chain(2), chain(3), chain(4), chain(5), boolean_algebra(2)], ids=["c1", "c2", "c3", "c4", "c5", "b4"])
+def test_universe_ids_entries_and_ranks_match_the_product_builder(alg):
+    """The levels built as canonical tuples give every name the id, entry
+    tuple and rank that mk_name over itertools.product gave it, and both
+    intern into one table."""
+    for rank in (0, 1, 2, 3):
+        store, ref = NameStore(), NameStore()
+        ids = enumerate_universe(store, alg, rank)
+        assert ids == product_universe(ref, alg, rank)
+        assert [(n.nid, n.entries, n.rank) for n in store] == [(n.nid, n.entries, n.rank) for n in ref]
+        assert all(store.mk_name(store.get(i).entries) == i for i in ids)
+        assert len(store) == len(ref)
+
+
+def test_full_level_ranks_names_over_a_base_whose_ranks_fall_with_the_id():
+    """A store that already holds names may give a lower-rank name a later
+    id; each level name still has the rank and id mk_name gives it."""
+    store = NameStore()
+    e = store.empty_name()
+    deep = store.mk_name([(store.mk_name([(e, 0)]), 0)])  # rank 3
+    shallow = store.mk_name([(e, 1)])  # rank 2, a later id
+    base = sorted([e, deep - 1, deep, shallow])
+    ids = _full_level(store, base, 2)
+    assert len(ids) == 3 ** len(base)
+    for nid in ids:
+        n = store.get(nid)
+        assert n.rank == 1 + max((store.get(c).rank for c, _ in n.entries), default=0)
+        assert store.mk_name(reversed(n.entries)) == nid
+
+
+def test_negative_policy_bounds_fail_loudly():
+    for policy, text in ((DomainsRestricted(max_dom=-1), "max_dom"), (Sampled(seed=1, count=-1), "count")):
+        for rank in (0, 1, 3):
+            with pytest.raises(UniverseError, match=text):
+                enumerate_universe(NameStore(), chain(2), rank, policy)
+    assert len(enumerate_universe(NameStore(), chain(2), 3, DomainsRestricted(max_dom=0))) == 1
+    assert len(enumerate_universe(NameStore(), chain(2), 3, Sampled(seed=1, count=0))) == 1
+
+
+def _entry_oracle(kernel, z):
+    """The vector v -> v(z), one entry at a time."""
+    return kernel.planes.from_values((n.nid, e) for n in kernel.store for c, e in n.entries if c == z)
+
+
+@pytest.mark.parametrize("alg, rank", [(chain(2), 3), (boolean_algebra(2), 2), (chain(4), 2)], ids=["c2r3", "b4r2", "c4r2"])
+def test_entry_index_matches_the_entries_after_every_sync(alg, rank):
+    """The entry index is exact after a whole-universe sync and after syncs
+    of names appended at ids that are not byte aligned: one at a time, a
+    batch across a byte boundary, then one name over every name."""
+    model = make_model(alg, NameStore(), rank)
+    store, scope = model.store, model.scope
+    assert len(store) % 8
+    kernel = EqMemKernel(alg.planes, store)
+    ref = Reference(model)
+    rng = random.Random(11)
+
+    def fresh():
+        """A new name: it holds the last name made, which no older name can."""
+        last = len(store) - 1
+        picks = {rng.randrange(last): rng.randrange(alg.size) for _ in range(rng.randrange(3))}
+        nid = store.mk_name([*picks.items(), (last, rng.randrange(alg.size))])
+        assert nid == last + 1
+        return nid
+
+    def check(made):
+        for z in range(len(store)):
+            assert kernel.entry(z) == _entry_oracle(kernel, z), z
+        for w in made:
+            for u in [*scope, *made]:
+                assert kernel.eq(u, w) == ref.eq(u, w), (u, w)
+                assert kernel.mem(u, w) == ref.mem(u, w), (u, w)
+                assert kernel.mem(w, u) == ref.mem(w, u), (u, w)
+
+    check([])
+    made: list[int] = []
+    for _ in range(2):
+        made.append(fresh())
+        assert made[-1] % 8
+        check(made)
+    batch = [fresh() for _ in range(13)]
+    assert batch[0] % 8
+    made += batch
+    check(made)
+    made.append(store.mk_name((c, rng.randrange(alg.size)) for c in range(len(store))))
+    check(made)
 
 
 def test_ids_stay_stable_after_appends():
