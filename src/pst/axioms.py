@@ -6,11 +6,12 @@ mirrors the proofs and avoids scope-explosion artifacts.  Every report is
 rank-relative.
 
 Pairing, union, emptyset, extensionality, powerset, the comprehension
-refutation and collection by a choice-free formula read no negation
-choice, and the definitions of membership and equality fix their values:
-each states its identity, makes its first witness name and reports that
-value, computing nothing.  Separation, induction, infinity and collection
-by a formula with negation choices compute their values over the scope.
+refutation, infinity reflection, and separation and collection by a
+choice-free formula are decided: an identity of the definitions of
+membership and equality, or Leibniz's law, fixes the value, and each check
+makes its first witness name and reports it.  Separation and induction by
+a formula with negation choices compute their values over the scope, and
+collection by one counts its assignments.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import CapExceeded
-from .names import all_hf_sets, hat_embed
+from .names import all_hf_sets
 from .syntax import (
     And,
     Exists,
@@ -29,13 +30,13 @@ from .syntax import (
     Imp,
     Mem,
     Var,
+    formula_to_text,
     free_vars,
     substitute,
 )
 from .valuation import (
     ASSIGNMENT_CAP,
     EMPTY_ASSIGNMENT,
-    AssignmentIndex,
     EvalContext,
     EvalError,
     Planes,
@@ -44,9 +45,10 @@ from .valuation import (
     Vector,
     _Domain,
     _eval,
+    _Probe,
     _joined_values,
     _reads_pred,
-    hat_transfer,
+    hf_meta_eval,
     sweep_assignments,
 )
 
@@ -101,14 +103,13 @@ def _report(
     )
 
 
-def _targets(model: SetModel, u: int | None, ctx: EvalContext) -> tuple[list[int], _Domain]:
-    """The targets, and the names a side that takes one value on a class of
-    indiscernible names is read at: u and the whole scope, or every scope
-    name and one per class (computing the classes, so that the kernel
-    reads every target by its class's rows)."""
-    if u is None:
-        return list(model.scope), ctx.classes(model)
-    return [u], ctx.domain(model.scope)
+def _targets(model: SetModel, u: int | None, ctx: EvalContext) -> list[int]:
+    """The targets: u, or every scope name once the scope's classes are
+    computed, so that the kernel reads every target by its class's rows."""
+    if u is not None:
+        return [u]
+    ctx.classes(model)
+    return list(model.scope)
 
 
 # --- pairing -------------------------------------------------------------------
@@ -183,14 +184,21 @@ def check_separation(
     """dom(w) = dom(u) with w(x) = ||x in u|| ^ ||phi(x)|| realises
     z in w <-> (z in u & phi(z)), per negation assignment.
 
-    The assignments are those of forall var . phi, and phi at each name is
-    one vector over them (``_joined_values``); a choice-free phi without
-    predicates is one vector over the names.  ||z in w|| is read as the
-    join over x in dom(u) of w(x) ^ ||x = z||, the definition of
-    membership.  Both sides are read for every assignment position p and
-    scope name z at once, as planes of bit p * width + z (``_Blocks``), a
-    run of positions at a time so that a plane stays within
-    ``_BLOCK_BITS``:
+    A phi with no negation choice and no predicate atom is a congruence,
+    ||x = z|| ^ phi(x) <= phi(z) (``check_leibniz``), so for every target
+    and every name z, ||z in w|| = join over x in dom(u) of
+    ||x in u|| ^ phi(x) ^ ||x = z|| is ||z in u|| ^ phi(z): (<=) by
+    substitution and the law; (>=) as ||z in u|| is the join over x of
+    u(x) ^ ||x = z|| and u(x) <= ||x in u||.  The value is top under one
+    assignment: phi is read once, as a vector over the scope and the
+    targets' children, for its errors and the first target's witness.
+
+    Otherwise the assignments are those of forall var . phi, and phi at
+    each name is one vector over them (``_joined_values``).  Both sides,
+    by the definition of membership, are read for every assignment
+    position p and scope name z at once, as planes of bit p * width + z
+    (``_Blocks``), a run of positions at a time so that a plane stays
+    within ``_BLOCK_BITS``:
 
         lhs(p, z) = join over x in dom(u) of ||x in u|| ^ phi(x)(p) ^ ||x = z||,
         rhs(p, z) = ||z in u|| ^ phi(z)(p),
@@ -203,18 +211,22 @@ def check_separation(
     ctx = ctx or EvalContext(model)
     store = model.store
     p = ctx.planes
-    targets, _ = _targets(model, u, ctx)
+    if ctx.choice_free(phi, model.mode) and not _reads_pred(phi):
+        targets = list(model.scope) if u is None else [u]
+        children = _children(model, targets)
+        table = ctx.vector(phi, {}, var, _Domain(list(dict.fromkeys([*model.scope, *children]))), model)
+        alg = model.algebra
+        witnesses = []
+        for uu in targets[:1]:
+            w = [(x, alg.meet_(ctx.eval_mem(x, uu), p.decode(table, x))) for x, _ in store.get(uu).entries]
+            witnesses.append(("w", store.mk_name(w)))
+        return _report(model, "separation", alg.top, True, quantification, witnesses)
+    targets = _targets(model, u, ctx)
     children = _children(model, targets)
     names = list(dict.fromkeys([*model.scope, *children]))
-    if ctx.choice_free(phi, model.mode) and not _reads_pred(phi):
-        code = AssignmentIndex({}, p)
-        table = ctx.vector(phi, {}, var, _Domain(names), model)
-        phi_at = {x: p.decode(table, x) for x in children}
-    else:
-        instances = [(phi, {var: x}, (x,), (0,), (i,)) for i, x in enumerate(names)]
-        values, code = _joined_values(instances, model, ctx, cap)
-        phi_at = {x: values[(i,)] for i, x in enumerate(names)}
-        table = None
+    instances = [(phi, {var: x}, (x,), (0,), (i,)) for i, x in enumerate(names)]
+    values, code = _joined_values(instances, model, ctx, cap)
+    phi_at = {x: values[(i,)] for i, x in enumerate(names)}
     scope = ctx.domain(model.scope)
     width = 8 * (max(names, default=0) // 8 + 1)  # bits per block: whole bytes, every name
     step = max(1, _BLOCK_BITS // width)
@@ -223,7 +235,7 @@ def check_separation(
         blocks = _Blocks(p, width, lo, min(step, code.size - lo))
         # per child x: (p, z) -> phi(x)(p) ^ ||x = z||
         grid = {x: p.meet(blocks.spread(phi_at[x]), blocks.tile(ctx.kernel.eqrow(x, scope.need))) for x in children}
-        phi_z = table if table is not None else blocks.transpose({z: phi_at[z] for z in model.scope})
+        phi_z = blocks.transpose({z: phi_at[z] for z in model.scope})
         acc: Vector = p.top
         for uu in targets:
             lhs: Vector = p.bottom
@@ -314,23 +326,10 @@ def _children(model: SetModel, targets: Sequence[int]) -> list[int]:
 
 
 def _quantified_report(
-    model: SetModel,
-    axiom: str,
-    sweep: Sweep,
-    quantification: str,
-    witnesses: Sequence[tuple[str, int]] = (),
-    notes: Sequence[str] = (),
+    model: SetModel, axiom: str, sweep: Sweep, quantification: str, witnesses: Sequence[tuple[str, int]] = ()
 ) -> AxiomReport:
-    return _report(
-        model,
-        axiom,
-        sweep.lo if quantification == "all_assignments" else sweep.hi,
-        sweep.valid(quantification),
-        quantification=quantification,
-        witnesses=witnesses,
-        n_assignments=sweep.size,
-        notes=notes,
-    )
+    value = sweep.lo if quantification == "all_assignments" else sweep.hi
+    return _report(model, axiom, value, sweep.valid(quantification), quantification, witnesses, sweep.size)
 
 
 # --- powerset -------------------------------------------------------------------
@@ -456,41 +455,48 @@ def check_collection(
     v holds every scope name at top, so ||exists y in v phi|| is
     ||exists y phi|| term by term: each target's right side is its left,
     and the value is top under every assignment.  The assignments are
-    those of forall var_x . forall var_y . phi, phi at each pair read as a
-    vector over them (``_joined_values``), for their count, their cap
-    trips and phi's errors.  A choice-free phi without predicates has one
-    assignment: it is read once, at (scope[0], scope[0]), so that an
-    unknown name or a function term in it is still an error, and u is
-    still checked to be a name.  v is made after phi is read: a kernel
-    read indexes the entries of every name in the store, and v has one
-    per scope name."""
+    those of forall var_x . forall var_y . phi: only their number is read,
+    with their cap trips and phi's errors.  Outside comega negated
+    compounds it is the running product of the option counts of the atoms
+    that the (x, y) instances read, probed in evaluation order, on which
+    the cap trips as on one probe of the sentence; with them, phi at each
+    pair is a vector over the assignments (``_joined_values``).  A
+    choice-free phi without predicates has one assignment: it is read
+    once, at (scope[0], scope[0]), so that an unknown name or a function
+    term in it is still an error, and u is still checked to be a name.  v
+    is made after phi is read: a kernel read indexes the entries of every
+    name in the store, and v has one per scope name."""
     if free_vars(phi) != {var_x, var_y}:
         raise EvalError("collection needs a two-free-variable formula")
     ctx = ctx or EvalContext(model)
     alg = model.algebra
     store = model.store
-    p = ctx.planes
+    count = 1
     if ctx.choice_free(phi, model.mode) and not _reads_pred(phi):
         if u is not None:
             store.get(u)
         for s in model.scope[:1]:
             _eval(phi, {var_x: s, var_y: s}, (), (), model, EMPTY_ASSIGNMENT, ctx)
-        code = AssignmentIndex({}, p)
     else:
-        targets, _ = _targets(model, u, ctx)
+        targets = _targets(model, u, ctx)
         children = _children(model, targets)
-        pairs = [(x, y) for x in dict.fromkeys([*model.scope, *children]) for y in model.scope]
-        instances = [(phi, {var_x: x, var_y: y}, (x, y), (0, 0), (i,)) for i, (x, y) in enumerate(pairs)]
-        _, code = _joined_values(instances, model, ctx, cap)
+        pairs = enumerate(itertools.product(dict.fromkeys([*model.scope, *children]), model.scope))
+        instances = ((phi, {var_x: x, var_y: y}, (x, y), (0, 0), (i,)) for i, (x, y) in pairs)
+        if model.mode == "comega" and not ctx.compound_free(phi):
+            _, code = _joined_values(list(instances), model, ctx, cap)
+            count = code.size
+        else:
+            read: set = set()  # the negated atoms read so far
+            for inst in instances:
+                # evaluated even when choice-free: a predicate table may lack a cell
+                probe = _Probe(model, ctx, cap, read, count)
+                _eval(*inst[:4], model, probe, ctx)
+                read.update(probe.options)
+                count = probe.total
     v_name = store.mk_name([(nid, alg.top) for nid in model.scope])
-    return _quantified_report(
-        model,
-        "collection",
-        Sweep(p.top, code, p),
-        quantification,
-        witnesses=[("v", v_name)],
-        notes=("scope-wide constant-top witness stands in for the class level",),
-    )
+    valid = quantification == "all_assignments" or count > 0
+    notes = ("scope-wide constant-top witness stands in for the class level",)
+    return _report(model, "collection", alg.top if valid else alg.bottom, valid, quantification, [("v", v_name)], count, notes)
 
 
 # --- induction --------------------------------------------------------------------
@@ -558,26 +564,32 @@ def check_infinity_reflection(
 
     The infinity axiom itself needs an infinite witness and is out of desk
     scope; what is verified is that restricted negation-free instances hold
-    of hereditarily finite sets exactly when their hat images get value top.
-    """
-    ctx = ctx or EvalContext(model)
+    of HF sets of rank <= 2 exactly when their hat images get value top.
+    By induction on rank, ||x^ = y^|| and ||x^ in y^|| are top or bottom
+    as x = y and x in y hold; {bottom, top} is closed under the
+    connectives, and a bounded quantifier over x^ ranges over the hats of
+    x's members at weight top.  So an instance mismatches only when
+    top = bottom, and then when it does not hold: no hat name is made and
+    no template evaluated.  ctx is not read."""
     alg = model.algebra
-    store = model.store
-    hats = {s: hat_embed(s, store, alg) for s in all_hf_sets(max_hf_rank)}
+    small = all_hf_sets(min(max_hf_rank, 2))
     x, y, w = Var("x"), Var("y"), Var("w")
     templates = [
         Mem(x, y),
         Forall("w", Imp(Mem(w, x), Mem(w, y))),
         Exists("w", And(Mem(w, x), Mem(w, y))),
     ]
-    n, mismatches = hat_transfer(model, templates, hats, ctx)
-    value = alg.top if not mismatches else alg.bottom
+    mismatches = [
+        f"{formula_to_text(t)} on {sx},{sy}: meta=False value={alg.top}"
+        for t in templates for sx in small for sy in small
+        if alg.top == alg.bottom and not hf_meta_eval(t, {"x": sx, "y": sy})
+    ]
     return _report(
         model,
         "infinity-reflection",
-        value,
+        alg.bottom if mismatches else alg.top,
         not mismatches,
-        n_assignments=n,
+        n_assignments=len(templates) * len(small) ** 2,
         notes=(
             "the infinity axiom itself needs an infinite witness; only the "
             "restricted-formula reflection is checked",

@@ -29,7 +29,7 @@ from .algebra import FiniteHeytingAlgebra, _lowest, check_refinable
 from .errors import CapExceeded, PstError
 from .fidel import FStructure, find_algebra_embedding
 from .kernel import EqMemKernel, Planes, Vector, _bits
-from .names import HFSet, NameStore, all_hf_sets, enumerate_universe, hat_embed
+from .names import NameStore, all_hf_sets, enumerate_universe, hat_embed
 from .syntax import (
     And,
     Bot,
@@ -1186,6 +1186,9 @@ class _Product:
         self.values: dict[tuple, Vector] = {}
         for group, runs, radix, stride in zip(groups, swept, radices, self._strides):
             for k, inst in enumerate(group.instances):
+                if not self.size:  # a group without assignments: no position to hold
+                    self.values[inst[4]] = planes.bottom
+                    continue
                 # each plane's bits at the group's assignments, each repeated
                 # stride times, the whole repeated up to the size
                 vector = tuple(
@@ -1440,9 +1443,13 @@ def check_leibniz(
     per the requested mode; the first violating (u, v, phi, assignment),
     in that order, is reported.
 
-    One loop over u reads the row ||u = v|| for every v at once: a
-    choice-free member is one vector over the names, and a member with
-    choices is swept pair by pair (``_leibniz_pair``).
+    A member with no negation choice under the mode and no predicate atom
+    holds at every pair: Heyting-valued equality is a congruence for it,
+    ||u = v|| ^ phi(u) <= phi(v) (Bell, ch. 1), by induction on phi from
+    the eq and mem atoms.  It is read once, as a vector over the names, for
+    its errors.  Every other member (a predicate table need not respect
+    equality) is swept pair by pair (``_leibniz_pair``) in one loop over u,
+    which reads the row ||u = v|| once.
     """
     if quantification not in QUANTIFICATIONS:
         raise EvalError(f"unknown quantification {quantification!r}")
@@ -1457,24 +1464,20 @@ def check_leibniz(
             )
     names = [nid for nid in model.scope if model.store.get(nid).rank <= rank]
     dom = _Domain(names)
-    vectors = [
-        ctx.vector(phi, {}, var, dom, model) if ctx.choice_free(phi, model.mode) else None
-        for var, phi in formula_family
-    ]
-    choosing = [k for k, vec in enumerate(vectors) if vec is None]
+    choosing = []
+    for k, (var, phi) in enumerate(formula_family):
+        if ctx.choice_free(phi, model.mode) and not _reads_pred(phi):
+            ctx.vector(phi, {}, var, dom, model)
+        else:
+            choosing.append(k)
     probes: list[dict[int, dict]] = [{} for _ in formula_family]  # per member, by name
     every = quantification == "all_assignments"
     lo = alg.top
     first_violation: tuple[str, ...] = ()
-    for u in names:
+    for u in names if choosing else ():
         row = ctx.kernel.eqrow(u, dom.need)
-        bad = [0] * len(vectors)  # per member, the names v that fail with u
-        for k, vec in enumerate(vectors):
-            if vec is not None:
-                implied = p.imp(p.decode(vec, u), vec)
-                lo = alg.meet_(lo, p.meet_over(p.imp(row, implied), dom.mask))
-                bad[k] = p.exceeds(row, implied) & dom.mask
-        for v in names if choosing else ():
+        bad = [0] * len(formula_family)  # per member, the names v that fail with u
+        for v in names:
             eq_uv = p.decode(row, v)
             for k in choosing:
                 sweep = _leibniz_pair(formula_family[k], u, v, probes[k], model, ctx, cap)
@@ -1646,34 +1649,6 @@ def hf_meta_eval(phi: Formula, env: Mapping[str, object]) -> bool:
     return walk(phi, dict(env))
 
 
-def hat_transfer(
-    model: SetModel,
-    templates: Sequence[Formula],
-    hats: Mapping[HFSet, int],
-    ctx: EvalContext,
-) -> tuple[int, list[str]]:
-    """Evaluate each template, a restricted negation-free formula in x and
-    y, at the hat images of every pair of HF sets of rank <= 2 among the
-    keys of hats, and compare top with its truth of the sets themselves.
-
-    Returns the number of instances and one line per mismatch."""
-    alg = model.algebra
-    small = [s for s in hats if s.rank() <= 2]
-    eval_model = model.with_flags(bounded_opt=True)
-    mismatches = []
-    for template in templates:
-        for sx in small:
-            for sy in small:
-                meta = hf_meta_eval(template, {"x": sx, "y": sy})
-                env = {"x": hats[sx], "y": hats[sy]}
-                val = _eval(template, env, (), (), eval_model, EMPTY_ASSIGNMENT, ctx)
-                if meta != (val == alg.top):
-                    mismatches.append(
-                        f"{formula_to_text(template)} on {sx},{sy}: meta={meta} value={val}"
-                    )
-    return len(templates) * len(small) ** 2, mismatches
-
-
 def check_hat_lemma(
     model: SetModel,
     max_hf_rank: int = 3,
@@ -1723,8 +1698,15 @@ def check_hat_lemma(
         Forall("w", Imp(Mem(w, x), Mem(w, y))),
         Exists("w", And(Mem(w, x), Eq(w, y))),
     ]
-    _, mismatches = hat_transfer(model, templates, hats, ctx)
-    failures += [f"(iv) {line}" for line in mismatches]
+    small = [s for s in hf_sets if s.rank() <= 2]
+    eval_model = model.with_flags(bounded_opt=True)
+    for template in templates:
+        for sx in small:
+            for sy in small:
+                meta = hf_meta_eval(template, {"x": sx, "y": sy})
+                val = _eval(template, {"x": hats[sx], "y": hats[sy]}, (), (), eval_model, EMPTY_ASSIGNMENT, ctx)
+                if meta != (val == alg.top):
+                    failures.append(f"(iv) {formula_to_text(template)} on {sx},{sy}: meta={meta} value={val}")
 
     return Verdict(
         mode=model.mode,

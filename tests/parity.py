@@ -56,7 +56,11 @@ JOBS = 2
 # witness of a contradiction over B4 at rank 3, the four checks decided by
 # the definition of membership at rank 3, powerset, comprehension and
 # choice-free collection decided by their identities at rank 3 (with
-# unknown names in phi and as the target), atoms whose variable sits inside
+# unknown names in phi and as the target), choice-free Leibniz members and
+# separation by a choice-free formula decided by the congruence lemma at
+# rank 3 (with unknown names at ranks 0 and 2 and function terms),
+# collection by a formula with negation choices counted from its probes
+# (one of them trips ASSIGNMENT_CAP), atoms whose variable sits inside
 # a function term, the names of the universe under each enumeration
 # policy, and usage errors and --help, each followed by an
 # ordinary check, so that a parser that serves every call is compared right
@@ -180,6 +184,29 @@ _CHECKS = [
     'axiom check --axiom collection --model {models}/chain3.alg --rank 1 --formula "y eq #99999 & x eq x" --var x --var2 y',
     'axiom check --axiom collection --model {models}/chain3.alg --rank 2 --formula "y eq x" --var x --var2 y --u 99999',
     "axiom check --axiom powerset --model {models}/chain3.alg --rank 2 --u 99999",
+    # choice-free Leibniz members and separation, decided by the congruence
+    # lemma: quantified members, every B4 target, unknown names and
+    # function terms (an error line each)
+    *(
+        f'leibniz --model {{models}}/{model} --rank 3 --formula "{f}"{quant}'
+        for model in ("b4.alg", "chain4.alg")
+        for f in ("x in #17", "exists y . (y in x)", "forall y . (y in x -> y in #17)", "~(x in #3) | x eq x")
+        for quant in ("", " --quant some")
+    ),
+    'axiom check --axiom separation --model {models}/b4.alg --rank 3 --formula "~(x in x)" --var x',
+    *(
+        f'{check} --model {{models}}/chain3.alg --rank {rank} --formula "{f}" --var x'
+        for check in ("leibniz", "axiom check --axiom separation")
+        for rank, f in ((0, "x in #99999"), (2, "x in #99999"), (2, "#0 in f(x)"))
+    ),
+    # collection by a phi with negation choices: the running count of its
+    # probes trips the cap over the n4 3-chain at rank 3, and a comega
+    # compound is read pair by pair
+    'axiom check --axiom collection --model {models}/chain3_n4.fst --rank 3 --formula "~(x in y)" --var x --var2 y',
+    *(
+        f'axiom check --axiom collection --model {{models}}/{stem}_comega.fst --rank 2 --formula "~~(x eq y)" --var x --var2 y'
+        for stem in ("chain3", "chain4")
+    ),
     # a variable inside a function term: an error line in folds and scalar
     # reads alike
     *(

@@ -23,6 +23,11 @@ scope, so it serves as the oracle outside ``bounded_opt`` only.
 both sides as vectors over the assignment positions and the names at
 once: the loop over the targets and the scope names it replaced.
 
+``reflection`` is the oracle for ``axioms.check_infinity_reflection``,
+which computes nothing, since the hat names of HF sets take only the
+values top and bottom: it makes every hat name and evaluates each template
+at every pair of them by the textbook clauses under the bounded reading.
+
 ``enumerated_comprehension`` is the oracle for
 ``axioms.check_comprehension_refuted``, which computes nothing, since
 ||x in x|| is bottom for every name: it takes the meet over the enumerated
@@ -97,7 +102,7 @@ from pst.algebra import (
     validate_lattice,
 )
 from pst.fidel import FidelError, FStructure, saturate, validate_comega, validate_n4
-from pst.names import NameStore, enumerate_universe
+from pst.names import NameStore, all_hf_sets, enumerate_universe, hat_embed
 from pst.proofs import (
     _QUANT_INSTANCES,
     SCHEMAS,
@@ -154,6 +159,7 @@ from pst.valuation import (
     _eval,
     _joined_values,
     eval_sentence,
+    hf_meta_eval,
     make_model,
 )
 
@@ -519,7 +525,7 @@ def separation(model: SetModel, phi, var: str, u=None, quantification: str = "al
     ctx = ctx or EvalContext(model)
     store = model.store
     p = ctx.planes
-    targets, _ = _targets(model, u, ctx)
+    targets = _targets(model, u, ctx)
     children = _children(model, targets)
     names = list(dict.fromkeys([*model.scope, *children]))
     instances = [(phi, {var: x}, (x,), (0,), (i,)) for i, x in enumerate(names)]
@@ -566,6 +572,40 @@ def enumerated_collection(
         values.append(val)
     notes = ("scope-wide constant-top witness stands in for the class level",)
     return _enumerated_reports(model, "collection", values, [("v", v_name)], notes)
+
+
+def reflection(model: SetModel, max_hf_rank: int = 3) -> AxiomReport:
+    """check_infinity_reflection by evaluation: three restricted
+    negation-free templates at the hat names of every pair of HF sets of
+    rank <= 2 (and <= max_hf_rank), each compared with its truth of the
+    sets themselves."""
+    alg = model.algebra
+    hats = {s: hat_embed(s, model.store, alg) for s in all_hf_sets(max_hf_rank)}
+    small = [s for s in hats if s.rank() <= 2]
+    ref = Reference(model.with_flags(bounded_opt=True))
+    x, y, w = Var("x"), Var("y"), Var("w")
+    templates = [
+        Mem(x, y),
+        Forall("w", Imp(Mem(w, x), Mem(w, y))),
+        Exists("w", And(Mem(w, x), Mem(w, y))),
+    ]
+    mismatches = []
+    for template in templates:
+        for sx in small:
+            for sy in small:
+                meta = hf_meta_eval(template, {"x": sx, "y": sy})
+                val = ref.eval(template, {"x": hats[sx], "y": hats[sy]})
+                if meta != (val == alg.top):
+                    mismatches.append(f"{formula_to_text(template)} on {sx},{sy}: meta={meta} value={val}")
+    notes = ("the infinity axiom itself needs an infinite witness; only the restricted-formula reflection is checked",)
+    return _report(
+        model,
+        "infinity-reflection",
+        alg.top if not mismatches else alg.bottom,
+        not mismatches,
+        n_assignments=len(templates) * len(small) ** 2,
+        notes=notes + tuple(mismatches[:3]),
+    )
 
 
 def enumerated_comprehension(model: SetModel) -> AxiomReport:

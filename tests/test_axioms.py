@@ -39,6 +39,7 @@ from reference import (
     pointwise_pairing,
     pointwise_powerset,
     pointwise_union,
+    reflection,
     separation,
 )
 
@@ -217,6 +218,21 @@ def test_infinity_reflection(bool_model, heyting3_model):
         rep = check_infinity_reflection(model)
         assert rep.valid
         assert any("infinite witness" in n for n in rep.notes)
+
+
+def test_infinity_reflection_matches_evaluation():
+    """check_infinity_reflection decides every instance by the values
+    {bottom, top} of hat names: the same reports as evaluating the templates
+    at every pair of hat names, over every algebra of size <= 5 (the
+    one-element algebra, where every instance that does not hold is a
+    mismatch, included), at ranks 0-2 and max_hf_rank 1-3."""
+    for alg in enumerate_heyting(5):
+        for rank in (0, 1, 2):
+            for hf_rank in (1, 2, 3):
+                got = check_infinity_reflection(make_model(alg, NameStore(), rank), max_hf_rank=hf_rank)
+                want = reflection(make_model(alg, NameStore(), rank), max_hf_rank=hf_rank)
+                assert got == want, (alg.size, rank, hf_rank)
+                assert got.valid == (alg.size > 1)
 
 
 def test_checks_registry_complete():
@@ -566,6 +582,27 @@ def test_separation_vectors_match_the_scope_loop_at_rank_three(kind):
     for text in _VECTOR_FORMULAS:
         for got, want in _separation_both(structure, 3, text):
             assert got == want, text
+
+
+def test_choice_free_separation_builds_no_blocks():
+    """A choice-free phi decides separation by the congruence lemma: its
+    vector is read and the first witness made, and no (position, name)
+    block is built; a phi with choices still builds them."""
+    built = []
+    init = axioms_mod._Blocks.__init__
+
+    def spy(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    with mock.patch.object(axioms_mod._Blocks, "__init__", spy):
+        for structure, text in ((chain(3), "~(x in x)"), (saturate(chain(3), "n4"), "exists y . (y in x)")):
+            for u in (None, 3):
+                report = check_separation(make_model(structure, NameStore(), 3), parse_formula(text), "x", u=u)
+                assert (report.value, report.valid, report.n_assignments) == (2, True, 1)
+        assert built == []
+        check_separation(make_model(saturate(chain(3), "n4"), NameStore(), 2), parse_formula("~(x in x)"), "x")
+    assert built
 
 
 def test_separation_vectors_split_the_positions_into_runs():

@@ -750,15 +750,55 @@ def _under_400_mb(argv: list[str]) -> subprocess.CompletedProcess:
 
 def test_out_of_memory_is_an_error_line_with_exit_two(tmp_path):
     """A check that runs out of memory exits 2 with one ``error:`` line, not
-    a traceback with exit 1 (which reads as "invalid"): n4 collection by
-    ``~(y eq x)`` over B4 at rank 3, which lists an instance per pair of
-    its 3125 names, under a 400 MB address-space limit."""
+    a traceback with exit 1 (which reads as "invalid"): comega collection by
+    ``~~(y eq x)`` over B4 at rank 3, which reads phi at every pair of its
+    3125 names as a vector over the assignments, under a 400 MB
+    address-space limit."""
+    from pst.algebra import boolean_algebra
+
+    path = _saturated(tmp_path, boolean_algebra(2), "comega")
+    argv = ["axiom", "check", "--axiom", "collection", "--model", path, "--rank", "3"]
+    proc = _under_400_mb(argv + ["--formula", "~~(y eq x)", "--var", "x", "--var2", "y"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: out of memory\n")
+
+
+def test_collection_counts_atom_assignments_by_probing_each_pair(tmp_path):
+    """n4 collection by ``~(y eq x)`` over B4 at rank 3 counts its
+    assignments as the running product of the option counts of the negated
+    atoms its pairs read, one pair at a time, and trips ASSIGNMENT_CAP
+    under a 400 MB address-space limit, listing no pair."""
     from pst.algebra import boolean_algebra
 
     path = _saturated(tmp_path, boolean_algebra(2), "n4")
     argv = ["axiom", "check", "--axiom", "collection", "--model", path, "--rank", "3"]
     proc = _under_400_mb(argv + ["--formula", "~(y eq x)", "--var", "x", "--var2", "y"])
-    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: out of memory\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: more than 50000 atom assignments\n")
+
+
+# the 3-chain with N_2 = {1}: ~~a has no admissible value where ||a|| = 0,
+# since N_0 = {2} and N_2 holds nothing below 0 ("fstructure check" rejects it)
+NO_DOUBLE_NEGATION = "fstructure c3 kind=comega\nalgebra c3_alg\nsize 3\nleq\n111\n011\n001\nend\nN 0: 2\nN 1: 2\nN 2: 1\nend\n"
+
+
+@pytest.mark.parametrize("quant, code, valid", [("all", 0, "yes"), ("some", 1, "no")])
+def test_no_admissible_double_negation_means_no_assignment(tmp_path, capsys, quant, code, valid):
+    """A comega family in which ~~(x in x) has no admissible value answers
+    as an empty N line does: no assignment, valid under all and invalid
+    under some, with a RESULT line and no traceback."""
+    path = tmp_path / "c3.fst"
+    path.write_text(NO_DOUBLE_NEGATION)
+    for argv in (
+        ["eval", "--formula", "~~(#0 in #0)"],
+        ["axiom", "check", "--axiom", "separation", "--formula", "~~(x in x)", "--var", "x"],
+        ["axiom", "check", "--axiom", "collection", "--formula", "~~(x in y)", "--var", "x", "--var2", "y"],
+        ["axiom", "check", "--axiom", "induction", "--formula", "~~(x in x)", "--var", "x"],
+        ["leibniz", "--formula", "~~(x in x)", "--var", "x"],
+    ):
+        got = run(capsys, "--format", "machine", *argv, "--model", str(path), "--rank", "1", "--quant", quant)
+        assert (got[0], got[2]) == (code, ""), argv
+        assert got[1].startswith("RESULT ") and f" valid={valid}" in got[1], argv
+    _, out, _ = run(capsys, "eval", "--formula", "~~(#0 in #0)", "--model", str(path), "--rank", "1", "--quant", quant)
+    assert "assignments: 0; value range [2, 0]" in out
 
 
 def test_collection_over_b4_at_rank_three_fits_in_400_mb(tmp_path):

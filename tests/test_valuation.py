@@ -191,23 +191,84 @@ def test_vector_fold_matches_scalar_reference(model):
     check()
 
 
-def test_leibniz_vector_path_matches_reference(heyting3_model, comega3_model):
-    for model in (heyting3_model, comega3_model):
-        ref = Reference(model)
-        alg = model.algebra
-        w = model.scope[-1]
-        for phi in (
-            Mem(x, NameConst(w)),
-            Exists("y", Mem(Var("y"), x)),
-            Forall("y", Imp(Mem(Var("y"), x), Mem(Var("y"), NameConst(w)))),
-        ):
-            lo = alg.top
-            for u in model.scope:
-                for v in model.scope:
-                    val = alg.imp_(ref.eval(phi, {"x": u}), ref.eval(phi, {"x": v}))
-                    lo = alg.meet_(lo, alg.imp_(ref.eq(u, v), val))
-            verdict = check_leibniz(model, [("x", phi)], 2)
-            assert (verdict.value_lo, verdict.valid, verdict.detail) == (lo, lo == alg.top, ())
+def _choice_free_members(model):
+    """Members with no negation choice in model's mode: atoms at both
+    sides, a self-membership, quantified members, and in boolean/heyting
+    mode a negation."""
+    out = []
+    for k in sorted({model.scope[0], model.scope[-1]}):
+        w = NameConst(k)
+        out += [Mem(x, w), Mem(w, x), Eq(x, w), Forall("y", Imp(Mem(y, x), Mem(y, w)))]
+        if model.mode in ("boolean", "heyting"):
+            out.append(Neg(Mem(x, w)))
+    return out + [Mem(x, x), Exists("y", Mem(y, x))]
+
+
+def test_leibniz_vector_path_matches_reference():
+    """check_leibniz decides a choice-free member by the congruence lemma,
+    reading it as one vector over the names: against
+    ||u = v|| -> (phi(u) -> phi(v)) met over every pair by the textbook
+    clauses, over every algebra of size <= 5 and every saturated structure
+    of size <= 4, at ranks 1 and 2, with and without bounded_opt, under both
+    quantifications."""
+    structures = [*enumerate_heyting(5), *(saturate(alg, kind) for alg in enumerate_heyting(4) for kind in ("comega", "n4"))]
+    for structure in structures:
+        for rank in (1, 2):
+            for flag in (False, True):
+                model = make_model(structure, NameStore(), rank, bounded_opt=flag)
+                ref = Reference(model)
+                alg = model.algebra
+                for phi in _choice_free_members(model):
+                    lo = alg.top
+                    for u in model.scope:
+                        for v in model.scope:
+                            val = alg.imp_(ref.eval(phi, {"x": u}), ref.eval(phi, {"x": v}))
+                            lo = alg.meet_(lo, alg.imp_(ref.eq(u, v), val))
+                    for quant in QUANTIFICATIONS:
+                        verdict = check_leibniz(model, [("x", phi)], rank, quant)
+                        got = (verdict.value_lo, verdict.valid, verdict.detail)
+                        assert got == (lo, lo == alg.top, ()), (model.mode, alg.size, rank, flag, formula_to_text(phi))
+
+
+def test_leibniz_predicate_member_is_compared_pair_by_pair():
+    """A predicate table need not respect equality: P(x) with P(#0) = top
+    and bottom elsewhere fails at the first pair whose equality is not
+    bottom."""
+    model = make_model(chain(3), NameStore(), 2)
+    table = {("P", (nid,)): model.algebra.bottom for nid in model.scope}
+    table[("P", (0,))] = model.algebra.top
+    model = make_model(chain(3), model.store, 2, prop_values=table)
+    phi = Pred("P", (x,))
+    for quant, fp in (("all_assignments", "none"), ("some_assignment", "all-fail")):
+        verdict = check_leibniz(model, [("x", phi)], 2, quant)
+        assert not verdict.valid
+        assert verdict.detail == ("u=#0", "v=#1", "phi=P(x)", f"assignment={fp}")
+
+
+def test_leibniz_choice_free_family_reads_no_eq_row_per_name(monkeypatch):
+    """A choice-free family is read once per member, as one vector over the
+    names: check_leibniz reads the eq rows those reads read, and no row
+    per name u."""
+    from pst.kernel import EqMemKernel
+
+    rows = []
+    eqrow = EqMemKernel.eqrow
+
+    def counting(self, u, need):
+        rows.append(u)
+        return eqrow(self, u, need)
+
+    monkeypatch.setattr(EqMemKernel, "eqrow", counting)
+    model = make_model(chain(3), NameStore(), 3)
+    family = [("x", parse_formula(text)) for text in ("x in #17", "exists y . (y in x)", "forall y . (y in x -> y in #17)")]
+    ctx = EvalContext(model)
+    dom = ctx.domain(model.scope)
+    for var, phi in family:
+        ctx.vector(phi, {}, var, dom, model)
+    read = len(rows)
+    rows.clear()
+    assert check_leibniz(model, family, 3).valid
+    assert len(rows) == read < len(model.scope)
 
 
 # --- sentence evaluation ---------------------------------------------------------------
