@@ -6,12 +6,14 @@ mirrors the proofs and avoids scope-explosion artifacts.  Every report is
 rank-relative.
 
 Pairing, union, emptyset, extensionality, powerset, the comprehension
-refutation, infinity reflection, and separation and collection by a
-choice-free formula are decided: an identity of the definitions of
-membership and equality, or Leibniz's law, fixes the value, and each check
-makes its first witness name and reports it.  Separation and induction by
-a formula with negation choices compute their values over the scope, and
-collection by one counts its assignments.
+refutation, infinity reflection, and separation, collection and induction
+by a formula with no negation choice and no predicate atom are decided: an
+identity of the definitions of membership and equality, or Leibniz's law,
+fixes the value, and each check makes its first witness name and reports
+it.  Only where the law can fail is a value computed: separation by any
+other formula computes its values over the scope, collection by one counts
+its assignments, and induction by one, or over a scope not closed under
+children, sweeps its schema.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .syntax import (
     Var,
     formula_to_text,
     free_vars,
+    subformulas,
     substitute,
 )
 from .valuation import (
@@ -47,7 +50,7 @@ from .valuation import (
     _eval,
     _Probe,
     _joined_values,
-    _reads_pred,
+    hat_failures,
     hf_meta_eval,
     sweep_assignments,
 )
@@ -211,7 +214,7 @@ def check_separation(
     ctx = ctx or EvalContext(model)
     store = model.store
     p = ctx.planes
-    if ctx.choice_free(phi, model.mode) and not _reads_pred(phi):
+    if ctx.congruent(phi, model.mode):
         targets = list(model.scope) if u is None else [u]
         children = _children(model, targets)
         table = ctx.vector(phi, {}, var, _Domain(list(dict.fromkeys([*model.scope, *children]))), model)
@@ -325,6 +328,12 @@ def _children(model: SetModel, targets: Sequence[int]) -> list[int]:
     return list(dict.fromkeys(x for uu in targets for x, _ in model.store.get(uu).entries))
 
 
+def _closed(model: SetModel) -> bool:
+    """The scope holds the children of each of its names."""
+    inside = set(model.scope)
+    return all(c in inside for x in model.scope for c, _ in model.store.get(x).entries)
+
+
 def _quantified_report(
     model: SetModel, axiom: str, sweep: Sweep, quantification: str, witnesses: Sequence[tuple[str, int]] = ()
 ) -> AxiomReport:
@@ -396,9 +405,7 @@ def check_extensionality(model: SetModel, ctx: EvalContext | None = None) -> Axi
     y)|| over the scope is at most ||x = y||: the implication is top for
     every pair, and nothing is computed.  A scope not closed under children
     raises EvalError; ctx is not read."""
-    store = model.store
-    inside = set(model.scope)
-    if any(c not in inside for x in model.scope for c, _ in store.get(x).entries):
+    if not _closed(model):
         raise EvalError("extensionality needs a scope closed under children")
     return _report(model, "extensionality", model.algebra.top, True)
 
@@ -472,7 +479,7 @@ def check_collection(
     alg = model.algebra
     store = model.store
     count = 1
-    if ctx.choice_free(phi, model.mode) and not _reads_pred(phi):
+    if ctx.congruent(phi, model.mode):
         if u is not None:
             store.get(u)
         for s in model.scope[:1]:
@@ -510,19 +517,28 @@ def check_induction(
     ctx: EvalContext | None = None,
     cap: int = ASSIGNMENT_CAP,
 ) -> AxiomReport:
-    """Evaluate forall x [(forall y in x phi(y)) -> phi(x)] -> forall x phi(x)
-    at the model scope."""
+    """forall x [(forall y (y in x -> phi(y))) -> phi(x)] -> forall x phi(x)
+    at the model scope.
+
+    A phi with no negation choice and no predicate atom gives top over a
+    scope closed under children, by induction on rank: with H the
+    hypothesis, H <= phi(c) for c in dom(x), so H ^ ||y in x|| <= phi(y)
+    by Leibniz's law (``check_leibniz``), and H <= phi(x).  phi is read
+    once, as a vector over the scope, for its errors.  Otherwise the schema
+    is swept, with a y that is no variable of phi."""
     if free_vars(phi) != {var}:
         raise EvalError("induction needs a one-free-variable formula")
     ctx = ctx or EvalContext(model)
-    alg = model.algebra
-    fresh_x = var
-    fresh_y = var + "_y"
-    while fresh_y in free_vars(phi):
+    if ctx.congruent(phi, model.mode) and _closed(model):
+        ctx.vector(phi, {}, var, ctx.domain(model.scope), model)
+        return _report(model, "induction", model.algebra.top, True, quantification)
+    bound = {sub.var for sub in subformulas(phi) if isinstance(sub, (Forall, Exists))}
+    fresh_y = var + "_y"  # phi's one free variable is var
+    while fresh_y in bound:
         fresh_y += "_"
     phi_y = substitute(phi, var, Var(fresh_y))
-    below = Forall(fresh_y, Imp(Mem(Var(fresh_y), Var(fresh_x)), phi_y))
-    schema = Imp(Forall(fresh_x, Imp(below, phi)), Forall(fresh_x, phi))
+    below = Forall(fresh_y, Imp(Mem(Var(fresh_y), Var(var)), phi_y))
+    schema = Imp(Forall(var, Imp(below, phi)), Forall(var, phi))
     sweep = sweep_assignments(schema, model, ctx, cap)
     return _quantified_report(model, "induction", sweep, quantification)
 
@@ -565,12 +581,10 @@ def check_infinity_reflection(
     The infinity axiom itself needs an infinite witness and is out of desk
     scope; what is verified is that restricted negation-free instances hold
     of HF sets of rank <= 2 exactly when their hat images get value top.
-    By induction on rank, ||x^ = y^|| and ||x^ in y^|| are top or bottom
-    as x = y and x in y hold; {bottom, top} is closed under the
-    connectives, and a bounded quantifier over x^ ranges over the hats of
-    x's members at weight top.  So an instance mismatches only when
-    top = bottom, and then when it does not hold: no hat name is made and
-    no template evaluated.  ctx is not read."""
+    Hat names take only the values top and bottom, as an instance holds or
+    not, so an instance mismatches only when top = bottom, and then when it
+    does not hold (``hat_failures``): no hat name is made and no template
+    evaluated.  ctx is not read."""
     alg = model.algebra
     small = all_hf_sets(min(max_hf_rank, 2))
     x, y, w = Var("x"), Var("y"), Var("w")
@@ -579,11 +593,11 @@ def check_infinity_reflection(
         Forall("w", Imp(Mem(w, x), Mem(w, y))),
         Exists("w", And(Mem(w, x), Mem(w, y))),
     ]
-    mismatches = [
-        f"{formula_to_text(t)} on {sx},{sy}: meta=False value={alg.top}"
+    instances = (
+        (hf_meta_eval(t, {"x": sx, "y": sy}), f"{formula_to_text(t)} on {sx},{sy}: meta=False value={alg.top}")
         for t in templates for sx in small for sy in small
-        if alg.top == alg.bottom and not hf_meta_eval(t, {"x": sx, "y": sy})
-    ]
+    )
+    mismatches = hat_failures(alg, instances, 3)
     return _report(
         model,
         "infinity-reflection",
@@ -594,7 +608,7 @@ def check_infinity_reflection(
             "the infinity axiom itself needs an infinite witness; only the "
             "restricted-formula reflection is checked",
         )
-        + tuple(mismatches[:3]),
+        + tuple(mismatches),
     )
 
 

@@ -193,17 +193,25 @@ def is_leibniz_comega(f: FStructure) -> bool:
 def algebra_embeddings(a: FiniteHeytingAlgebra, b: FiniteHeytingAlgebra) -> Iterator[tuple[int, ...]]:
     """Every injective map a -> b preserving meet, join, imp, 0 and 1, as
     element image tuples in permutation order."""
-    for img in itertools.permutations(range(b.size), a.size):
-        if img[a.top] != b.top or img[a.bottom] != b.bottom:
-            continue
-        if all(
+    return (img for img in itertools.permutations(range(b.size), a.size) if preserves_heyting(img, a, b))
+
+
+def preserves_heyting(img: Sequence[int], a: FiniteHeytingAlgebra, b: FiniteHeytingAlgebra) -> bool:
+    """img, an element image tuple, is a map a -> b preserving meet, join,
+    imp, 0 and 1."""
+    return (
+        len(img) == a.size
+        and img[a.top] == b.top
+        and img[a.bottom] == b.bottom
+        and all(0 <= e < b.size for e in img)
+        and all(
             img[a.meet_(x, y)] == b.meet_(img[x], img[y])
             and img[a.join_(x, y)] == b.join_(img[x], img[y])
             and img[a.imp_(x, y)] == b.imp_(img[x], img[y])
             for x in range(a.size)
             for y in range(a.size)
-        ):
-            yield img
+        )
+    )
 
 
 def find_algebra_embedding(a: FiniteHeytingAlgebra, b: FiniteHeytingAlgebra) -> tuple[int, ...] | None:

@@ -27,9 +27,9 @@ from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
 from .algebra import FiniteHeytingAlgebra, _lowest, check_refinable
 from .errors import CapExceeded, PstError
-from .fidel import FStructure, find_algebra_embedding
+from .fidel import FStructure, find_algebra_embedding, preserves_heyting
 from .kernel import EqMemKernel, Planes, Vector, _bits
-from .names import NameStore, all_hf_sets, enumerate_universe, hat_embed
+from .names import NameStore, all_hf_sets, enumerate_universe
 from .syntax import (
     And,
     Bot,
@@ -51,7 +51,6 @@ from .syntax import (
     iff_sides,
     is_negation_free,
     is_restricted,
-    map_terms,
     negates_atoms_only,
     nnf_n4,
     subformulas,
@@ -637,6 +636,12 @@ class EvalContext:
     def choice_free(self, node: Formula, mode: str) -> bool:
         """No negation choice anywhere in node under this mode."""
         return mode in ("boolean", "heyting") or _memo(self._negfree, is_negation_free, node)
+
+    def congruent(self, node: Formula, mode: str) -> bool:
+        """No negation choice under this mode and no predicate atom, whose
+        table need not respect equality: Leibniz's law holds of node,
+        ||u = v|| ^ node(u) <= node(v) (``check_leibniz``)."""
+        return self.choice_free(node, mode) and not _memo(self._preds, _reads_pred, node)
 
     def compound_free(self, node: Formula) -> bool:
         """No negation over a compound body in node: in comega mode, no
@@ -1466,7 +1471,7 @@ def check_leibniz(
     dom = _Domain(names)
     choosing = []
     for k, (var, phi) in enumerate(formula_family):
-        if ctx.choice_free(phi, model.mode) and not _reads_pred(phi):
+        if ctx.congruent(phi, model.mode):
             ctx.vector(phi, {}, var, dom, model)
         else:
             choosing.append(k)
@@ -1534,70 +1539,47 @@ def _leibniz_pair(
 # --- subalgebra absoluteness -----------------------------------------------------------
 
 
-def transport_name(
-    nid: int,
-    sub_store: NameStore,
-    super_store: NameStore,
-    embedding: Sequence[int],
-    memo: dict[int, int] | None = None,
-) -> int:
-    """Copy a name across stores, mapping elements through the embedding."""
-    memo = memo if memo is not None else {}
-    if nid in memo:
-        return memo[nid]
-    entries = [
-        (transport_name(c, sub_store, super_store, embedding, memo), embedding[e])
-        for c, e in sub_store.get(nid).entries
-    ]
-    out = super_store.mk_name(entries)
-    memo[nid] = out
-    return out
-
-
 def check_subalgebra_absolute(
     phi: Formula,
     sub_model: SetModel,
     super_model: SetModel,
     embedding: Sequence[int] | None = None,
     ctx_sub: EvalContext | None = None,
-    ctx_super: EvalContext | None = None,
 ) -> Verdict:
     """Restricted negation-free sentences take the same value in a model
     over a subalgebra and in the ambient model (names transported along
-    the embedding)."""
+    the embedding e): the ambient value is e of the sub value.
+
+    e preserves meet, join, imp, 0 and 1, so it commutes with ||u = v||
+    and ||u in v|| (by induction on rank, finite meets, joins and
+    implications of entries), the connectives and bounded quantifiers: only
+    the sub side is evaluated.  A given map that is no such e raises
+    EvalError, as does a predicate atom, whose tables need not agree."""
     if not is_negation_free(phi):
         raise NotNegationFree(formula_to_text(phi))
     if not is_restricted(phi):
         raise NotRestricted(formula_to_text(phi))
     if free_vars(phi):
         raise EvalError("absoluteness check needs a closed formula")
+    if _reads_pred(phi):
+        raise EvalError("absoluteness check needs a formula without predicate atoms")
+    sub, sup = sub_model.algebra, super_model.algebra
     if embedding is None:
-        embedding = find_algebra_embedding(sub_model.algebra, super_model.algebra)
+        embedding = find_algebra_embedding(sub, sup)
         if embedding is None:
             raise EvalError("no algebra embedding found")
-    memo: dict[int, int] = {}
-
-    def move(t: Term) -> Term:
-        if isinstance(t, NameConst):
-            return NameConst(
-                transport_name(t.ref, sub_model.store, super_model.store, embedding, memo)
-            )
-        return t
-
-    sub_eval = sub_model.with_flags(bounded_opt=True)
-    super_eval = super_model.with_flags(bounded_opt=True)
-    v_sub = eval_sentence(phi, sub_eval, EMPTY_ASSIGNMENT, ctx_sub)
-    v_super = eval_sentence(map_terms(phi, move), super_eval, EMPTY_ASSIGNMENT, ctx_super)
-    ok = embedding[v_sub] == v_super
+    elif not preserves_heyting(embedding, sub, sup):
+        raise EvalError("the embedding does not preserve meet, join, imp, 0 and 1")
+    v_sub = eval_sentence(phi, sub_model.with_flags(bounded_opt=True), EMPTY_ASSIGNMENT, ctx_sub)
+    v_super = embedding[v_sub]
     return Verdict(
         mode=super_model.mode,
         quantification=None,
         rank_bound=sub_model.rank_bound,
         value_lo=v_super,
         value_hi=v_super,
-        valid=ok,
+        valid=True,
         notes=("rank-relative",),
-        detail=() if ok else (f"sub={v_sub}", f"super={v_super}",),
     )
 
 
@@ -1649,6 +1631,19 @@ def hf_meta_eval(phi: Formula, env: Mapping[str, object]) -> bool:
     return walk(phi, dict(env))
 
 
+def hat_failures(alg: FiniteHeytingAlgebra, instances: Iterable[tuple[bool, str]], limit: int) -> list[str]:
+    """The lines of the first limit instances, restricted negation-free
+    facts about HF sets, that do not hold, when top = bottom; none, and
+    instances unread, otherwise.  By induction on rank, ||x^ = y^|| and
+    ||x^ in y^|| are top or bottom as x = y and x in y hold; {bottom, top}
+    is closed under the connectives, and a bounded quantifier over x^
+    ranges over the hats of x's members at weight top.  So a hat image is
+    top exactly when its instance holds, or when top = bottom."""
+    if alg.top != alg.bottom:
+        return []
+    return list(itertools.islice((line for holds, line in instances if not holds), limit))
+
+
 def check_hat_lemma(
     model: SetModel,
     max_hf_rank: int = 3,
@@ -1662,35 +1657,22 @@ def check_hat_lemma(
          ||hat(u) in hat(v)|| = top, and u = v iff ||hat(u) ~ hat(v)|| = top;
     (iv) restricted negation-free instances hold of HF sets iff their hat
          images get value top.
-    """
+
+    (i) is the definition of membership, as every entry of hat(v) has
+    weight top.  (ii) and (iv) fail only when top = bottom, and then at
+    the instances that do not hold (``hat_failures``), of which the first
+    five are listed: no name is made and nothing evaluated.  ctx is not
+    read."""
     if model.mode not in ("boolean", "heyting"):
         raise EvalError("hat lemma checks run in boolean or heyting mode")
-    ctx = ctx or EvalContext(model)
     alg = model.algebra
-    store = model.store
     hf_sets = all_hf_sets(max_hf_rank)
-    hats = {s: hat_embed(s, store, alg) for s in hf_sets}
-    failures: list[str] = []
-
-    names_r2 = enumerate_universe(store, alg, 2)
-    for u in names_r2:
-        for v in hf_sets:
-            lhs = ctx.eval_mem(u, hats[v])
-            rhs = alg.join_all(ctx.eval_eq(u, hats[x]) for x in v.elems)
-            if lhs != rhs:
-                failures.append(f"(i) u=#{u} v={v} lhs={lhs} rhs={rhs}")
-
-    for u in hf_sets:
-        for v in hf_sets:
-            mem_meta = u in v.elems
-            mem_model = ctx.eval_mem(hats[u], hats[v]) == alg.top
-            if mem_meta != mem_model:
-                failures.append(f"(ii-mem) {u} in {v}: meta={mem_meta} model={mem_model}")
-            eq_meta = u == v
-            eq_model = ctx.eval_eq(hats[u], hats[v]) == alg.top
-            if eq_meta != eq_model:
-                failures.append(f"(ii-eq) {u} = {v}: meta={eq_meta} model={eq_model}")
-
+    transfer = (
+        (holds, f"(ii-{law}) {u} {rel} {v}: meta=False model=True")
+        for u in hf_sets
+        for v in hf_sets
+        for law, rel, holds in (("mem", "in", u in v), ("eq", "=", u == v))
+    )
     x, y, w = Var("x"), Var("y"), Var("w")
     templates = [
         Mem(x, y),
@@ -1699,24 +1681,23 @@ def check_hat_lemma(
         Exists("w", And(Mem(w, x), Eq(w, y))),
     ]
     small = [s for s in hf_sets if s.rank() <= 2]
-    eval_model = model.with_flags(bounded_opt=True)
-    for template in templates:
-        for sx in small:
-            for sy in small:
-                meta = hf_meta_eval(template, {"x": sx, "y": sy})
-                val = _eval(template, {"x": hats[sx], "y": hats[sy]}, (), (), eval_model, EMPTY_ASSIGNMENT, ctx)
-                if meta != (val == alg.top):
-                    failures.append(f"(iv) {formula_to_text(template)} on {sx},{sy}: meta={meta} value={val}")
-
+    reflection = (
+        (hf_meta_eval(t, {"x": sx, "y": sy}), f"(iv) {formula_to_text(t)} on {sx},{sy}: meta=False value={alg.top}")
+        for t in templates
+        for sx in small
+        for sy in small
+    )
+    failures = hat_failures(alg, itertools.chain(transfer, reflection), 5)
+    value = alg.bottom if failures else alg.top
     return Verdict(
         mode=model.mode,
         quantification=None,
         rank_bound=model.rank_bound,
-        value_lo=alg.top if not failures else alg.bottom,
-        value_hi=alg.top if not failures else alg.bottom,
+        value_lo=value,
+        value_hi=value,
         valid=not failures,
         notes=("rank-relative",),
-        detail=tuple(failures[:5]),
+        detail=tuple(failures),
     )
 
 
@@ -1737,36 +1718,22 @@ def check_maximum_principle(
     ctx = ctx or EvalContext(model)
     alg = model.algebra
     vec = ctx.vector(phi, {}, var, ctx.domain(model.scope), model)
-    values = {nid: ctx.planes.decode(vec, nid) for nid in model.scope}
-    total = alg.join_all(values.values())
-    if total != alg.top:
-        return Verdict(
-            mode=model.mode,
-            quantification=None,
-            rank_bound=model.rank_bound,
-            value_lo=total,
-            value_hi=total,
-            valid=True,
-            notes=("rank-relative", "existence hypothesis fails at this scope"),
-        )
-    for nid in model.scope:
-        if values[nid] == alg.top:
-            return Verdict(
-                mode=model.mode,
-                quantification=None,
-                rank_bound=model.rank_bound,
-                value_lo=alg.top,
-                value_hi=alg.top,
-                valid=True,
-                notes=("rank-relative",),
-                detail=(f"witness=#{nid}",),
-            )
+    values = [(nid, ctx.planes.decode(vec, nid)) for nid in model.scope]
+    total = alg.join_all(value for _, value in values)
+    witness = next((nid for nid, value in values if value == alg.top), None)
+    if witness is not None:
+        notes, detail = (), (f"witness=#{witness}",)
+    elif total != alg.top:
+        notes, detail = ("existence hypothesis fails at this scope",), ()
+    else:
+        notes, detail = ("scope exhausted without a pointwise witness",), ()
     return Verdict(
         mode=model.mode,
         quantification=None,
         rank_bound=model.rank_bound,
         value_lo=total,
         value_hi=total,
-        valid=False,
-        notes=("rank-relative", "scope exhausted without a pointwise witness"),
+        valid=witness is not None or total != alg.top,
+        notes=("rank-relative", *notes),
+        detail=detail,
     )

@@ -60,9 +60,11 @@ JOBS = 2
 # separation by a choice-free formula decided by the congruence lemma at
 # rank 3 (with unknown names at ranks 0 and 2 and function terms),
 # collection by a formula with negation choices counted from its probes
-# (one of them trips ASSIGNMENT_CAP), atoms whose variable sits inside
-# a function term, the names of the universe under each enumeration
-# policy, and usage errors and --help, each followed by an
+# (one of them trips ASSIGNMENT_CAP), induction by a choice-free formula
+# decided by induction on rank (with unknown names and function terms),
+# induction by formulas that bind the schema's default y, atoms whose
+# variable sits inside a function term, the names of the universe under
+# each enumeration policy, and usage errors and --help, each followed by an
 # ordinary check, so that a parser that serves every call is compared right
 # after an error exit
 _SEPARATION = 'axiom check --axiom separation --model {models}/%s_comega.fst --rank %d --formula "%s" --var x'
@@ -206,6 +208,26 @@ _CHECKS = [
     *(
         f'axiom check --axiom collection --model {{models}}/{stem}_comega.fst --rank 2 --formula "~~(x eq y)" --var x --var2 y'
         for stem in ("chain3", "chain4")
+    ),
+    # induction by a choice-free phi, decided by induction on rank: every
+    # name of B4 and the 4-chain at rank 3, unknown names at ranks 0 and 2,
+    # a function term (an error line each); and phi binding x_y, the y the
+    # schema takes by default, beside its alpha-variant
+    *(
+        f'axiom check --axiom induction --model {{models}}/{model} --rank 3 --formula "{f}" --var x{quant}'
+        for model in ("b4.alg", "chain4.alg", "b4_n4.fst")
+        for f in ("x eq x", "exists y . (y in x)", "forall y . (y in x -> y in #17)", "x in #17")
+        for quant in ("", " --quant some")
+    ),
+    'axiom check --axiom induction --model {models}/b4.alg --rank 3 --formula "~(x in x)" --var x',
+    *(
+        f'axiom check --axiom induction --model {{models}}/chain3.alg --rank {rank} --formula "{f}" --var x'
+        for rank, f in ((0, "x in #99999"), (2, "x in #99999"), (2, "#0 in f(x)"), (2, "exists x_y . (x_y in x)"))
+    ),
+    *(
+        f'axiom check --axiom induction --model {{models}}/chain3_{kind}.fst --rank 2 --formula "{f}" --var x'
+        for kind in ("n4", "comega")
+        for f in ("forall x_y . ~(x_y in x)", "forall z . ~(z in x)")
     ),
     # a variable inside a function term: an error line in folds and scalar
     # reads alike

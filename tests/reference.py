@@ -28,6 +28,13 @@ which computes nothing, since the hat names of HF sets take only the
 values top and bottom: it makes every hat name and evaluates each template
 at every pair of them by the textbook clauses under the bounded reading.
 
+``hat_lemma`` is the oracle for ``valuation.check_hat_lemma``, which
+computes nothing, for the same reason: it makes every hat name and the
+rank-2 universe and evaluates each law at them.  ``absoluteness`` is the
+oracle for ``valuation.check_subalgebra_absolute``, which evaluates the
+sub side only, since a Heyting embedding commutes with the values: it
+transports phi's names into the super model and evaluates both sides.
+
 ``enumerated_comprehension`` is the oracle for
 ``axioms.check_comprehension_refuted``, which computes nothing, since
 ||x in x|| is bottom for every name: it takes the meet over the enumerated
@@ -454,9 +461,11 @@ def enumerated_leibniz(model: SetModel, family, rank: int, quantification: str, 
 
 
 def enumerated_induction(model: SetModel, phi, var: str, quantification: str, cap: int = ASSIGNMENT_CAP):
-    """(value, valid, n_assignments) of check_induction."""
+    """(value, valid, n_assignments) of check_induction: the schema, its y
+    a variable of phi's neither free nor bound, under each assignment."""
+    used = free_vars(phi) | {sub.var for sub in subformulas(phi) if isinstance(sub, (Forall, Exists))}
     fresh_y = var + "_y"
-    while fresh_y in free_vars(phi):
+    while fresh_y in used:
         fresh_y += "_"
     phi_y = substitute(phi, var, Var(fresh_y))
     schema = Imp(
@@ -605,6 +614,102 @@ def reflection(model: SetModel, max_hf_rank: int = 3) -> AxiomReport:
         not mismatches,
         n_assignments=len(templates) * len(small) ** 2,
         notes=notes + tuple(mismatches[:3]),
+    )
+
+
+def hat_lemma(model: SetModel, max_hf_rank: int = 3) -> Verdict:
+    """check_hat_lemma by evaluation: (i) at every name of rank <= 2 and
+    every HF set of rank <= max_hf_rank, (ii) at every pair of hat names,
+    and (iv) four templates at the hat names of every pair of HF sets of
+    rank <= 2, each compared with its truth of the sets themselves."""
+    if model.mode not in ("boolean", "heyting"):
+        raise EvalError("hat lemma checks run in boolean or heyting mode")
+    ctx = EvalContext(model)
+    alg = model.algebra
+    store = model.store
+    hf_sets = all_hf_sets(max_hf_rank)
+    hats = {s: hat_embed(s, store, alg) for s in hf_sets}
+    failures: list[str] = []
+    for u in enumerate_universe(store, alg, 2):
+        for v in hf_sets:
+            lhs = ctx.eval_mem(u, hats[v])
+            rhs = alg.join_all(ctx.eval_eq(u, hats[x]) for x in v.elems)
+            if lhs != rhs:
+                failures.append(f"(i) u=#{u} v={v} lhs={lhs} rhs={rhs}")
+    for u in hf_sets:
+        for v in hf_sets:
+            mem_meta = u in v.elems
+            mem_model = ctx.eval_mem(hats[u], hats[v]) == alg.top
+            if mem_meta != mem_model:
+                failures.append(f"(ii-mem) {u} in {v}: meta={mem_meta} model={mem_model}")
+            eq_meta = u == v
+            eq_model = ctx.eval_eq(hats[u], hats[v]) == alg.top
+            if eq_meta != eq_model:
+                failures.append(f"(ii-eq) {u} = {v}: meta={eq_meta} model={eq_model}")
+    x, y, w = Var("x"), Var("y"), Var("w")
+    templates = [
+        Mem(x, y),
+        Eq(x, y),
+        Forall("w", Imp(Mem(w, x), Mem(w, y))),
+        Exists("w", And(Mem(w, x), Eq(w, y))),
+    ]
+    small = [s for s in hf_sets if s.rank() <= 2]
+    ref = Reference(model.with_flags(bounded_opt=True))
+    for template in templates:
+        for sx in small:
+            for sy in small:
+                meta = hf_meta_eval(template, {"x": sx, "y": sy})
+                val = ref.eval(template, {"x": hats[sx], "y": hats[sy]})
+                if meta != (val == alg.top):
+                    failures.append(f"(iv) {formula_to_text(template)} on {sx},{sy}: meta={meta} value={val}")
+    value = alg.top if not failures else alg.bottom
+    return Verdict(
+        mode=model.mode,
+        quantification=None,
+        rank_bound=model.rank_bound,
+        value_lo=value,
+        value_hi=value,
+        valid=not failures,
+        notes=("rank-relative",),
+        detail=tuple(failures[:5]),
+    )
+
+
+def transport_name(nid: int, sub_store: NameStore, super_store: NameStore, embedding, memo: dict) -> int:
+    """A copy of a name in super_store, its elements mapped through the
+    embedding."""
+    if nid not in memo:
+        entries = sub_store.get(nid).entries
+        memo[nid] = super_store.mk_name(
+            [(transport_name(c, sub_store, super_store, embedding, memo), embedding[e]) for c, e in entries]
+        )
+    return memo[nid]
+
+
+def absoluteness(phi, sub_model: SetModel, super_model: SetModel, embedding) -> Verdict:
+    """check_subalgebra_absolute by evaluation on both sides: phi's names
+    transported along the embedding into the super model's store, and the
+    sentence evaluated there by the textbook clauses under the bounded
+    reading."""
+    memo: dict[int, int] = {}
+
+    def move(t):
+        if isinstance(t, NameConst):
+            return NameConst(transport_name(t.ref, sub_model.store, super_model.store, embedding, memo))
+        return t
+
+    v_sub = Reference(sub_model.with_flags(bounded_opt=True)).eval(phi)
+    v_super = Reference(super_model.with_flags(bounded_opt=True)).eval(map_terms(phi, move))
+    ok = embedding[v_sub] == v_super
+    return Verdict(
+        mode=super_model.mode,
+        quantification=None,
+        rank_bound=sub_model.rank_bound,
+        value_lo=v_super,
+        value_hi=v_super,
+        valid=ok,
+        notes=("rank-relative",),
+        detail=() if ok else (f"sub={v_sub}", f"super={v_super}"),
     )
 
 

@@ -25,14 +25,15 @@ from pst.axioms import (
     check_union,
 )
 from pst.cli import main
-from pst.errors import CapExceeded
+from pst.errors import CapExceeded, PstError
 from pst.fidel import format_fstructure_text, saturate
 from pst.names import NameStore
 from pst.syntax import And, Eq, Forall, Imp, Mem, NameConst, Neg, Or, Var, free_vars, iff, parse_formula
-from pst.valuation import ASSIGNMENT_CAP, EvalContext, EvalError, eval_sentence, make_model
+from pst.valuation import ASSIGNMENT_CAP, QUANTIFICATIONS, EvalContext, EvalError, eval_sentence, make_model
 from reference import (
     enumerated_collection,
     enumerated_comprehension,
+    enumerated_induction,
     enumerated_separation,
     pointwise_emptyset,
     pointwise_extensionality,
@@ -713,3 +714,76 @@ def test_powerset_cap_trips_before_any_candidate_function():
     assert (trip.value.cap, trip.value.limit, trip.value.predicted) == ("POWERSET_CAP", 80, 81)
     assert str(trip.value) == "powerset would need 81 candidate functions"
     assert len(model.store) == size
+
+
+# --- induction decided by induction on rank and Leibniz's law -------------------------------
+
+
+def _induction(model, text, quant):
+    report = check_induction(model, parse_formula(text), "x", quant)
+    return report.value, report.valid, report.n_assignments
+
+
+def test_decided_induction_matches_the_schema():
+    """A phi with no negation choice and no predicate atom, over a scope
+    closed under children, gives top with no schema built: the same
+    (value, valid, assignments), or the same error, as the schema evaluated
+    under each assignment, over every algebra of size <= 4 at ranks 0-2."""
+    texts = ["x eq x", "exists y . (y in x)", "forall y . (y in x -> y eq y)", "~(x in x)", "x in #0"]
+    for alg in enumerate_heyting(4):
+        for rank in (0, 1, 2):
+            model = make_model(alg, NameStore(), rank)
+            for text in texts + [f"x in #{k}" for k in model.scope[-1:]]:
+                for quant in QUANTIFICATIONS:
+                    with mock.patch.object(axioms_mod, "sweep_assignments", side_effect=AssertionError("schema built")):
+                        try:
+                            got = _induction(model, text, quant)
+                        except PstError as exc:
+                            got = exc
+                    try:
+                        want = enumerated_induction(model, parse_formula(text), "x", quant)
+                    except PstError as exc:
+                        assert (type(got), str(got)) == (type(exc), str(exc)), (alg.size, rank, text)
+                        continue
+                    assert got == want == (alg.top, True, 1), (alg.size, rank, text, quant)
+
+
+def test_induction_over_a_scope_not_closed_under_children_sweeps_the_schema():
+    """z = {empty: top}, a child of x = {z: top}, is not in the scope
+    [x, empty]: induction by a choice-free phi is swept there, as the
+    schema's value."""
+    alg = chain(3)
+    store = NameStore()
+    e = store.empty_name()
+    x_name = store.mk_name([(store.mk_name([(e, alg.top)]), alg.top)])
+    model = make_model(alg, store, 2, mode="heyting", scope=[x_name, e])
+    swept = []
+    sweep = axioms_mod.sweep_assignments
+
+    def spy(*args):
+        swept.append(args[0])
+        return sweep(*args)
+
+    for text in ("exists y . (y in x)", "~(x in x)", f"x in #{x_name}"):
+        for quant in QUANTIFICATIONS:
+            with mock.patch.object(axioms_mod, "sweep_assignments", spy):
+                got = _induction(model, text, quant)
+            assert got == enumerated_induction(model, parse_formula(text), "x", quant)
+    assert len(swept) == 6
+
+
+def test_induction_fresh_variable_avoids_the_bound_ones():
+    """forall x_y . ~(x_y in x) and its alpha-variant forall z . ~(z in x)
+    give the same report: the schema's y avoids phi's bound variables."""
+    for kind in ("n4", "comega"):
+        model = make_model(saturate(chain(3), kind), NameStore(), 2)
+        for quant in QUANTIFICATIONS:
+            reports = [
+                check_induction(model, parse_formula(text), "x", quant)
+                for text in ("forall x_y . ~(x_y in x)", "forall z . ~(z in x)", "forall x_y . forall x_y_ . ~(x_y_ in x)")
+            ]
+            assert reports[0] == reports[1] == reports[2]
+            assert (reports[0].value, reports[0].valid, reports[0].n_assignments) == (2, True, 9)
+            for text in ("forall x_y . ~(x_y in x)", "forall x_y . forall x_y_ . ~(x_y_ in x)"):
+                want = enumerated_induction(model, parse_formula(text), "x", quant)
+                assert _induction(model, text, quant) == want

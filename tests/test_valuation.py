@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import (
     Reference,
+    absoluteness,
     component_verdict,
     enumerated_induction,
     enumerated_leibniz,
     enumerated_verdicts,
+    hat_lemma,
     reference_assignments,
     unshared,
 )
@@ -19,7 +21,7 @@ from reference import (
 from pst.algebra import boolean_algebra, chain, enumerate_heyting
 from pst.axioms import check_induction, check_separation
 from pst.errors import CapExceeded, PstError
-from pst.fidel import saturate
+from pst.fidel import find_algebra_embedding, saturate
 from pst.names import NameStore, UnknownChild, enumerate_universe
 from pst.syntax import (
     And,
@@ -1314,6 +1316,46 @@ def test_absoluteness_two_in_four(chain2, bool4):
         assert verdict.valid, (phi, verdict.detail)
 
 
+def _absoluteness_cases(store, weight):
+    e = store.empty_name()
+    u = store.mk_name([(e, weight)])
+    return [
+        Forall("t", Imp(Mem(Var("t"), NameConst(u)), Mem(Var("t"), NameConst(u)))),
+        Eq(NameConst(u), NameConst(e)),
+        Mem(NameConst(e), NameConst(u)),
+        Exists("t", And(Mem(Var("t"), NameConst(u)), Eq(Var("t"), NameConst(e)))),
+    ]
+
+
+def test_absoluteness_matches_both_sides_evaluated():
+    """The ambient value is the embedding's image of the sub value: the
+    same verdicts as transporting the names and evaluating both sides, for
+    the 2-chain in the 3-chain and in B4 and the 3-chain in the 4-chain,
+    at u = {empty: a} for every element a of the subalgebra."""
+    for sub, sup in ((chain(2), chain(3)), (chain(2), boolean_algebra(2)), (chain(3), chain(4))):
+        m_sub = make_model(sub, NameStore(), 2)
+        m_sup = make_model(sup, NameStore(), 2)
+        embedding = find_algebra_embedding(sub, sup)
+        for weight in range(sub.size):
+            for phi in _absoluteness_cases(m_sub.store, weight):
+                want = absoluteness(phi, m_sub, m_sup, embedding)
+                assert want.valid
+                assert check_subalgebra_absolute(phi, m_sub, m_sup) == want
+                assert check_subalgebra_absolute(phi, m_sub, m_sup, embedding) == want
+
+
+def test_absoluteness_rejects_a_map_that_is_no_embedding(chain2, bool4):
+    """A given map must preserve meet, join, imp, 0 and 1."""
+    m_sub = make_model(chain2, NameStore(), 1)
+    m_sup = make_model(bool4, NameStore(), 1)
+    e = m_sub.store.empty_name()
+    phi = Eq(NameConst(e), NameConst(e))
+    assert find_algebra_embedding(chain2, bool4) == (0, 3)
+    for embedding in ((0, 1), (3, 0), (0, 0), (0, 3, 3), (0, 4)):
+        with pytest.raises(EvalError, match="embedding does not preserve"):
+            check_subalgebra_absolute(phi, m_sub, m_sup, embedding)
+
+
 def test_absoluteness_guards(chain2, bool4):
     m_sub = make_model(chain2, NameStore(), 1)
     m_sup = make_model(bool4, NameStore(), 1)
@@ -1322,6 +1364,8 @@ def test_absoluteness_guards(chain2, bool4):
         check_subalgebra_absolute(Forall("t", Mem(Var("t"), NameConst(e))), m_sub, m_sup)
     with pytest.raises(NotNegationFree):
         check_subalgebra_absolute(Neg(Eq(NameConst(e), NameConst(e))), m_sub, m_sup)
+    with pytest.raises(EvalError, match="without predicate atoms"):
+        check_subalgebra_absolute(Pred("P", (NameConst(e),)), m_sub, m_sup)
 
 
 # --- hat lemma and maximum principle ------------------------------------------------------
@@ -1331,6 +1375,21 @@ def test_hat_lemma_two_element_and_three_chain(bool_model, heyting3_model):
     for model in (bool_model, heyting3_model):
         verdict = check_hat_lemma(model)
         assert verdict.valid, verdict.detail
+
+
+def test_hat_lemma_matches_evaluation():
+    """check_hat_lemma decides every law by the values {bottom, top} of hat
+    names: the same verdicts as evaluating the laws at every hat name and
+    every name of rank <= 2, over the chains of 1-4 elements and B4 (the
+    one-element algebra, where every instance that does not hold fails,
+    included, its first five failures the same lines)."""
+    for alg in (chain(1), chain(2), chain(3), chain(4), boolean_algebra(2)):
+        for hf_rank in (2, 3):
+            got = check_hat_lemma(make_model(alg, NameStore(), 2), max_hf_rank=hf_rank)
+            want = hat_lemma(make_model(alg, NameStore(), 2), max_hf_rank=hf_rank)
+            assert got == want, (alg.size, hf_rank)
+            assert got.valid == (alg.size > 1)
+            assert len(got.detail) == (0 if alg.size > 1 else 5)
 
 
 def test_hat_lemma_rejects_fstructure_modes(comega3_model):
