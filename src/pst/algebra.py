@@ -249,15 +249,20 @@ def _heyting(lat: FiniteLattice, codes: Sequence[int]) -> FiniteHeytingAlgebra:
     return FiniteHeytingAlgebra(lattice=lat, imp=tuple(imp), boolean_flag=flag)
 
 
-def _from_codes(codes: Sequence[int]) -> FiniteHeytingAlgebra:
+def _inclusion(codes: Sequence[int]) -> tuple[tuple[bool, ...], ...]:
+    """The order of the down-sets codes: inclusion."""
+    return tuple(tuple([not a & ~b for b in codes]) for a in codes)
+
+
+def _from_codes(codes: Sequence[int], leq: tuple[tuple[bool, ...], ...] | None = None) -> FiniteHeytingAlgebra:
     """The Heyting algebra whose element e is the down-set ``codes[e]`` of
     a poset: the codes are distinct, closed under ``&`` and ``|``, and hold
-    0.  Order is inclusion, meet is ``&``, join is ``|``, and the top is the
-    largest code, the union of all."""
+    0.  Order is inclusion (leq, where the caller has it), meet is ``&``,
+    join is ``|``, and the top is the largest code, the union of all."""
     elem = {c: e for e, c in enumerate(codes)}
     lat = FiniteLattice(
         size=len(codes),
-        leq=tuple(tuple([not a & ~b for b in codes]) for a in codes),
+        leq=leq or _inclusion(codes),
         meet=tuple(tuple([elem[a & b] for b in codes]) for a in codes),
         join=tuple(tuple([elem[a | b] for b in codes]) for a in codes),
         top=elem[max(codes, key=int.bit_count)],
@@ -351,8 +356,12 @@ def canonical_key(h: FiniteHeytingAlgebra) -> bytes:
     Permutations are restricted to classes preserving (|down-set|, |up-set|),
     which every isomorphism must respect.
     """
-    n = h.size
-    leq = h.lattice.leq
+    return _order_key(h.lattice.leq)
+
+
+def _order_key(leq: Sequence[Sequence[bool]]) -> bytes:
+    """``canonical_key`` of the lattice whose order is leq."""
+    n = len(leq)
     inv = [(sum(col), sum(row)) for row, col in zip(leq, zip(*leq))]
     order = sorted(range(n), key=inv.__getitem__)
     classes = [list(c) for _, c in itertools.groupby(order, key=inv.__getitem__)]
@@ -375,8 +384,11 @@ def enumerate_heyting(max_size: int, hard_cap: int = ENUM_HARD_CAP) -> Iterator[
     Uses the down-set representation: every finite distributive lattice is
     the lattice of down-sets of a finite poset, and non-isomorphic posets
     give non-isomorphic lattices.  Deterministic order: by size, then by
-    canonical key.
+    canonical key.  Each labelled poset is keyed by the inclusion order of
+    its down-sets, and its tables are built only for a new key.
     """
+    if max_size < 0:
+        raise AlgebraError(f"max_size must be at least 0, got {max_size}")
     if max_size > hard_cap:
         raise CapExceeded(
             f"enumeration capped at size {hard_cap}",
@@ -388,10 +400,10 @@ def enumerate_heyting(max_size: int, hard_cap: int = ENUM_HARD_CAP) -> Iterator[
     for k in range(0, max_size):
         for _, downs in _posets(k, max_size):
             downs.sort(key=lambda s: (bin(s).count("1"), s))
-            alg = _from_codes(downs)
-            key = canonical_key(alg)
+            leq = _inclusion(downs)
+            key = _order_key(leq)
             if key not in found:
-                found[key] = alg
+                found[key] = _from_codes(downs, leq)
     for _, alg in sorted(found.items(), key=lambda kv: (kv[1].size, kv[0])):
         yield alg
 

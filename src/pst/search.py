@@ -12,8 +12,12 @@ lexicographically; the first find is therefore the smallest in that
 order.  The walk over tables and choices (``_table_walk``) evaluates
 each part once per run of tables, as a vector over an
 ``AssignmentIndex`` whose digits are the atom values, the negated atoms'
-choices and the comega occurrences' choices.  Every finding is
-re-certified in a fresh evaluation context.  Exhaustion is reported from
+choices and the comega occurrences' choices.  A family decides only
+which choices are admissible, not any value, so the consecutive families
+of one algebra share one index whose choices range over the union of
+their N sets, and each family reads its positions from it as a validity
+mask (``AssignmentIndex.within``).  Every finding is re-certified in a
+fresh evaluation context.  Exhaustion is reported from
 the one ordered pass, since evaluation is deterministic.
 """
 
@@ -223,17 +227,26 @@ def _table_walk(
 
     Which atoms are negated, and where comega chooses per occurrence, does
     not depend on the structure or the table: one probe per logic finds
-    them.  The cap bounds each table's assignments: it trips on the first
-    table over it, after the positions before that table."""
+    them.  Nor does any value depend on the family, only on the algebra and
+    the choices made: consecutive structures over one algebra and of one
+    kind are walked through one index whose choices range over the union
+    of their N sets (``_index_walk``).  The cap bounds each table's
+    assignments: it trips on the first table over it, after the positions
+    before that table."""
     names = sorted(prop_atoms(joint))
     atoms = [("pred", a) for a in names]
     probed: dict[str, tuple[list[AtomKey], list[OccKey]]] = {}
-    for fs in structures:
+    for _, same in itertools.groupby(structures, key=lambda fs: (id(fs.algebra), fs.kind)):
+        group = list(same)
+        fs = group[0]
         if fs.kind not in probed:
             first = _prop_model(fs, dict.fromkeys(names, 0))
             probe = _probe((joint, {}, (), (), ()), first, EvalContext(first))
             probed[fs.kind] = list(probe.options), probe.occs
-        yield from _index_walk(parts, fs, atoms, *probed[fs.kind], cap, ())
+        if len(group) > 1:
+            union = (tuple(sorted(set().union(*(f.negs[v] for f in group)))) for v in range(fs.algebra.size))
+            fs = FStructure(fs.algebra, tuple(union), fs.kind)
+        yield from _index_walk(parts, fs, atoms, *probed[fs.kind], cap, (), group)
 
 
 def _index_walk(
@@ -244,6 +257,7 @@ def _index_walk(
     occs: list[OccKey],
     cap: float,
     scope: Sequence[int],
+    families: Sequence[FStructure] = (),
 ) -> Iterator[_Run]:
     """The walk over every table of the atoms (predicate keys, the first
     most significant) in runs, one ``AssignmentIndex`` per run: the digits
@@ -251,7 +265,17 @@ def _index_walk(
     order) and of the comega occurrences' choices (occs, in evaluation
     order); one vector evaluation of each part at its path, with the
     quantifiers ranging over scope, covers the run.  A run's decode names
-    each atom by its table entry (``_cell``)."""
+    each atom by its table entry (``_cell``).
+
+    families (fs alone by default) are structures over fs's algebra whose
+    every N_v lies in fs's, walked one after another through each run's
+    index: a family's positions are those whose every choice it admits
+    (``AssignmentIndex.within``), which, every N_v being sorted, are its
+    own walk's positions in the same order, and each part's values there
+    are its own walk's values.  Each family's positions must follow the
+    last family's, so an index over several of them is never split into
+    runs: where fs needs more than one run, each family is walked alone."""
+    families = families or (fs,)
     alg = fs.algebra
     n = alg.size
     negs = fs.negs
@@ -265,6 +289,10 @@ def _index_walk(
         per = longest ** len(occs) * math.prod(longest if v is None else len(negs[v]) for v in values)
         return n ** (len(atoms) - len(prefix)) * per
 
+    if len(families) > 1 and span(()) > valuation._SWEEP_SIZE:
+        for f in families:
+            yield from _index_walk(parts, f, atoms, keys, occs, cap, scope)
+        return
     for outer in _runs(lambda prefix: range(n) if len(prefix) < len(atoms) else (), span):
         fixed = dict(zip(cells, outer))
         inner_keys = atoms[len(outer) :]
@@ -272,8 +300,11 @@ def _index_walk(
             yield from _swept_table(parts, fs, keys, fixed, cap, scope)
             continue
         values = {key: _value(fs, key, fixed) for key in keys}
-        options = {key: () if v is None else negs[v] for key, v in values.items()}
-        index = AssignmentIndex(options, alg.planes, inner_keys, negs, [(key, range(longest)) for key in occs])
+
+        def options(negs: Sequence[tuple[int, ...]]) -> dict[AtomKey, tuple[int, ...]]:
+            return {key: () if v is None else negs[v] for key, v in values.items()}
+
+        index = AssignmentIndex(options(negs), alg.planes, inner_keys, negs, [(key, range(longest)) for key in occs])
 
         def decode(i: int, index: AssignmentIndex = index, outer: tuple[int, ...] = outer):
             return dict(zip(cells, outer + index.table(i))), index.decode(i)
@@ -281,17 +312,18 @@ def _index_walk(
         model = _prop_model(fs, {**fixed, **{_cell(key): index.value(key) for key in inner_keys}}, scope)
         ctx = EvalContext(model)
         vectors = [eval_sentence(f, model, index, ctx, path) for f, path in parts]
-        valid = index.valid
         per = index.size // n ** len(inner_keys)  # positions per table
-        trip = None
-        if per > cap:
-            trip = _table_trip(keys, fs, fixed, cells[len(outer) :], valid, per, longest ** len(occs), cap)
-        if trip is not None:
-            valid &= (1 << trip[0] * per) - 1
-        if valid:
-            yield fs, alg.planes, vectors, valid, decode
-        if trip is not None:
-            raise trip[1]
+        for f in families:
+            valid = index.valid if f is fs else index.within(options(f.negs), f.negs)
+            trip = None
+            if per > cap:
+                trip = _table_trip(keys, f, fixed, cells[len(outer) :], valid, per, longest ** len(occs), cap)
+            if trip is not None:
+                valid &= (1 << trip[0] * per) - 1
+            if valid:
+                yield f, alg.planes, vectors, valid, decode
+            if trip is not None:
+                raise trip[1]
 
 
 def _table_trip(

@@ -286,7 +286,9 @@ class AssignmentIndex:
     (``kernel.Planes``): an atom in ``values`` reads as the vector of its
     values (``value``, to be put in the model's table), a negated atom as
     the vector of its choices, and the connectives and quantifiers combine
-    vectors plane-wise."""
+    vectors plane-wise.  A value depends on the choices, not on the lists
+    they come from, so an index serves every narrower family of lists as
+    well: ``within`` gives the positions that family admits."""
 
     def __init__(
         self,
@@ -312,12 +314,10 @@ class AssignmentIndex:
         self._radices = [n] * len(self.values) + [max(map(len, c)) for c in self._choices] + [len(d) for _, d in occs]
         self.size = math.prod(self._radices)
         self.ops = (planes.meet, planes.join, planes.imp)
-        strides = [1] * len(self._radices)  # the last digit varies fastest
+        strides = self._strides = [1] * len(self._radices)  # the last digit varies fastest
         for j in range(len(strides) - 2, -1, -1):
             strides[j] = strides[j + 1] * self._radices[j + 1]
-
-        def masks(j: int) -> list[int]:
-            return _digit_masks(strides[j], self._radices[j], self.size)
+        masks = self._masks
 
         value_masks = [masks(j) for j in range(len(self.values))]
         self._values = {key: planes.from_masks(zip(m, range(n))) for key, m in zip(self.values, value_masks)}
@@ -340,8 +340,13 @@ class AssignmentIndex:
         # per occurrence: (choice number, positions) for each of its digits
         self._occ_masks = {key: list(zip(d, masks(c))) for c, (key, d) in enumerate(occs, first)}
         self._occ_vectors: dict[OccKey, Vector] = {}
+        self._occ_bases: dict[OccKey, list[tuple[int, int]]] = {}  # (v, positions where the body is v)
         self.met: list[tuple[OccKey, tuple[int, ...]]] = []
         self.orders: tuple = ()  # per occurrence in met: the rank of its instance
+
+    def _masks(self, j: int) -> list[int]:
+        """The positions at each value of digit j."""
+        return _digit_masks(self._strides[j], self._radices[j], self.size)
 
     def atom(self, key: AtomKey) -> Vector | None:
         return self._vectors.get(key)
@@ -360,9 +365,11 @@ class AssignmentIndex:
         planes = self._planes
         pairs = []
         invalid = 0
+        bases = self._occ_bases[key] = []
         for v, opts in enumerate(self._negs):
             at = planes.where(base, v)
             if at:
+                bases.append((v, at))
                 for d, m in numbers:
                     if d < len(opts):
                         pairs.append((at & m, opts[d]))
@@ -374,6 +381,34 @@ class AssignmentIndex:
         self.valid &= ~invalid
         self._occ_vectors[key] = choice
         return choice
+
+    def within(self, options: Mapping[AtomKey, tuple[int, ...]], negs: Sequence[tuple[int, ...]]) -> int:
+        """The valid positions whose every choice options and negs admit: a
+        negated key's choice lies in options[key] where no digit governs its
+        value and in negs[v] at value v, and an occurrence's choice in
+        negs[v] where its body is v.  Read after evaluation, since an
+        occurrence's body values are known only then.  Where each option
+        list is a subset of this index's, these positions are, in order,
+        the valid positions of an index built with options and negs, and
+        each value is the same there."""
+        out = self.valid
+        for c, (key, j, choices) in enumerate(zip(self.keys, self._governor, self._choices), len(self.values)):
+            admitted = [(-1, options[key])] if j is None else zip(self._masks(j), negs)
+            choice_masks = None
+            for (at, allowed), opts in zip(admitted, choices):
+                if allowed != opts:
+                    choice_masks = choice_masks or self._masks(c)
+                    for m, choice in zip(choice_masks, opts):
+                        if choice not in allowed:
+                            out &= ~(at & m)
+        for key, bases in self._occ_bases.items():
+            for v, at in bases:
+                opts, allowed = self._negs[v], negs[v]
+                if allowed != opts:
+                    for d, m in self._occ_masks[key]:
+                        if d < len(opts) and opts[d] not in allowed:
+                            out &= ~(at & m)
+        return out
 
     def _used(self, key: OccKey, base: Vector, bound: Vector | None) -> int:
         """The one choice number that the valid positions use at a new

@@ -47,8 +47,10 @@ JOBS = 2
 # in linked grids and in scalar components (one of them trips the cap in
 # the join), comega sequent walks over several parts,
 # comega searches and the qcw audit whose negated compounds take occurrence
-# digits in the propositional walk, comprehension at rank 3, powerset at
-# single rank-3 targets and over every B4 target, the check and the
+# digits in the propositional walk, n4 and comega searches over every
+# family at max-algebra 5-7 (the families of one algebra share one index),
+# comprehension at rank 3, powerset at single rank-3 targets and over
+# every B4 target, the check and the
 # saturated families of each model algebra, rank-3 checks whose folds and
 # all-target loops read classes of indiscernible names, rank-3 grids,
 # separation and union over B4 and the 4-chain, negated Leibniz at rank 3
@@ -118,6 +120,27 @@ _CHECKS = [
             '--goal refute_formula --formula "~(p & q) | (p & q)"',
             '--goal refute_sequent --premise "~~(p | q)" --formula "p | q"',
         )
+    ),
+    # every family of one algebra and kind walked through one index: a
+    # finding in a family past the first, exhaustion, and the fixed goals
+    *(
+        f"counter search --logic n4 --max-algebra {m} --families all {goal}"
+        for m in (5, 6)
+        for goal in (
+            '--goal refute_formula --formula "(p & ~p) -> q"',
+            '--goal refute_formula --formula "~(p & q) -> (~p | ~q)"',
+            '--goal refute_sequent --premise "~(p & q)" --premise p --formula "~q"',
+        )
+    ),
+    *(
+        f'counter search --logic comega --max-algebra {m} --families all --goal refute_formula --formula "{f}"'
+        for m in (5, 6, 7)
+        for f in ("p | ~p", "~~p -> p", "~(p & q) | (p & q)")
+    ),
+    *(
+        f"counter search --logic {logic} --max-algebra 5 --families all --goal {goal}"
+        for logic in ("n4", "comega")
+        for goal in ("non_explosion", "separate_n4_n3")
     ),
     "prove audit --system qcw --max-algebra 6",
     # the audits walked by group; the CLI prints the first 10 failures, and

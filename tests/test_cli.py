@@ -100,6 +100,16 @@ def test_algebra_enum(files, capsys):
     assert code == 0 and out.strip() == "RESULT count=5 max_size=4"
 
 
+def test_algebra_enum_rejects_a_negative_size(capsys):
+    """A negative size is an error line and exit 2, not an empty count;
+    size 0 admits no algebra and counts 0."""
+    for fmt in ("machine", "human"):
+        code, out, err = run(capsys, "--format", fmt, "algebra", "enum", "--max-size", "-3")
+        assert (code, out, err) == (2, "", "error: max_size must be at least 0, got -3\n")
+    code, out, _ = run(capsys, "--format", "machine", "algebra", "enum", "--max-size", "0")
+    assert code == 0 and out.strip() == "RESULT count=0 max_size=0"
+
+
 def test_python_dash_m_runs_the_cli():
     """``python -m pst`` is the ``pst`` script, from a checkout as well."""
     env = dict(os.environ, PYTHONPATH=str(Path(pst.__file__).resolve().parent.parent))

@@ -205,6 +205,8 @@ def test_walk_cap_trips_under_every_family():
 
 
 _COMEGA_FAMILIES_TO_4 = [fs for alg in enumerate_heyting(4) for fs in search_mod._families(alg, "all", "comega")]
+# every family of size <= 4, the n4 ones of each algebra before its comega ones
+_FAMILIES_TO_4 = [fs for alg in enumerate_heyting(4) for kind in ("n4", "comega") for fs in search_mod._families(alg, "all", kind)]
 
 # comega negated compounds: alone, nested, under a double negation, and in
 # premises and conclusion at once
@@ -269,6 +271,48 @@ def test_walk_sweeps_tables_past_the_sweep_size_in_runs():
     with _sweep_size(64) as built, mock.patch.object(search_mod, "_swept_table", swept):
         _assert_same_walk(joint, parts, _STRUCTURES_TO_4)
     assert built and any(len(runs) > 1 for runs in tables)
+
+
+# negated atoms, comega compounds and double negations, alone and in a sequent
+_SHARED_SEQUENTS = [
+    ("~p | ~q", ()),
+    ("~r | ~q | ~p", ()),
+    ("~~p -> p", ()),
+    ("~(p & q) | (p & q)", ()),
+    ("~(~p | ~~q)", ()),
+    ("p | q", ("~~(p | q)",)),
+]
+
+
+@pytest.mark.parametrize("sweep_size", [valuation_mod._SWEEP_SIZE, 8])
+def test_walk_matches_with_every_family_at_once(sweep_size):
+    """Every n4 and every comega family of size <= 4 in one list: the
+    families of one algebra and kind share one index, each with the
+    positions it admits, and match the per-family walk position for
+    position, cap trips included, some of them in a family past the first
+    of its algebra.  At sweep size 8 no union fits one run, and each
+    family is walked alone."""
+    later = set()
+    with _sweep_size(sweep_size) as built:
+        for (conclusion, premises), cap in itertools.product(_SHARED_SEQUENTS, (1, 2, 3, 5, 7, 24, ASSIGNMENT_CAP)):
+            joint, parts = _compound_sequent(conclusion, premises)
+            positions, trip = _assert_same_walk(joint, parts, _FAMILIES_TO_4, cap)
+            if trip is not None and positions:
+                last = positions[-1][0]
+                later.add(any(fs is not last and fs.algebra is last.algebra for fs, *_ in positions))
+    assert True in later
+    assert all(index.size <= sweep_size for index in built)
+
+
+def test_families_of_one_algebra_share_one_index():
+    """comega ~~p -> p over every family at max-algebra 4 builds one index
+    per algebra, 5 for its 55 families, and exhausts with the count of the
+    per-family walk."""
+    goal = SearchGoal("refute_formula", formula=parse_formula("~~p -> p"), logic="comega", budget=Budget(4, families="all"))
+    with _sweep_size(valuation_mod._SWEEP_SIZE) as built:
+        out = search(goal)
+    assert len(built) == 5 and len(_COMEGA_FAMILIES_TO_4) == 55
+    assert out == walk_search(goal)
 
 
 def _formulas():
